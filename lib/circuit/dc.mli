@@ -12,6 +12,33 @@ val default_options : options
 
 exception No_convergence of string
 
+type workspace
+(** The storage one analysis call reuses across all of its Newton
+    iterations: the system matrix (stamped, then factored in place),
+    its right-hand side, the LU row permutation and the linear step's
+    solution. It belongs to the call, never to the shared {!Mna.t}. *)
+
+val workspace : Mna.t -> workspace
+
+val newton :
+  ?companions:(Stc_numerics.Mat.t -> Stc_numerics.Vec.t -> unit) ->
+  options ->
+  Mna.t ->
+  workspace ->
+  time:float ->
+  gmin:float ->
+  source_scale:float ->
+  inductors:Mna.inductor_treatment ->
+  x0:Stc_numerics.Vec.t ->
+  Stc_numerics.Vec.t option
+(** One damped Newton solve from [x0] at fixed [gmin] and source scale:
+    each iteration stamps the system with {!Mna.stamp}, lets
+    [companions] add to the stamped matrix and right-hand side (the
+    transient engine's capacitor companions; nothing by default),
+    factors in place and clamps the update to [max_step]. Returns a
+    fresh solution, or [None] on a singular matrix, a non-finite
+    iterate or [max_iter] iterations without convergence. *)
+
 val solve : ?options:options -> ?x0:Stc_numerics.Vec.t -> Mna.t ->
   Stc_numerics.Vec.t
 (** Operating point at [time = 0]. Tries plain Newton from [x0] (zeros

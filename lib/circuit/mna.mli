@@ -11,10 +11,15 @@
       the negative of the branch current. *)
 
 type t
+(** A netlist compiled once: unknowns numbered, and every element turned
+    into an index-resolved stamp (resistor conductances precomputed,
+    the AC capacitance matrix and source vector assembled). A [t] is
+    immutable after {!build}, so analyses on several domains may share
+    one; each analysis call brings its own matrix storage. *)
 
 val build : Netlist.t -> t
-(** Numbers the unknowns. Raises [Invalid_argument] if the netlist
-    fails {!Netlist.validate}. *)
+(** Numbers the unknowns and compiles the stamps. Raises
+    [Invalid_argument] if the netlist fails {!Netlist.validate}. *)
 
 val size : t -> int
 (** Total number of unknowns. *)
@@ -35,35 +40,42 @@ type cap = { cp : int; cn : int; value : float }
 (** A (possibly device-internal) linear capacitance between two
     unknown indices (-1 = ground). *)
 
-val capacitances : t -> op:Stc_numerics.Vec.t -> cap array
-(** All capacitances: explicit capacitors plus MOSFET cgs/cgd/cdb.
-    [op] is unused by the level-1 model (constant caps) but kept in the
-    signature so a bias-dependent model can slot in. *)
+val capacitances : t -> cap array
+(** All capacitances: explicit capacitors plus MOSFET cgs/cgd/cdb
+    (constant in the level-1 model), in the order the transient
+    companions are stamped. A fresh array on each call. *)
 
 type inductor_treatment =
   | Short  (** DC: inductors are 0 V branches *)
-  | Companion of { h : float; i_prev : string -> float }
-      (** transient backward-Euler companion *)
+  | Companion of { h : float; prev : Stc_numerics.Vec.t }
+      (** transient backward-Euler companion over a step of [h]; the
+          previous branch currents are read from the previous time
+          point's solution [prev] *)
 
-val stamp_resistive :
+val stamp :
   t ->
+  g:Stc_numerics.Mat.t ->
+  b:Stc_numerics.Vec.t ->
   x:Stc_numerics.Vec.t ->
   time:float ->
   gmin:float ->
   source_scale:float ->
   inductors:inductor_treatment ->
-  Stc_numerics.Mat.t * Stc_numerics.Vec.t
-(** Assembles the resistive (non-capacitive) part of the linearised MNA
-    system around candidate solution [x]: conductances, linearised
-    MOSFET companion models, independent sources evaluated at [time]
-    and scaled by [source_scale] (for source-stepping homotopy), and a
-    [gmin] leak from every node to ground. *)
+  unit
+(** Overwrites the caller's [g] ([size × size]) and [b] with the
+    resistive (non-capacitive) part of the linearised MNA system around
+    candidate solution [x]: conductances, linearised MOSFET companion
+    models, independent sources evaluated at [time] and scaled by
+    [source_scale] (for source-stepping homotopy), and a [gmin] leak
+    from every node to ground. Stamps accumulate in element order, so
+    the result is the same bit for bit on every call. Raises
+    [Invalid_argument] on a dimension mismatch. *)
 
 val ac_matrices :
   t -> op:Stc_numerics.Vec.t ->
   Stc_numerics.Mat.t * Stc_numerics.Mat.t * Complex.t array
-(** [ac_matrices sys ~op] returns [(g, c, b)] such that the small-signal
-    phasor solution at angular frequency ω is [(g + jωc) x = b]:
-    [g] holds conductances and MOSFET gm/gds linearised at the
-    operating point [op], [c] holds capacitances and inductances, [b]
-    holds the AC source magnitudes. *)
+(** [ac_matrices sys ~op] returns fresh [(g, c, b)] such that the
+    small-signal phasor solution at angular frequency ω is
+    [(g + jωc) x = b]: [g] holds conductances and MOSFET gm/gds
+    linearised at the operating point [op], [c] holds capacitances and
+    inductances, [b] holds the AC source magnitudes. *)

@@ -1,6 +1,5 @@
 module Vec = Stc_numerics.Vec
 module Mat = Stc_numerics.Mat
-module Lu = Stc_numerics.Lu
 
 type method_ = Backward_euler | Trapezoidal
 
@@ -19,69 +18,65 @@ type result = {
 
 exception No_convergence of float
 
-type cap_state = {
-  cap : Mna.cap;
-  mutable v_prev : float;
-  mutable i_prev : float;
+(* Capacitor companion state, one slot per {!Mna.capacitances} entry:
+   the voltage and current at the last accepted time point, and the
+   companion conductance and current source of the step being solved
+   (fixed for all of its Newton iterations). *)
+type companions = {
+  caps : Mna.cap array;
+  v_prev : float array;
+  i_prev : float array;
+  geq : float array;
+  ieq : float array;
 }
 
-let cap_voltage x (c : Mna.cap) =
+let[@inline] cap_voltage x (c : Mna.cap) =
   let vp = if c.Mna.cp >= 0 then x.(c.Mna.cp) else 0.0 in
   let vn = if c.Mna.cn >= 0 then x.(c.Mna.cn) else 0.0 in
   vp -. vn
 
-(* companion conductance and rhs current for one capacitor *)
-let companion opts h (cs : cap_state) =
-  let c = cs.cap.Mna.value in
-  match opts.method_ with
-  | Backward_euler ->
-    let geq = c /. h in
-    (geq, -.(geq *. cs.v_prev))
-  | Trapezoidal ->
-    let geq = 2.0 *. c /. h in
-    (geq, -.(geq *. cs.v_prev) -. cs.i_prev)
+(* companion conductance and rhs current of every capacitor for a step
+   of [h] *)
+let prepare opts h cs =
+  for k = 0 to Array.length cs.caps - 1 do
+    let c = cs.caps.(k).Mna.value in
+    match opts.method_ with
+    | Backward_euler ->
+      let geq = c /. h in
+      cs.geq.(k) <- geq;
+      cs.ieq.(k) <- -.(geq *. cs.v_prev.(k))
+    | Trapezoidal ->
+      let geq = 2.0 *. c /. h in
+      cs.geq.(k) <- geq;
+      cs.ieq.(k) <- -.(geq *. cs.v_prev.(k)) -. cs.i_prev.(k)
+  done
 
-let newton_step opts sys ~time ~h ~caps ~prev =
-  let nopts = opts.newton in
-  let x = Vec.copy prev in
-  let i_prev name = Mna.branch_current sys prev name in
-  let rec iterate k =
-    if k >= nopts.max_iter then raise (No_convergence time);
-    let g, b =
-      Mna.stamp_resistive sys ~x ~time ~gmin:nopts.gmin ~source_scale:1.0
-        ~inductors:(Mna.Companion { h; i_prev })
-    in
-    Array.iter
-      (fun cs ->
-        let geq, ieq = companion opts h cs in
-        let { Mna.cp; cn; _ } = cs.cap in
-        if cp >= 0 then Mat.add_to g cp cp geq;
-        if cn >= 0 then Mat.add_to g cn cn geq;
-        if cp >= 0 && cn >= 0 then begin
-          Mat.add_to g cp cn (-.geq);
-          Mat.add_to g cn cp (-.geq)
-        end;
-        if cp >= 0 then b.(cp) <- b.(cp) -. ieq;
-        if cn >= 0 then b.(cn) <- b.(cn) +. ieq)
-      caps;
-    match Lu.factor g with
-    | exception Lu.Singular _ -> raise (No_convergence time)
-    | fact ->
-      let x_new = Lu.solve fact b in
-      let delta = ref 0.0 in
-      for i = 0 to Vec.dim x - 1 do
-        delta := Float.max !delta (Float.abs (x_new.(i) -. x.(i)))
-      done;
-      let scale =
-        if !delta > nopts.max_step then nopts.max_step /. !delta else 1.0
-      in
-      for i = 0 to Vec.dim x - 1 do
-        x.(i) <- x.(i) +. (scale *. (x_new.(i) -. x.(i)))
-      done;
-      if not (Array.for_all Float.is_finite x) then raise (No_convergence time);
-      if !delta *. scale < nopts.tol then x else iterate (k + 1)
-  in
-  iterate 0
+let[@inline] gadd g n i j v =
+  let k = (i * n) + j in
+  g.(k) <- g.(k) +. v
+
+let stamp_companions cs (g : Mat.t) b =
+  let n = g.Mat.cols and g = g.Mat.data in
+  for k = 0 to Array.length cs.caps - 1 do
+    let geq = cs.geq.(k) and ieq = cs.ieq.(k) in
+    let { Mna.cp; cn; _ } = cs.caps.(k) in
+    if cp >= 0 then gadd g n cp cp geq;
+    if cn >= 0 then gadd g n cn cn geq;
+    if cp >= 0 && cn >= 0 then begin
+      gadd g n cp cn (-.geq);
+      gadd g n cn cp (-.geq)
+    end;
+    if cp >= 0 then b.(cp) <- b.(cp) -. ieq;
+    if cn >= 0 then b.(cn) <- b.(cn) +. ieq
+  done
+
+(* refresh the companions from the accepted solution [x] *)
+let accept cs x =
+  for k = 0 to Array.length cs.caps - 1 do
+    let v_new = cap_voltage x cs.caps.(k) in
+    cs.i_prev.(k) <- (cs.geq.(k) *. v_new) +. cs.ieq.(k);
+    cs.v_prev.(k) <- v_new
+  done
 
 let breakpoints sys ~tstop =
   let netlist = Mna.netlist sys in
@@ -101,12 +96,14 @@ let run ?options sys ~tstop ~dt =
   if tstop <= 0.0 then invalid_arg "Tran.run: tstop must be positive";
   if dt <= 0.0 then invalid_arg "Tran.run: dt must be positive";
   let op = Dc.solve_at ~options:opts.newton ~time:0.0 sys in
-  let caps =
-    Array.map
-      (fun cap -> { cap; v_prev = 0.0; i_prev = 0.0 })
-      (Mna.capacitances sys ~op)
+  let caps = Mna.capacitances sys in
+  let slots () = Array.make (Array.length caps) 0.0 in
+  let cs =
+    { caps; v_prev = Array.map (cap_voltage op) caps; i_prev = slots ();
+      geq = slots (); ieq = slots () }
   in
-  Array.iter (fun cs -> cs.v_prev <- cap_voltage op cs.cap) caps;
+  let ws = Dc.workspace sys in
+  let nopts = opts.newton in
   let bps = ref (breakpoints sys ~tstop) in
   let times = ref [ 0.0 ] and states = ref [ op ] in
   let t = ref 0.0 and x = ref op in
@@ -120,15 +117,17 @@ let run ?options sys ~tstop ~dt =
       match !bps with b :: _ when b < target -> b | _ -> target
     in
     let h = target -. !t in
-    let x_new = newton_step opts sys ~time:target ~h ~caps ~prev:!x in
-    (* refresh capacitor companions from the accepted step *)
-    Array.iter
-      (fun cs ->
-        let v_new = cap_voltage x_new cs.cap in
-        let geq, ieq = companion opts h cs in
-        cs.i_prev <- (geq *. v_new) +. ieq;
-        cs.v_prev <- v_new)
-      caps;
+    prepare opts h cs;
+    let x_new =
+      match
+        Dc.newton ~companions:(stamp_companions cs) nopts sys ws ~time:target
+          ~gmin:nopts.gmin ~source_scale:1.0
+          ~inductors:(Mna.Companion { h; prev = !x }) ~x0:!x
+      with
+      | Some x_new -> x_new
+      | None -> raise (No_convergence target)
+    in
+    accept cs x_new;
     t := target;
     x := x_new;
     times := target :: !times;

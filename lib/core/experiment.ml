@@ -65,23 +65,43 @@ let opamp_variations =
     u "cc" n.Opamp.cc; u "cl" n.Opamp.cl;
   |]
 
+(* [once f] computes [f ()] on its first call and returns that value
+   ever after. A lock serialises the first calls, so devices can be
+   built from any domain. *)
+let once f =
+  let lock = Mutex.create () and cell = ref None in
+  fun () ->
+    Mutex.protect lock (fun () ->
+        match !cell with
+        | Some v -> v
+        | None ->
+          let v = f () in
+          cell := Some v;
+          v)
+
+let fit_calibrations specs measured =
+  Array.init (Array.length specs) (fun i ->
+      Calibration.fit Calibration.Scale ~measured_nominal:measured.(i)
+        ~target_nominal:specs.(i).Spec.nominal)
+
 (* Calibration factors fitted once against the simulated nominal device
-   (see Calibration and DESIGN.md). *)
+   (see Calibration and DESIGN.md). A device resolves them when it is
+   built, so its [simulate] reads a plain value on every domain. *)
 let opamp_calibrations =
-  lazy
-    (let measured = Measure_opamp.to_array (Measure_opamp.measure Opamp.nominal) in
-     Array.init (Array.length opamp_specs) (fun i ->
-         Calibration.fit Calibration.Scale ~measured_nominal:measured.(i)
-           ~target_nominal:opamp_specs.(i).Spec.nominal))
+  once (fun () ->
+      fit_calibrations opamp_specs
+        (Measure_opamp.to_array (Measure_opamp.measure Opamp.nominal)))
+
+let calibrated calibrations raw =
+  match calibrations with
+  | Some c -> Calibration.apply_all c raw
+  | None -> raw
 
 let opamp_device ?(calibrate = true) () =
+  let calibrations = if calibrate then Some (opamp_calibrations ()) else None in
   let simulate draw =
     match Measure_opamp.measure (opamp_params_of_draw draw) with
-    | values ->
-      let raw = Measure_opamp.to_array values in
-      if calibrate then
-        Some (Calibration.apply_all (Lazy.force opamp_calibrations) raw)
-      else Some raw
+    | values -> Some (calibrated calibrations (Measure_opamp.to_array values))
     | exception Measure_opamp.Measurement_failed _ -> None
   in
   {
@@ -238,19 +258,13 @@ let mems_measure geometry =
     ]
 
 let mems_calibrations =
-  lazy
-    (let measured = mems_measure Geometry.nominal in
-     Array.init (Array.length mems_specs) (fun i ->
-         Calibration.fit Calibration.Scale ~measured_nominal:measured.(i)
-           ~target_nominal:mems_specs.(i).Spec.nominal))
+  once (fun () -> fit_calibrations mems_specs (mems_measure Geometry.nominal))
 
 let mems_device ?(calibrate = true) () =
+  let calibrations = if calibrate then Some (mems_calibrations ()) else None in
   let simulate draw =
     match mems_measure (mems_geometry_of_draw draw) with
-    | raw ->
-      if calibrate then
-        Some (Calibration.apply_all (Lazy.force mems_calibrations) raw)
-      else Some raw
+    | raw -> Some (calibrated calibrations raw)
     | exception Measure_mems.Measurement_failed _ -> None
   in
   {

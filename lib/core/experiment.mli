@@ -12,7 +12,9 @@ val opamp_device : ?calibrate:bool -> unit -> Stc_process.Montecarlo.device
 (** ±10 % uniform variation on every MOSFET W and L and both
     capacitors (14 parameters), simulated through the six test benches.
     [calibrate] (default true) maps each measured spec onto the paper's
-    nominal scale (see {!Calibration}). *)
+    nominal scale (see {!Calibration}); the factors are fitted on the
+    first such call in the process, which simulates the nominal device,
+    and [simulate] is then safe to call from several domains at once. *)
 
 val opamp_examination_order : int array
 (** Device-functionality examination order (the paper's strategy): the
@@ -77,7 +79,8 @@ val mems_hot_indices : int array
 val mems_device : ?calibrate:bool -> unit -> Stc_process.Montecarlo.device
 (** ±10 % uniform variation on each spring's length, width and
     orientation angle, the plate dimensions, the comb gap and overlap
-    (16 parameters). *)
+    (16 parameters). Calibrated like {!opamp_device}: the factors are
+    resolved when the device is built. *)
 
 val generate_mems :
   ?calibrate:bool -> ?parallel:bool -> seed:int -> n_train:int -> n_test:int ->

@@ -6,55 +6,63 @@ type t = {
   sign : float;        (* permutation parity, for det *)
 }
 
-(* Doolittle LU with partial pivoting. Entries below the diagonal hold L,
-   the diagonal and above hold U. *)
-let factor a =
+(* Doolittle LU with partial pivoting, in place: entries below the
+   diagonal become L, the diagonal and above become U. *)
+let factor_in_place a perm =
   let n, m = Mat.dims a in
   if n <> m then invalid_arg "Lu.factor: matrix not square";
-  let lu = Mat.copy a in
-  let perm = Array.init n (fun i -> i) in
+  if Array.length perm <> n then invalid_arg "Lu.factor: permutation length mismatch";
+  let d = a.Mat.data in
+  for i = 0 to n - 1 do
+    perm.(i) <- i
+  done;
   let sign = ref 1.0 in
   for k = 0 to n - 1 do
     (* pivot search in column k *)
     let pivot = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !pivot k) then
-        pivot := i
+      if Float.abs d.((i * n) + k) > Float.abs d.((!pivot * n) + k) then pivot := i
     done;
-    if Float.abs (Mat.get lu !pivot k) < 1e-300 then raise (Singular k);
-    if !pivot <> k then begin
+    let p = !pivot in
+    if Float.abs d.((p * n) + k) < 1e-300 then raise (Singular k);
+    if p <> k then begin
       for j = 0 to n - 1 do
-        let t = Mat.get lu k j in
-        Mat.set lu k j (Mat.get lu !pivot j);
-        Mat.set lu !pivot j t
+        let t = d.((k * n) + j) in
+        d.((k * n) + j) <- d.((p * n) + j);
+        d.((p * n) + j) <- t
       done;
       let t = perm.(k) in
-      perm.(k) <- perm.(!pivot);
-      perm.(!pivot) <- t;
+      perm.(k) <- perm.(p);
+      perm.(p) <- t;
       sign := -. !sign
     end;
-    let pk = Mat.get lu k k in
+    let pk = d.((k * n) + k) in
     for i = k + 1 to n - 1 do
-      let lik = Mat.get lu i k /. pk in
-      Mat.set lu i k lik;
+      let lik = d.((i * n) + k) /. pk in
+      d.((i * n) + k) <- lik;
       if lik <> 0.0 then
         for j = k + 1 to n - 1 do
-          Mat.set lu i j (Mat.get lu i j -. (lik *. Mat.get lu k j))
+          d.((i * n) + j) <- d.((i * n) + j) -. (lik *. d.((k * n) + j))
         done
     done
   done;
-  { lu; perm; sign = !sign }
+  !sign
 
-let solve_in_place f b =
-  let n, _ = Mat.dims f.lu in
-  if Array.length b <> n then invalid_arg "Lu.solve: dimension mismatch";
+let solve_into lu perm b x =
+  let n, _ = Mat.dims lu in
+  if Array.length b <> n || Array.length x <> n || Array.length perm <> n then
+    invalid_arg "Lu.solve: dimension mismatch";
+  if x == b then invalid_arg "Lu.solve_into: solution must not alias the rhs";
+  let d = lu.Mat.data in
   (* apply permutation *)
-  let x = Array.init n (fun i -> b.(f.perm.(i))) in
+  for i = 0 to n - 1 do
+    x.(i) <- b.(perm.(i))
+  done;
   (* forward substitution, L has unit diagonal *)
   for i = 1 to n - 1 do
     let acc = ref x.(i) in
     for j = 0 to i - 1 do
-      acc := !acc -. (Mat.get f.lu i j *. x.(j))
+      acc := !acc -. (d.((i * n) + j) *. x.(j))
     done;
     x.(i) <- !acc
   done;
@@ -62,16 +70,25 @@ let solve_in_place f b =
   for i = n - 1 downto 0 do
     let acc = ref x.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (Mat.get f.lu i j *. x.(j))
+      acc := !acc -. (d.((i * n) + j) *. x.(j))
     done;
-    x.(i) <- !acc /. Mat.get f.lu i i
-  done;
-  Array.blit x 0 b 0 n
+    x.(i) <- !acc /. d.((i * n) + i)
+  done
+
+let factor a =
+  let n, _ = Mat.dims a in
+  let lu = Mat.copy a and perm = Array.make n 0 in
+  let sign = factor_in_place lu perm in
+  { lu; perm; sign }
 
 let solve f b =
-  let x = Vec.copy b in
-  solve_in_place f x;
+  let x = Vec.create (Array.length f.perm) 0.0 in
+  solve_into f.lu f.perm b x;
   x
+
+let solve_in_place f b =
+  let x = solve f b in
+  Array.blit x 0 b 0 (Array.length x)
 
 let det f =
   let n, _ = Mat.dims f.lu in

@@ -4,6 +4,7 @@ let () =
   Alcotest.run "stc"
     (Test_numerics.suites
      @ Test_circuit.suites
+     @ Test_sim_pins.suites
      @ Test_spice.suites
      @ Test_io.suites
      @ Test_more.suites
