@@ -34,8 +34,18 @@ bench-json:
 golden:
 	STC_SLOW=1 dune exec test/test_main.exe -- test golden
 
+# The suite is forced to run (dune would otherwise replay a cached
+# result), keeps dune's exit status, and must report the pinned seed;
+# its output is kept in _build/qa-runtest.log for that check.
 qa:
-	QCHECK_SEED=$(QA_SEED) dune runtest
+	@mkdir -p _build
+	@QCHECK_SEED=$(QA_SEED) dune runtest --force > _build/qa-runtest.log 2>&1; status=$$?; \
+	  cat _build/qa-runtest.log; \
+	  if [ $$status -ne 0 ]; then exit $$status; fi; \
+	  if ! grep -q "^qcheck random seed: $(QA_SEED)$$" _build/qa-runtest.log; then \
+	    echo "make qa: the suite did not report qcheck random seed: $(QA_SEED)" >&2; \
+	    exit 1; \
+	  fi
 	dune exec bin/stc_cli.exe -- selftest --seed $(QA_SEED) --quiet
 
 # The SMO warm-start / flat-storage equivalence gate (test_svm_equiv.ml):

@@ -1,22 +1,20 @@
 module Vec = Stc_numerics.Vec
 module Mat = Stc_numerics.Mat
 
-type method_ = Backward_euler | Trapezoidal
-
-type options = {
-  dt : float;
-  method_ : method_;
-  newton : Dc.options;
-}
-
-let default_options ~dt = { dt; method_ = Trapezoidal; newton = Dc.default_options }
-
 type result = {
   times : float array;
   states : Vec.t array;
 }
 
 exception No_convergence of float
+
+(* the LTE tolerances, abstol in volts; tran.mli says how they were
+   chosen *)
+let reltol = 1e-7
+let abstol = 1e-9
+
+let m_steps = Stc_obs.Registry.counter "stc_tran_steps_total"
+let m_rejected = Stc_obs.Registry.counter "stc_tran_rejected_steps_total"
 
 (* Capacitor companion state, one slot per {!Mna.capacitances} entry:
    the voltage and current at the last accepted time point, and the
@@ -35,20 +33,13 @@ let[@inline] cap_voltage x (c : Mna.cap) =
   let vn = if c.Mna.cn >= 0 then x.(c.Mna.cn) else 0.0 in
   vp -. vn
 
-(* companion conductance and rhs current of every capacitor for a step
-   of [h] *)
-let prepare opts h cs =
+(* trapezoidal companion conductance and rhs current of every capacitor
+   for a step of [h] *)
+let prepare h cs =
   for k = 0 to Array.length cs.caps - 1 do
-    let c = cs.caps.(k).Mna.value in
-    match opts.method_ with
-    | Backward_euler ->
-      let geq = c /. h in
-      cs.geq.(k) <- geq;
-      cs.ieq.(k) <- -.(geq *. cs.v_prev.(k))
-    | Trapezoidal ->
-      let geq = 2.0 *. c /. h in
-      cs.geq.(k) <- geq;
-      cs.ieq.(k) <- -.(geq *. cs.v_prev.(k)) -. cs.i_prev.(k)
+    let geq = 2.0 *. cs.caps.(k).Mna.value /. h in
+    cs.geq.(k) <- geq;
+    cs.ieq.(k) <- -.(geq *. cs.v_prev.(k)) -. cs.i_prev.(k)
   done
 
 let[@inline] gadd g n i j v =
@@ -91,11 +82,44 @@ let breakpoints sys ~tstop =
     netlist.Netlist.elements
   |> List.sort_uniq compare
 
-let run ?options sys ~tstop ~dt =
-  let opts = match options with Some o -> o | None -> default_options ~dt in
+(* The times the loop must land on: every source breakpoint, then
+   [tstop]. A breakpoint closer than [min_gap] to the one before it (or
+   to [tstop]) is merged into it, so two breakpoints an ulp apart never
+   force a sliver step between them. *)
+let stop_times sys ~tstop ~min_gap =
+  let rec merge prev = function
+    | [] -> [ tstop ]
+    | b :: rest ->
+      if b < prev +. min_gap || b > tstop -. min_gap then merge prev rest
+      else b :: merge b rest
+  in
+  merge 0.0 (breakpoints sys ~tstop)
+
+(* The worst ratio, over the node voltages (the first [n_nodes]
+   unknowns), of the trapezoidal local truncation error h³·|DD₃|/2 to
+   its tolerance reltol·max(|x|, |x_prev|) + abstol. DD₃ is the third
+   divided difference through the points 0..3, oldest first; point 3 is
+   the new one and h = t3 - t2. *)
+let error_ratio ~n_nodes (t0, x0) (t1, x1) (t2, x2) (t3, x3) =
+  let h = t3 -. t2 in
+  let c = h *. h *. h /. 2.0 in
+  let worst = ref 0.0 in
+  for i = 0 to n_nodes - 1 do
+    let d01 = (x1.(i) -. x0.(i)) /. (t1 -. t0) in
+    let d12 = (x2.(i) -. x1.(i)) /. (t2 -. t1) in
+    let d23 = (x3.(i) -. x2.(i)) /. h in
+    let dd3 = (((d23 -. d12) /. (t3 -. t1)) -. ((d12 -. d01) /. (t2 -. t0))) /. (t3 -. t0) in
+    let tol = (reltol *. Float.max (Float.abs x3.(i)) (Float.abs x2.(i))) +. abstol in
+    let r = c *. Float.abs dd3 /. tol in
+    if r > !worst then worst := r
+  done;
+  !worst
+
+let run sys ~tstop ~dt =
   if tstop <= 0.0 then invalid_arg "Tran.run: tstop must be positive";
   if dt <= 0.0 then invalid_arg "Tran.run: dt must be positive";
-  let op = Dc.solve_at ~options:opts.newton ~time:0.0 sys in
+  let h_start = dt /. 4.0 and h_max = 64.0 *. dt and h_min = 1e-4 *. dt in
+  let op = Dc.solve_at ~time:0.0 sys in
   let caps = Mna.capacitances sys in
   let slots () = Array.make (Array.length caps) 0.0 in
   let cs =
@@ -103,36 +127,73 @@ let run ?options sys ~tstop ~dt =
       geq = slots (); ieq = slots () }
   in
   let ws = Dc.workspace sys in
-  let nopts = opts.newton in
-  let bps = ref (breakpoints sys ~tstop) in
+  let nopts = Dc.default_options in
+  let n_nodes = List.length (Netlist.nodes (Mna.netlist sys)) in
   let times = ref [ 0.0 ] and states = ref [ op ] in
-  let t = ref 0.0 and x = ref op in
-  while !t < tstop -. 1e-18 do
-    (* drop stale breakpoints, then step to min(t+dt, next bp, tstop) *)
-    while (match !bps with b :: _ when b <= !t +. 1e-18 -> true | _ -> false) do
-      bps := List.tl !bps
-    done;
-    let target = Float.min (!t +. opts.dt) tstop in
-    let target =
-      match !bps with b :: _ when b < target -> b | _ -> target
-    in
-    let h = target -. !t in
-    prepare opts h cs;
-    let x_new =
+  (* the points accepted since the last breakpoint, newest first, at
+     most three *)
+  let history = ref [] in
+  let h = ref h_start and rejected = ref 0 in
+  let count () =
+    Stc_obs.Registry.Counter.add m_steps (List.length !times - 1);
+    Stc_obs.Registry.Counter.add m_rejected !rejected
+  in
+  let rec advance = function
+    | [] -> ()
+    | stop :: rest as stops ->
+      let t = List.hd !times and x = List.hd !states in
+      (* land on [stop] exactly when it is within reach; within two
+         steps, halve the distance instead, so no step is left a sliver *)
+      let remaining = stop -. t in
+      let step =
+        if !h >= remaining then remaining
+        else if 2.0 *. !h > remaining then remaining /. 2.0
+        else !h
+      in
+      let target = if step = remaining then stop else t +. step in
+      prepare step cs;
       match
         Dc.newton ~companions:(stamp_companions cs) nopts sys ws ~time:target
           ~gmin:nopts.gmin ~source_scale:1.0
-          ~inductors:(Mna.Companion { h; prev = !x }) ~x0:!x
+          ~inductors:(Mna.Companion { h = step; prev = x }) ~x0:x
       with
-      | Some x_new -> x_new
-      | None -> raise (No_convergence target)
-    in
-    accept cs x_new;
-    t := target;
-    x := x_new;
-    times := target :: !times;
-    states := x_new :: !states
-  done;
+      | None ->
+        incr rejected;
+        h := step /. 8.0;
+        if !h < h_min then raise (No_convergence target);
+        advance stops
+      | Some x_new ->
+        let ratio =
+          match !history with
+          | [ p2; p1; p0 ] -> Some (error_ratio ~n_nodes p0 p1 p2 (target, x_new))
+          | _ -> None
+        in
+        (match ratio with
+         | Some r when r > 1.0 && step > h_min ->
+           incr rejected;
+           h := Float.max h_min (step *. 0.9 /. Float.cbrt r);
+           advance stops
+         | Some _ | None ->
+           accept cs x_new;
+           times := target :: !times;
+           states := x_new :: !states;
+           if target = stop then begin
+             history := [];
+             h := h_start;
+             advance rest
+           end
+           else begin
+             Option.iter
+               (fun r -> h := Float.min h_max (step *. Float.min 2.0 (0.9 /. Float.cbrt r)))
+               ratio;
+             history :=
+               (match (target, x_new) :: !history with
+                | [ p3; p2; p1; _ ] -> [ p3; p2; p1 ]
+                | points -> points);
+             advance stops
+           end)
+  in
+  Fun.protect ~finally:count (fun () -> advance (stop_times sys ~tstop ~min_gap:h_min));
   {
     times = Array.of_list (List.rev !times);
     states = Array.of_list (List.rev !states);

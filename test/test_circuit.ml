@@ -256,6 +256,37 @@ let ac_tests =
 
 (* ------------------------- Transient analysis --------------------- *)
 
+(* Runs a transient and checks its time grid: strictly increasing,
+   ending exactly at [tstop], every source breakpoint before [tstop] a
+   sample (or within [merge] of one), and no step shorter than
+   1e-6·dt. Returns the system and the result. *)
+let check_time_grid ?(merge = 0.0) name netlist ~tstop ~dt =
+  let sys = Mna.build netlist in
+  let result = Tran.run sys ~tstop ~dt in
+  let times = result.Tran.times in
+  let n = Array.length times in
+  Alcotest.(check string) (name ^ ": last time is tstop") (Printf.sprintf "%h" tstop)
+    (Printf.sprintf "%h" times.(n - 1));
+  List.iter
+    (fun e ->
+      match e with
+      | Netlist.Vsource { wave; _ } | Netlist.Isource { wave; _ } ->
+        List.iter
+          (fun b ->
+            if b < tstop && not (Array.exists (fun t -> Float.abs (t -. b) <= merge) times)
+            then Alcotest.failf "%s: breakpoint %h is not a sample" name b)
+          (Wave.breakpoints wave ~tmax:tstop)
+      | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Inductor _
+      | Netlist.Vcvs _ | Netlist.Vccs _ | Netlist.Mosfet _ ->
+        ())
+    netlist.Netlist.elements;
+  for i = 1 to n - 1 do
+    let h = times.(i) -. times.(i - 1) in
+    if not (h >= 1e-6 *. dt) then
+      Alcotest.failf "%s: step %d to t = %h is %g s, under 1e-6 dt" name i times.(i) h
+  done;
+  (sys, result)
+
 let tran_tests =
   [
     Alcotest.test_case "rc step response matches analytic" `Quick (fun () ->
@@ -324,6 +355,95 @@ let tran_tests =
         let _, peak = Waveform.peak w in
         (* underdamped series RLC doubles the step at the first peak *)
         Alcotest.(check bool) "rings above 1.5" true (peak > 1.5));
+    Alcotest.test_case "no sliver steps: tstop and breakpoints are samples" `Quick
+      (fun () ->
+        let rc source =
+          Netlist.of_elements
+            [ source; Netlist.r "r1" "in" "out" 1e3; Netlist.c "c1" "out" "0" 100e-9 ]
+        in
+        let edge_at_1s =
+          Wave.Pulse
+            { v1 = 0.0; v2 = 1.0; delay = 1.0; rise = 0.1; fall = 0.1; width = 0.5;
+              period = 0.0 }
+        in
+        List.iter
+          (fun (name, netlist, tstop, dt) ->
+            ignore (check_time_grid name netlist ~tstop ~dt : Mna.t * Tran.result))
+          [
+            ("RC, DC source", rc (Netlist.vdc "vin" "in" "0" 1.0), 1.0, 0.1);
+            (* on a flat waveform the steps double from dt/4 and reach
+               0.85 s, 1 ns short of tstop *)
+            ( "RC, DC source, tstop just past a step",
+              rc (Netlist.vdc "vin" "in" "0" 1.0),
+              0.85 +. 1e-9,
+              0.1 );
+            ("RC, pulse edge at 1 s", rc (Netlist.vwave "vin" "in" "0" edge_at_1s), 2.0, 0.1);
+            ( "op-amp small-step bench",
+              Opamp.netlist Opamp.nominal (Opamp.Unity_small_step 0.1),
+              4e-6,
+              4e-6 /. 1200.0 );
+          ];
+        (* 0.2 + 0.7 + 0.1 is one ulp short of the 1.0 period, so the
+           first falling edge ends an ulp before the next rising edge
+           starts; the two breakpoints are merged into one sample *)
+        let square =
+          Wave.Pulse
+            { v1 = 0.0; v2 = 1.0; delay = 0.0; rise = 0.2; width = 0.7; fall = 0.1;
+              period = 1.0 }
+        in
+        ignore
+          (check_time_grid ~merge:1e-5 "RC, square wave with coinciding edges"
+             (rc (Netlist.vwave "vin" "in" "0" square)) ~tstop:3.0 ~dt:0.1
+            : Mna.t * Tran.result));
+    Alcotest.test_case "step controller: fewer points, growing in the settled tail" `Quick
+      (fun () ->
+        (* a 1 V step through a ramp of [tr] at [t0] into an RC; the exact
+           response is the ramp response y below *)
+        let r = 1000.0 and c = 1e-6 in
+        let tau = r *. c in
+        let t0 = 0.5 *. tau and tr = tau /. 50.0 in
+        let tstop = 6.0 *. tau and dt = tau /. 100.0 in
+        let step =
+          Wave.Pulse
+            { v1 = 0.0; v2 = 1.0; delay = t0; rise = tr; fall = tr; width = 1.0;
+              period = 0.0 }
+        in
+        let netlist =
+          Netlist.of_elements
+            [
+              Netlist.vwave "vin" "in" "0" step;
+              Netlist.r "r1" "in" "out" r;
+              Netlist.c "c1" "out" "0" c;
+            ]
+        in
+        let sys, result = check_time_grid "pulse-driven RC" netlist ~tstop ~dt in
+        let times = result.Tran.times in
+        let w = Tran.node_waveform sys result "out" in
+        let y s =
+          if s <= 0.0 then 0.0
+          else if s <= tr then (s -. (tau *. (1.0 -. exp (-.s /. tau)))) /. tr
+          else 1.0 -. (tau /. tr *. (exp (tr /. tau) -. 1.0) *. exp (-.s /. tau))
+        in
+        Array.iter (fun (t, v) -> check_close 1e-5 (Printf.sprintf "v(%g)" t) (y (t -. t0)) v) w;
+        let n = Array.length times in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d points, fewer than tstop/dt = %g" n (tstop /. dt))
+          true
+          (float_of_int n < tstop /. dt);
+        (* the longest step within [a, b) *)
+        let longest a b =
+          let m = ref 0.0 in
+          for i = 1 to n - 1 do
+            if times.(i - 1) >= a && times.(i) < b then
+              m := Float.max !m (times.(i) -. times.(i - 1))
+          done;
+          !m
+        in
+        let early = longest (t0 +. tr) (t0 +. tr +. tau) in
+        let tail = longest (tstop -. tau) tstop in
+        if not (tail > 2.0 *. early && tail > 2.0 *. dt) then
+          Alcotest.failf "tail step %g not above twice the post-edge step %g and dt %g" tail
+            early dt);
   ]
 
 (* ------------------------- Waveform measures ---------------------- *)

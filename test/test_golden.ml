@@ -87,8 +87,10 @@ let mems_case ~label ~n_train ~n_test ~max_error ~min_saving =
    the MLP learner must keep producing these exact bytes. The pin
    covers the whole chain — MLP training determinism, the stc-mlp-1
    body, Model_text embedding, and the stc-flow-2 container — so any
-   accidental format or arithmetic drift fails here by fingerprint. *)
-let flow2_fingerprint = "bc4fa8c4800083cf"
+   accidental format or arithmetic drift fails here by fingerprint.
+   The training data are simulated, so any change to the simulated
+   op-amp specs moves the pin too. *)
+let flow2_fingerprint = "9a3bdbe554195798"
 
 let flow2_pin =
   Alcotest.test_case "golden: stc-flow-2 op-amp flow bytes pinned" `Quick

@@ -1,4 +1,4 @@
-(* Second-round coverage: integration options, experiment wiring, and
+(* Second-round coverage: transient breakpoints, experiment wiring, and
    API edge cases not covered by the per-module suites. *)
 
 module Netlist = Stc_circuit.Netlist
@@ -32,31 +32,6 @@ let rc_step r c =
 
 let tran_option_tests =
   [
-    Alcotest.test_case "backward euler also converges on RC" `Quick (fun () ->
-        let r = 1000.0 and c = 1e-6 in
-        let tau = r *. c in
-        let sys = Mna.build (rc_step r c) in
-        let options =
-          { (Tran.default_options ~dt:(tau /. 100.0)) with
-            Tran.method_ = Tran.Backward_euler }
-        in
-        let result = Tran.run ~options sys ~tstop:(5.0 *. tau) ~dt:(tau /. 100.0) in
-        let w = Tran.node_waveform sys result "out" in
-        check_close 5e-3 "final" (1.0 -. exp (-5.0)) (Waveform.final w));
-    Alcotest.test_case "trapezoidal beats BE on accuracy" `Quick (fun () ->
-        let r = 1000.0 and c = 1e-6 in
-        let tau = r *. c in
-        let sys = Mna.build (rc_step r c) in
-        let run method_ =
-          let options =
-            { (Tran.default_options ~dt:(tau /. 20.0)) with Tran.method_ }
-          in
-          let result = Tran.run ~options sys ~tstop:tau ~dt:(tau /. 20.0) in
-          let w = Tran.node_waveform sys result "out" in
-          Float.abs (Waveform.final w -. (1.0 -. exp (-1.0)))
-        in
-        Alcotest.(check bool) "trap error <= BE error" true
-          (run Tran.Trapezoidal <= run Tran.Backward_euler));
     Alcotest.test_case "time steps land on breakpoints" `Quick (fun () ->
         let step =
           Wave.Pulse
