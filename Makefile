@@ -5,7 +5,7 @@
 # replay the same stream.
 QA_SEED ?= 2005
 
-.PHONY: all build check test bench bench-json golden examples qa equiv enrich learners serve-smoke chaos ci clean
+.PHONY: all build check test bench bench-json golden examples qa suites serve-smoke chaos ci clean
 
 all: build
 
@@ -48,31 +48,29 @@ qa:
 	  fi
 	dune exec bin/stc_cli.exe -- selftest --seed $(QA_SEED) --quiet
 
-# The SMO warm-start / flat-storage equivalence gate (test_svm_equiv.ml):
-# warm-started solves reach the cold optimum and warm-started compaction
-# emits bit-identical stc-flow-1 bytes. Run by name so that if the suite
-# is ever deregistered, the empty filter makes alcotest exit nonzero —
-# CI cannot silently skip it.
-equiv:
-	dune exec test/test_main.exe -- test svm_equiv
+# Suites that gate invariants CI relies on: SMO warm-start / flat
+# storage equivalence (svm_equiv.*), enrichment and Monte-Carlo
+# determinism at any domain count (process.enrich, process.parallel),
+# the learner zoo and its promotion gate (learner.*), the simulator's
+# spec-vector pins (circuit.pins) and the paper-golden smoke tier.
+# `dune runtest` runs every registered suite; this target fails, naming
+# the suite, if one of these is no longer registered in test_main.ml,
+# so CI cannot pass by silently dropping it. Comma-separated.
+REQUIRED_SUITES = svm_equiv.smo,svm_equiv.flows,process.enrich,process.parallel,learner.mlp,learner.mi,learner.io,learner.flow2,learner.gate,circuit.pins,golden: smoke
 
-# The boundary-enrichment determinism gate (test_process.ml, suite
-# process.enrich): the enriched dataset must be bit-identical at 1, 2
-# and 4 domains and the importance-weighted yield must agree with an
-# independent uniform population. Run by name so a deregistered suite
-# makes alcotest exit nonzero — CI cannot silently skip it.
-enrich:
-	dune exec test/test_main.exe -- test process.enrich
-
-# The learner-zoo differential gate (test_learner.ml): the MLP forward
-# pass vs a brute-force reference, stc-mlp-1/stc-flow-2 round trips,
-# determinism of training, the MI ranker vs its full-rescan reference,
-# and the promotion gate — every non-SVR learner must match or beat
-# SVR escape/yield loss on the op-amp and MEMS benches at equal
-# tolerance, and a deliberately bad learner must be rejected. Run by
-# name so a deregistered suite makes alcotest exit nonzero.
-learners:
-	dune exec test/test_main.exe -- test learner
+suites:
+	@mkdir -p _build
+	@dune exec test/test_main.exe -- list --color=never > _build/suite-list.txt
+	@sed -E 's/ +[0-9]+ +.*$$//' _build/suite-list.txt | sort -u > _build/suites.txt
+	@required='$(REQUIRED_SUITES)'; missing=0; IFS=,; \
+	for s in $$required; do \
+	  if ! grep -qxF "$$s" _build/suites.txt; then \
+	    echo "make suites: required suite '$$s' is not registered" >&2; \
+	    missing=1; \
+	  fi; \
+	done; \
+	if [ $$missing -ne 0 ]; then exit 1; fi; \
+	echo "make suites: all required suites registered"
 
 # End-to-end network serving smoke: a loopback server on an ephemeral
 # port, 100 devices from two concurrent clients (BATCH and pipelined
@@ -92,17 +90,14 @@ chaos:
 	dune exec test/chaos.exe
 
 # Everything the CI workflow runs: build, tier-1 tests, the QA sweep
-# (qcheck properties + `stc selftest`) under the pinned seed, the SMO
-# equivalence gate, the enrichment determinism gate and the learner-zoo
-# differential gate (each fails if its suite is skipped), then the
-# network serving smoke and the chaos gate.
+# (qcheck properties + `stc selftest`) under the pinned seed, the
+# required-suite manifest, then the network serving smoke and the
+# chaos gate.
 ci:
 	dune build @all
 	dune runtest
 	$(MAKE) qa
-	$(MAKE) equiv
-	$(MAKE) enrich
-	$(MAKE) learners
+	$(MAKE) suites
 	$(MAKE) serve-smoke
 	$(MAKE) chaos
 

@@ -710,7 +710,7 @@ let ablation_process_model () =
     List.map
       (fun rho ->
         let data =
-          Stc_process.Process_model.correlated_device (Rng.create 77) device
+          Stc_process.Process_model.correlated_device ~seed:77 device
             ~die_correlation:rho ~n:2000
         in
         let train_mc, test_mc = Stc_process.Montecarlo.split data ~at:1000 in
@@ -730,7 +730,7 @@ let ablation_process_model () =
      one — do structural faults escape the compacted flow? *)
   let train, _ = Lazy.force mems_data in
   let defective_mc =
-    Stc_process.Process_model.defective_draws (Rng.create 78) device
+    Stc_process.Process_model.defective_draws ~seed:78 device
       { Stc_process.Process_model.rate = 0.05; severity = 3.0 }
       ~n:1000
   in

@@ -120,21 +120,14 @@ let grid_resolution =
        & info [ "grid" ] ~docv:"RES"
            ~doc:"Enable grid training-data compaction at this resolution.")
 
-let parallel =
-  Arg.(value & flag
-       & info [ "parallel" ]
-           ~doc:"Fan the Monte-Carlo simulations out across CPU cores \
-                 (deterministic per seed, but a different stream than the \
-                 sequential generator).")
-
 let enrich_arg =
   Arg.(value & flag
        & info [ "enrich" ]
            ~doc:"Boundary-biased training population: a uniform pilot fits \
                  per-spec margins, then the remaining budget is drawn near \
                  the acceptance boundary with importance weights recorded so \
-                 population statistics stay unbiased. Always fans out across \
-                 CPU cores; deterministic per seed at any core count.")
+                 population statistics stay unbiased. Deterministic per seed \
+                 at any core count.")
 
 let pilot_arg =
   Arg.(value & opt (some int) None
@@ -297,11 +290,11 @@ let print_flow_metrics flow test =
 (* Shared by `stc opamp` and `stc train`: either the historical uniform
    populations, or (--enrich) a boundary-biased training set with
    importance weights plus a uniform test set. *)
-let opamp_populations ~parallel ~enrich ~pilot ~seed ~n_train ~n_test =
+let opamp_populations ~enrich ~pilot ~seed ~n_train ~n_test =
   if not enrich then begin
     Printf.printf "generating %d op-amp instances (seed %d)...\n%!"
       (n_train + n_test) seed;
-    Experiment.generate_opamp ~parallel ~seed ~n_train ~n_test ()
+    Experiment.generate_opamp ~seed ~n_train ~n_test ()
   end
   else begin
     let pilot =
@@ -332,11 +325,11 @@ let opamp_populations ~parallel ~enrich ~pilot ~seed ~n_train ~n_test =
   end
 
 let run_opamp seed n_train n_test tolerance guard order learner grid_resolution
-    parallel enrich pilot journal resume metrics trace =
+    enrich pilot journal resume metrics trace =
   guard_data_errors @@ fun () ->
   with_obs ~metrics ~trace @@ fun () ->
   let train, test =
-    opamp_populations ~parallel ~enrich ~pilot ~seed ~n_train ~n_test
+    opamp_populations ~enrich ~pilot ~seed ~n_train ~n_test
   in
   Printf.printf "train yield %.1f%%, test yield %.1f%%\n"
     (100.0 *. Device_data.yield_fraction train)
@@ -370,18 +363,17 @@ let run_opamp seed n_train n_test tolerance guard order learner grid_resolution
 let opamp_cmd =
   let term =
     Term.(const run_opamp $ seed $ n_train $ n_test $ tolerance $ guard $ order
-          $ learner $ grid_resolution $ parallel $ enrich_arg $ pilot_arg
+          $ learner $ grid_resolution $ enrich_arg $ pilot_arg
           $ journal_arg $ resume_arg $ metrics_arg $ trace_arg)
   in
   Cmd.v (Cmd.info "opamp" ~doc:"Greedy compaction of the op-amp test set") term
 
 (* ------------------------------- mems ----------------------------- *)
 
-let run_mems seed n_train n_test tolerance guard learner grid_resolution
-    parallel =
+let run_mems seed n_train n_test tolerance guard learner grid_resolution =
   Printf.printf "generating %d MEMS instances (seed %d)...\n%!"
     (n_train + n_test) seed;
-  let train, test = Experiment.generate_mems ~parallel ~seed ~n_train ~n_test () in
+  let train, test = Experiment.generate_mems ~seed ~n_train ~n_test () in
   Printf.printf "train yield %.1f%%, test yield %.1f%%\n"
     (100.0 *. Device_data.yield_fraction train)
     (100.0 *. Device_data.yield_fraction test);
@@ -424,7 +416,7 @@ let run_mems seed n_train n_test tolerance guard learner grid_resolution
 let mems_cmd =
   let term =
     Term.(const run_mems $ seed $ n_train $ n_test $ tolerance $ guard
-          $ learner $ grid_resolution $ parallel)
+          $ learner $ grid_resolution)
   in
   Cmd.v
     (Cmd.info "mems" ~doc:"Eliminate the MEMS hot/cold temperature tests")
@@ -507,11 +499,11 @@ let save_test_arg =
                  ready for $(b,stc serve --input).")
 
 let run_train seed n_train n_test tolerance guard order learner grid_resolution
-    parallel enrich pilot save_flow save_test journal resume metrics trace =
+    enrich pilot save_flow save_test journal resume metrics trace =
   guard_data_errors @@ fun () ->
   with_obs ~metrics ~trace @@ fun () ->
   let train, test =
-    opamp_populations ~parallel ~enrich ~pilot ~seed ~n_train ~n_test
+    opamp_populations ~enrich ~pilot ~seed ~n_train ~n_test
   in
   let config =
     make_config Experiment.opamp_config ~tolerance ~guard ~learner
@@ -545,7 +537,7 @@ let run_train seed n_train n_test tolerance guard order learner grid_resolution
 let train_cmd =
   let term =
     Term.(const run_train $ seed $ n_train $ n_test $ tolerance $ guard $ order
-          $ learner $ grid_resolution $ parallel $ enrich_arg $ pilot_arg
+          $ learner $ grid_resolution $ enrich_arg $ pilot_arg
           $ save_flow_arg $ save_test_arg
           $ journal_arg $ resume_arg $ metrics_arg $ trace_arg)
   in

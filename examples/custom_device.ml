@@ -18,7 +18,6 @@ module Tester = Stc.Tester
 module Report = Stc.Report
 module Variation = Stc_process.Variation
 module Montecarlo = Stc_process.Montecarlo
-module Rng = Stc_numerics.Rng
 
 (* Bandgap behavioural model: vref = vbe + k·vt, its temperature
    coefficient, line regulation, startup time and supply current all
@@ -57,8 +56,7 @@ let device =
   }
 
 let () =
-  let rng = Rng.create 31 in
-  let all = Montecarlo.generate rng device ~n:3000 in
+  let all = Montecarlo.generate_parallel ~seed:31 device ~n:3000 in
   let train_mc, test_mc = Montecarlo.split all ~at:2000 in
   let train = Device_data.of_montecarlo ~specs train_mc in
   let test = Device_data.of_montecarlo ~specs test_mc in

@@ -17,7 +17,6 @@ module Metrics = Stc.Metrics
 module Report = Stc.Report
 module Variation = Stc_process.Variation
 module Montecarlo = Stc_process.Montecarlo
-module Rng = Stc_numerics.Rng
 
 (* Unity-gain Sallen-Key low-pass, fc ~ 14 kHz, Q ~ 0.71; the buffer is
    a VCVS with large but finite (and process-dependent) gain. *)
@@ -106,7 +105,7 @@ let device =
 
 let () =
   print_endline "simulating 1200 Sallen-Key filter instances via the SPICE deck...";
-  let all = Montecarlo.generate (Rng.create 51) device ~n:1200 in
+  let all = Montecarlo.generate_parallel ~seed:51 device ~n:1200 in
   let train_mc, test_mc = Montecarlo.split all ~at:800 in
   let train = Device_data.of_montecarlo ~specs train_mc in
   let test = Device_data.of_montecarlo ~specs test_mc in

@@ -117,20 +117,14 @@ let opamp_device ?(calibrate = true) () =
    tracks the output-stage sizing that quiescent current also sees). *)
 let opamp_examination_order = [| 1; 4; 6; 5; 10; 8; 9; 0; 2; 3; 7 |]
 
-let generate_datasets ?(parallel = false) device specs ~seed ~n_train ~n_test =
-  let all =
-    if parallel then
-      Montecarlo.generate_parallel ~seed device ~n:(n_train + n_test)
-    else
-      Montecarlo.generate (Stc_numerics.Rng.create seed) device
-        ~n:(n_train + n_test)
-  in
+let generate_datasets device specs ~seed ~n_train ~n_test =
+  let all = Montecarlo.generate_parallel ~seed device ~n:(n_train + n_test) in
   let train_mc, test_mc = Montecarlo.split all ~at:n_train in
   ( Device_data.of_montecarlo ~specs train_mc,
     Device_data.of_montecarlo ~specs test_mc )
 
-let generate_opamp ?calibrate ?parallel ~seed ~n_train ~n_test () =
-  generate_datasets ?parallel (opamp_device ?calibrate ()) opamp_specs ~seed
+let generate_opamp ?calibrate ~seed ~n_train ~n_test () =
+  generate_datasets (opamp_device ?calibrate ()) opamp_specs ~seed
     ~n_train ~n_test
 
 (* ------------------------------------------------------------------ *)
@@ -274,8 +268,8 @@ let mems_device ?(calibrate = true) () =
     simulate;
   }
 
-let generate_mems ?calibrate ?parallel ~seed ~n_train ~n_test () =
-  generate_datasets ?parallel (mems_device ?calibrate ()) mems_specs ~seed
+let generate_mems ?calibrate ~seed ~n_train ~n_test () =
+  generate_datasets (mems_device ?calibrate ()) mems_specs ~seed
     ~n_train ~n_test
 
 (* ------------------------------------------------------------------ *)

@@ -21,13 +21,12 @@ val opamp_examination_order : int array
     specs most entangled with others first. *)
 
 val generate_opamp :
-  ?calibrate:bool -> ?parallel:bool -> seed:int -> n_train:int -> n_test:int ->
+  ?calibrate:bool -> seed:int -> n_train:int -> n_test:int ->
   unit -> Device_data.t * Device_data.t
-(** Monte-Carlo training and test populations (one stream, split).
-    [parallel] (default false) fans the simulations out across domains
-    via {!Stc_process.Montecarlo.generate_parallel}; the result is
-    deterministic per seed but drawn from a different stream than the
-    sequential generator. *)
+(** Monte-Carlo training and test populations: one
+    {!Stc_process.Montecarlo.generate_parallel} population of
+    [n_train + n_test] instances, split. Deterministic per seed, at any
+    domain count. *)
 
 (** {1 Boundary-biased enrichment} *)
 
@@ -83,8 +82,9 @@ val mems_device : ?calibrate:bool -> unit -> Stc_process.Montecarlo.device
     resolved when the device is built. *)
 
 val generate_mems :
-  ?calibrate:bool -> ?parallel:bool -> seed:int -> n_train:int -> n_test:int ->
+  ?calibrate:bool -> seed:int -> n_train:int -> n_test:int ->
   unit -> Device_data.t * Device_data.t
+(** As {!generate_opamp}, on the MEMS device and specs. *)
 
 (** {1 Defaults} *)
 

@@ -18,6 +18,12 @@ val copy : t -> t
 val uint64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val mix : int64 -> int64
+(** The splitmix64 finaliser that {!uint64} applies to each state: a
+    bijection on 64-bit words in which every input bit flips about half
+    the output bits. Exposed to hash structured keys into seeds, as
+    [Stc_process.Montecarlo.instance_rng] does. *)
+
 val float : t -> float
 (** Uniform in [0, 1). *)
 

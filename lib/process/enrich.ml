@@ -140,11 +140,6 @@ let boundary_fraction ~limits ~sigmas ~width (d : Montecarlo.dataset) =
 
 (* --- generation ---------------------------------------------------- *)
 
-let resolve_domains = function
-  | Some d when d >= 1 -> d
-  | Some _ -> invalid_arg "Enrich: domains must be >= 1"
-  | None -> Stdlib.max 1 (Domain.recommended_domain_count () - 1)
-
 let generate ?(config = default_config) ?domains ~seed ~pilot
     (device : Montecarlo.device) ~limits ~n =
   if pilot <= 0 then invalid_arg "Enrich.generate: pilot must be positive";
@@ -155,7 +150,7 @@ let generate ?(config = default_config) ?domains ~seed ~pilot
     invalid_arg "Enrich.generate: boundary_width must be positive";
   if config.floor_probability <= 0.0 || config.floor_probability > 1.0 then
     invalid_arg "Enrich.generate: floor_probability outside (0,1]";
-  let domains = resolve_domains domains in
+  let domains = Montecarlo.resolve_domains domains in
   (* Phase 1: uniform pilot on instance streams 0 .. pilot-1. *)
   let pilot_data =
     Montecarlo.generate_parallel ~max_failure_ratio:config.max_failure_ratio

@@ -21,7 +21,7 @@ type config = {
           every region reachable (default 0.05) *)
   max_failure_ratio : float;
       (** failed-simulation budget for the enriched phase, as in
-          {!Montecarlo.generate} (default 0.5) *)
+          {!Montecarlo.generate_parallel} (default 0.5) *)
 }
 
 val default_config : config
@@ -54,7 +54,7 @@ val generate :
     [limits.(j)] is the [(lower, upper)] acceptance range of spec [j]
     (use [neg_infinity]/[infinity] for one-sided specs). Requires
     [0 < pilot < n]. Raises [Montecarlo.Too_many_failures] under the
-    same abort-at-threshold semantics as {!Montecarlo.generate}. *)
+    same abort-at-threshold semantics as {!Montecarlo.generate_parallel}. *)
 
 (** {1 Margin helpers}
 

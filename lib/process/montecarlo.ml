@@ -28,66 +28,43 @@ let too_many_failures device ~failed ~n =
        (Printf.sprintf "%s: %d failed draws for %d requested instances"
           device.device_name failed n))
 
-let generate_with ?(max_failure_ratio = 0.5) rng device ~draw ~n =
-  if n <= 0 then invalid_arg "Montecarlo.generate: n must be positive";
-  let max_failures = max_failures_for max_failure_ratio n in
-  let inputs = ref [] and specs = ref [] in
-  let produced = ref 0 and failed = ref 0 in
-  while !produced < n do
-    let params = draw rng in
-    match device.simulate params with
-    | Some values ->
-      check_spec_count device values;
-      inputs := params :: !inputs;
-      specs := values :: !specs;
-      incr produced
-    | None ->
-      incr failed;
-      (* abort at the threshold: both the serial and the parallel
-         generator stop launching simulations the moment the cap is
-         crossed (pinned by test_process "failure cap is prompt") *)
-      if !failed > max_failures then too_many_failures device ~failed:!failed ~n
-  done;
-  {
-    inputs = Array.of_list (List.rev !inputs);
-    specs = Array.of_list (List.rev !specs);
-    weights = uniform_weights n;
-    discarded = !failed;
-  }
-
-let generate ?max_failure_ratio rng device ~n =
-  generate_with ?max_failure_ratio rng device
-    ~draw:(fun rng -> Variation.sample_all rng device.params)
-    ~n
-
-(* Per-instance deterministic generator: mixes the experiment seed with
-   the instance index and attempt number, so parallel scheduling cannot
-   change the data. *)
+(* The private stream of draw [attempt] of instance [index] under
+   [seed]. The triple is hashed one component at a time through the
+   splitmix64 finaliser; a linear mix (seed + index·k₁ + attempt·k₂)
+   would make seed s + k₁ replay seed s shifted by one instance. As
+   the stream depends on nothing else, scheduling cannot change the
+   data. *)
 let instance_rng ~seed ~index ~attempt =
-  Stc_numerics.Rng.create
-    (seed + (index * 0x9E3779B1) + (attempt * 0x85EBCA77))
+  let module Rng = Stc_numerics.Rng in
+  let absorb h x = Rng.mix (Int64.logxor h (Int64.of_int x)) in
+  Rng.create (Int64.to_int (absorb (absorb (absorb 0L seed) index) attempt))
 
 let resolve_domains = function
   | Some d when d >= 1 -> d
   | Some _ -> invalid_arg "Montecarlo: domains must be >= 1"
   | None -> Stdlib.max 1 (Domain.recommended_domain_count () - 1)
 
-let generate_parallel ?(max_failure_ratio = 0.5) ?domains ~seed device ~n =
+let generate_parallel ?(max_failure_ratio = 0.5) ?domains ?draw ~seed device
+    ~n =
   if n <= 0 then invalid_arg "Montecarlo.generate_parallel: n must be positive";
   let domains = resolve_domains domains in
+  let draw =
+    match draw with
+    | Some draw -> draw
+    | None -> fun rng -> Variation.sample_all rng device.params
+  in
   let max_failures = max_failures_for max_failure_ratio n in
   let inputs = Array.make n [||] in
   let specs = Array.make n [||] in
   let failures = Atomic.make 0 in
   let simulate_instance i =
-    (* retry draws within this instance's private sub-streams; like the
-       serial generator, no further simulation is launched once the
-       failure cap has been crossed *)
+    (* retry draws within this instance's private sub-streams; no
+       further simulation is launched once the failure cap has been
+       crossed (pinned by test_process "failure cap aborts promptly") *)
     let rec attempt_loop attempt =
       if Atomic.get failures > max_failures then ()
       else begin
-        let rng = instance_rng ~seed ~index:i ~attempt in
-        let params = Variation.sample_all rng device.params in
+        let params = draw (instance_rng ~seed ~index:i ~attempt) in
         match device.simulate params with
         | Some values ->
           check_spec_count device values;

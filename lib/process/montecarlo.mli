@@ -25,44 +25,39 @@ type dataset = {
 
 exception Too_many_failures of string
 
-val generate : ?max_failure_ratio:float -> Stc_numerics.Rng.t -> device ->
-  n:int -> dataset
-(** Draws until [n] instances simulate successfully. Raises
-    [Too_many_failures] as soon as failures exceed
-    [max_failure_ratio]·n (default 0.5, floor of 10) — a guard against
-    a device that never simulates. Serial and parallel generation share
-    the same abort-at-threshold semantics: no further simulation is
-    launched once the cap is crossed. *)
-
-val generate_with :
-  ?max_failure_ratio:float ->
-  Stc_numerics.Rng.t ->
-  device ->
-  draw:(Stc_numerics.Rng.t -> float array) ->
-  n:int ->
-  dataset
-(** As {!generate} but with a custom parameter sampler — used by the
-    correlated process model and defect injection of {!Process_model}. *)
-
 val instance_rng : seed:int -> index:int -> attempt:int -> Stc_numerics.Rng.t
-(** The splittable per-instance stream used by {!generate_parallel}:
-    a private generator for draw [attempt] of instance [index] under
-    [seed]. Exposed so {!Enrich} can bias the sampler while keeping the
-    stream deterministic at any domain count. *)
+(** The private stream of draw [attempt] of instance [index] under
+    [seed]: the triple hashed through {!Stc_numerics.Rng.mix}. Exposed
+    so {!Enrich} can bias the sampler while keeping the stream
+    deterministic at any domain count. *)
+
+val resolve_domains : int option -> int
+(** The domain count a generator runs on: [Some d] is [d] (raising
+    [Invalid_argument] when [d < 1]); [None] is
+    [max 1 (Domain.recommended_domain_count () - 1)]. *)
 
 val generate_parallel :
   ?max_failure_ratio:float ->
   ?domains:int ->
+  ?draw:(Stc_numerics.Rng.t -> float array) ->
   seed:int ->
   device ->
   n:int ->
   dataset
-(** Multicore {!generate}: instance [i] is drawn from
-    [instance_rng ~seed ~index:i], so the result is identical regardless
-    of [domains] (default: [Domain.recommended_domain_count]) — and also
-    identical to [generate_parallel ~domains:1]. Note the stream
-    differs from the sequential {!generate}. Each failed draw for an
-    instance advances that instance's private attempt counter. *)
+(** Draws until [n] instances simulate successfully. Draw [attempt] of
+    instance [i] (attempts count that instance's failed simulations)
+    samples its parameters by [draw] from
+    [instance_rng ~seed ~index:i ~attempt], so the dataset is the same
+    at any [domains] (default {!resolve_domains}[ None]); [~domains:1]
+    is the serial run. [draw] defaults to
+    [Variation.sample_all rng device.params]; {!Process_model} passes
+    its correlated and defect-injecting samplers. It is called from
+    several domains at once.
+
+    Raises [Too_many_failures] as soon as failures exceed
+    [max_failure_ratio]·n (default 0.5, floor of 10) — a guard against
+    a device that never simulates. No further simulation is launched
+    once the cap is crossed. *)
 
 val split : dataset -> at:int -> dataset * dataset
 (** Splits into the first [at] instances and the rest. [discarded] is

@@ -37,9 +37,9 @@ let draw_correlated t rng =
       p.Variation.nominal *. (1.0 +. (t.sigmas.(i) *. deviation)))
     t.params
 
-let correlated_device rng device ~die_correlation ~n =
+let correlated_device ~seed device ~die_correlation ~n =
   let model = correlated ~params:device.Montecarlo.params ~die_correlation in
-  Montecarlo.generate_with rng device ~draw:(draw_correlated model) ~n
+  Montecarlo.generate_parallel ~draw:(draw_correlated model) ~seed device ~n
 
 type defect_model = {
   rate : float;
@@ -62,10 +62,10 @@ let inject rng model params =
     (defected, true)
   end
 
-let defective_draws rng device model ~n =
+let defective_draws ~seed device model ~n =
   let draw rng =
     let params = Variation.sample_all rng device.Montecarlo.params in
     fst (inject rng model params)
   in
   (* gross defects make simulation failures likelier; allow more retries *)
-  Montecarlo.generate_with ~max_failure_ratio:2.0 rng device ~draw ~n
+  Montecarlo.generate_parallel ~max_failure_ratio:2.0 ~draw ~seed device ~n

@@ -30,9 +30,10 @@ val correlated :
 val draw_correlated : correlated -> Stc_numerics.Rng.t -> float array
 
 val correlated_device :
-  Stc_numerics.Rng.t -> Montecarlo.device -> die_correlation:float -> n:int ->
+  seed:int -> Montecarlo.device -> die_correlation:float -> n:int ->
   Montecarlo.dataset
-(** Convenience: {!Montecarlo.generate_with} under the correlated model. *)
+(** Convenience: {!Montecarlo.generate_parallel} under the correlated
+    model. *)
 
 type defect_model = {
   rate : float;      (** probability an instance is defective *)
@@ -48,6 +49,7 @@ val inject :
     vector and whether a defect was applied. *)
 
 val defective_draws :
-  Stc_numerics.Rng.t -> Montecarlo.device -> defect_model -> n:int ->
+  seed:int -> Montecarlo.device -> defect_model -> n:int ->
   Montecarlo.dataset
-(** Monte-Carlo generation where each draw passes through {!inject}. *)
+(** {!Montecarlo.generate_parallel} where each draw passes through
+    {!inject}. *)

@@ -1,6 +1,6 @@
 (* Tests for the extension modules: the regression-then-threshold
    baseline (Sec. 4.1 comparison), distribution-based adaptive guard
-   banding, richer process models and parallel Monte-Carlo. *)
+   banding and richer process models. *)
 
 module Spec = Stc.Spec
 module Device_data = Stc.Device_data
@@ -225,48 +225,9 @@ let process_model_tests =
         done);
   ]
 
-let parallel_tests =
-  [
-    Alcotest.test_case "parallel result independent of domain count" `Quick
-      (fun () ->
-        let a = Montecarlo.generate_parallel ~domains:1 ~seed:21 toy_device ~n:200 in
-        let b = Montecarlo.generate_parallel ~domains:4 ~seed:21 toy_device ~n:200 in
-        Alcotest.(check bool) "identical inputs" true
-          (a.Montecarlo.inputs = b.Montecarlo.inputs);
-        Alcotest.(check bool) "identical specs" true
-          (a.Montecarlo.specs = b.Montecarlo.specs));
-    Alcotest.test_case "parallel covers all instances" `Quick (fun () ->
-        let d = Montecarlo.generate_parallel ~domains:3 ~seed:22 toy_device ~n:123 in
-        Alcotest.(check int) "count" 123 (Array.length d.Montecarlo.inputs);
-        Array.iter
-          (fun row -> Alcotest.(check bool) "nonempty" true (Array.length row = 3))
-          d.Montecarlo.inputs);
-    Alcotest.test_case "parallel redraws failures deterministically" `Quick
-      (fun () ->
-        let flaky =
-          {
-            toy_device with
-            Montecarlo.simulate =
-              (fun v -> if v.(0) > 1.0 then None else Some [| v.(0); v.(2) |]);
-          }
-        in
-        let a = Montecarlo.generate_parallel ~max_failure_ratio:10.0 ~domains:1
-                  ~seed:23 flaky ~n:80
-        in
-        let b = Montecarlo.generate_parallel ~max_failure_ratio:10.0 ~domains:4
-                  ~seed:23 flaky ~n:80
-        in
-        Alcotest.(check bool) "same data despite retries" true
-          (a.Montecarlo.inputs = b.Montecarlo.inputs);
-        Array.iter
-          (fun row -> Alcotest.(check bool) "constraint holds" true (row.(0) <= 1.0))
-          a.Montecarlo.inputs);
-  ]
-
 let suites =
   [
     ("ext.regression_baseline", regression_tests);
     ("ext.adaptive_guard", adaptive_tests);
     ("ext.process_model", process_model_tests);
-    ("ext.parallel", parallel_tests);
   ]

@@ -20,8 +20,8 @@
      benches, and a deliberately bad learner (zero-epoch MLP — a
      deterministic random init) must be rejected.
 
-   `make learners` runs this file by name — if the suite is ever
-   deregistered, the empty filter makes alcotest exit nonzero. *)
+   Every learner.* suite is on `make suites`'s required list, so CI
+   fails if one stops being registered. *)
 
 module Mlp = Stc_learn.Mlp
 module Mi = Stc_learn.Mi

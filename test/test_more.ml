@@ -120,41 +120,6 @@ let experiment_tests =
            <> Stc.Device_data.value b ~instance:0 ~spec:4));
   ]
 
-let montecarlo_more_tests =
-  [
-    Alcotest.test_case "generate_with custom draw" `Quick (fun () ->
-        let device =
-          {
-            Montecarlo.device_name = "custom";
-            params = [| Variation.uniform_pct "a" 1.0 ~pct:0.1 |];
-            spec_count = 1;
-            simulate = (fun v -> Some [| v.(0) *. 2.0 |]);
-          }
-        in
-        let d =
-          Montecarlo.generate_with (Rng.create 1) device
-            ~draw:(fun _ -> [| 3.0 |])
-            ~n:5
-        in
-        Array.iter
-          (fun row -> Alcotest.(check (float 0.0)) "spec = 6" 6.0 row.(0))
-          d.Montecarlo.specs);
-    Alcotest.test_case "sequential and parallel streams both deterministic"
-      `Quick (fun () ->
-        let device =
-          {
-            Montecarlo.device_name = "toy";
-            params = [| Variation.uniform_pct "a" 1.0 ~pct:0.1 |];
-            spec_count = 1;
-            simulate = (fun v -> Some [| v.(0) |]);
-          }
-        in
-        let a = Montecarlo.generate_parallel ~domains:2 ~seed:5 device ~n:50 in
-        let b = Montecarlo.generate_parallel ~domains:2 ~seed:5 device ~n:50 in
-        Alcotest.(check bool) "reproducible" true
-          (a.Montecarlo.specs = b.Montecarlo.specs));
-  ]
-
 let flow_edge_tests =
   [
     Alcotest.test_case "flow with everything dropped relies on model only"
@@ -324,6 +289,5 @@ let suites =
     ("more.tran_options", tran_option_tests);
     ("more.ac_helpers", ac_helper_tests);
     ("more.experiment", experiment_tests);
-    ("more.montecarlo", montecarlo_more_tests);
     ("more.flow_edges", flow_edge_tests);
   ]

@@ -9,7 +9,6 @@ module Stats = Stc_numerics.Stats
 module Ode = Stc_numerics.Ode
 module Roots = Stc_numerics.Roots
 module Interp = Stc_numerics.Interp
-module Poly = Stc_numerics.Poly
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close tol = Alcotest.(check (float tol))
@@ -298,7 +297,7 @@ let roots_tests =
         | None -> Alcotest.fail "expected a bracket");
   ]
 
-(* --------------------------- Interp/Poly -------------------------- *)
+(* ------------------------------ Interp ---------------------------- *)
 
 let interp_tests =
   [
@@ -322,49 +321,6 @@ let interp_tests =
         check_float "second" 0.25 xs.(1);
         let ls = Interp.logspace 1.0 1000.0 4 in
         check_close 1e-9 "log step" 10.0 ls.(1));
-    Alcotest.test_case "poly eval/derive" `Quick (fun () ->
-        (* 1 + 2x + 3x^2 *)
-        let p = [| 1.; 2.; 3. |] in
-        check_float "eval" 17.0 (Poly.eval p 2.0);
-        Alcotest.(check (array (float 1e-12))) "derive" [| 2.; 6. |] (Poly.derive p));
-    Alcotest.test_case "poly fit quadratic exactly" `Quick (fun () ->
-        let pts = Array.init 6 (fun i ->
-            let x = float_of_int i in
-            (x, 2.0 +. (0.5 *. x) -. (3.0 *. x *. x)))
-        in
-        let c = Poly.fit pts ~degree:2 in
-        check_close 1e-7 "c0" 2.0 c.(0);
-        check_close 1e-7 "c1" 0.5 c.(1);
-        check_close 1e-7 "c2" (-3.0) c.(2));
-    Alcotest.test_case "poly roots_in" `Quick (fun () ->
-        (* (x-0.55)(x+1.35): roots off the scan grid *)
-        let roots =
-          Poly.roots_in [| -0.7425; 0.8; 1. |] ~lo:(-5.0) ~hi:5.0 ~steps:100
-        in
-        Alcotest.(check int) "two roots" 2 (List.length roots);
-        (match roots with
-         | [ r1; r2 ] ->
-           Alcotest.(check (float 1e-6)) "first" (-1.35) r1;
-           Alcotest.(check (float 1e-6)) "second" 0.55 r2
-         | _ -> Alcotest.fail "expected exactly two roots"));
-    qtest
-      (QCheck.Test.make ~name:"poly add is pointwise" ~count:100
-         QCheck.(triple (array_of_size (Gen.int_range 0 5) (float_range (-3.) 3.))
-                   (array_of_size (Gen.int_range 0 5) (float_range (-3.) 3.))
-                   (float_range (-2.) 2.))
-         (fun (a, b, x) ->
-           let lhs = Poly.eval (Poly.add a b) x in
-           let rhs = Poly.eval a x +. Poly.eval b x in
-           Float.abs (lhs -. rhs) <= 1e-6 *. (1.0 +. Float.abs rhs)));
-    qtest
-      (QCheck.Test.make ~name:"poly mul is pointwise" ~count:100
-         QCheck.(triple (array_of_size (Gen.int_range 0 4) (float_range (-3.) 3.))
-                   (array_of_size (Gen.int_range 0 4) (float_range (-3.) 3.))
-                   (float_range (-2.) 2.))
-         (fun (a, b, x) ->
-           let lhs = Poly.eval (Poly.mul a b) x in
-           let rhs = Poly.eval a x *. Poly.eval b x in
-           Float.abs (lhs -. rhs) <= 1e-6 *. (1.0 +. Float.abs rhs)));
   ]
 
 (* Properties over randomly generated instances (the deterministic unit

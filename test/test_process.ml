@@ -86,25 +86,30 @@ let flaky_device threshold =
     simulate = (fun v -> if v.(0) > threshold then None else Some [| v.(0); v.(1); 0.0 |]);
   }
 
+(* The generator on one domain. *)
+let serial ?max_failure_ratio ?draw ~seed device ~n =
+  Montecarlo.generate_parallel ?max_failure_ratio ?draw ~domains:1 ~seed
+    device ~n
+
 let montecarlo_tests =
   [
     Alcotest.test_case "generates requested count" `Quick (fun () ->
-        let d = Montecarlo.generate (Rng.create 1) toy_device ~n:57 in
+        let d = serial ~seed:1 toy_device ~n:57 in
         Alcotest.(check int) "inputs" 57 (Array.length d.Montecarlo.inputs);
         Alcotest.(check int) "specs" 57 (Array.length d.Montecarlo.specs);
         Alcotest.(check int) "no discards" 0 d.Montecarlo.discarded);
     Alcotest.test_case "deterministic per seed" `Quick (fun () ->
-        let a = Montecarlo.generate (Rng.create 42) toy_device ~n:10 in
-        let b = Montecarlo.generate (Rng.create 42) toy_device ~n:10 in
+        let a = serial ~seed:42 toy_device ~n:10 in
+        let b = serial ~seed:42 toy_device ~n:10 in
         Alcotest.(check (float 0.0)) "same draw"
           a.Montecarlo.inputs.(3).(1) b.Montecarlo.inputs.(3).(1));
     Alcotest.test_case "different seeds differ" `Quick (fun () ->
-        let a = Montecarlo.generate (Rng.create 1) toy_device ~n:5 in
-        let b = Montecarlo.generate (Rng.create 2) toy_device ~n:5 in
+        let a = serial ~seed:1 toy_device ~n:5 in
+        let b = serial ~seed:2 toy_device ~n:5 in
         Alcotest.(check bool) "differ" true
           (a.Montecarlo.inputs.(0).(0) <> b.Montecarlo.inputs.(0).(0)));
     Alcotest.test_case "spec derived consistently" `Quick (fun () ->
-        let d = Montecarlo.generate (Rng.create 7) toy_device ~n:20 in
+        let d = serial ~seed:7 toy_device ~n:20 in
         Array.iteri
           (fun i input ->
             Alcotest.(check (float 1e-12)) "sum spec"
@@ -113,8 +118,8 @@ let montecarlo_tests =
           d.Montecarlo.inputs);
     Alcotest.test_case "failed draws are redrawn and counted" `Quick (fun () ->
         (* fails roughly half the time: a > 1.0 *)
-        let d = Montecarlo.generate ~max_failure_ratio:10.0 (Rng.create 3)
-                  (flaky_device 1.0) ~n:30
+        let d =
+          serial ~max_failure_ratio:10.0 ~seed:3 (flaky_device 1.0) ~n:30
         in
         Alcotest.(check int) "count" 30 (Array.length d.Montecarlo.inputs);
         Alcotest.(check bool) "some discards" true (d.Montecarlo.discarded > 0);
@@ -123,11 +128,11 @@ let montecarlo_tests =
             Alcotest.(check bool) "survivors below threshold" true (input.(0) <= 1.0))
           d.Montecarlo.inputs);
     Alcotest.test_case "hopeless device raises" `Quick (fun () ->
-        (match Montecarlo.generate (Rng.create 1) (flaky_device 0.0) ~n:30 with
+        (match serial ~seed:1 (flaky_device 0.0) ~n:30 with
          | exception Montecarlo.Too_many_failures _ -> ()
          | _ -> Alcotest.fail "expected Too_many_failures"));
     Alcotest.test_case "split and take" `Quick (fun () ->
-        let d = Montecarlo.generate (Rng.create 5) toy_device ~n:20 in
+        let d = serial ~seed:5 toy_device ~n:20 in
         let a, b = Montecarlo.split d ~at:12 in
         Alcotest.(check int) "left" 12 (Array.length a.Montecarlo.inputs);
         Alcotest.(check int) "right" 8 (Array.length b.Montecarlo.inputs);
@@ -137,7 +142,7 @@ let montecarlo_tests =
         Alcotest.(check int) "take" 5 (Array.length t.Montecarlo.specs));
     Alcotest.test_case "uniform generation carries unit weights" `Quick
       (fun () ->
-        let d = Montecarlo.generate (Rng.create 5) toy_device ~n:12 in
+        let d = serial ~seed:5 toy_device ~n:12 in
         Alcotest.(check int) "length" 12 (Array.length d.Montecarlo.weights);
         Array.iter
           (fun w -> Alcotest.(check (float 0.0)) "unit weight" 1.0 w)
@@ -150,8 +155,7 @@ let montecarlo_tests =
     Alcotest.test_case "take/split apportion the discarded count" `Quick
       (fun () ->
         let d =
-          Montecarlo.generate ~max_failure_ratio:10.0 (Rng.create 3)
-            (flaky_device 1.0) ~n:30
+          serial ~max_failure_ratio:10.0 ~seed:3 (flaky_device 1.0) ~n:30
         in
         Alcotest.(check bool) "has discards" true (d.Montecarlo.discarded > 0);
         let a, b = Montecarlo.split d ~at:12 in
@@ -168,58 +172,86 @@ let montecarlo_tests =
           (Montecarlo.take d 30).Montecarlo.discarded;
         Alcotest.(check int) "take none keeps nothing" 0
           (Montecarlo.take d 0).Montecarlo.discarded);
-    Alcotest.test_case "failure cap aborts promptly in serial and parallel"
-      `Quick (fun () ->
+    Alcotest.test_case "failure cap aborts promptly" `Quick (fun () ->
         (* a hopeless device: with n=30 and the default ratio the cap is
            max 10 (0.5·30) = 15 failures, so exactly 16 simulations run
-           before the abort — in the serial generator and in the
-           parallel one at domains:1 alike *)
-        let count_calls generate =
-          let calls = ref 0 in
-          let counting =
-            {
-              toy_device with
-              Montecarlo.device_name = "hopeless";
-              simulate =
-                (fun _ ->
-                  incr calls;
-                  None);
-            }
-          in
-          (match generate counting with
-           | exception Montecarlo.Too_many_failures _ -> ()
-           | _ -> Alcotest.fail "expected Too_many_failures");
-          !calls
+           before the abort *)
+        let calls = ref 0 in
+        let counting =
+          {
+            toy_device with
+            Montecarlo.device_name = "hopeless";
+            simulate =
+              (fun _ ->
+                incr calls;
+                None);
+          }
         in
-        let serial =
-          count_calls (fun d -> Montecarlo.generate (Rng.create 1) d ~n:30)
-        in
-        let parallel =
-          count_calls (fun d ->
-              Montecarlo.generate_parallel ~domains:1 ~seed:1 d ~n:30)
-        in
-        Alcotest.(check int) "serial aborts after cap+1 calls" 16 serial;
-        Alcotest.(check int) "parallel (1 domain) matches" serial parallel);
+        (match serial ~seed:1 counting ~n:30 with
+         | exception Montecarlo.Too_many_failures _ -> ()
+         | _ -> Alcotest.fail "expected Too_many_failures");
+        Alcotest.(check int) "aborts after cap+1 calls" 16 !calls);
     Alcotest.test_case "spec_column extracts" `Quick (fun () ->
-        let d = Montecarlo.generate (Rng.create 5) toy_device ~n:8 in
+        let d = serial ~seed:5 toy_device ~n:8 in
         let col = Montecarlo.spec_column d 2 in
         Alcotest.(check int) "length" 8 (Array.length col);
         Alcotest.(check (float 0.0)) "value" d.Montecarlo.specs.(3).(2) col.(3));
+    Alcotest.test_case "draw: default and custom samplers" `Quick (fun () ->
+        (* the default draw consumes instance i's first stream exactly as
+           Variation.sample_all does, so a caller can re-draw it *)
+        let d = serial ~seed:9 toy_device ~n:6 in
+        Array.iteri
+          (fun i row ->
+            let rng = Montecarlo.instance_rng ~seed:9 ~index:i ~attempt:0 in
+            Alcotest.(check (array (float 0.0))) "re-drawn"
+              (Variation.sample_all rng toy_device.Montecarlo.params)
+              row)
+          d.Montecarlo.inputs;
+        let custom =
+          serial ~seed:1 toy_device ~n:5 ~draw:(fun _ -> [| 3.0; 4.0 |])
+        in
+        Array.iter
+          (fun row -> Alcotest.(check (float 0.0)) "spec = 3 + 4" 7.0 row.(2))
+          custom.Montecarlo.specs);
   ]
+
+(* Bit patterns of a dataset's inputs and specs. *)
+let bits d =
+  let rows a = Array.map (Array.map Int64.bits_of_float) a in
+  (rows d.Montecarlo.inputs, rows d.Montecarlo.specs)
 
 let parallel_tests =
   [
     Alcotest.test_case "domain count does not change the dataset" `Quick
       (fun () ->
-        let one = Montecarlo.generate_parallel ~domains:1 ~seed:11 toy_device ~n:64 in
-        let four = Montecarlo.generate_parallel ~domains:4 ~seed:11 toy_device ~n:64 in
-        Alcotest.(check int) "count" 64 (Array.length four.Montecarlo.inputs);
-        let flatten d =
-          Array.to_list (Array.map Array.to_list d.Montecarlo.inputs)
-          @ Array.to_list (Array.map Array.to_list d.Montecarlo.specs)
-        in
-        Alcotest.(check (list (list (float 0.0)))) "identical datasets"
-          (flatten one) (flatten four));
+        (* n = 123 leaves uneven chunks; the flaky device's retries make
+           [discarded] nonzero *)
+        List.iter
+          (fun device ->
+            let run domains =
+              Montecarlo.generate_parallel ~max_failure_ratio:10.0 ~domains
+                ~seed:11 device ~n:123
+            in
+            let one = run 1 in
+            Alcotest.(check int) "count" 123
+              (Array.length one.Montecarlo.inputs);
+            Array.iter
+              (fun row ->
+                Alcotest.(check int) "every instance drawn" 2
+                  (Array.length row))
+              one.Montecarlo.inputs;
+            List.iter
+              (fun domains ->
+                let d = run domains in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: bit-identical at %d domains"
+                     device.Montecarlo.device_name domains)
+                  true
+                  (bits one = bits d);
+                Alcotest.(check int) "same discarded" one.Montecarlo.discarded
+                  d.Montecarlo.discarded)
+              [ 2; 4 ])
+          [ toy_device; flaky_device 1.0 ]);
     Alcotest.test_case "parallel retries keep determinism" `Quick (fun () ->
         let flaky = flaky_device 1.0 in
         let one =
@@ -235,7 +267,9 @@ let parallel_tests =
         Array.iteri
           (fun i row ->
             Alcotest.(check (float 0.0)) "same draw" row.(0)
-              four.Montecarlo.inputs.(i).(0))
+              four.Montecarlo.inputs.(i).(0);
+            Alcotest.(check bool) "survivor below threshold" true
+              (row.(0) <= 1.0))
           one.Montecarlo.inputs);
     Alcotest.test_case "parallel failure cap raises" `Quick (fun () ->
         match
@@ -244,6 +278,38 @@ let parallel_tests =
         with
         | exception Montecarlo.Too_many_failures _ -> ()
         | _ -> Alcotest.fail "expected Too_many_failures");
+    Alcotest.test_case "no stream is shared across seeds or attempts" `Quick
+      (fun () ->
+        (* a linear stream mix (seed + index·0x9E3779B1 + ...) makes seed
+           s + 0x9E3779B1 replay seed s shifted by one instance *)
+        let s = 2005 in
+        let rows seed = fst (bits (serial ~seed toy_device ~n:50)) in
+        let base = rows s in
+        List.iter
+          (fun seed ->
+            let shared =
+              Array.fold_left
+                (fun k row -> if Array.mem row base then k + 1 else k)
+                0 (rows seed)
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "instances of seed %d shared with seed %d" seed s)
+              0 shared)
+          [ s + 1; s + 0x9E3779B1 ];
+        let first = Hashtbl.create 512 in
+        for index = 0 to 63 do
+          for attempt = 0 to 7 do
+            let rng = Montecarlo.instance_rng ~seed:s ~index ~attempt in
+            let x = Rng.uint64 rng in
+            (match Hashtbl.find_opt first x with
+             | Some (i, a) ->
+               Alcotest.failf
+                 "(index %d, attempt %d) and (%d, %d) share a first draw"
+                 index attempt i a
+             | None -> ());
+            Hashtbl.add first x (index, attempt)
+          done
+        done);
   ]
 
 (* --------------------------- enrichment --------------------------- *)

@@ -31,9 +31,11 @@ let hex v = hex_bits (Int64.bits_of_float v)
 
 (* ---------------------------- op-amp ----------------------------- *)
 
-(* The sizings of instances 0-3 at seed 2005 (Montecarlo.instance_rng,
-   attempt 0), in Experiment.opamp_device's parameter order: W/L of
-   M1, M3, M5, M6, M7, M8, then Cc and CL. *)
+(* Four op-amp sizings, in Experiment.opamp_device's parameter order:
+   W/L of M1, M3, M5, M6, M7, M8, then Cc and CL. They were instances
+   0-3 at seed 2005 under the linear Montecarlo.instance_rng mix that
+   the hashed streams replaced; the pins use these literals, so they do
+   not follow the generator. *)
 let opamp_draws =
   [|
     [|

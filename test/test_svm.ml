@@ -6,7 +6,6 @@ module Smo = Stc_svm.Smo
 module Svc = Stc_svm.Svc
 module Svr = Stc_svm.Svr
 module Scale = Stc_svm.Scale
-module Metrics_bin = Stc_svm.Metrics_bin
 module Cross_val = Stc_svm.Cross_val
 module Row_cache = Stc_svm.Row_cache
 module Rng = Stc_numerics.Rng
@@ -248,25 +247,6 @@ let scale_tests =
         check_close 1e-9 "sd" 1.0 (Stc_numerics.Stats.stddev col));
   ]
 
-let metrics_tests =
-  [
-    Alcotest.test_case "confusion and rates" `Quick (fun () ->
-        let truth = [| 1; 1; -1; -1; 1 |] in
-        let predicted = [| 1; -1; -1; 1; 1 |] in
-        let c = Metrics_bin.confusion ~truth ~predicted in
-        Alcotest.(check int) "tp" 2 c.Metrics_bin.tp;
-        Alcotest.(check int) "fn" 1 c.Metrics_bin.fn;
-        Alcotest.(check int) "fp" 1 c.Metrics_bin.fp;
-        Alcotest.(check int) "tn" 1 c.Metrics_bin.tn;
-        check_close 1e-12 "accuracy" 0.6 (Metrics_bin.accuracy c);
-        check_close 1e-12 "precision" (2.0 /. 3.0) (Metrics_bin.precision c);
-        check_close 1e-12 "recall" (2.0 /. 3.0) (Metrics_bin.recall c));
-    Alcotest.test_case "empty-safe rates" `Quick (fun () ->
-        let c = Metrics_bin.confusion ~truth:[||] ~predicted:[||] in
-        check_close 0.0 "accuracy" 0.0 (Metrics_bin.accuracy c);
-        check_close 0.0 "f1" 0.0 (Metrics_bin.f1 c));
-  ]
-
 let cross_val_tests =
   [
     Alcotest.test_case "kfold partitions all indices" `Quick (fun () ->
@@ -318,66 +298,6 @@ let cache_tests =
           let r = Row_cache.get cache i in
           Alcotest.(check (float 0.0)) "value" (float_of_int i) r.(0)
         done);
-  ]
-
-module Platt = Stc_svm.Platt
-
-let platt_tests =
-  [
-    Alcotest.test_case "probabilities bounded and monotone" `Quick (fun () ->
-        (* clearly separated decision values: f > 0 means +1 *)
-        let decision_values = [| -3.0; -2.0; -1.0; 1.0; 2.0; 3.0 |] in
-        let labels = [| -1; -1; -1; 1; 1; 1 |] in
-        let t = Platt.fit ~decision_values ~labels in
-        let previous = ref (-1.0) in
-        List.iter
-          (fun f ->
-            let p = Platt.probability t f in
-            Alcotest.(check bool) "in (0,1)" true (p > 0.0 && p < 1.0);
-            Alcotest.(check bool) "monotone in f" true (p >= !previous);
-            previous := p)
-          [ -4.0; -2.0; 0.0; 2.0; 4.0 ]);
-    Alcotest.test_case "separating point maps near 0.5" `Quick (fun () ->
-        let rng = Rng.create 21 in
-        let decision_values = Array.init 200 (fun _ -> Rng.uniform rng (-2.0) 2.0) in
-        let labels = Array.map (fun f -> if f > 0.0 then 1 else -1) decision_values in
-        let t = Platt.fit ~decision_values ~labels in
-        let p0 = Platt.probability t 0.0 in
-        Alcotest.(check bool) "p(0) ~ 0.5" true (p0 > 0.3 && p0 < 0.7);
-        Alcotest.(check bool) "confident positive" true (Platt.probability t 2.0 > 0.8);
-        Alcotest.(check bool) "confident negative" true (Platt.probability t (-2.0) < 0.2));
-    Alcotest.test_case "noisy overlap gives soft probabilities" `Quick (fun () ->
-        let rng = Rng.create 22 in
-        let decision_values = Array.init 400 (fun _ -> Rng.uniform rng (-1.0) 1.0) in
-        let labels =
-          Array.map
-            (fun f ->
-              (* 75% agreement with the sign: noisy boundary *)
-              if Rng.float rng < 0.75 then (if f > 0.0 then 1 else -1)
-              else if f > 0.0 then -1
-              else 1)
-            decision_values
-        in
-        let t = Platt.fit ~decision_values ~labels in
-        let p1 = Platt.probability t 1.0 in
-        Alcotest.(check bool) "soft, not saturated" true (p1 > 0.55 && p1 < 0.95));
-    Alcotest.test_case "calibrated svc end to end" `Quick (fun () ->
-        let rng = Rng.create 23 in
-        let n = 200 in
-        let x = Array.init n (fun _ -> [| Rng.uniform rng (-1.) 1. |]) in
-        let y = Array.map (fun xi -> if xi.(0) > 0.0 then 1 else -1) x in
-        let m = Svc.train ~c:10.0 ~x ~y () in
-        let t = Platt.calibrate_svc m ~x ~y in
-        Alcotest.(check bool) "deep positive is confident" true
-          (Platt.probability t (Svc.decision m [| 0.8 |]) > 0.9);
-        Alcotest.(check bool) "deep negative is confident" true
-          (Platt.probability t (Svc.decision m [| -0.8 |]) < 0.1);
-        Alcotest.(check int) "classify_at threshold" 1
-          (Platt.classify_at t ~threshold:0.5 (Svc.decision m [| 0.8 |])));
-    Alcotest.test_case "length mismatch rejected" `Quick (fun () ->
-        (match Platt.fit ~decision_values:[| 1.0 |] ~labels:[| 1; -1 |] with
-         | exception Invalid_argument _ -> ()
-         | _ -> Alcotest.fail "expected Invalid_argument"));
   ]
 
 (* SMO optimality spot-check: the solver's objective must beat random
@@ -614,10 +534,8 @@ let suites =
     ("svm.svc", svc_tests);
     ("svm.svr", svr_tests);
     ("svm.scale", scale_tests);
-    ("svm.metrics", metrics_tests);
     ("svm.cross_val", cross_val_tests);
     ("svm.row_cache", cache_tests);
-    ("svm.platt", platt_tests);
     ("svm.smo_optimality", smo_optimality_tests);
     ("svm.gamma", gamma_tests);
     ("svm.flat", flat_tests);

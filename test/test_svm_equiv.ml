@@ -7,8 +7,8 @@
    tolerance), and a full warm-started compaction produces the very
    same stc-flow-1 bytes as a cold one on the paper's benches.
 
-   `make ci` runs this file by name — if the suite ever stops being
-   registered, the filter matches nothing and alcotest exits nonzero. *)
+   Both suites are on `make suites`'s required list, so CI fails if
+   either stops being registered. *)
 
 module Kernel = Stc_svm.Kernel
 module Smo = Stc_svm.Smo
