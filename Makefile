@@ -1,11 +1,12 @@
-# Convenience targets; `make check` is the tier-1 gate used by CI.
+# Convenience targets; `make check` is the tier-1 gate and `make ci` is
+# everything the CI workflow runs.
 
 # Seed for the QA sweep (`make qa`); override with QA_SEED=... — it is
 # exported as QCHECK_SEED so the qcheck properties in the test suite
 # replay the same stream.
 QA_SEED ?= 2005
 
-.PHONY: all build check test bench bench-json golden examples qa suites serve-smoke chaos ci clean
+.PHONY: all build check test bench golden examples qa suites serve-smoke chaos ci clean
 
 all: build
 
@@ -18,19 +19,14 @@ check:
 test:
 	dune runtest
 
+# The paper harness: Tables 1-3, Figures 3/5/6, Sec. 5.2, the ablations
+# and extensions, the learner zoo, enrichment and the overload table, as
+# text on stdout. Timing is stcbench's job (BENCHMARK.json).
 bench:
 	dune exec bench/main.exe
 
-# The bench harness always writes BENCH_compaction.json, BENCH_svm.json,
-# BENCH_floor.json, BENCH_net.json and BENCH_process.json (stc-bench-1
-# schema, see DESIGN.md) next to its text output; this target exists so
-# CI and scripts have a stable name for "run the benches for their
-# machine-readable results".
-bench-json:
-	dune exec bench/main.exe
-
-# The paper-golden regression tier at near-paper populations (several
-# minutes); the smoke tier runs in the default `dune runtest`.
+# The paper-golden regression tier at near-paper populations (7-16 s on
+# a 2-vCPU host); the smoke tier runs in the default `dune runtest`.
 golden:
 	STC_SLOW=1 dune exec test/test_main.exe -- test golden
 
@@ -91,15 +87,18 @@ chaos:
 
 # Everything the CI workflow runs: build, tier-1 tests, the QA sweep
 # (qcheck properties + `stc selftest`) under the pinned seed, the
-# required-suite manifest, then the network serving smoke and the
-# chaos gate.
+# required-suite manifest, the STC_SLOW=1 paper-golden tier, the
+# network serving smoke, the chaos gate, and the paper harness end to
+# end (its text output is not compared; a crash fails the step).
 ci:
 	dune build @all
 	dune runtest
 	$(MAKE) qa
 	$(MAKE) suites
+	$(MAKE) golden
 	$(MAKE) serve-smoke
 	$(MAKE) chaos
+	$(MAKE) bench
 
 examples:
 	dune exec examples/quickstart.exe

@@ -197,17 +197,6 @@ let evaluate_flow flow data =
   in
   Metrics.tally ~truth ~verdicts
 
-let evaluate_flow_weighted flow data =
-  if Array.length (Device_data.specs data) <> Array.length flow.specs then
-    invalid_arg "Compaction.evaluate_flow_weighted: spec count mismatch";
-  let n = Device_data.n_instances data in
-  let truth = Array.init n (fun i -> Device_data.passes_all data ~instance:i) in
-  let verdicts =
-    Array.init n (fun i -> flow_verdict flow (Device_data.instance_row data i))
-  in
-  let weights = Array.init n (fun i -> Device_data.weight data i) in
-  Metrics.wtally ~truth ~verdicts ~weights
-
 let prediction_error model data ~kept ~dropped =
   let n = Device_data.n_instances data in
   if n = 0 then 0.0

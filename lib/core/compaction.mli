@@ -82,12 +82,6 @@ val evaluate_flow : flow -> Device_data.t -> Metrics.counts
 (** Runs the flow over a (test) population; truth is pass/fail of the
     complete spec set. *)
 
-val evaluate_flow_weighted : flow -> Device_data.t -> Metrics.wcounts
-(** As {!evaluate_flow} but each device contributes its importance
-    weight ({!Device_data.weight}; 1.0 on uniform populations, so this
-    then agrees exactly with the integer tallies). Use on
-    boundary-enriched populations to recover unbiased percentages. *)
-
 val prediction_error : (float array -> int) -> Device_data.t ->
   kept:int array -> dropped:int array -> float
 (** e_p: fraction of instances whose [S_red] pass/fail the model

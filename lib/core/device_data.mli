@@ -46,9 +46,6 @@ val weights : t -> float array option
 (** Importance weights attached at construction; [None] for uniform
     populations. *)
 
-val weight : t -> int -> float
-(** Weight of one instance; 1.0 when the population is uniform. *)
-
 val weighted_yield_fraction : t -> float
 (** Self-normalised importance estimate [Σ wᵢ·passᵢ / Σ wᵢ] of the
     population yield; equals {!yield_fraction} for uniform data. *)

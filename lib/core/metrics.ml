@@ -56,83 +56,3 @@ let pp fmt c =
   Format.fprintf fmt
     "n=%d yield=%.1f%% escape=%.2f%% loss=%.2f%% guard=%.2f%%" c.total
     (yield_pct c) (escape_pct c) (loss_pct c) (guard_pct c)
-
-(* Importance-weighted accounting: identical structure, but each device
-   contributes its weight instead of 1, so enriched (boundary-biased)
-   populations yield unbiased population percentages. *)
-
-type wcounts = {
-  w_total : float;
-  w_truth_good : float;
-  w_truth_bad : float;
-  w_escapes : float;
-  w_losses : float;
-  w_guards : float;
-  w_correct_good : float;
-  w_correct_bad : float;
-}
-
-let wempty =
-  {
-    w_total = 0.0;
-    w_truth_good = 0.0;
-    w_truth_bad = 0.0;
-    w_escapes = 0.0;
-    w_losses = 0.0;
-    w_guards = 0.0;
-    w_correct_good = 0.0;
-    w_correct_bad = 0.0;
-  }
-
-let wrecord c ~truth_good ~weight verdict =
-  if weight < 0.0 || not (Float.is_finite weight) then
-    invalid_arg "Metrics.wrecord: weight must be finite and non-negative";
-  let c =
-    {
-      c with
-      w_total = c.w_total +. weight;
-      w_truth_good = c.w_truth_good +. (if truth_good then weight else 0.0);
-      w_truth_bad = c.w_truth_bad +. (if truth_good then 0.0 else weight);
-    }
-  in
-  match (verdict, truth_good) with
-  | Guard_band.Guard, _ -> { c with w_guards = c.w_guards +. weight }
-  | Guard_band.Good, true -> { c with w_correct_good = c.w_correct_good +. weight }
-  | Guard_band.Good, false -> { c with w_escapes = c.w_escapes +. weight }
-  | Guard_band.Bad, false -> { c with w_correct_bad = c.w_correct_bad +. weight }
-  | Guard_band.Bad, true -> { c with w_losses = c.w_losses +. weight }
-
-let wtally ~truth ~verdicts ~weights =
-  let n = Array.length truth in
-  if Array.length verdicts <> n || Array.length weights <> n then
-    invalid_arg "Metrics.wtally: length mismatch";
-  let c = ref wempty in
-  Array.iteri
-    (fun i t -> c := wrecord !c ~truth_good:t ~weight:weights.(i) verdicts.(i))
-    truth;
-  !c
-
-let wpct num den = if den = 0.0 then 0.0 else 100.0 *. num /. den
-
-let wescape_pct c = wpct c.w_escapes c.w_total
-let wloss_pct c = wpct c.w_losses c.w_total
-let wguard_pct c = wpct c.w_guards c.w_total
-let wyield_pct c = wpct c.w_truth_good c.w_total
-let wprediction_error_pct c = wpct (c.w_escapes +. c.w_losses) c.w_total
-
-let of_counts c =
-  {
-    w_total = float_of_int c.total;
-    w_truth_good = float_of_int c.truth_good;
-    w_truth_bad = float_of_int c.truth_bad;
-    w_escapes = float_of_int c.escapes;
-    w_losses = float_of_int c.losses;
-    w_guards = float_of_int c.guards;
-    w_correct_good = float_of_int c.correct_good;
-    w_correct_bad = float_of_int c.correct_bad;
-  }
-
-let wpp fmt c =
-  Format.fprintf fmt
-    "w=%.1f yield=%.1f%% escape=%.2f%% loss=%.2f%% guard=%.2f%%" c.w_total
-    (wyield_pct c) (wescape_pct c) (wloss_pct c) (wguard_pct c)

@@ -30,46 +30,3 @@ val prediction_error_pct : counts -> float
 (** (escapes + losses) / total · 100. *)
 
 val pp : Format.formatter -> counts -> unit
-
-(** {1 Importance-weighted accounting}
-
-    The same tallies, but each device contributes its importance
-    weight instead of 1. For a boundary-enriched population whose
-    weights were produced by [Stc_process.Enrich], the resulting
-    percentages are self-normalised importance estimates of the
-    uniform-population percentages. For unit weights they reduce
-    exactly to the integer tallies. *)
-
-type wcounts = {
-  w_total : float;
-  w_truth_good : float;
-  w_truth_bad : float;
-  w_escapes : float;
-  w_losses : float;
-  w_guards : float;
-  w_correct_good : float;
-  w_correct_bad : float;
-}
-
-val wempty : wcounts
-
-val wrecord :
-  wcounts -> truth_good:bool -> weight:float -> Guard_band.verdict -> wcounts
-(** Raises [Invalid_argument] on negative or non-finite weights. *)
-
-val wtally :
-  truth:bool array ->
-  verdicts:Guard_band.verdict array ->
-  weights:float array ->
-  wcounts
-
-val wescape_pct : wcounts -> float
-val wloss_pct : wcounts -> float
-val wguard_pct : wcounts -> float
-val wyield_pct : wcounts -> float
-val wprediction_error_pct : wcounts -> float
-
-val of_counts : counts -> wcounts
-(** Integer tallies viewed as unit-weight tallies. *)
-
-val wpp : Format.formatter -> wcounts -> unit

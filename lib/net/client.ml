@@ -17,10 +17,14 @@ let connect ?(host = "127.0.0.1") ~port () =
   { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd;
     closed = false }
 
+(* [ic] and [oc] wrap one descriptor, which must be closed exactly once:
+   closing both channels closes it twice, and the second close can hit
+   the same number just handed to another thread's file (a flow being
+   reloaded in the same process, say). *)
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    close_out_noerr t.oc;
+    (try flush t.oc with Sys_error _ -> ());
     close_in_noerr t.ic
   end
 

@@ -1,7 +1,7 @@
-(** A minimal JSON reader/writer — just enough for the metric exporter,
-    the bench harness's machine-readable [BENCH_*.json] files, and the
-    network serving tier's [METRICS] scrape endpoint, so none of them
-    pulls in an external JSON dependency. *)
+(** A minimal JSON reader/writer — just enough for the metric exporter
+    behind the network serving tier's [METRICS] scrape endpoint, and
+    for reading that export back, so neither pulls in an external JSON
+    dependency. *)
 
 type t =
   | Null

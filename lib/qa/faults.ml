@@ -490,10 +490,14 @@ let check_pool_worker_delay ~domains ~delay_s =
           if Array.for_all (fun h -> h = 1) hits then Ok ()
           else Error "a stalled worker lost or duplicated tasks"
       in
-      match Pool.run pool ~n:16 ignore with
+      (* the next job on the same pool must see no leftover of the stall *)
+      let after = Array.make 16 0 in
+      match Pool.run pool ~n:16 (fun i -> after.(i) <- after.(i) + 1) with
       | exception e ->
         errorf "pool unusable after a stalled job: %s" (Printexc.to_string e)
-      | () -> Ok ())
+      | () ->
+        if Array.for_all (fun h -> h = 1) after then Ok ()
+        else Error "the job after a stall lost or duplicated tasks")
 
 let check_pool_misuse () =
   let* () =

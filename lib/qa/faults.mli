@@ -110,7 +110,8 @@ val check_pool_worker_failure : domains:int -> (unit, string) result
 
 val check_pool_worker_delay : domains:int -> delay_s:float -> (unit, string) result
 (** A stalling task must not lose or duplicate work: every task still
-    runs exactly once and the pool stays reusable. *)
+    runs exactly once, and so does every task of the next job on the
+    same pool. *)
 
 val check_pool_misuse : unit -> (unit, string) result
 (** Zero-task jobs are no-ops; [run] after [shutdown] and invalid

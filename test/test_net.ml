@@ -647,6 +647,36 @@ let server_tests =
             Alcotest.(check bool) "stopped well before the drain deadline"
               true (waited < 8.0);
             Alcotest.(check bool) "stopped" false (Server.running server)));
+    Alcotest.test_case "a closing client never closes another thread's file"
+      `Quick (fun () ->
+        (* both of a client's channels wrap one descriptor; closing it
+           twice can close the file another thread just opened under
+           the same number, which then fails with EBADF *)
+        let flow, _ = pooled 48 ~rows:3 in
+        with_served flow (fun ~server ~registry:_ ~entry:_ ~path ->
+            let port = Server.port server in
+            let closing = Atomic.make true in
+            let closer =
+              Thread.create
+                (fun () ->
+                  Fun.protect
+                    ~finally:(fun () -> Atomic.set closing false)
+                    (fun () ->
+                      for _ = 1 to 100 do
+                        Client.close (Client.connect ~port ())
+                      done))
+                ()
+            in
+            let expected = In_channel.with_open_bin path In_channel.input_all in
+            let reads = ref 0 in
+            while Atomic.get closing do
+              let text = In_channel.with_open_bin path In_channel.input_all in
+              Alcotest.(check string) "file read intact" expected text;
+              incr reads
+            done;
+            Thread.join closer;
+            Alcotest.(check bool) "reads overlapped the closes" true
+              (!reads > 0)));
     Alcotest.test_case "SHUTDOWN latches and wait stops the server" `Quick
       (fun () ->
         let flow, _ = pooled 46 ~rows:3 in

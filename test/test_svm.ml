@@ -1,12 +1,11 @@
 (* Tests for the SVM substrate: kernels, the SMO solver, SVC, SVR,
-   scaling, metrics and cross-validation. *)
+   scaling, the kernel-row cache, gamma heuristics and flat storage. *)
 
 module Kernel = Stc_svm.Kernel
 module Smo = Stc_svm.Smo
 module Svc = Stc_svm.Svc
 module Svr = Stc_svm.Svr
 module Scale = Stc_svm.Scale
-module Cross_val = Stc_svm.Cross_val
 module Row_cache = Stc_svm.Row_cache
 module Rng = Stc_numerics.Rng
 
@@ -247,34 +246,6 @@ let scale_tests =
         check_close 1e-9 "sd" 1.0 (Stc_numerics.Stats.stddev col));
   ]
 
-let cross_val_tests =
-  [
-    Alcotest.test_case "kfold partitions all indices" `Quick (fun () ->
-        let rng = Rng.create 2 in
-        let folds = Cross_val.kfold_indices rng ~n:23 ~folds:5 in
-        let all = Array.concat (Array.to_list folds) in
-        Array.sort compare all;
-        Alcotest.(check (array int)) "partition" (Array.init 23 (fun i -> i)) all);
-    Alcotest.test_case "cv accuracy high on separable data" `Quick (fun () ->
-        let rng = Rng.create 6 in
-        let n = 120 in
-        let x = Array.init n (fun _ -> [| Rng.uniform rng (-1.) 1. |]) in
-        let y = Array.map (fun xi -> if xi.(0) > 0.0 then 1 else -1) x in
-        let acc = Cross_val.svc_accuracy ~c:10.0 (Rng.create 1) ~x ~y ~folds:4 in
-        Alcotest.(check bool) "acc > 0.9" true (acc > 0.9));
-    Alcotest.test_case "grid search picks a winner" `Quick (fun () ->
-        let rng = Rng.create 8 in
-        let n = 80 in
-        let x = Array.init n (fun _ -> [| Rng.uniform rng (-1.) 1.; Rng.uniform rng (-1.) 1. |]) in
-        let y = Array.map (fun xi -> if xi.(0) *. xi.(1) > 0.0 then 1 else -1) x in
-        let r =
-          Cross_val.grid_search_svc (Rng.create 3) ~x ~y ~folds:3
-            ~cs:[| 1.0; 10.0 |] ~gammas:[| 0.5; 2.0 |]
-        in
-        Alcotest.(check bool) "reasonable accuracy" true
-          (r.Cross_val.accuracy > 0.7));
-  ]
-
 let cache_tests =
   [
     Alcotest.test_case "caches and evicts" `Quick (fun () ->
@@ -360,7 +331,6 @@ let smo_optimality_tests =
   ]
 
 module Flat = Stc_svm.Flat
-module Pool = Stc_process.Pool
 
 (* Table-driven pins for the gamma heuristics: the flat-storage refactor
    must not shift them. [median_gamma] samples pairs deterministically
@@ -435,98 +405,6 @@ let flat_tests =
             ignore (Flat.dot_vec fx 0 [| 1.0; 2.0 |])));
   ]
 
-(* Parallel CV must be bit-identical to serial: same winners, same fold
-   scores, to the last bit, whatever the domain count and even after a
-   worker stall on the same pool. *)
-let parallel_cv_tests =
-  let make_data seed n =
-    let rng = Rng.create seed in
-    let x =
-      Array.init n (fun _ ->
-          [| Rng.uniform rng (-1.) 1.; Rng.uniform rng (-1.) 1. |])
-    in
-    let y = Array.map (fun xi -> if xi.(0) +. xi.(1) > 0.0 then 1 else -1) x in
-    (x, y)
-  in
-  let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  let check_grid_equal msg (a : Cross_val.grid_result) (b : Cross_val.grid_result) =
-    Alcotest.(check (float 0.0)) (msg ^ ": c") a.Cross_val.c b.Cross_val.c;
-    Alcotest.(check (float 0.0)) (msg ^ ": gamma") a.Cross_val.gamma
-      b.Cross_val.gamma;
-    Alcotest.(check bool) (msg ^ ": accuracy bit-identical") true
-      (bits_equal a.Cross_val.accuracy b.Cross_val.accuracy)
-  in
-  let cs = [| 1.0; 10.0 |] and gammas = [| 0.5; 1.0; 2.0 |] in
-  [
-    Alcotest.test_case "grid search bit-identical across 1/2/4 domains"
-      `Quick (fun () ->
-        let x, y = make_data 41 60 in
-        let serial =
-          Cross_val.grid_search_svc (Rng.create 5) ~x ~y ~folds:3 ~cs ~gammas
-        in
-        List.iter
-          (fun domains ->
-            let parallel =
-              Pool.with_pool ~domains (fun pool ->
-                  Cross_val.grid_search_svc ~pool (Rng.create 5) ~x ~y ~folds:3
-                    ~cs ~gammas)
-            in
-            check_grid_equal
-              (Printf.sprintf "%d domains" domains)
-              serial parallel)
-          [ 1; 2; 4 ]);
-    Alcotest.test_case "fold scores bit-identical serial vs pool" `Quick
-      (fun () ->
-        let x, y = make_data 43 50 in
-        let serial =
-          Cross_val.svc_fold_scores ~c:5.0 (Rng.create 9) ~x ~y ~folds:5
-        in
-        let parallel =
-          Pool.with_pool ~domains:4 (fun pool ->
-              Cross_val.svc_fold_scores ~c:5.0 ~pool (Rng.create 9) ~x ~y
-                ~folds:5)
-        in
-        Alcotest.(check int) "fold count" (Array.length serial)
-          (Array.length parallel);
-        Array.iteri
-          (fun f s ->
-            Alcotest.(check bool)
-              (Printf.sprintf "fold %d bit-identical" f)
-              true (bits_equal s parallel.(f)))
-          serial);
-    Alcotest.test_case "svr sign accuracy bit-identical serial vs pool" `Quick
-      (fun () ->
-        let x, yi = make_data 47 40 in
-        let y = Array.map float_of_int yi in
-        let serial =
-          Cross_val.svr_sign_accuracy ~c:5.0 (Rng.create 11) ~x ~y ~folds:4
-        in
-        let parallel =
-          Pool.with_pool ~domains:3 (fun pool ->
-              Cross_val.svr_sign_accuracy ~c:5.0 ~pool (Rng.create 11) ~x ~y
-                ~folds:4)
-        in
-        Alcotest.(check bool) "bit-identical" true (bits_equal serial parallel));
-    Alcotest.test_case "grid search survives an injected stalling worker"
-      `Quick (fun () ->
-        (* the Faults harness first: a stalled worker must not lose work *)
-        (match Stc_qa.Faults.check_pool_worker_delay ~domains:4 ~delay_s:0.05 with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "pool fault harness: %s" e);
-        let x, y = make_data 53 60 in
-        let serial =
-          Cross_val.grid_search_svc (Rng.create 5) ~x ~y ~folds:3 ~cs ~gammas
-        in
-        Pool.with_pool ~domains:4 (fun pool ->
-            (* inject the stall on the very pool the search then uses *)
-            Pool.run pool ~n:8 (fun i -> if i = 0 then Unix.sleepf 0.05);
-            let parallel =
-              Cross_val.grid_search_svc ~pool (Rng.create 5) ~x ~y ~folds:3 ~cs
-                ~gammas
-            in
-            check_grid_equal "after stall" serial parallel));
-  ]
-
 let suites =
   [
     ("svm.kernel", kernel_tests);
@@ -534,10 +412,8 @@ let suites =
     ("svm.svc", svc_tests);
     ("svm.svr", svr_tests);
     ("svm.scale", scale_tests);
-    ("svm.cross_val", cross_val_tests);
     ("svm.row_cache", cache_tests);
     ("svm.smo_optimality", smo_optimality_tests);
     ("svm.gamma", gamma_tests);
     ("svm.flat", flat_tests);
-    ("svm.parallel_cv", parallel_cv_tests);
   ]
