@@ -8,9 +8,8 @@
    stc serve  — reload a flow and bin a CSV of devices on the floor engine
    stc server — persistent multi-client TCP flow server with hot reload
    stc flow   — inspect saved flow files (stc flow info FILE)
-   stc selftest — adversarial QA sweep: differential oracles + fault injection
 
-   Exit codes: 0 success; 1 genuine failure (failing selftest, server
+   Exit codes: 0 success; 1 genuine failure (option out of range, server
    crash); 2 data error (corrupt flow file, bad CSV, unusable journal);
    124+ cmdliner usage errors. *)
 
@@ -31,14 +30,18 @@ open Cmdliner
 
 (* Data errors — a corrupt flow file, a bad CSV, an unusable journal —
    are the operator's problem, not a crash: one clean line on stderr,
-   exit code 2 (1 is reserved for genuine failures like a failing
-   selftest, and cmdliner uses 124+ for usage errors). *)
-let die_data fmt =
+   exit code 2. An option out of range gets the same line with exit
+   code 1, before any simulation runs; cmdliner uses 124+ for usage
+   errors. *)
+let die_with code fmt =
   Printf.ksprintf
     (fun s ->
       Printf.eprintf "stc: %s\n" s;
-      exit 2)
+      exit code)
     fmt
+
+let die_data fmt = die_with 2 fmt
+let die_option fmt = die_with 1 fmt
 
 let guard_data_errors f =
   try f () with
@@ -64,7 +67,8 @@ let tolerance =
 let guard =
   Arg.(value & opt (some float) None
        & info [ "guard" ] ~docv:"FRAC"
-           ~doc:"Guard-band boundary perturbation (fraction of the boundary).")
+           ~doc:"Guard-band boundary perturbation (fraction of the boundary, \
+                 in [0, 1)).")
 
 let order_conv =
   let parse = function
@@ -254,6 +258,30 @@ let greedy_with_journal ~journal ~resume ~order config ~train ~test =
         end
     end
 
+(* Range checks for the population and guard options, run before any
+   simulation. A guard fraction must lie in [0, 1) — the range a saved
+   flow may carry — and must leave every spec range of the device
+   non-empty once the tight guard-band model narrows it. *)
+let check_at_least option min n =
+  if n < min then die_option "%s must be >= %d (got %d)" option min n
+
+let check_population ~n_train ~n_test =
+  check_at_least "--train" 1 n_train;
+  check_at_least "--test" 0 n_test
+
+let check_guard specs = function
+  | None -> ()
+  | Some g ->
+    if not (g >= 0.0 && g < 1.0) then
+      die_option "--guard must be in [0, 1) (got %g)" g;
+    Array.iter
+      (fun (s : Spec.t) ->
+        match Spec.perturb s ~fraction:(-.g) with
+        | _ -> ()
+        | exception Invalid_argument _ ->
+          die_option "--guard %g collapses the range of %S" g s.Spec.name)
+      specs
+
 let make_config (base : Compaction.config) ~tolerance ~guard ~learner
     ~grid_resolution =
   let learner =
@@ -301,7 +329,7 @@ let opamp_populations ~enrich ~pilot ~seed ~n_train ~n_test =
       match pilot with Some p -> p | None -> Stdlib.max 10 (n_train / 4)
     in
     if pilot <= 0 || pilot >= n_train then
-      die_data "--pilot must be between 1 and %d (got %d with --train %d)"
+      die_option "--pilot must be between 1 and %d (got %d with --train %d)"
         (n_train - 1) pilot n_train;
     Printf.printf
       "generating %d op-amp instances (seed %d, enriched: pilot %d)...\n%!"
@@ -326,6 +354,8 @@ let opamp_populations ~enrich ~pilot ~seed ~n_train ~n_test =
 
 let run_opamp seed n_train n_test tolerance guard order learner grid_resolution
     enrich pilot journal resume metrics trace =
+  check_population ~n_train ~n_test;
+  check_guard Experiment.opamp_specs guard;
   guard_data_errors @@ fun () ->
   with_obs ~metrics ~trace @@ fun () ->
   let train, test =
@@ -371,6 +401,8 @@ let opamp_cmd =
 (* ------------------------------- mems ----------------------------- *)
 
 let run_mems seed n_train n_test tolerance guard learner grid_resolution =
+  check_population ~n_train ~n_test;
+  check_guard Experiment.mems_specs guard;
   Printf.printf "generating %d MEMS instances (seed %d)...\n%!"
     (n_train + n_test) seed;
   let train, test = Experiment.generate_mems ~seed ~n_train ~n_test () in
@@ -429,6 +461,8 @@ let sizes_arg =
        & info [ "sizes" ] ~docv:"N,N,..." ~doc:"Training sizes to sweep.")
 
 let run_sweep seed n_test sizes =
+  List.iter (check_at_least "--sizes" 1) sizes;
+  check_at_least "--test" 0 n_test;
   let n_train = List.fold_left Stdlib.max 1 sizes in
   Printf.printf "generating %d op-amp instances (seed %d)...\n%!"
     (n_train + n_test) seed;
@@ -500,6 +534,8 @@ let save_test_arg =
 
 let run_train seed n_train n_test tolerance guard order learner grid_resolution
     enrich pilot save_flow save_test journal resume metrics trace =
+  check_population ~n_train ~n_test;
+  check_guard Experiment.opamp_specs guard;
   guard_data_errors @@ fun () ->
   with_obs ~metrics ~trace @@ fun () ->
   let train, test =
@@ -584,18 +620,11 @@ let run_serve flow_file input batch domains queue_guard batch_deadline metrics
     trace =
   guard_data_errors @@ fun () ->
   with_obs ~metrics ~trace @@ fun () ->
-  if batch < 1 then begin
-    Printf.eprintf "--batch must be >= 1 (got %d)\n" batch;
-    exit 1
-  end;
-  if domains < 1 then begin
-    Printf.eprintf "--domains must be >= 1 (got %d)\n" domains;
-    exit 1
-  end;
+  check_at_least "--batch" 1 batch;
+  check_at_least "--domains" 1 domains;
   (match batch_deadline with
    | Some d when d <= 0.0 ->
-     Printf.eprintf "--batch-deadline must be positive (got %g)\n" d;
-     exit 1
+     die_option "--batch-deadline must be positive (got %g)" d
    | _ -> ());
   let flow =
     match Flow_io.load ~path:flow_file with
@@ -740,26 +769,20 @@ let run_server host listen flows flush_rows flush_deadline max_pending
     batch_deadline retries reload_signal batch domains metrics trace =
   guard_data_errors @@ fun () ->
   with_obs ~metrics ~trace @@ fun () ->
-  if batch < 1 || domains < 1 then begin
-    Printf.eprintf "--batch and --domains must be >= 1\n";
-    exit 1
-  end;
-  if flush_rows < 1 || max_pending < 1 || max_conns < 1 then begin
-    Printf.eprintf "--flush-rows, --max-pending and --max-conns must be >= 1\n";
-    exit 1
-  end;
-  if flush_deadline <= 0.0 then begin
-    Printf.eprintf "--flush-deadline must be positive (got %g)\n" flush_deadline;
-    exit 1
-  end;
-  if drain_deadline <= 0.0 then begin
-    Printf.eprintf "--drain-deadline must be positive (got %g)\n" drain_deadline;
-    exit 1
-  end;
-  if retries < 1 then begin
-    Printf.eprintf "--retries must be >= 1 (got %d)\n" retries;
-    exit 1
-  end;
+  List.iter
+    (fun (option, n) -> check_at_least option 1 n)
+    [
+      ("--batch", batch);
+      ("--domains", domains);
+      ("--flush-rows", flush_rows);
+      ("--max-pending", max_pending);
+      ("--max-conns", max_conns);
+      ("--retries", retries);
+    ];
+  if flush_deadline <= 0.0 then
+    die_option "--flush-deadline must be positive (got %g)" flush_deadline;
+  if drain_deadline <= 0.0 then
+    die_option "--drain-deadline must be positive (got %g)" drain_deadline;
   let registry =
     Net_registry.create ~floor_config:{ Floor.batch_size = batch; domains } ()
   in
@@ -895,53 +918,14 @@ let flow_cmd =
   Cmd.group (Cmd.info "flow" ~doc:"Inspect saved stc-flow-1 files")
     [ flow_info_cmd ]
 
-(* ----------------------------- selftest ---------------------------- *)
-
-let flows_arg =
-  Arg.(value & opt int 1000
-       & info [ "flows" ] ~docv:"N"
-           ~doc:"Generated flows for the differential oracle (the acceptance \
-                 bar is 1000).")
-
-let rows_arg =
-  Arg.(value & opt int 16
-       & info [ "rows" ] ~docv:"N" ~doc:"Device rows per generated flow.")
-
-let quiet_arg =
-  Arg.(value & flag
-       & info [ "quiet" ] ~doc:"Only print the final report table.")
-
-let run_selftest seed flows rows quiet =
-  guard_data_errors @@ fun () ->
-  if flows < 1 || rows < 1 then begin
-    Printf.eprintf "--flows and --rows must be >= 1\n";
-    exit 1
-  end;
-  let progress =
-    if quiet then fun _ -> ()
-    else fun line -> Printf.printf "%s\n%!" line
-  in
-  let report = Stc_qa.Selftest.run ~seed ~flows ~rows_per_flow:rows ~progress () in
-  print_string (Stc_qa.Selftest.render report);
-  if not (Stc_qa.Selftest.ok report) then exit 1
-
-let selftest_cmd =
-  let term = Term.(const run_selftest $ seed $ flows_arg $ rows_arg $ quiet_arg) in
-  Cmd.v
-    (Cmd.info "selftest"
-       ~doc:"Adversarial QA sweep: property generators, differential oracles \
-             against the floor engine and SVM solvers, serialisation round \
-             trips, and fault injection")
-    term
-
 (* ------------------------------- main ------------------------------ *)
 
 let () =
   let exits =
     Cmd.Exit.info 0 ~doc:"on success."
     :: Cmd.Exit.info 1
-         ~doc:"on a genuine failure: a failing selftest, an option out of \
-               range, a server that could not run."
+         ~doc:"on a genuine failure: an option out of range, a server \
+               that could not run."
     :: Cmd.Exit.info 2
          ~doc:"on a data error: a corrupt flow file, a bad device CSV, an \
                unusable journal."
@@ -963,5 +947,4 @@ let () =
             serve_cmd;
             server_cmd;
             flow_cmd;
-            selftest_cmd;
           ]))

@@ -15,26 +15,11 @@ let make ~specs ~values =
     values;
   { specs; values; weights = None }
 
-let with_weights t w =
-  if Array.length w <> Array.length t.values then
-    invalid_arg
-      (Printf.sprintf "Device_data.with_weights: %d weights for %d instances"
-         (Array.length w) (Array.length t.values));
-  Array.iteri
-    (fun i x ->
-      if x < 0.0 || not (Float.is_finite x) then
-        invalid_arg
-          (Printf.sprintf
-             "Device_data.with_weights: weight %d is not finite non-negative" i))
-    w;
-  { t with weights = Some w }
-
 let specs t = t.specs
 let values t = t.values
 let n_instances t = Array.length t.values
 let n_specs t = Array.length t.specs
 
-let weights t = t.weights
 let weight t i = match t.weights with None -> 1.0 | Some w -> w.(i)
 
 let value t ~instance ~spec = t.values.(instance).(spec)
@@ -101,5 +86,13 @@ let of_montecarlo ~specs (dataset : Stc_process.Montecarlo.dataset) =
   (* attach weights only when some instance is actually reweighted, so
      uniform populations keep their historical all-unweighted shape *)
   let t = make ~specs ~values:dataset.specs in
-  if Array.for_all (fun w -> w = 1.0) dataset.weights then t
-  else with_weights t dataset.weights
+  let w = dataset.weights in
+  if Array.for_all (fun x -> x = 1.0) w then t
+  else if
+    Array.length w <> Array.length t.values
+    || Array.exists (fun x -> x < 0.0 || not (Float.is_finite x)) w
+  then
+    invalid_arg
+      "Device_data.of_montecarlo: need one finite non-negative weight per \
+       instance"
+  else { t with weights = Some w }

@@ -6,12 +6,8 @@ type t
 
 val make : specs:Spec.t array -> values:float array array -> t
 (** Raises [Invalid_argument] on column-count mismatches. The result is
-    unweighted; attach importance weights with {!with_weights}. *)
-
-val with_weights : t -> float array -> t
-(** A copy carrying the given importance weights. Raises
-    [Invalid_argument] unless there is exactly one finite non-negative
-    weight per instance. *)
+    unweighted; {!of_montecarlo} is the one constructor that carries
+    importance weights. *)
 
 val specs : t -> Spec.t array
 val values : t -> float array array
@@ -42,14 +38,12 @@ val pass_labels_with : t -> specs:Spec.t array -> subset:int array -> int array
 val yield_fraction : t -> float
 (** Fraction of instances passing every specification (unweighted). *)
 
-val weights : t -> float array option
-(** Importance weights attached at construction; [None] for uniform
-    populations. *)
-
 val weighted_yield_fraction : t -> float
 (** Self-normalised importance estimate [Σ wᵢ·passᵢ / Σ wᵢ] of the
     population yield; equals {!yield_fraction} for uniform data. *)
 
 val of_montecarlo : specs:Spec.t array -> Stc_process.Montecarlo.dataset -> t
 (** Carries the dataset's importance weights when any differ from 1.0;
-    uniform datasets produce an unweighted [t]. *)
+    uniform datasets produce an unweighted [t]. Raises
+    [Invalid_argument] unless there is exactly one finite non-negative
+    weight per instance. *)

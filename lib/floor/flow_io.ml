@@ -29,7 +29,7 @@ let model_to_text m =
   | Ok _ as ok -> ok
   | Error e -> Error ("Flow_io: " ^ e)
 
-let to_string (flow : Compaction.flow) =
+let serialise (flow : Compaction.flow) =
   let buffer = Buffer.create 4096 in
   Buffer.add_string buffer (version_of_flow flow);
   Buffer.add_char buffer '\n';
@@ -71,6 +71,13 @@ let to_string (flow : Compaction.flow) =
        Buffer.add_string buffer tight;
        Buffer.add_string buffer loose;
        Ok (Buffer.contents buffer))
+
+(* [of_string] refuses a guard fraction outside [0, 1), so writing one
+   would make a file no floor can load *)
+let to_string (flow : Compaction.flow) =
+  let g = flow.Compaction.guard_fraction in
+  if g >= 0.0 && g < 1.0 then serialise flow
+  else Error (Printf.sprintf "Flow_io: guard_fraction %g out of range [0, 1)" g)
 
 (* ------------------------------ reading --------------------------- *)
 

@@ -27,6 +27,8 @@ val version_of_flow : Stc.Compaction.flow -> string
     bytes and fingerprints. *)
 
 val to_string : Stc.Compaction.flow -> (string, string) result
+(** [Error] for an opaque band and for a guard fraction outside
+    [[0, 1)], which {!of_string} would refuse. *)
 
 val of_string : string -> (Stc.Compaction.flow, string) result
 (** Reads both {!version} and {!version2} headers. Errors are
@@ -45,7 +47,7 @@ val fingerprint : Stc.Compaction.flow -> (string, string) result
     same fingerprint iff they serialise byte-identically, so the network
     registry ([Stc_net.Registry]) can tell a genuinely new flow from a
     re-save of the current one before swapping engines. [Error] exactly
-    when {!to_string} fails (opaque band). *)
+    when {!to_string} fails. *)
 
 val save : path:string -> Stc.Compaction.flow -> (unit, string) result
 

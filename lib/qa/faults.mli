@@ -15,7 +15,7 @@
     degradation (deterministic verdicts, a reusable pool) — never an
     uncaught exception out of the public API. Checks return
     [(unit, string) result] so they compose with {!Oracle} checks in
-    qcheck properties and {!Selftest}. *)
+    the test suite. *)
 
 module Rng = Stc_numerics.Rng
 

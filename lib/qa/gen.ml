@@ -1,5 +1,4 @@
 module Spec = Stc.Spec
-module Device_data = Stc.Device_data
 module Compaction = Stc.Compaction
 module Guard_band = Stc.Guard_band
 module Kernel = Stc_svm.Kernel
@@ -56,11 +55,6 @@ let row specs =
   fun st -> Array.map (fun s -> cell s st) specs
 
 let rows specs ~n = G.array_size (G.return n) (row specs)
-
-let device_data ?min_specs ?max_specs ~n () =
-  let* sp = specs ?min_specs ?max_specs () in
-  let* values = rows sp ~n in
-  G.return (Device_data.make ~specs:sp ~values)
 
 (* ------------------------ enrichment devices ---------------------- *)
 

@@ -3,9 +3,9 @@
     rows, raw and trained SVR/SVC models, guard bands, and full
     {!Stc.Compaction.flow} values.
 
-    All generators are plain {!QCheck.Gen.t} values, so the same
-    machinery drives qcheck properties (via {!arb_flow} etc.) and the
-    standalone {!Selftest} sweep (via {!run} with an explicit seed).
+    All generators are plain {!QCheck.Gen.t} values: qcheck properties
+    draw them through {!arb_flow} etc., and deterministic tests through
+    {!run} with an explicit seed.
 
     Invariants guaranteed by construction, so generated values exercise
     the pipeline rather than its argument validation:
@@ -40,9 +40,6 @@ val row : Stc.Spec.t array -> float array QCheck.Gen.t
     range-width, so pass, fail and near-boundary cells all occur. *)
 
 val rows : Stc.Spec.t array -> n:int -> float array array QCheck.Gen.t
-
-val device_data : ?min_specs:int -> ?max_specs:int -> n:int -> unit ->
-  Stc.Device_data.t QCheck.Gen.t
 
 (* ------------------------ enrichment devices ---------------------- *)
 

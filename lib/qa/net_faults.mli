@@ -7,8 +7,8 @@
     still get verdicts {e bit-identical} to an offline
     {!Stc_floor.Floor.process} run over the same flow, and the process
     must never see an uncaught exception. Checks return
-    [(unit, string) result] so they compose with {!Faults} checks in
-    {!Selftest}. *)
+    [(unit, string) result], like the {!Faults} checks; the [net faults]
+    suite in [test/test_net.ml] runs them all. *)
 
 val check_torn_frames :
   Stc.Compaction.flow * float array array -> (unit, string) result
@@ -21,18 +21,10 @@ val check_torn_frames :
 
 val check_mid_batch_disconnect :
   Stc.Compaction.flow * float array array -> (unit, string) result
-(** Declares [BATCH n] and disconnects after sending fewer than [n]
-    rows. Only that connection dies: a fresh client then runs the full
-    batch and must match the offline reference. *)
-
-val check_write_after_close :
-  Stc.Compaction.flow * float array array -> (unit, string) result
-(** Sends a complete batch plus a tail of PINGs, then closes without
-    reading any reply — forcing the server to write into a socket whose
-    peer is gone. The writes must surface as [EPIPE] (per-connection
-    teardown, counted as a disconnect), {e not} as a process-fatal
-    SIGPIPE; a fresh client must then still match the offline
-    reference. *)
+(** Declares [BATCH n] and disconnects after sending [n / 2] rows.
+    Only that connection dies: a fresh client then runs the full batch
+    and must match the offline reference. [Error] for fewer than 2
+    rows, which would test nothing. *)
 
 val check_reload_inflight :
   Stc.Compaction.flow * float array array -> (unit, string) result

@@ -14,8 +14,8 @@
       print ∘ parse = canonicalise.
 
     Every check returns [(unit, string) result] with a human-readable
-    counterexample description, so qcheck failures and {!Selftest}
-    reports read the same. *)
+    counterexample description, which a qcheck property reports as its
+    failure. *)
 
 (* ----------------------- reference binner ------------------------- *)
 

@@ -147,6 +147,17 @@ let flow_io_tests =
         (match Flow_io.to_string (Adaptive_guard.flow adaptive) with
          | Error _ -> ()
          | Ok _ -> Alcotest.fail "expected an error for a closure band"));
+    Alcotest.test_case "a guard fraction the reader refuses is not written"
+      `Quick (fun () ->
+        let flow = Lazy.force trained_flow in
+        List.iter
+          (fun g ->
+            match
+              Flow_io.to_string { flow with Compaction.guard_fraction = g }
+            with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "guard_fraction %g was written" g)
+          [ -0.01; 1.0; Float.nan ]);
     Alcotest.test_case "garbage and truncation rejected" `Quick (fun () ->
         (match Flow_io.of_string "not a flow\n" with
          | Error _ -> ()

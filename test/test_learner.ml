@@ -115,6 +115,14 @@ let mlp_tests =
              QCheck.Test.fail_reportf "two trainings differ:\n%s\nvs\n%s" a b;
            true));
     qtest
+      (QCheck.Test.make ~count:4
+         ~name:"training on a generated device is the same at 1/2/4 domains"
+         (QCheck.make QCheck.Gen.(pair Gen.enrich_device (int_bound 9_999)))
+         (fun ((device, limits), seed) ->
+           let config = { Mlp.default_config with Mlp.epochs = 40 } in
+           check_ok "mlp_deterministic"
+             (Oracle.mlp_deterministic ~config ~seed ~n:60 device ~limits)));
+    qtest
       (QCheck.Test.make ~count:10
          ~name:"trained models also satisfy forward-ref and round trip"
          seed_arb

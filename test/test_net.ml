@@ -1,6 +1,6 @@
 (* The network serving stack: protocol frames, the versioned registry
-   with hot reload, and the live loopback server against the offline
-   Floor reference. *)
+   with hot reload, the live loopback server against the offline Floor
+   reference, and the server under attack (Stc_qa.Net_faults). *)
 
 module Compaction = Stc.Compaction
 module Tester = Stc.Tester
@@ -8,6 +8,7 @@ module Guard_band = Stc.Guard_band
 module Floor = Stc_floor.Floor
 module Flow_io = Stc_floor.Flow_io
 module Gen = Stc_qa.Gen
+module Net_faults = Stc_qa.Net_faults
 module Protocol = Stc_net.Protocol
 module Registry = Stc_net.Registry
 module Server = Stc_net.Server
@@ -263,7 +264,8 @@ let registry_tests =
         let flow, rows = pooled 35 ~rows:4 in
         let breaker =
           (* a huge cooldown pins the breaker open: this test drives the
-             manual recycle path, the chaos gate drives the auto one *)
+             manual recycle path, the net faults suite drives the auto
+             one *)
           {
             Registry.failure_threshold = 2;
             cooldown_s = 30.0;
@@ -477,11 +479,10 @@ let server_tests =
                       "metrics JSON lacks stc_net_requests_total"))));
     Alcotest.test_case "client killed mid-batch does not kill the server"
       `Quick (fun () ->
-        (* the SIGPIPE regression (fault path also swept in selftest):
-           a client pushes a full batch plus a tail of PINGs and closes
-           without reading, so the handler writes into a dead socket;
-           the server must tear down that connection, count a
-           disconnect, and keep serving *)
+        (* the SIGPIPE regression: a client pushes a full batch plus a
+           tail of PINGs and closes without reading, so the handler
+           writes into a dead socket; the server must tear down that
+           connection, count a disconnect, and keep serving *)
         let flow, rows = pooled 48 ~rows:16 in
         let reference = offline_reference flow rows in
         let disconnects_before =
@@ -712,9 +713,35 @@ let server_tests =
                 | Ok _ -> Alcotest.fail "INFO on a ghost flow succeeded")));
   ]
 
+(* Each check boots its own loopback server, attacks it, and demands
+   that a well-behaved client still gets the offline reference's
+   verdicts. *)
+let fault_tests =
+  let fault name seed check =
+    Alcotest.test_case name `Quick (fun () ->
+        get (check (pooled seed ~rows:16)))
+  in
+  [
+    fault "torn frames and garbage verbs kill only their connection" 61
+      Net_faults.check_torn_frames;
+    fault "a mid-batch disconnect kills only its connection" 62
+      Net_faults.check_mid_batch_disconnect;
+    fault "forced hot reloads under traffic keep every verdict" 63
+      Net_faults.check_reload_inflight;
+    fault "a connection flood is shed past max-conns" 64
+      Net_faults.check_connection_flood;
+    fault "a slow-loris opener is reaped by the idle deadline" 65
+      Net_faults.check_slow_loris;
+    fault "a reply-ignoring client hits the write deadline" 66
+      Net_faults.check_reply_ignorer;
+    fault "a crashing engine trips the breaker, which recovers" 67
+      Net_faults.check_breaker_cycle;
+  ]
+
 let suites =
   [
     ("net protocol", protocol_tests);
     ("net registry", registry_tests);
     ("net server", server_tests);
+    ("net faults", fault_tests);
   ]

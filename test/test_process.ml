@@ -341,6 +341,25 @@ let enrich_tests =
         with
         | Ok () -> ()
         | Error e -> Alcotest.fail e);
+    qtest
+      (QCheck.Test.make ~count:4
+         ~name:"both oracles hold on generated linear devices"
+         (QCheck.make
+            QCheck.Gen.(pair Stc_qa.Gen.enrich_device (int_bound 9_999)))
+         (fun ((device, limits), seed) ->
+           let result =
+             match
+               Stc_qa.Oracle.enrichment_deterministic ~seed ~pilot:40 ~n:160
+                 device ~limits
+             with
+             | Error _ as e -> e
+             | Ok () ->
+               Stc_qa.Oracle.enrichment_unbiased ~seed ~pilot:60 ~n:400 device
+                 ~limits
+           in
+           match result with
+           | Ok () -> true
+           | Error e -> QCheck.Test.fail_report e));
     Alcotest.test_case "boundary density exceeds uniform at equal budget"
       `Quick (fun () ->
         let n = 500 in

@@ -1,7 +1,13 @@
 (* Adversarial QA: the Stc_qa generators, differential oracles and
    fault-injection checks, both as qcheck properties (replayable via
    QCHECK_SEED, like the rest of the suite) and as deterministic
-   alcotest cases pinning the hardened error paths. *)
+   alcotest cases pinning the hardened error paths.
+
+   The two floor properties carry a [~long_factor]: under QCHECK_LONG=1
+   (`make qa`) they bin 1,040 generated flows of 16 rows each, at every
+   batch size in {1, 7, 64} and domain count in {1, 4}, half of them
+   with a retest callback — the acceptance bar for serving-path
+   changes. *)
 
 module Spec = Stc.Spec
 module Compaction = Stc.Compaction
@@ -13,7 +19,6 @@ module Rng = Stc_numerics.Rng
 module Gen = Stc_qa.Gen
 module Oracle = Stc_qa.Oracle
 module Faults = Stc_qa.Faults
-module Selftest = Stc_qa.Selftest
 
 let qtest = QCheck_alcotest.to_alcotest
 let check = function Ok () -> () | Error e -> Alcotest.fail e
@@ -26,25 +31,29 @@ let contains hay needle =
 
 (* ------------------------ qcheck properties ----------------------- *)
 
+let batch_sizes = [ 1; 7; 64 ]
+let domain_counts = [ 1; 4 ]
+let ( let* ) r f = match r with Error _ as e -> e | Ok () -> f ()
+
 let property_tests =
   [
     qtest
-      (QCheck.Test.make ~name:"floor matches the reference binner" ~count:30
-         (Gen.arb_flow_with_rows ~rows_per_flow:10)
+      (QCheck.Test.make ~name:"floor matches the reference binner" ~count:40
+         ~long_factor:13
+         (Gen.arb_flow_with_rows ~rows_per_flow:16)
          (fun (flow, rows) ->
-           prop
-             (Oracle.floor_matches ~batch_sizes:[ 1; 7; 64 ]
-                ~domain_counts:[ 1; 4 ] flow rows)));
+           prop (Oracle.floor_matches ~batch_sizes ~domain_counts flow rows)));
     qtest
-      (QCheck.Test.make ~name:"floor matches reference under retest" ~count:20
-         (Gen.arb_flow_with_rows ~rows_per_flow:8)
+      (QCheck.Test.make ~name:"floor matches reference under retest" ~count:40
+         ~long_factor:13
+         (Gen.arb_flow_with_rows ~rows_per_flow:16)
          (fun (flow, rows) ->
            let retest row =
              Array.for_all2 Spec.passes flow.Compaction.specs row
            in
            prop
-             (Oracle.floor_matches ~retest ~batch_sizes:[ 3 ]
-                ~domain_counts:[ 2 ] flow rows)));
+             (Oracle.floor_matches ~retest ~batch_sizes ~domain_counts flow
+                rows)));
     qtest
       (QCheck.Test.make ~name:"flow print/parse/print is canonical" ~count:200
          Gen.arb_flow
@@ -63,12 +72,62 @@ let property_tests =
               in
               (Gen.svr ~dim st, Gen.svc ~dim st, probe)))
          (fun (svr, svc, probe) ->
-           let ( let* ) r f = match r with Error _ as e -> e | Ok () -> f () in
            prop
              (let* () = Oracle.svr_agrees svr probe in
               let* () = Oracle.svc_agrees svc probe in
               let* () = Oracle.svr_roundtrips svr in
               Oracle.svc_roundtrips svc)));
+    qtest
+      (QCheck.Test.make ~name:"trained svm duals feasible, decisions agree"
+         ~count:20
+         (QCheck.make (fun st ->
+              let dim = 1 + Random.State.int st 3 in
+              let probe =
+                Array.init dim (fun _ ->
+                    -0.5 +. (2.0 *. Random.State.float st 1.0))
+              in
+              (Gen.trained_svc ~dim ~n:40 st, Gen.trained_svr ~dim ~n:40 st,
+               probe)))
+         (fun ((c_svc, svc), (c_svr, svr), probe) ->
+           prop
+             (let* () = Oracle.svc_dual_feasible ~c:c_svc svc in
+              let* () = Oracle.svr_dual_feasible ~c:c_svr svr in
+              let* () = Oracle.svc_agrees svc probe in
+              Oracle.svr_agrees svr probe)));
+    qtest
+      (QCheck.Test.make ~name:"flat kernel rows match boxed eval bitwise"
+         ~count:100
+         (QCheck.make
+            QCheck.Gen.(
+              let* dim = int_range 1 6 in
+              let* n = int_range 2 25 in
+              let* rows =
+                array_size (return n)
+                  (array_size (return dim) (float_range (-3.0) 3.0))
+              in
+              let* gamma = float_range 0.05 2.0 in
+              let* coef0 = float_range (-1.0) 1.0 in
+              let* degree = int_range 2 4 in
+              return
+                ( Stc_svm.Kernel.
+                    [
+                      linear;
+                      rbf gamma;
+                      Polynomial { gamma; coef0; degree };
+                      Sigmoid { gamma; coef0 };
+                    ],
+                  rows )))
+         (fun (kernels, rows) -> prop (Oracle.flat_kernel_agrees kernels rows)));
+    qtest
+      (QCheck.Test.make ~name:"device CSV round trips bit-identically"
+         ~count:50
+         (QCheck.make
+            QCheck.Gen.(
+              let* specs = Gen.specs () in
+              let* n = int_range 1 20 in
+              let* rows = Gen.rows specs ~n in
+              return (specs, rows)))
+         (fun (specs, rows) -> prop (Oracle.csv_roundtrips ~specs ~rows)));
   ]
 
 (* ----------------------- flow_io error paths ---------------------- *)
@@ -238,6 +297,7 @@ let pool_tests =
         check (Faults.check_pool_worker_failure ~domains:1);
         check (Faults.check_pool_worker_failure ~domains:4));
     Alcotest.test_case "stalled worker loses no tasks" `Quick (fun () ->
+        check (Faults.check_pool_worker_delay ~domains:1 ~delay_s:0.01);
         check (Faults.check_pool_worker_delay ~domains:4 ~delay_s:0.01));
     Alcotest.test_case "zero tasks and shutdown misuse" `Quick (fun () ->
         check (Faults.check_pool_misuse ()));
@@ -253,18 +313,6 @@ let pool_tests =
               hits));
   ]
 
-(* ---------------------------- selftest ----------------------------- *)
-
-let selftest_tests =
-  [
-    Alcotest.test_case "reduced sweep passes" `Quick (fun () ->
-        let report = Selftest.run ~seed:7 ~flows:12 ~rows_per_flow:6 () in
-        if not (Selftest.ok report) then Alcotest.fail (Selftest.render report);
-        let rendered = Selftest.render report in
-        Alcotest.(check bool) "render carries the verdict" true
-          (contains rendered "all sections passed"));
-  ]
-
 let suites =
   [
     ("qa.properties", property_tests);
@@ -273,5 +321,4 @@ let suites =
     ("qa.floor_strict", floor_strict_tests);
     ("qa.faults", fault_tests);
     ("qa.pool", pool_tests);
-    ("qa.selftest", selftest_tests);
   ]

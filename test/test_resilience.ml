@@ -542,7 +542,10 @@ let trained_flow = lazy (Compaction.make_flow config (data 41 300) ~dropped:[| 2
 let floor_tests =
   [
     Alcotest.test_case "flaky retest ships after retries" `Quick (fun () ->
-        check_fault (Faults.check_floor_flaky_retest ~fail_first:2));
+        List.iter
+          (fun fail_first ->
+            check_fault (Faults.check_floor_flaky_retest ~fail_first))
+          [ 1; 2; 3 ]);
     Alcotest.test_case "permanent failure degrades, drops nothing" `Quick
       (fun () ->
         check_fault (Faults.check_floor_degraded ~classify_permanent:false);
