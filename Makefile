@@ -51,13 +51,16 @@ qa:
 # storage equivalence (svm_equiv.*), enrichment and Monte-Carlo
 # determinism at any domain count (process.enrich, process.parallel),
 # the learner zoo and its promotion gate (learner.*), the simulator's
-# spec-vector pins (circuit.pins), the paper-golden smoke tier, and the
-# QA oracles and fault checks (qa.properties, qa.faults, qa.pool, and
-# net faults: the server under attack). `dune runtest` runs every
+# spec-vector pins (circuit.pins), the paper-golden smoke tier, the QA
+# oracles and fault checks (qa.properties, qa.faults, qa.pool, and
+# net faults: the server under attack), bit-identical flows across a
+# journal kill and resume (resilience: kill/resume), and no
+# acknowledged device dropped by a degraded floor or a draining server
+# (resilience: degraded floor, net server). `dune runtest` runs every
 # registered suite; this target fails, naming the suite, if one of
 # these is no longer registered in test_main.ml, so CI cannot pass by
 # silently dropping it. Comma-separated.
-REQUIRED_SUITES = svm_equiv.smo,svm_equiv.flows,process.enrich,process.parallel,learner.mlp,learner.mi,learner.io,learner.flow2,learner.gate,circuit.pins,golden: smoke,qa.properties,qa.faults,qa.pool,net faults
+REQUIRED_SUITES = svm_equiv.smo,svm_equiv.flows,process.enrich,process.parallel,learner.mlp,learner.mi,learner.io,learner.flow2,learner.gate,circuit.pins,golden: smoke,qa.properties,qa.faults,qa.pool,net faults,resilience: kill/resume,resilience: degraded floor,net server
 
 suites:
 	@mkdir -p _build

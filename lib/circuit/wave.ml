@@ -40,8 +40,6 @@ let value w t =
     offset +. (amplitude *. sin ((2.0 *. Float.pi *. freq *. t) +. phase))
   | Pwl points -> Stc_numerics.Interp.linear points t
 
-let dc_value w = value w 0.0
-
 let breakpoints w ~tmax =
   match w with
   | Dc _ -> []

@@ -18,9 +18,6 @@ type t =
 val value : t -> float -> float
 (** [value w t] evaluates the waveform at time [t] (t >= 0). *)
 
-val dc_value : t -> float
-(** Value at t = 0, used for the DC operating point. *)
-
 val breakpoints : t -> tmax:float -> float list
 (** Times in [0, tmax] at which the waveform has slope discontinuities;
     the transient engine aligns steps with these. *)

@@ -77,18 +77,6 @@ let settling_time ?(band = 0.01) w =
       else Some (t0 +. ((t1 -. t0) *. (target -. va) /. (vb -. va)))
   end
 
-let max_slope w =
-  require_nonempty "max_slope" w;
-  let worst = ref 0.0 in
-  for i = 0 to Array.length w - 2 do
-    let t0, v0 = w.(i) and t1, v1 = w.(i + 1) in
-    if t1 > t0 then begin
-      let slope = Float.abs ((v1 -. v0) /. (t1 -. t0)) in
-      if slope > !worst then worst := slope
-    end
-  done;
-  !worst
-
 let slew_rate w =
   require_nonempty "slew_rate" w;
   let v0 = initial w and v1 = final w in
@@ -111,5 +99,3 @@ let peak w =
   Array.fold_left
     (fun (tb, vb) (t, v) -> if v > vb then (t, v) else (tb, vb))
     w.(0) w
-
-let crossing_time w ~level ~direction = Interp.crossing w ~level ~direction

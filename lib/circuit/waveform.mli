@@ -6,7 +6,6 @@ type t = (float * float) array
 val value_at : t -> float -> float
 (** Linear interpolation, clamped at the ends. *)
 
-val initial : t -> float
 val final : t -> float
 
 val rise_time :
@@ -23,9 +22,6 @@ val settling_time : ?band:float -> t -> float option
     i.e. ±1 %) of the final value, relative to the step magnitude.
     Measured from t = 0. *)
 
-val max_slope : t -> float
-(** Maximum |dv/dt| between consecutive samples. *)
-
 val slew_rate : t -> float option
 (** Average slope between the 20 % and 80 % crossings of the step — the
     robust large-signal slew measurement (immune to edge feedthrough
@@ -33,6 +29,3 @@ val slew_rate : t -> float option
 
 val peak : t -> float * float
 (** (time, value) of the maximum value. *)
-
-val crossing_time :
-  t -> level:float -> direction:[ `Rising | `Falling | `Any ] -> float option

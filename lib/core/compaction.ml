@@ -18,17 +18,12 @@ type learner = Learner.spec =
   | C_svc of { c : float; gamma : float option }
   | Mlp of Stc_learn.Mlp.config
 
-type validation =
-  | On_test_data
-  | On_train_data
-
 type config = {
   learner : learner;
   tolerance : float;
   guard_fraction : float;
   grid : Grid_compact.config option;
   measured_guard : bool;
-  validation : validation;
   warm_start : bool;
 }
 
@@ -39,7 +34,6 @@ let default_config =
     guard_fraction = 0.01;
     grid = None;
     measured_guard = true;
-    validation = On_test_data;
     warm_start = true;
   }
 
@@ -232,8 +226,8 @@ let eliminate config ~train ~test ~dropped =
 
 (* Canonical byte string covering everything a greedy decision can
    depend on: the config, the examination order, and both populations
-   (under [On_test_data] the accept/reject decisions read the test
-   data, so it must bind the journal too). *)
+   (the accept/reject decisions read the test data, so it must bind
+   the journal too). *)
 let journal_fingerprint config ~train ~test ~order =
   let b = Buffer.create 8192 in
   let adds s =
@@ -269,10 +263,10 @@ let journal_fingerprint config ~train ~test ~order =
      addf g.Grid_compact.clip_lo;
      addf g.Grid_compact.clip_hi);
   adds (if config.measured_guard then "mg1" else "mg0");
-  adds
-    (match config.validation with
-     | On_test_data -> "vtest"
-     | On_train_data -> "vtrain");
+  (* decisions are validated on the test data; journals written while
+     that was a config choice hash this token, so it stays to keep them
+     resumable *)
+  adds "vtest";
   adds "order";
   Array.iter addi order;
   let add_population data =
@@ -359,15 +353,10 @@ let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
                         in
                         Guard_band.predict model))
               in
-              let validation_data =
-                match config.validation with
-                | On_test_data -> test
-                | On_train_data -> train
-              in
               let error =
                 Trace.with_span "compaction.validate" (fun () ->
                     Obs.Histogram.time h_validate (fun () ->
-                        prediction_error nominal validation_data ~kept
+                        prediction_error nominal test ~kept
                           ~dropped:trial))
               in
               let accepted = error <= config.tolerance in

@@ -20,10 +20,6 @@ type learner = Learner.spec =
           deterministic from the config seed. Promoted via the
           [Stc_qa.Oracle.learner_promotes] differential gate *)
 
-type validation =
-  | On_test_data   (** the paper's protocol: e_p measured on test data *)
-  | On_train_data  (** leak-free variant: e_p on the training data *)
-
 type config = {
   learner : learner;
   tolerance : float;       (** e_T: acceptable prediction-error fraction *)
@@ -33,7 +29,6 @@ type config = {
   measured_guard : bool;
       (** also guard-band devices whose *measured* kept specs fall
           within δ of a range boundary *)
-  validation : validation;
   warm_start : bool;
       (** seed each candidate's SMO solve from the previous
           candidate's alphas (ε-SVR only; C-SVC always starts cold
@@ -47,8 +42,7 @@ type config = {
 
 val default_config : config
 (** ε-SVR (C=10, ε=0.1, γ=1/dim), e_T = 1 %, δ = 1 %, no grid
-    compaction, measured guard on, paper validation protocol, warm
-    starts enabled. *)
+    compaction, measured guard on, warm starts enabled. *)
 
 type flow = {
   specs : Spec.t array;
@@ -107,7 +101,8 @@ val greedy :
   train:Device_data.t ->
   test:Device_data.t ->
   result
-(** The Fig. 2 loop. [order] defaults to [By_failure_count];
+(** The Fig. 2 loop. Each candidate's e_p is measured on [test], the
+    paper's protocol. [order] defaults to [By_failure_count];
     [eval_each] (default false) additionally evaluates the guard-banded
     flow on [test] after every accepted elimination (Figure 5 data). *)
 
@@ -115,9 +110,9 @@ val journal_fingerprint :
   config -> train:Device_data.t -> test:Device_data.t -> order:int array ->
   string
 (** Binds a {!Journal} to one run: a hash over the config, the computed
-    examination order, and both populations (under [On_test_data] the
-    accept decisions read the test data too). Two runs whose greedy
-    decisions could diverge get different fingerprints. *)
+    examination order, and both populations (the accept decisions read
+    the test data too). Two runs whose greedy decisions could diverge
+    get different fingerprints. *)
 
 val greedy_resumable :
   ?order:Order.strategy ->

@@ -34,21 +34,6 @@ val spec_limits : Spec.t array -> (float * float) array
 (** The [(lower, upper)] acceptance limits of each spec, in the shape
     {!Stc_process.Enrich.generate} expects. *)
 
-val generate_enriched :
-  ?config:Stc_process.Enrich.config ->
-  ?domains:int ->
-  Stc_process.Montecarlo.device ->
-  Spec.t array ->
-  seed:int ->
-  pilot:int ->
-  n_train:int ->
-  n_test:int ->
-  Device_data.t * Device_data.t * Stc_process.Enrich.stats
-(** Boundary-enriched training population (with importance weights
-    attached) plus a uniform test population drawn from an independent
-    stream family derived from [seed]. Deterministic per seed at any
-    domain count. *)
-
 val generate_opamp_enriched :
   ?calibrate:bool ->
   ?config:Stc_process.Enrich.config ->
@@ -59,7 +44,10 @@ val generate_opamp_enriched :
   n_test:int ->
   unit ->
   Device_data.t * Device_data.t * Stc_process.Enrich.stats
-(** {!generate_enriched} on the op-amp device and specs. *)
+(** Boundary-enriched op-amp training population (with importance
+    weights attached) plus a uniform test population drawn from an
+    independent stream family derived from [seed]. Deterministic per
+    seed at any domain count. *)
 
 (** {1 MEMS accelerometer} *)
 

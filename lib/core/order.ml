@@ -19,6 +19,7 @@ let failure_counts data =
   done;
   counts
 
+(* |Pearson correlation| between normalised spec columns *)
 let correlation_matrix data =
   let k = Device_data.n_specs data in
   let specs = Device_data.specs data in
@@ -31,6 +32,8 @@ let correlation_matrix data =
           if a = b then 1.0
           else Float.abs (Stats.correlation columns.(a) columns.(b))))
 
+(* per-spec Mi score (nats) between the normalised spec column and the
+   overall pass/fail verdict; zeros on an empty population *)
 let mutual_information ?bins data =
   let k = Device_data.n_specs data in
   let n = Device_data.n_instances data in

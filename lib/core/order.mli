@@ -31,14 +31,7 @@ val compute : strategy -> Device_data.t -> int array
 val failure_counts : Device_data.t -> int array
 (** Per-spec count of training instances that violate that spec. *)
 
-val correlation_matrix : Device_data.t -> float array array
-(** |Pearson correlation| between normalised spec columns. *)
-
 val clusters : Device_data.t -> threshold:float -> int list list
 (** Single-linkage clusters under |correlation| ≥ threshold, each
     sorted ascending, largest cluster first. *)
 
-val mutual_information : ?bins:int -> Device_data.t -> float array
-(** Per-spec {!Stc_learn.Mi} score (nats) between the normalised spec
-    column and the overall pass/fail verdict; zeros on an empty
-    population. [bins] defaults to {!Stc_learn.Mi.default_bins}. *)

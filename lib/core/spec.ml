@@ -32,15 +32,6 @@ let perturb t ~fraction =
     invalid_arg (Printf.sprintf "Spec.perturb %s: range collapsed" t.name);
   { t with range = { lower; upper } }
 
-let distance_to_boundary t v =
-  let relative bound =
-    let scale =
-      if Float.abs bound > 0.0 then Float.abs bound else width t.range
-    in
-    Float.abs (v -. bound) /. scale
-  in
-  Float.min (relative t.range.lower) (relative t.range.upper)
-
 let pp fmt t =
   Format.fprintf fmt "%s [%s]: nominal %g, range %g..%g" t.name t.unit_label
     t.nominal t.range.lower t.range.upper

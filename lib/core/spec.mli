@@ -37,9 +37,4 @@ val perturb : t -> fraction:float -> t
     A zero boundary does not move. Raises [Invalid_argument] if the
     perturbed range collapses. *)
 
-val distance_to_boundary : t -> float -> float
-(** Distance from a value to the nearest range boundary, as a fraction
-    of that boundary's magnitude (range width for zero boundaries).
-    Used for proximity-based guard banding. *)
-
 val pp : Format.formatter -> t -> unit

@@ -40,7 +40,6 @@ val classify : model -> float array -> int
 (** sign of {!predict}: +1 iff f(x) >= 0. *)
 
 val dim : model -> int
-val n_hidden : model -> int
 
 (** {1 Serialisation}
 

@@ -29,12 +29,6 @@ val nominal : t
     peak frequency ≈ 5.6 kHz, quality factor ≈ 2.1, scale factor
     ≈ 9.5 mV/V. *)
 
-val nominal_skew : float
-(** Per-spring angular skew from the ideal ±90° orientation, radians
-    (0.5°). The nominal device alternates its sign so the net
-    cross-axis coupling cancels; process variation on the individual
-    skews breaks the cancellation. *)
-
 val ideal_angles : float array
 (** The four ideal spring orientations (±90°). *)
 

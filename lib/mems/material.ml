@@ -9,6 +9,10 @@ let youngs_modulus temp =
 
 let density = 2330.0
 
+(* Effective CTE mismatch between film and substrate, 1/K: it turns a
+   temperature excursion into anchor displacement and hence residual
+   axial strain in the flexures. Calibrated so a ±60 K excursion shifts
+   the resonance by a few percent. *)
 let cte_mismatch = 0.05e-6
 
 (* Hot: the substrate expands more than the film, anchors move outward,

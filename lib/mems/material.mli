@@ -12,14 +12,6 @@ val youngs_modulus : float -> float
 val density : float
 (** kg/m³ of poly-Si. *)
 
-val cte_mismatch : float
-(** Effective CTE mismatch between the structural film and the
-    substrate, 1/K. This is the knob that converts a temperature
-    excursion into anchor displacement and hence residual axial strain
-    in the flexures (the paper's "anchors move towards or away from the
-    center" model). Calibrated so a ±60 K excursion shifts the resonance
-    by a few percent, as Fedder-style CMOS-MEMS devices exhibit. *)
-
 val thermal_strain : float -> float
 (** [thermal_strain temp] is the residual axial strain in the flexures
     at [temp]: positive = tension (cold), negative = compression (hot).

@@ -21,11 +21,5 @@ exception Measurement_failed of string
 
 val measure : Geometry.t -> temp:float -> values
 
-val cold_temp : float
-(** -40 °C *)
-
-val hot_temp : float
-(** 80 °C *)
-
 val tri_temperature : Geometry.t -> values * values * values
-(** (room, cold, hot) measurements. *)
+(** (room, −40 °C, 80 °C) measurements. *)

@@ -1,6 +1,6 @@
 (** The server's versioned flow registry: many named trained flows
     (op-amp, MEMS-per-temperature, ...), each behind its own
-    {!Stc_floor.Floor} engine — and therefore its own supervised
+    {!Stc_floor.Floor} engine — and therefore its own
     {!Stc_process.Pool} — so one flow's batches never queue behind
     another's.
 

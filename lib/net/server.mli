@@ -96,9 +96,6 @@ val port : t -> int
 
 val running : t -> bool
 
-val active_connections : t -> int
-(** Currently-admitted connections. *)
-
 val shutdown_requested : t -> bool
 (** True once a client has sent [SHUTDOWN]. *)
 

@@ -29,10 +29,6 @@ let add_to m i j x =
   let k = (i * m.cols) + j in
   m.data.(k) <- Complex.add m.data.(k) x
 
-let of_real g =
-  let rows, cols = Mat.dims g in
-  init rows cols (fun i j -> { Complex.re = Mat.get g i j; im = 0.0 })
-
 let combine g c omega =
   let rows, cols = Mat.dims g in
   let rc, cc = Mat.dims c in

@@ -16,9 +16,6 @@ val get : t -> int -> int -> Complex.t
 val set : t -> int -> int -> Complex.t -> unit
 val add_to : t -> int -> int -> Complex.t -> unit
 
-val of_real : Mat.t -> t
-(** Embeds a real matrix (zero imaginary parts). *)
-
 val combine : Mat.t -> Mat.t -> float -> t
 (** [combine g c omega] is the complex matrix [G + jωC]; [g] and [c]
     must have identical dimensions. *)

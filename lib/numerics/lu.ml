@@ -86,10 +86,6 @@ let solve f b =
   solve_into f.lu f.perm b x;
   x
 
-let solve_in_place f b =
-  let x = solve f b in
-  Array.blit x 0 b 0 (Array.length x)
-
 let det f =
   let n, _ = Mat.dims f.lu in
   let d = ref f.sign in

@@ -31,9 +31,6 @@ val factor : Mat.t -> t
 val solve : t -> Vec.t -> Vec.t
 (** [solve lu b] solves [A x = b] through {!solve_into}. *)
 
-val solve_in_place : t -> Vec.t -> unit
-(** As {!solve} but overwrites [b] with the solution. *)
-
 val det : t -> float
 (** Determinant of the factored matrix. *)
 

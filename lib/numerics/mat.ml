@@ -88,11 +88,6 @@ let of_rows rows =
     init r c (fun i j -> rows.(i).(j))
   end
 
-let to_rows m = Array.init m.rows (fun i -> row m i)
-
-let frobenius m =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
-
 let pp fmt m =
   for i = 0 to m.rows - 1 do
     Format.fprintf fmt "|";

@@ -31,9 +31,5 @@ val row : t -> int -> Vec.t
 val col : t -> int -> Vec.t
 
 val of_rows : float array array -> t
-val to_rows : t -> float array array
-
-val frobenius : t -> float
-(** Frobenius norm. *)
 
 val pp : Format.formatter -> t -> unit

@@ -3,9 +3,6 @@
 type derivative = float -> Vec.t -> Vec.t
 (** [f t y] returns dy/dt. *)
 
-val rk4_step : derivative -> float -> Vec.t -> float -> Vec.t
-(** [rk4_step f t y h] advances one classical Runge–Kutta step. *)
-
 val integrate :
   derivative -> t0:float -> t1:float -> dt:float -> y0:Vec.t ->
   (float * Vec.t) array

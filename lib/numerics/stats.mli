@@ -20,8 +20,6 @@ val median : float array -> float
 val correlation : float array -> float array -> float
 (** Pearson correlation; 0 when either input is constant. *)
 
-val covariance : float array -> float array -> float
-
 val histogram : float array -> bins:int -> lo:float -> hi:float -> int array
 (** Counts per bin over [lo, hi); values outside the range are clamped
     into the first/last bin. Requires [bins > 0] and [lo < hi]. *)

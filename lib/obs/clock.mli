@@ -8,9 +8,8 @@
     machines.
 
     Rule of thumb (enforced by convention across the tree): arithmetic
-    on {e durations} — deadlines, timeouts, elapsed measurements,
-    heartbeat ages — uses {!now}; anything printed as a date uses
-    {!wall}. Never mix the two: they have different epochs. *)
+    on {e durations} — deadlines, timeouts, elapsed measurements —
+    uses {!now}; anything printed as a date uses {!wall}. Never mix the two: they have different epochs. *)
 
 val now : unit -> float
 (** Monotonic seconds. Backed by [clock_gettime(CLOCK_MONOTONIC)]; on

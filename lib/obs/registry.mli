@@ -6,7 +6,7 @@
 
     Naming convention (see README "Observability"): [stc_<area>_<what>]
     with a [_total] suffix for counters and an [_s] suffix for
-    latency histograms, e.g. [stc_pool_timeouts_total],
+    latency histograms, e.g. [stc_pool_tasks_total],
     [stc_floor_batch_s]. *)
 
 module Counter : sig
@@ -14,7 +14,7 @@ module Counter : sig
 
   val make : unit -> t
   (** A standalone (unregistered) counter — used for per-instance
-      statistics like [Pool.stats] that must survive concurrent
+      statistics like [Floor.stats] that must survive concurrent
       increments but do not belong in the process-wide export. *)
 
   val incr : t -> unit

@@ -1,15 +1,9 @@
-exception Timeout
-
 module Obs = Stc_obs.Registry
 module Clock = Stc_obs.Clock
 
-(* Process-wide pool metrics; the per-pool supervision counters behind
-   [stats] are separate standalone atomics so one pool's story is not
-   polluted by another's. *)
+(* Process-wide pool metrics. *)
 let m_jobs = Obs.counter "stc_pool_jobs_total"
 let m_tasks = Obs.counter "stc_pool_tasks_total"
-let m_timeouts = Obs.counter "stc_pool_timeouts_total"
-let m_respawned = Obs.counter "stc_pool_respawned_total"
 let h_queue_wait = Obs.histogram "stc_pool_queue_wait_s"
 let h_job = Obs.histogram "stc_pool_job_s"
 
@@ -17,23 +11,9 @@ type job = {
   f : int -> unit;
   n : int;
   next : int Atomic.t;
-  gen : int;
-  mutable pending : int;  (* workers still executing this job; under mutex *)
+  mutable pending : int;  (* helpers still executing this job; under mutex *)
   submitted : float;  (* monotonic Clock.now of submission, for the queue-wait metric *)
   unclaimed : bool Atomic.t;  (* true until the first task claim *)
-}
-
-type worker = {
-  mutable domain : unit Domain.t option;
-  mutable busy_gen : int;  (* generation being executed, 0 = idle; under mutex *)
-  mutable zombie : bool;   (* abandoned: park as a spare when the task returns *)
-  mutable active : bool;   (* false = parked spare, takes no jobs; under mutex *)
-  mutable heartbeat : float;  (* last task claim (monotonic); written by owner *)
-}
-
-type stats = {
-  timeouts : int;
-  respawned : int;
 }
 
 type t = {
@@ -43,34 +23,25 @@ type t = {
   finished : Condition.t;
   mutable job : job option;
   mutable generation : int;
-  mutable abandoned : int;  (* generations <= abandoned were timed out *)
-  mutable error : exn option;  (* first exception raised by any live task *)
+  mutable error : exn option;  (* first exception raised by any task *)
   mutable stop : bool;
-  mutable workers : worker list;  (* live helpers; zombies are removed *)
-  mutable spares : worker list;  (* ex-zombie domains parked for reuse *)
-  timeouts : Obs.Counter.t;  (* atomic: incremented at deadline, read anywhere *)
-  respawned : Obs.Counter.t;
+  mutable helpers : unit Domain.t list;
 }
 
 (* Work stealing by atomic index claim: any domain grabs the next
-   undone task, so load imbalance between tasks self-corrects. Each
-   claim stamps the worker's heartbeat, so a supervisor can tell a
-   stalled worker (stuck inside one task) from a busy one. *)
-let exec t w job =
+   undone task, so load imbalance between tasks self-corrects. *)
+let exec t job =
   let rec claim () =
     let i = Atomic.fetch_and_add job.next 1 in
     if i < job.n then begin
-      w.heartbeat <- Clock.now ();
       if
         Atomic.get job.unclaimed
         && Atomic.compare_and_set job.unclaimed true false
-      then Obs.Histogram.observe h_queue_wait (w.heartbeat -. job.submitted);
+      then Obs.Histogram.observe h_queue_wait (Clock.now () -. job.submitted);
       (try job.f i
        with e ->
          Mutex.lock t.mutex;
-         (* a zombie finishing long after its job was abandoned must
-            not poison the error slot of whatever runs now *)
-         if t.error = None && job.gen > t.abandoned then t.error <- Some e;
+         if t.error = None then t.error <- Some e;
          Mutex.unlock t.mutex;
          (* drain the remaining tasks so everyone returns promptly *)
          Atomic.set job.next job.n);
@@ -79,21 +50,14 @@ let exec t w job =
   in
   claim ()
 
-let helper_loop t w initial_seen =
-  let seen = ref initial_seen in
+(* A job is cleared only once every helper has counted down [pending],
+   so each helper sees every generation exactly once. *)
+let helper_loop t =
+  let seen = ref 0 in
   let live = ref true in
   while !live do
     Mutex.lock t.mutex;
-    (* [t.job = None] with an advanced generation means the job was
-       abandoned at a deadline before this helper woke (a parked helper,
-       or a domain still mid-spawn when the timeout fired): keep parking
-       until the next submission rather than dereferencing the cleared
-       slot. [seen] then skips the abandoned generation entirely.
-       Spares ([active = false]) park the same way until a respawn pass
-       reactivates them. *)
-    while
-      (not t.stop) && (t.generation = !seen || t.job = None || not w.active)
-    do
+    while (not t.stop) && t.generation = !seen do
       Condition.wait t.start t.mutex
     done;
     if t.stop then begin
@@ -103,40 +67,14 @@ let helper_loop t w initial_seen =
     else begin
       seen := t.generation;
       let job = Option.get t.job in
-      w.busy_gen <- job.gen;
       Mutex.unlock t.mutex;
-      exec t w job;
+      exec t job;
       Mutex.lock t.mutex;
-      w.busy_gen <- 0;
       job.pending <- job.pending - 1;
       if job.pending = 0 then Condition.broadcast t.finished;
-      (* zombied while stuck inside the abandoned job: a replacement
-         took this worker's place, so park as a spare for the next
-         respawn pass to reuse. Never terminating helper domains
-         mid-run also keeps domain creation and domain termination from
-         overlapping, which the OCaml 5.1 runtime tolerates poorly
-         under churn (rare but real deadlocks in the domain machinery). *)
-      if w.zombie then begin
-        w.zombie <- false;
-        w.active <- false;
-        t.spares <- w :: t.spares
-      end;
       Mutex.unlock t.mutex
     end
   done
-
-let spawn_worker t initial_seen =
-  let w =
-    {
-      domain = None;
-      busy_gen = 0;
-      zombie = false;
-      active = true;
-      heartbeat = Clock.now ();
-    }
-  in
-  w.domain <- Some (Domain.spawn (fun () -> helper_loop t w initial_seen));
-  w
 
 let create ~domains =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
@@ -148,34 +86,23 @@ let create ~domains =
       finished = Condition.create ();
       job = None;
       generation = 0;
-      abandoned = 0;
       error = None;
       stop = false;
-      workers = [];
-      spares = [];
-      timeouts = Obs.Counter.make ();
-      respawned = Obs.Counter.make ();
+      helpers = [];
     }
   in
-  t.workers <- List.init (domains - 1) (fun _ -> spawn_worker t 0);
+  t.helpers <-
+    List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> helper_loop t));
   t
 
 let domains t = t.total
 
-let stats t =
-  {
-    timeouts = Obs.Counter.get t.timeouts;
-    respawned = Obs.Counter.get t.respawned;
-  }
-
-let heartbeat_ages t =
-  let now = Clock.now () in
+let run_participating t ~n f =
   Mutex.lock t.mutex;
-  let ages = List.map (fun w -> now -. w.heartbeat) t.workers in
-  Mutex.unlock t.mutex;
-  Array.of_list ages
-
-let submit_locked t ~pending f n =
+  if t.job <> None then begin
+    Mutex.unlock t.mutex;
+    invalid_arg "Pool.run: a job is already in flight"
+  end;
   t.error <- None;
   t.generation <- t.generation + 1;
   let job =
@@ -183,41 +110,16 @@ let submit_locked t ~pending f n =
       f;
       n;
       next = Atomic.make 0;
-      gen = t.generation;
-      pending;
+      pending = List.length t.helpers;
       submitted = Clock.now ();
       unclaimed = Atomic.make true;
     }
   in
   t.job <- Some job;
   Condition.broadcast t.start;
-  job
-
-let check_runnable t n =
-  if n < 0 then invalid_arg "Pool.run: n must be >= 0";
-  if t.stop then invalid_arg "Pool.run: pool is shut down"
-
-(* ----------------------- unsupervised mode ------------------------ *)
-
-let run_participating t ~n f =
-  let submitter =
-    {
-      domain = None;
-      busy_gen = 0;
-      zombie = false;
-      active = true;
-      heartbeat = Clock.now ();
-    }
-  in
-  Mutex.lock t.mutex;
-  if t.job <> None then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Pool.run: a job is already in flight"
-  end;
-  let job = submit_locked t ~pending:(List.length t.workers) f n in
   Mutex.unlock t.mutex;
   (* the submitting domain works too: domains=1 means no helpers *)
-  exec t submitter job;
+  exec t job;
   Mutex.lock t.mutex;
   while job.pending > 0 do
     Condition.wait t.finished t.mutex
@@ -228,133 +130,13 @@ let run_participating t ~n f =
   Mutex.unlock t.mutex;
   match error with None -> () | Some e -> raise e
 
-(* ------------------------ supervised mode ------------------------- *)
-
-(* Healthy workers finish their current task in well under this; a
-   worker still inside the abandoned generation afterwards is stalled. *)
-let grace_s = 0.05
-let poll_s = 0.0005
-
-let run_supervised t ~n ~deadline_s f =
-  if deadline_s <= 0.0 then
-    invalid_arg "Pool.run: deadline_s must be positive";
-  Mutex.lock t.mutex;
-  if t.job <> None then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Pool.run: a job is already in flight"
-  end;
-  (* the submitter must stay preemptible, so tasks run only on helper
-     domains: grow the helper set to [domains] on first supervised use,
-     keeping task parallelism at the configured level while the
-     supervisor only watches. Spawning happens with the mutex released
-     so parked helpers are never blocked on a lock held across the
-     runtime's domain-creation machinery. *)
-  let rec grow () =
-    (* mutex held on entry and exit *)
-    let missing = t.total - List.length t.workers in
-    if missing > 0 then begin
-      let gen = t.generation in
-      Mutex.unlock t.mutex;
-      let fresh = List.init missing (fun _ -> spawn_worker t gen) in
-      Mutex.lock t.mutex;
-      t.workers <- fresh @ t.workers;
-      grow ()
-    end
-  in
-  grow ();
-  let job = submit_locked t ~pending:(List.length t.workers) f n in
-  Mutex.unlock t.mutex;
-  let deadline = Clock.now () +. deadline_s in
-  (* short jobs finish in microseconds: yield to the helpers for a
-     while before paying the scheduler's full sleep quantum, so
-     supervision stays cheap on jobs of any size *)
-  let yields = ref 2000 in
-  let rec wait_done () =
-    Mutex.lock t.mutex;
-    if job.pending = 0 then begin
-      t.job <- None;
-      let error = t.error in
-      t.error <- None;
-      Mutex.unlock t.mutex;
-      match error with None -> () | Some e -> raise e
-    end
-    else if Clock.now () >= deadline then timeout ()
-    else begin
-      Mutex.unlock t.mutex;
-      if !yields > 0 then begin
-        decr yields;
-        Unix.sleepf 0.0 (* sched_yield: let helpers run *)
-      end
-      else Unix.sleepf poll_s;
-      wait_done ()
-    end
-  and timeout () =
-    (* holding the mutex *)
-    t.abandoned <- job.gen;
-    t.job <- None;
-    t.error <- None;
-    Obs.Counter.incr t.timeouts;
-    Obs.Counter.incr m_timeouts;
-    (* drain unclaimed tasks so healthy workers return promptly *)
-    Atomic.set job.next job.n;
-    Mutex.unlock t.mutex;
-    (* a short grace: workers mid-task but healthy finish and go idle *)
-    let grace_deadline = Clock.now () +. grace_s in
-    let rec grace () =
-      Mutex.lock t.mutex;
-      if job.pending = 0 then Mutex.unlock t.mutex
-      else if Clock.now () >= grace_deadline then begin
-        (* whoever is still inside the abandoned generation is stalled:
-           cut it loose and replace it, so the pool stays serviceable.
-           Parked spares (ex-zombies whose stalled task eventually
-           returned) are reactivated first; only the shortfall costs a
-           fresh domain, spawned with the mutex released. *)
-        let stalled, healthy =
-          List.partition (fun w -> w.busy_gen = job.gen) t.workers
-        in
-        List.iter (fun w -> w.zombie <- true) stalled;
-        let rec reuse n reused spares =
-          match spares with
-          | w :: rest when n > 0 ->
-            w.active <- true;
-            reuse (n - 1) (w :: reused) rest
-          | _ -> (reused, spares)
-        in
-        let reused, spares = reuse (List.length stalled) [] t.spares in
-        t.spares <- spares;
-        t.workers <- healthy @ reused;
-        Obs.Counter.add t.respawned (List.length stalled);
-        Obs.Counter.add m_respawned (List.length stalled);
-        let missing = List.length stalled - List.length reused in
-        let gen = t.generation in
-        Mutex.unlock t.mutex;
-        if missing > 0 then begin
-          let fresh = List.init missing (fun _ -> spawn_worker t gen) in
-          Mutex.lock t.mutex;
-          t.workers <- fresh @ t.workers;
-          Mutex.unlock t.mutex
-        end
-      end
-      else begin
-        Mutex.unlock t.mutex;
-        Unix.sleepf poll_s;
-        grace ()
-      end
-    in
-    grace ();
-    raise Timeout
-  in
-  wait_done ()
-
-let run ?deadline_s t ~n f =
-  check_runnable t n;
+let run t ~n f =
+  if n < 0 then invalid_arg "Pool.run: n must be >= 0";
+  if t.stop then invalid_arg "Pool.run: pool is shut down";
   if n > 0 then begin
     Obs.Counter.incr m_jobs;
     Obs.Counter.add m_tasks n;
-    Obs.Histogram.time h_job (fun () ->
-        match deadline_s with
-        | None -> run_participating t ~n f
-        | Some d -> run_supervised t ~n ~deadline_s:d f)
+    Obs.Histogram.time h_job (fun () -> run_participating t ~n f)
   end
 
 let shutdown t =
@@ -362,13 +144,10 @@ let shutdown t =
   if not t.stop then begin
     t.stop <- true;
     Condition.broadcast t.start;
-    let joinable =
-      List.filter_map (fun w -> w.domain) (t.workers @ t.spares)
-    in
-    t.workers <- [];
-    t.spares <- [];
+    let helpers = t.helpers in
+    t.helpers <- [];
     Mutex.unlock t.mutex;
-    List.iter Domain.join joinable
+    List.iter Domain.join helpers
   end
   else Mutex.unlock t.mutex
 

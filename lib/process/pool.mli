@@ -1,43 +1,20 @@
-(** A supervised multicore worker pool over OCaml 5 domains.
+(** A multicore worker pool over OCaml 5 domains.
 
     One pool owns [domains - 1] helper domains parked on a condition
-    variable. In unsupervised runs the submitting domain participates
-    in every job, so [domains = 1] degrades to plain sequential
-    execution with no domain spawned. Tasks are claimed by atomic index
-    increment (work stealing), so the assignment of task index to
-    domain is nondeterministic — callers must make each task's effect
-    depend only on its index (as {!Montecarlo.generate_parallel} does
-    with per-instance RNG streams) for results to be reproducible.
+    variable. The submitting domain participates in every job, so
+    [domains = 1] degrades to plain sequential execution with no domain
+    spawned. Tasks are claimed by atomic index increment (work
+    stealing), so the assignment of task index to domain is
+    nondeterministic — callers must make each task's effect depend only
+    on its index (as {!Montecarlo.generate_parallel} does with
+    per-instance RNG streams) for results to be reproducible.
 
-    Supervision: [run ~deadline_s] bounds how long a job may take.
-    Every task claim stamps the claiming worker's heartbeat; when the
-    deadline passes, the job's remaining tasks are drained, workers
-    still stuck inside a task after a short grace are cut loose (a
-    domain cannot be killed) and replaced, and {!Timeout} is raised.
-    A cut-loose domain whose task eventually returns parks as a spare
-    and is reused by a later replacement pass, so repeated timeouts do
-    not leak a domain per stall; only a shortfall of spares costs a
-    fresh [Domain.spawn]. Helper domains are therefore never terminated
-    mid-run — deliberate, as overlapping domain creation with domain
-    termination can deadlock the OCaml 5.1 runtime under churn. The
-    pool stays serviceable: the next [run] finds a full complement of
-    workers (verified by [Stc_qa.Faults.check_pool_deadline]).
-
-    Generalises the hand-rolled [Domain.spawn] loop that used to live in
-    [Montecarlo]; also drives the floor serving engine's batches
-    ([Stc_floor.Floor]), which reuses one pool across many batches
-    instead of paying domain spawn latency per batch. *)
+    Drives the Monte-Carlo generator ({!Montecarlo}) and the floor
+    serving engine's batches ([Stc_floor.Floor]), which reuses one pool
+    across many batches instead of paying domain spawn latency per
+    batch. *)
 
 type t
-
-exception Timeout
-(** A [run ~deadline_s] job exceeded its deadline. The job's effects on
-    completed tasks stand; unclaimed tasks never ran. *)
-
-type stats = {
-  timeouts : int;   (** jobs abandoned at their deadline *)
-  respawned : int;  (** stalled workers cut loose and replaced *)
-}
 
 val create : domains:int -> t
 (** Spawns [domains - 1] helper domains immediately. Raises
@@ -46,49 +23,23 @@ val create : domains:int -> t
 val domains : t -> int
 (** Total parallelism including the submitting domain. *)
 
-val run : ?deadline_s:float -> t -> n:int -> (int -> unit) -> unit
+val run : t -> n:int -> (int -> unit) -> unit
 (** [run t ~n f] executes [f 0 .. f (n-1)] across the pool and returns
     when all have finished. [n = 0] is a no-op. If any task raises, the
     first exception is re-raised in the submitter after the remaining
     tasks are drained; the failure is not sticky — the pool stays
     usable and the next [run] starts with a clean error slot (verified
     by [Stc_qa.Faults.check_pool_worker_failure]). Not reentrant: one
-    job at a time per pool. Raises [Invalid_argument] after
-    {!shutdown}.
+    job at a time per pool, and a second [run] while one is in flight
+    (a task calling [run] on its own pool included) raises
+    [Invalid_argument]. Raises [Invalid_argument] after {!shutdown}.
 
-    With [deadline_s] the job runs supervised: tasks execute only on
-    helper domains while the submitter stays preemptible — it spins
-    briefly, then sleep-polls for completion. The first supervised run
-    grows the helper set to [domains], so supervised task parallelism
-    matches the configured level (later plain runs then have the
-    submitter plus [domains] helpers claiming tasks). If the job
-    is not done within [deadline_s] seconds it is abandoned and
-    {!Timeout} is raised, within the deadline plus a small fixed grace.
-    A worker still stuck inside a task at that point is replaced (by a
-    parked spare when one is available, else a fresh domain), so a
-    stalled (non-cooperative) task cannot brick the pool; the stuck
-    domain parks as a spare if its task ever returns. Raises
-    [Invalid_argument] when [deadline_s <= 0]. *)
-
-val stats : t -> stats
-(** Cumulative supervision counters since [create]. Backed by atomic
-    counters ([Stc_obs.Registry.Counter]), so reads are lock-free and
-    concurrent increments are never lost. The same events also feed the
-    process-wide metrics [stc_pool_timeouts_total] /
-    [stc_pool_respawned_total]; every [run] additionally records
-    [stc_pool_jobs_total], [stc_pool_tasks_total] and the
-    [stc_pool_queue_wait_s] / [stc_pool_job_s] latency histograms in
-    {!Stc_obs.Registry.global}. *)
-
-val heartbeat_ages : t -> float array
-(** Seconds since each live helper last claimed a task (or was
-    spawned); one entry per helper, in no particular order. An entry
-    much older than its peers during a run marks the stalled worker. *)
+    Every [run] records [stc_pool_jobs_total], [stc_pool_tasks_total]
+    and the [stc_pool_queue_wait_s] / [stc_pool_job_s] latency
+    histograms in {!Stc_obs.Registry.global}. *)
 
 val shutdown : t -> unit
-(** Joins the live helper domains and parked spares (a cut-loose worker
-    still stuck inside its task is not waited for). Idempotent; the
-    pool cannot be reused. *)
+(** Joins the helper domains. Idempotent; the pool cannot be reused. *)
 
 val with_pool : domains:int -> (t -> 'a) -> 'a
 (** [create], run the callback, always [shutdown]. *)

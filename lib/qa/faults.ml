@@ -524,63 +524,6 @@ let check_pool_misuse () =
       (Printexc.to_string e)
   | () -> Error "run after shutdown succeeded"
 
-let check_pool_deadline ~domains =
-  Pool.with_pool ~domains (fun pool ->
-      (* a supervised job that finishes in time is just a job *)
-      let hits = Array.make 32 0 in
-      let* () =
-        match Pool.run ~deadline_s:30.0 pool ~n:32 (fun i -> hits.(i) <- hits.(i) + 1)
-        with
-        | exception e ->
-          errorf "in-time supervised job raised %s" (Printexc.to_string e)
-        | () ->
-          if Array.for_all (fun h -> h = 1) hits then Ok ()
-          else Error "a supervised job lost or duplicated tasks"
-      in
-      (* a stalled worker must trip the deadline, promptly *)
-      let deadline_s = 0.15 in
-      let t0 = Unix.gettimeofday () in
-      let* () =
-        match
-          Pool.run ~deadline_s pool ~n:8 (fun i ->
-              if i = 0 then Unix.sleepf 1.5)
-        with
-        | exception Pool.Timeout ->
-          let dt = Unix.gettimeofday () -. t0 in
-          (* the stalled task sleeps 1.5 s: returning in far less shows
-             the supervisor did not wait for it *)
-          if dt < 1.0 then Ok ()
-          else errorf "Timeout took %.2f s against a %.2f s deadline" dt deadline_s
-        | exception e ->
-          errorf "stalled job raised %s, not Timeout" (Printexc.to_string e)
-        | () -> Error "a stalled job beat a deadline it could not meet"
-      in
-      let s = Pool.stats pool in
-      let* () =
-        if s.Pool.timeouts >= 1 then Ok ()
-        else errorf "timeout not counted: %d" s.Pool.timeouts
-      in
-      let* () =
-        if s.Pool.respawned >= 1 then Ok ()
-        else errorf "stalled worker not respawned: %d" s.Pool.respawned
-      in
-      (* the pool must accept the next job while the zombie still sleeps *)
-      let acc = Atomic.make 0 in
-      let* () =
-        match Pool.run pool ~n:100 (fun i -> ignore (Atomic.fetch_and_add acc i))
-        with
-        | exception e ->
-          errorf "pool unusable after a timeout: %s" (Printexc.to_string e)
-        | () ->
-          let total = Atomic.get acc in
-          if total = 99 * 100 / 2 then Ok ()
-          else errorf "post-timeout job lost work: sum %d" total
-      in
-      match Pool.run ~deadline_s:30.0 pool ~n:16 ignore with
-      | exception e ->
-        errorf "supervised run after a timeout raised %s" (Printexc.to_string e)
-      | () -> Ok ())
-
 (* ------------------------ degraded serving ------------------------ *)
 
 module Floor_retry = Stc_floor.Retry

@@ -7,8 +7,9 @@
     - device rows: NaN / ±inf cells, empty and ragged rows, both as raw
       arrays fed to {!Stc_floor.Floor} and as CSV text fed to
       {!Stc_floor.Device_csv};
-    - pool workers: tasks that raise mid-job or stall, submitted to
-      {!Stc_process.Pool}.
+    - pool workers: tasks that raise or stall mid-job, submitted to
+      {!Stc_process.Pool}, which has no deadline: a stalled task delays
+      its job but must not lose or duplicate work.
 
     Every check asserts the contract the stack must keep under attack:
     a typed [Error _] / documented [Invalid_argument], or graceful
@@ -116,14 +117,6 @@ val check_pool_worker_delay : domains:int -> delay_s:float -> (unit, string) res
 val check_pool_misuse : unit -> (unit, string) result
 (** Zero-task jobs are no-ops; [run] after [shutdown] and invalid
     domain counts raise [Invalid_argument]; [shutdown] is idempotent. *)
-
-val check_pool_deadline : domains:int -> (unit, string) result
-(** The supervision contract of [Pool.run ~deadline_s]: an in-time
-    supervised job runs every task exactly once; a job with a stalled
-    (1.5 s sleeping) task raises [Pool.Timeout] long before the stall
-    clears; the timeout and the respawned worker show in [Pool.stats];
-    and the same pool then runs both a plain and a supervised job to
-    completion while the abandoned domain is still asleep. *)
 
 (* ------------------------ degraded serving ------------------------ *)
 

@@ -8,22 +8,42 @@ let kernel_to_string = function
   | Kernel.Sigmoid { gamma; coef0 } ->
     Printf.sprintf "sigmoid %s %s" (fp gamma) (fp coef0)
 
+let ( let* ) = Result.bind
+
+(* float_of_string accepts "nan" and "inf", which no trained model
+   holds: a saved model carrying one is corrupt, not a model *)
+let parse_finite what s =
+  match float_of_string_opt s with
+  | Some v when Float.is_finite v -> Ok v
+  | Some _ -> Error ("non-finite " ^ what)
+  | None -> Error ("bad " ^ what)
+
+(* stops at the first error *)
+let map_result f xs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest ->
+      let* v = f x in
+      go (v :: acc) rest
+  in
+  go [] xs
+
 let kernel_of_string s =
   match String.split_on_char ' ' (String.trim s) with
   | [ "linear" ] -> Ok Kernel.Linear
   | [ "rbf"; g ] ->
-    (match float_of_string_opt g with
-     | Some gamma -> Ok (Kernel.Rbf { gamma })
-     | None -> Error "bad rbf gamma")
+    let* gamma = parse_finite "rbf gamma" g in
+    Ok (Kernel.Rbf { gamma })
   | [ "poly"; g; c0; d ] ->
-    (match (float_of_string_opt g, float_of_string_opt c0, int_of_string_opt d) with
-     | Some gamma, Some coef0, Some degree ->
-       Ok (Kernel.Polynomial { gamma; coef0; degree })
-     | _ -> Error "bad poly parameters")
+    let* gamma = parse_finite "poly gamma" g in
+    let* coef0 = parse_finite "poly coef0" c0 in
+    (match int_of_string_opt d with
+     | Some degree -> Ok (Kernel.Polynomial { gamma; coef0; degree })
+     | None -> Error "bad poly degree")
   | [ "sigmoid"; g; c0 ] ->
-    (match (float_of_string_opt g, float_of_string_opt c0) with
-     | Some gamma, Some coef0 -> Ok (Kernel.Sigmoid { gamma; coef0 })
-     | _ -> Error "bad sigmoid parameters")
+    let* gamma = parse_finite "sigmoid gamma" g in
+    let* coef0 = parse_finite "sigmoid coef0" c0 in
+    Ok (Kernel.Sigmoid { gamma; coef0 })
   | _ -> Error "unknown kernel"
 
 (* shared flat format for both model families *)
@@ -65,9 +85,8 @@ let raw_of_string ~tag text =
                | Ok k -> parse_headers (Some k) bias nsv more
                | Error e -> Error e)
             | "bias" ->
-              (match float_of_string_opt value with
-               | Some b -> parse_headers kernel (Some b) nsv more
-               | None -> Error "bad bias")
+              let* b = parse_finite "bias" value in
+              parse_headers kernel (Some b) nsv more
             | "nsv" ->
               (match int_of_string_opt value with
                | Some n -> Ok (kernel, bias, n, more)
@@ -83,28 +102,21 @@ let raw_of_string ~tag text =
         | Some kernel, Some b ->
           if List.length body <> nsv then Error "support-vector count mismatch"
           else begin
-            let rows =
-              List.map
-                (fun line ->
-                  String.split_on_char ' ' line
-                  |> List.filter (fun t -> t <> "")
-                  |> List.map float_of_string_opt)
-                body
+            (* each line is [coef v1 v2 ...] *)
+            let parse_row line =
+              match
+                String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
+              with
+              | [] -> Error "malformed support-vector line"
+              | c :: cells ->
+                let* coef = parse_finite "coefficient" c in
+                let* row = map_result (parse_finite "support-vector cell") cells in
+                Ok (coef, Array.of_list row)
             in
-            if
-              List.exists
-                (fun row -> List.exists (fun v -> v = None) row || row = [])
-                rows
-            then Error "malformed support-vector line"
-            else begin
-              let rows = List.map (List.map Option.get) rows in
-              let coef = Array.of_list (List.map List.hd rows) in
-              let sv =
-                Array.of_list
-                  (List.map (fun row -> Array.of_list (List.tl row)) rows)
-              in
-              Ok (kernel, sv, coef, b)
-            end
+            let* rows = map_result parse_row body in
+            let coef = Array.of_list (List.map fst rows) in
+            let sv = Array.of_list (List.map snd rows) in
+            Ok (kernel, sv, coef, b)
           end
         | _ -> Error "missing kernel or bias header"))
   | header :: _ -> Error (Printf.sprintf "expected %S header, got %S" tag header)

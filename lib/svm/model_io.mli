@@ -4,7 +4,9 @@
 
     Format: a header line per field, then one support vector per line
     ([coef v1 v2 ...]); everything round-trips through [%.17g] so
-    decisions are bit-identical after reload. *)
+    decisions are bit-identical after reload. The readers return
+    [Error] for a non-finite bias, coefficient, support-vector cell or
+    kernel parameter, which [float_of_string] would accept. *)
 
 val svr_to_string : Svr.model -> string
 val svr_of_string : string -> (Svr.model, string) result

@@ -85,7 +85,6 @@ let decision m input =
 let predict m input = if decision m input >= 0.0 then 1 else -1
 
 let n_support m = Array.length m.sv
-let support_vectors m = m.sv
 let bias m = m.b
 let kernel m = m.kernel
 let dual_coefs m = m.coef

@@ -22,12 +22,11 @@ val predict : model -> float array -> int
 (** sign of {!decision}: +1 or −1 (0.0 maps to +1). *)
 
 val n_support : model -> int
-val support_vectors : model -> float array array
 val bias : model -> float
 val kernel : model -> Kernel.t
 
 val dual_coefs : model -> float array
-(** yᵢαᵢ for each support vector, aligned with {!support_vectors}. *)
+(** yᵢαᵢ for each support vector. *)
 
 type raw = {
   raw_kernel : Kernel.t;

@@ -137,6 +137,17 @@ let base_flow_text =
   "stc-flow-1\n" ^ "guard_fraction 0\n" ^ "measured_guard 0\n" ^ "specs 1\n"
   ^ "spec gain V 1 0 2\n" ^ "kept 1 0\n" ^ "dropped 0\n" ^ "band none\n"
 
+(* The same flow with a one-SVR band, whose body floats are read by
+   Stc_svm.Model_io rather than by Flow_io itself. *)
+let svr_flow_text =
+  String.concat "\n"
+    [
+      "stc-flow-1"; "guard_fraction 0"; "measured_guard 0"; "specs 2";
+      "spec gain V 1 0 2"; "spec bw Hz 1 0 2"; "kept 1 0"; "dropped 1 1";
+      "band single"; "model svr 6"; "stc-svr-1"; "kernel rbf 1"; "bias 0.25";
+      "nsv 2"; "1 0.5"; "-1 1.5"; "";
+    ]
+
 let replace_line i repl text =
   String.split_on_char '\n' text
   |> List.mapi (fun j line -> if j = i then repl else line)
@@ -151,9 +162,14 @@ let expect_error_containing what needle = function
 let flow_io_error_tests =
   [
     Alcotest.test_case "the minimal flow parses" `Quick (fun () ->
-        match Flow_io.of_string base_flow_text with
-        | Ok _ -> ()
-        | Error e -> Alcotest.fail e);
+        List.iter
+          (fun text ->
+            match Flow_io.of_string text with
+            | Ok flow ->
+              Alcotest.(check (result string string)) "same bytes" (Ok text)
+                (Flow_io.to_string flow)
+            | Error e -> Alcotest.fail e)
+          [ base_flow_text; svr_flow_text ]);
     Alcotest.test_case "unknown version is named" `Quick (fun () ->
         expect_error_containing "version skew" "unsupported flow version"
           (Flow_io.of_string (replace_line 0 "stc-flow-9" base_flow_text)));
@@ -184,6 +200,17 @@ let flow_io_error_tests =
         expect_error_containing "inf bound" "non-finite"
           (Flow_io.of_string
              (replace_line 4 "spec gain V 1 0 inf" base_flow_text)));
+    Alcotest.test_case "non-finite SVR bias rejected" `Quick (fun () ->
+        expect_error_containing "nan bias" "non-finite"
+          (Flow_io.of_string (replace_line 12 "bias nan" svr_flow_text)));
+    Alcotest.test_case "non-finite SVR coefficient rejected" `Quick (fun () ->
+        expect_error_containing "inf coefficient" "non-finite"
+          (Flow_io.of_string (replace_line 14 "inf 0.5" svr_flow_text));
+        expect_error_containing "-inf cell" "non-finite"
+          (Flow_io.of_string (replace_line 15 "-1 -inf" svr_flow_text)));
+    Alcotest.test_case "non-finite kernel parameter rejected" `Quick (fun () ->
+        expect_error_containing "nan gamma" "non-finite"
+          (Flow_io.of_string (replace_line 11 "kernel rbf nan" svr_flow_text)));
     Alcotest.test_case "load reports a missing file" `Quick (fun () ->
         match Flow_io.load ~path:"/nonexistent/flow.stc" with
         | Ok _ -> Alcotest.fail "expected an error"
@@ -311,6 +338,35 @@ let pool_tests =
             Pool.run pool ~n:17 (fun i -> hits.(i) <- hits.(i) + 1);
             Alcotest.(check (array int)) "each task once" (Array.make 17 1)
               hits));
+    Alcotest.test_case "a task re-entering its own pool is refused" `Quick
+      (fun () ->
+        List.iter
+          (fun domains ->
+            Pool.with_pool ~domains (fun pool ->
+                Alcotest.check_raises
+                  (Printf.sprintf "nested run, %d domains" domains)
+                  (Invalid_argument "Pool.run: a job is already in flight")
+                  (fun () ->
+                    Pool.run pool ~n:8 (fun _ -> Pool.run pool ~n:1 ignore));
+                let hits = Array.make 32 0 in
+                Pool.run pool ~n:32 (fun i -> hits.(i) <- hits.(i) + 1);
+                Alcotest.(check (array int)) "clean job after" (Array.make 32 1)
+                  hits))
+          [ 1; 2; 4 ]);
+    Alcotest.test_case "2,000 back-to-back small jobs run every task once"
+      `Quick (fun () ->
+        (* with fewer tasks than domains, some helpers find no work and
+           must still count down the job before the next one starts *)
+        let sizes = [| 1; 2; 3; 7 |] in
+        Pool.with_pool ~domains:4 (fun pool ->
+            for job = 0 to 1999 do
+              let n = sizes.(job mod Array.length sizes) in
+              let hits = Array.make n 0 in
+              Pool.run pool ~n (fun i -> hits.(i) <- hits.(i) + 1);
+              if Array.exists (fun h -> h <> 1) hits then
+                Alcotest.failf "job %d (%d tasks): %s" job n
+                  (String.concat " " (Array.to_list (Array.map string_of_int hits)))
+            done));
   ]
 
 let suites =

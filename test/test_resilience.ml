@@ -1,6 +1,6 @@
 (* Tests for the resilience layer: the stc-journal-1 write-ahead format,
-   kill/resume bit-identical compaction, the retry policy, degraded-mode
-   serving, and supervised pool deadlines. *)
+   kill/resume bit-identical compaction, the retry policy and
+   degraded-mode serving. *)
 
 module Spec = Stc.Spec
 module Device_data = Stc.Device_data
@@ -8,7 +8,6 @@ module Compaction = Stc.Compaction
 module Guard_band = Stc.Guard_band
 module Journal = Stc.Journal
 module Order = Stc.Order
-module Pool = Stc_process.Pool
 module Flow_io = Stc_floor.Flow_io
 module Floor = Stc_floor.Floor
 module Retry = Stc_floor.Retry
@@ -616,90 +615,10 @@ let floor_tests =
                      (population 43 2)))));
   ]
 
-(* --------------------------- pool deadlines ----------------------- *)
-
-let pool_tests =
-  [
-    Alcotest.test_case "deadline contract, 1 domain" `Slow (fun () ->
-        check_fault (Faults.check_pool_deadline ~domains:1));
-    Alcotest.test_case "deadline contract, 4 domains" `Slow (fun () ->
-        check_fault (Faults.check_pool_deadline ~domains:4));
-    Alcotest.test_case "in-time supervised run raises task errors" `Quick
-      (fun () ->
-        Pool.with_pool ~domains:2 (fun pool ->
-            (match
-               Pool.run ~deadline_s:30.0 pool ~n:16 (fun i ->
-                   if i = 5 then failwith "task boom")
-             with
-             | exception Failure m ->
-               Alcotest.(check string) "the task's error" "task boom" m
-             | () -> Alcotest.fail "task error swallowed");
-            (* and the error slot is clean afterwards *)
-            Pool.run ~deadline_s:30.0 pool ~n:8 ignore));
-    Alcotest.test_case "deadline_s must be positive" `Quick (fun () ->
-        Pool.with_pool ~domains:1 (fun pool ->
-            Alcotest.check_raises "invalid"
-              (Invalid_argument "Pool.run: deadline_s must be positive")
-              (fun () -> Pool.run ~deadline_s:0.0 pool ~n:1 ignore)));
-    Alcotest.test_case "heartbeats are fresh after a run" `Quick (fun () ->
-        Pool.with_pool ~domains:3 (fun pool ->
-            Pool.run pool ~n:64 ignore;
-            let ages = Pool.heartbeat_ages pool in
-            Alcotest.(check int) "one per helper" 2 (Array.length ages);
-            Array.iter
-              (fun age ->
-                Alcotest.(check bool) "recent" true (age >= 0.0 && age < 10.0))
-              ages));
-    Alcotest.test_case "timeout with parked helpers does not brick the pool"
-      `Slow (fun () ->
-        (* regression: with fewer tasks than domains, some helpers are
-           still parked (or mid-spawn) when the deadline clears the job
-           slot; they must wait for the next submission, not die on the
-           empty slot and leave every later job's pending count short *)
-        Pool.with_pool ~domains:4 (fun pool ->
-            for round = 1 to 4 do
-              (* a genuine stall: the claiming workers are zombied at the
-                 end of the grace pass and replacements spawned *)
-              (match
-                 Pool.run ~deadline_s:0.02 pool ~n:2 (fun _ ->
-                     Unix.sleepf 0.3)
-               with
-              | exception Pool.Timeout -> ()
-              | () ->
-                Alcotest.failf "round %d: stalled job beat the deadline" round);
-              (* immediately fire deadlines so short they clear the job
-                 slot while the replacements are still booting and the
-                 surviving helpers are still parked (a run fast enough
-                 to finish anyway is also legal) *)
-              for _ = 1 to 5 do
-                match Pool.run ~deadline_s:1e-6 pool ~n:4 (fun _ -> ()) with
-                | exception Pool.Timeout -> ()
-                | () -> ()
-              done
-            done;
-            let acc = Atomic.make 0 in
-            match
-              Pool.run ~deadline_s:30.0 pool ~n:100 (fun i ->
-                  ignore (Atomic.fetch_and_add acc i))
-            with
-            | exception e ->
-              Alcotest.failf "pool bricked after timeouts: %s"
-                (Printexc.to_string e)
-            | () ->
-              Alcotest.(check int) "no work lost" (99 * 100 / 2)
-                (Atomic.get acc)));
-    Alcotest.test_case "stats start clean" `Quick (fun () ->
-        Pool.with_pool ~domains:2 (fun pool ->
-            let s = Pool.stats pool in
-            Alcotest.(check int) "timeouts" 0 s.Pool.timeouts;
-            Alcotest.(check int) "respawned" 0 s.Pool.respawned));
-  ]
-
 let suites =
   [
     ("resilience: journal format", format_tests @ qcheck_tests);
     ("resilience: kill/resume", resume_tests @ qcheck_resume_tests);
     ("resilience: retry policy", retry_tests);
     ("resilience: degraded floor", floor_tests);
-    ("resilience: pool deadlines", pool_tests);
   ]
