@@ -51,8 +51,10 @@ qa:
 # storage equivalence (svm_equiv.*), enrichment and Monte-Carlo
 # determinism at any domain count (process.enrich, process.parallel),
 # the learner zoo and its promotion gate (learner.*), the simulator's
-# spec-vector pins (circuit.pins), the paper-golden smoke tier, the QA
-# oracles and fault checks (qa.properties, qa.faults, qa.pool, and
+# spec-vector pins and one-instance allocation budget (circuit.pins),
+# the paper-golden smoke tier, the QA oracles (among them the
+# split-array complex solve against the boxed one) and fault checks
+# (qa.properties, qa.faults, qa.pool, and
 # net faults: the server under attack), bit-identical flows across a
 # journal kill and resume (resilience: kill/resume), and no
 # acknowledged device dropped by a degraded floor or a draining server

@@ -2,7 +2,7 @@
    two-stage op-amp through its six test benches, then compact the
    eleven Table 1 specification tests.
 
-   Sized down (300 + 150 instances, ~25 s of MNA simulation); the bench
+   Sized down (300 + 150 instances, about 2 s on two cores); the bench
    harness (bench/main.exe) runs the larger version.
 
      dune exec examples/opamp_compaction.exe *)

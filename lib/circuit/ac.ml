@@ -2,18 +2,21 @@ module Cmat = Stc_numerics.Cmat
 
 type point = { freq : float; solution : Complex.t array }
 
-let solve_at g c b freq =
-  let omega = 2.0 *. Float.pi *. freq in
-  let a = Cmat.combine g c omega in
-  Cmat.solve a b
+let m_points = Stc_obs.Registry.counter "stc_ac_points_total"
+
+let solve_at g c b freq = Cmat.solve g c ~omega:(2.0 *. Float.pi *. freq) b
 
 let sweep sys ~op ~freqs =
   let g, c, b = Mna.ac_matrices sys ~op in
-  Array.map (fun freq -> { freq; solution = solve_at g c b freq }) freqs
+  let points = Array.map (fun freq -> { freq; solution = solve_at g c b freq }) freqs in
+  Stc_obs.Registry.Counter.add m_points (Array.length freqs);
+  points
 
 let solve_one sys ~op ~freq =
   let g, c, b = Mna.ac_matrices sys ~op in
-  solve_at g c b freq
+  let x = solve_at g c b freq in
+  Stc_obs.Registry.Counter.incr m_points;
+  x
 
 let node_response sys points node =
   let idx = Mna.node_index sys node in

@@ -7,7 +7,8 @@ type point = {
 
 val sweep :
   Mna.t -> op:Stc_numerics.Vec.t -> freqs:float array -> point array
-(** Solves [(G + jωC) x = b] at each frequency. *)
+(** Solves [(G + jωC) x = b] at each frequency, and adds the number of
+    frequencies to [stc_ac_points_total]. *)
 
 val node_response : Mna.t -> point array -> Netlist.node -> (float * Complex.t) array
 (** Extracts the phasor at a node across the sweep as (freq, phasor). *)
@@ -19,4 +20,4 @@ val db : Complex.t -> float
 val phase_deg : Complex.t -> float
 
 val solve_one : Mna.t -> op:Stc_numerics.Vec.t -> freq:float -> Complex.t array
-(** Single-frequency convenience. *)
+(** Single-frequency convenience; adds one to [stc_ac_points_total]. *)

@@ -13,17 +13,25 @@ let default_options = { max_iter = 150; tol = 1e-9; gmin = 1e-12; max_step = 0.5
 
 exception No_convergence of string
 
+let m_iterations = Stc_obs.Registry.counter "stc_newton_iterations_total"
+
 type workspace = {
   g : Mat.t;          (* stamped, then factored in place *)
   b : Vec.t;
   perm : int array;
   x_new : Vec.t;      (* the linear step's solution *)
+  mos : Mosfet.op;    (* each MOSFET's operating point, while stamping *)
+  mutable iterations : int;  (* Newton iterations not yet counted *)
 }
 
 let workspace sys =
   let n = Mna.size sys in
   { g = Mat.create n n 0.0; b = Vec.create n 0.0; perm = Array.make n 0;
-    x_new = Vec.create n 0.0 }
+    x_new = Vec.create n 0.0; mos = Mosfet.op (); iterations = 0 }
+
+let count_iterations ws =
+  Stc_obs.Registry.Counter.add m_iterations ws.iterations;
+  ws.iterations <- 0
 
 let no_companions _ _ = ()
 
@@ -36,7 +44,8 @@ let newton ?(companions = no_companions) opts sys ws ~time ~gmin ~source_scale
   let rec iterate k =
     if k >= opts.max_iter then None
     else begin
-      Mna.stamp sys ~g:ws.g ~b:ws.b ~x ~time ~gmin ~source_scale ~inductors;
+      ws.iterations <- ws.iterations + 1;
+      Mna.stamp sys ~g:ws.g ~b:ws.b ~x ~mos:ws.mos ~time ~gmin ~source_scale ~inductors;
       companions ws.g ws.b;
       match Lu.factor_in_place ws.g ws.perm with
       | exception Lu.Singular _ -> None
@@ -75,6 +84,7 @@ let solve_at ?(options = default_options) ?x0 ~time sys =
   let newton ~gmin ~source_scale ~x0 =
     newton options sys ws ~time ~gmin ~source_scale ~inductors:Mna.Short ~x0
   in
+  Fun.protect ~finally:(fun () -> count_iterations ws) @@ fun () ->
   match newton ~gmin:options.gmin ~source_scale:1.0 ~x0 with
   | Some x -> x
   | None ->

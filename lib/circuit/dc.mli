@@ -20,6 +20,12 @@ type workspace
 
 val workspace : Mna.t -> workspace
 
+val count_iterations : workspace -> unit
+(** Adds the Newton iterations run on the workspace since the last call
+    to [stc_newton_iterations_total]. An analysis calls it once, when it
+    ends, so that domains do not contend on the counter per iteration;
+    {!solve_at} does so itself. *)
+
 val newton :
   ?companions:(Stc_numerics.Mat.t -> Stc_numerics.Vec.t -> unit) ->
   options ->
@@ -35,14 +41,16 @@ val newton :
     each iteration stamps the system with {!Mna.stamp}, lets
     [companions] add to the stamped matrix and right-hand side (the
     transient engine's capacitor companions; nothing by default),
-    factors in place and clamps the update to [max_step]. Returns a
-    fresh solution, or [None] on a singular matrix, a non-finite
-    iterate or [max_iter] iterations without convergence. *)
+    factors in place and clamps the update to [max_step]. The workspace
+    tallies each iteration for {!count_iterations}. Returns a fresh
+    solution, or [None] on a singular matrix, a non-finite iterate or
+    [max_iter] iterations without convergence. *)
 
 val solve : ?options:options -> ?x0:Stc_numerics.Vec.t -> Mna.t ->
   Stc_numerics.Vec.t
 (** Operating point at [time = 0]. Tries plain Newton from [x0] (zeros
-    by default), then gmin stepping, then source stepping. Raises
+    by default), then gmin stepping, then source stepping, and adds
+    every iteration to [stc_newton_iterations_total]. Raises
     [No_convergence] if all fail. *)
 
 val solve_at : ?options:options -> ?x0:Stc_numerics.Vec.t -> time:float ->

@@ -202,7 +202,7 @@ let[@inline] stamp_branch g n p q br =
   gadd g n br p 1.0;
   gadd g n br q (-1.0)
 
-let stamp t ~g ~b ~x ~time ~gmin ~source_scale ~inductors =
+let stamp t ~g ~b ~x ~mos ~time ~gmin ~source_scale ~inductors =
   let n = t.size in
   if g.Mat.rows <> n || g.Mat.cols <> n || Array.length b <> n || Array.length x <> n
   then invalid_arg "Mna.stamp: dimension mismatch";
@@ -236,13 +236,13 @@ let stamp t ~g ~b ~x ~time ~gmin ~source_scale ~inductors =
       let vd = if d >= 0 then x.(d) else 0.0 in
       let vg = if gate >= 0 then x.(gate) else 0.0 in
       let vs = if s >= 0 then x.(s) else 0.0 in
-      let op = Mosfet.evaluate model ~w ~l ~vgs:(vg -. vs) ~vds:(vd -. vs) in
+      mos.Mosfet.vgs <- vg -. vs;
+      mos.Mosfet.vds <- vd -. vs;
+      Mosfet.linearise model ~w ~l mos;
       (* linearised drain current: i = ids0 + gm*(vgs - vgs0) + gds*(vds - vds0) *)
-      let ieq = op.Mosfet.ids -. (op.Mosfet.gm *. op.Mosfet.vgs)
-                -. (op.Mosfet.gds *. op.Mosfet.vds)
-      in
-      stamp_vccs g n d s gate s op.Mosfet.gm;
-      stamp_conductance g n d s op.Mosfet.gds;
+      let ieq = mos.ids -. (mos.gm *. mos.vgs) -. (mos.gds *. mos.vds) in
+      stamp_vccs g n d s gate s mos.gm;
+      stamp_conductance g n d s mos.gds;
       badd b d (-.ieq);
       badd b s ieq
   done;
@@ -257,6 +257,6 @@ let ac_matrices t ~op =
   (* the resistive small-signal part is the DC stamp with sources off;
      inductors are shorted there and get their -L term in C *)
   let g = Mat.create n n 0.0 in
-  stamp t ~g ~b:(Vec.create n 0.0) ~x:op ~time:0.0 ~gmin:1e-12 ~source_scale:0.0
-    ~inductors:Short;
+  stamp t ~g ~b:(Vec.create n 0.0) ~x:op ~mos:(Mosfet.op ()) ~time:0.0 ~gmin:1e-12
+    ~source_scale:0.0 ~inductors:Short;
   (g, Mat.copy t.ac_c, Array.copy t.ac_b)

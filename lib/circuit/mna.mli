@@ -57,6 +57,7 @@ val stamp :
   g:Stc_numerics.Mat.t ->
   b:Stc_numerics.Vec.t ->
   x:Stc_numerics.Vec.t ->
+  mos:Mosfet.op ->
   time:float ->
   gmin:float ->
   source_scale:float ->
@@ -67,9 +68,10 @@ val stamp :
     candidate solution [x]: conductances, linearised MOSFET companion
     models, independent sources evaluated at [time] and scaled by
     [source_scale] (for source-stepping homotopy), and a [gmin] leak
-    from every node to ground. Stamps accumulate in element order, so
-    the result is the same bit for bit on every call. Raises
-    [Invalid_argument] on a dimension mismatch. *)
+    from every node to ground. Each MOSFET is linearised in the caller's
+    scratch [mos], so the MOSFETs allocate nothing. Stamps
+    accumulate in element order, so the result is the same bit for bit
+    on every call. Raises [Invalid_argument] on a dimension mismatch. *)
 
 val ac_matrices :
   t -> op:Stc_numerics.Vec.t ->

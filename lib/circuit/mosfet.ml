@@ -33,50 +33,52 @@ let default_pmos =
   }
 
 type op = {
-  ids : float;
-  gm : float;
-  gds : float;
-  vgs : float;
-  vds : float;
-  region : [ `Cutoff | `Triode | `Saturation ];
+  mutable vgs : float;
+  mutable vds : float;
+  mutable ids : float;
+  mutable gm : float;
+  mutable gds : float;
 }
 
-(* Evaluate the NMOS equations on (possibly mirrored) voltages; a small
-   subthreshold conductance keeps the Jacobian nonsingular in cutoff. *)
-let eval_nmos p ~beta ~vgs ~vds =
+let op () = { vgs = 0.0; vds = 0.0; ids = 0.0; gm = 0.0; gds = 0.0 }
+
+(* The NMOS equations on (possibly mirrored) voltages; a small
+   subthreshold conductance keeps the Jacobian nonsingular in cutoff.
+   Inlined, so that its float arguments are never boxed. *)
+let[@inline] square_law p ~beta ~vgs ~vds op =
   let vov = vgs -. p.vt0 in
-  if vov <= 0.0 then
+  if vov <= 0.0 then begin
     let gleak = 1e-12 in
-    { ids = gleak *. vds; gm = 0.0; gds = gleak; vgs; vds; region = `Cutoff }
+    op.ids <- gleak *. vds;
+    op.gm <- 0.0;
+    op.gds <- gleak
+  end
   else if vds < vov then begin
     (* triode *)
     let clm = 1.0 +. (p.lambda *. vds) in
-    let ids = beta *. ((vov *. vds) -. (0.5 *. vds *. vds)) *. clm in
-    let gm = beta *. vds *. clm in
-    let gds =
+    op.ids <- beta *. ((vov *. vds) -. (0.5 *. vds *. vds)) *. clm;
+    op.gm <- beta *. vds *. clm;
+    op.gds <-
       (beta *. (vov -. vds) *. clm)
       +. (beta *. ((vov *. vds) -. (0.5 *. vds *. vds)) *. p.lambda)
-    in
-    { ids; gm; gds; vgs; vds; region = `Triode }
   end
   else begin
     (* saturation *)
     let clm = 1.0 +. (p.lambda *. vds) in
-    let ids = 0.5 *. beta *. vov *. vov *. clm in
-    let gm = beta *. vov *. clm in
-    let gds = 0.5 *. beta *. vov *. vov *. p.lambda in
-    { ids; gm; gds; vgs; vds; region = `Saturation }
+    op.ids <- 0.5 *. beta *. vov *. vov *. clm;
+    op.gm <- beta *. vov *. clm;
+    op.gds <- 0.5 *. beta *. vov *. vov *. p.lambda
   end
 
-let evaluate p ~w ~l ~vgs ~vds =
+let linearise p ~w ~l op =
   assert (w > 0.0 && l > 0.0);
   let beta = p.kp *. w /. l in
   match p.kind with
-  | Nmos -> eval_nmos p ~beta ~vgs ~vds
+  | Nmos -> square_law p ~beta ~vgs:op.vgs ~vds:op.vds op
   | Pmos ->
     (* mirror voltages, evaluate as NMOS, mirror the current back *)
-    let op = eval_nmos p ~beta ~vgs:(-.vgs) ~vds:(-.vds) in
-    { op with ids = -.op.ids; vgs; vds }
+    square_law p ~beta ~vgs:(-.op.vgs) ~vds:(-.op.vds) op;
+    op.ids <- -.op.ids
 
 let cgs p ~w ~l = ((2.0 /. 3.0) *. w *. l *. p.cox) +. (p.cov *. w)
 

@@ -22,19 +22,27 @@ val default_pmos : params
 (** Representative 0.5 µm-era parameters. *)
 
 type op = {
-  ids : float;  (** drain current, drain→source for NMOS convention *)
-  gm : float;   (** ∂Id/∂Vgs at the operating point *)
-  gds : float;  (** ∂Id/∂Vds *)
-  vgs : float;
-  vds : float;
-  region : [ `Cutoff | `Triode | `Saturation ];
+  mutable vgs : float;  (** gate–source voltage, set by the caller *)
+  mutable vds : float;  (** drain–source voltage, set by the caller *)
+  mutable ids : float;  (** drain current, drain→source for NMOS convention *)
+  mutable gm : float;   (** ∂Id/∂Vgs at the operating point *)
+  mutable gds : float;  (** ∂Id/∂Vds *)
 }
+(** A device's operating point: its bias and its linearisation there.
+    All fields are floats, so the record holds them unboxed and
+    {!linearise} writes them without allocating. *)
 
-val evaluate : params -> w:float -> l:float -> vgs:float -> vds:float -> op
-(** Evaluates the device. For PMOS pass terminal voltages as-is
-    (vgs, vds negative in normal operation); the model internally
-    mirrors them. Currents returned follow the NMOS sign convention
-    mirrored back, i.e. [ids] is the current flowing drain→source. *)
+val op : unit -> op
+(** Fresh scratch storage, all zero. *)
+
+val linearise : params -> w:float -> l:float -> op -> unit
+(** [linearise p ~w ~l op] evaluates the square law at [op.vgs] and
+    [op.vds] and writes [ids], [gm] and [gds]: cutoff (a 1e-12 S leak),
+    triode or saturation. For PMOS set terminal voltages as-is (vgs,
+    vds negative in normal operation); the model mirrors them, and
+    [ids] is still the current flowing drain→source. It allocates
+    nothing: {!Mna.stamp} calls it for every device on every Newton
+    iteration. *)
 
 val cgs : params -> w:float -> l:float -> float
 (** Gate–source capacitance (2/3 W L Cox + overlap). *)

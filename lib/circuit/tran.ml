@@ -133,10 +133,12 @@ let run sys ~tstop ~dt =
   (* the points accepted since the last breakpoint, newest first, at
      most three *)
   let history = ref [] in
+  let predicted = Vec.create (Mna.size sys) 0.0 in
   let h = ref h_start and rejected = ref 0 in
   let count () =
     Stc_obs.Registry.Counter.add m_steps (List.length !times - 1);
-    Stc_obs.Registry.Counter.add m_rejected !rejected
+    Stc_obs.Registry.Counter.add m_rejected !rejected;
+    Dc.count_iterations ws
   in
   let rec advance = function
     | [] -> ()
@@ -152,10 +154,22 @@ let run sys ~tstop ~dt =
       in
       let target = if step = remaining then stop else t +. step in
       prepare step cs;
+      (* Newton starts on the line through the last two points accepted
+         since the breakpoint; with fewer, from the last accepted point *)
+      let start =
+        match !history with
+        | (t1, x1) :: (t0, x0) :: _ ->
+          let s = (target -. t1) /. (t1 -. t0) in
+          for i = 0 to Vec.dim x1 - 1 do
+            predicted.(i) <- x1.(i) +. (s *. (x1.(i) -. x0.(i)))
+          done;
+          predicted
+        | [ _ ] | [] -> x
+      in
       match
         Dc.newton ~companions:(stamp_companions cs) nopts sys ws ~time:target
           ~gmin:nopts.gmin ~source_scale:1.0
-          ~inductors:(Mna.Companion { h = step; prev = x }) ~x0:x
+          ~inductors:(Mna.Companion { h = step; prev = x }) ~x0:start
       with
       | None ->
         incr rejected;

@@ -21,7 +21,12 @@
       [tstop], and when one is less than two steps away it halves the
       distance, so no sliver step is left before it;
     - a step whose Newton solve fails is divided by 8, down to
-      [1e-4·dt].
+      [1e-4·dt];
+    - each Newton solve starts from the line through the last two
+      points accepted since the last breakpoint, extrapolated to the
+      new time (from the last accepted point when there are fewer than
+      two); the start changes how many iterations Newton takes, not
+      the tolerance its answer must meet.
 
     The tolerances are constants, [reltol = 1e-7] and [abstol = 1e-9] V,
     chosen by measurement: on the op-amp step responses they keep the
@@ -44,7 +49,9 @@ val run : Mna.t -> tstop:float -> dt:float -> result
     [1e-4·dt]. Every source breakpoint in [(0, tstop)] is a sample
     (breakpoints closer than [1e-4·dt] are merged), and the last time
     is exactly [tstop]. Adds the run's accepted and rejected step
-    counts to [stc_tran_steps_total] and [stc_tran_rejected_steps_total].
+    counts to [stc_tran_steps_total] and [stc_tran_rejected_steps_total]
+    and its Newton iterations to [stc_newton_iterations_total], once,
+    when it ends.
     Raises [Invalid_argument] unless [tstop] and [dt] are positive. *)
 
 val node_waveform : Mna.t -> result -> Netlist.node -> (float * float) array

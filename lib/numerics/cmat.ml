@@ -1,90 +1,97 @@
-type t = { rows : int; cols : int; data : Complex.t array }
-
 exception Singular of int
 
-let create rows cols x =
-  if rows < 0 || cols < 0 then invalid_arg "Cmat.create: negative dimension";
-  { rows; cols; data = Array.make (rows * cols) x }
+(* [x / y] by Complex.div's scaled formula (the branch on |re| >= |im|),
+   written to [re.(k)] and [im.(k)]. *)
+let[@inline] div_into re im k xr xi yr yi =
+  if Float.abs yr >= Float.abs yi then begin
+    let r = yi /. yr in
+    let d = yr +. (r *. yi) in
+    re.(k) <- (xr +. (r *. xi)) /. d;
+    im.(k) <- (xi -. (r *. xr)) /. d
+  end
+  else begin
+    let r = yr /. yi in
+    let d = yi +. (r *. yr) in
+    re.(k) <- ((r *. xr) +. xi) /. d;
+    im.(k) <- ((r *. xi) -. xr) /. d
+  end
 
-let init rows cols f =
-  let m = create rows cols Complex.zero in
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      m.data.((i * cols) + j) <- f i j
-    done
+(* Gaussian elimination with partial pivoting by modulus on split real
+   and imaginary parts. Every step is the Complex.t arithmetic of a
+   boxed elimination (Complex.sub, Complex.mul, Complex.div, and
+   Complex.norm = Float.hypot) with the operations in the same order, so
+   the solution is the same bit for bit; only the boxes are gone. *)
+let solve g c ~omega b =
+  let n = g.Mat.rows in
+  if g.Mat.cols <> n then invalid_arg "Cmat.solve: matrix not square";
+  if c.Mat.rows <> n || c.Mat.cols <> n then invalid_arg "Cmat.solve: dimension mismatch";
+  if Array.length b <> n then invalid_arg "Cmat.solve: rhs dimension mismatch";
+  let re = Array.copy g.Mat.data in
+  let im = Array.make (n * n) 0.0 in
+  for k = 0 to (n * n) - 1 do
+    im.(k) <- omega *. c.Mat.data.(k)
   done;
-  m
-
-let copy m = { m with data = Array.copy m.data }
-
-let get m i j =
-  assert (i >= 0 && i < m.rows && j >= 0 && j < m.cols);
-  m.data.((i * m.cols) + j)
-
-let set m i j x =
-  assert (i >= 0 && i < m.rows && j >= 0 && j < m.cols);
-  m.data.((i * m.cols) + j) <- x
-
-let add_to m i j x =
-  let k = (i * m.cols) + j in
-  m.data.(k) <- Complex.add m.data.(k) x
-
-let combine g c omega =
-  let rows, cols = Mat.dims g in
-  let rc, cc = Mat.dims c in
-  if rc <> rows || cc <> cols then invalid_arg "Cmat.combine: dimension mismatch";
-  init rows cols (fun i j ->
-      { Complex.re = Mat.get g i j; im = omega *. Mat.get c i j })
-
-let mul_vec m x =
-  if m.cols <> Array.length x then invalid_arg "Cmat.mul_vec: dimension mismatch";
-  Array.init m.rows (fun i ->
-      let acc = ref Complex.zero in
-      for j = 0 to m.cols - 1 do
-        acc := Complex.add !acc (Complex.mul m.data.((i * m.cols) + j) x.(j))
-      done;
-      !acc)
-
-(* In-place Gaussian elimination on copies; partial pivoting by modulus. *)
-let solve a b0 =
-  let n = a.rows in
-  if a.cols <> n then invalid_arg "Cmat.solve: matrix not square";
-  if Array.length b0 <> n then invalid_arg "Cmat.solve: rhs dimension mismatch";
-  let m = copy a in
-  let b = Array.copy b0 in
+  let br = Array.make n 0.0 and bi = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    br.(i) <- b.(i).Complex.re;
+    bi.(i) <- b.(i).Complex.im
+  done;
   for k = 0 to n - 1 do
-    let pivot = ref k in
+    let rk = k * n in
+    let pivot = ref k and best = ref (Float.hypot re.(rk + k) im.(rk + k)) in
     for i = k + 1 to n - 1 do
-      if Complex.norm (get m i k) > Complex.norm (get m !pivot k) then pivot := i
+      let v = Float.hypot re.((i * n) + k) im.((i * n) + k) in
+      if v > !best then begin
+        pivot := i;
+        best := v
+      end
     done;
-    if Complex.norm (get m !pivot k) < 1e-300 then raise (Singular k);
-    if !pivot <> k then begin
+    if !best < 1e-300 then raise (Singular k);
+    let p = !pivot in
+    if p <> k then begin
+      let rp = p * n in
       for j = k to n - 1 do
-        let t = get m k j in
-        set m k j (get m !pivot j);
-        set m !pivot j t
+        let tr = re.(rk + j) and ti = im.(rk + j) in
+        re.(rk + j) <- re.(rp + j);
+        im.(rk + j) <- im.(rp + j);
+        re.(rp + j) <- tr;
+        im.(rp + j) <- ti
       done;
-      let t = b.(k) in
-      b.(k) <- b.(!pivot);
-      b.(!pivot) <- t
+      let tr = br.(k) and ti = bi.(k) in
+      br.(k) <- br.(p);
+      bi.(k) <- bi.(p);
+      br.(p) <- tr;
+      bi.(p) <- ti
     end;
-    let pk = get m k k in
+    let pr = re.(rk + k) and pi = im.(rk + k) in
     for i = k + 1 to n - 1 do
-      let f = Complex.div (get m i k) pk in
-      if f <> Complex.zero then begin
-        for j = k to n - 1 do
-          set m i j (Complex.sub (get m i j) (Complex.mul f (get m k j)))
+      let ri = i * n in
+      (* the multiplier takes the eliminated entry's slot, which nothing
+         reads again *)
+      div_into re im (ri + k) re.(ri + k) im.(ri + k) pr pi;
+      let fr = re.(ri + k) and fi = im.(ri + k) in
+      if not (fr = 0.0 && fi = 0.0) then begin
+        for j = k + 1 to n - 1 do
+          let ur = re.(rk + j) and ui = im.(rk + j) in
+          re.(ri + j) <- re.(ri + j) -. ((fr *. ur) -. (fi *. ui));
+          im.(ri + j) <- im.(ri + j) -. ((fr *. ui) +. (fi *. ur))
         done;
-        b.(i) <- Complex.sub b.(i) (Complex.mul f b.(k))
+        let ur = br.(k) and ui = bi.(k) in
+        br.(i) <- br.(i) -. ((fr *. ur) -. (fi *. ui));
+        bi.(i) <- bi.(i) -. ((fr *. ui) +. (fi *. ur))
       end
     done
   done;
-  let x = Array.make n Complex.zero in
+  let xr = Array.make n 0.0 and xi = Array.make n 0.0 in
   for i = n - 1 downto 0 do
-    let acc = ref b.(i) in
+    let ri = i * n in
+    let ar = ref br.(i) and ai = ref bi.(i) in
     for j = i + 1 to n - 1 do
-      acc := Complex.sub !acc (Complex.mul (get m i j) x.(j))
+      let mr = re.(ri + j) and mi = im.(ri + j) in
+      let yr = xr.(j) and yi = xi.(j) in
+      ar := !ar -. ((mr *. yr) -. (mi *. yi));
+      ai := !ai -. ((mr *. yi) +. (mi *. yr))
     done;
-    x.(i) <- Complex.div !acc (get m i i)
+    div_into xr xi i !ar !ai re.(ri + i) im.(ri + i)
   done;
-  x
+  Array.init n (fun i -> { Complex.re = xr.(i); im = xi.(i) })

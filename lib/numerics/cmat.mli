@@ -1,30 +1,17 @@
-(** Complex dense matrices and a complex LU solver, used by the AC
-    (small-signal frequency-domain) analysis where the MNA system is
+(** The complex linear solver behind the AC (small-signal
+    frequency-domain) analysis, where the MNA system is
     [(G + jωC) x = b]. *)
 
-type t = {
-  rows : int;
-  cols : int;
-  data : Complex.t array;  (** row-major *)
-}
-
-val create : int -> int -> Complex.t -> t
-val init : int -> int -> (int -> int -> Complex.t) -> t
-val copy : t -> t
-
-val get : t -> int -> int -> Complex.t
-val set : t -> int -> int -> Complex.t -> unit
-val add_to : t -> int -> int -> Complex.t -> unit
-
-val combine : Mat.t -> Mat.t -> float -> t
-(** [combine g c omega] is the complex matrix [G + jωC]; [g] and [c]
-    must have identical dimensions. *)
-
-val mul_vec : t -> Complex.t array -> Complex.t array
-
 exception Singular of int
+(** Raised when pivot column [i] has no usable pivot. *)
 
-val solve : t -> Complex.t array -> Complex.t array
-(** Gaussian elimination with partial pivoting (by modulus). Raises
-    [Singular] on a numerically singular system. The inputs are not
-    modified. *)
+val solve :
+  Mat.t -> Mat.t -> omega:float -> Complex.t array -> Complex.t array
+(** [solve g c ~omega b] solves [(g + jωc) x = b] by Gaussian
+    elimination with partial pivoting by modulus, on split real and
+    imaginary float arrays. Each step uses the operations of
+    [Complex.sub], [Complex.mul], [Complex.div] and [Complex.norm], in
+    the order a [Complex.t] elimination would, so [x] is the same bit
+    for bit as that elimination's. Raises [Singular] on a numerically
+    singular system and [Invalid_argument] on a dimension mismatch.
+    The inputs are not modified. *)

@@ -7,10 +7,14 @@ type t = {
 }
 
 (* Doolittle LU with partial pivoting, in place: entries below the
-   diagonal become L, the diagonal and above become U. *)
+   diagonal become L, the diagonal and above become U. An exact zero in
+   the pivot row is skipped in the update: it would subtract a zero
+   product, which changes nothing unless the entry is -0.0. MNA matrices
+   never hold one: they are stamped by adding to +0.0, and eliminating
+   entries that are not -0.0 cannot produce one. *)
 let factor_in_place a perm =
-  let n, m = Mat.dims a in
-  if n <> m then invalid_arg "Lu.factor: matrix not square";
+  let n = a.Mat.rows in
+  if a.Mat.cols <> n then invalid_arg "Lu.factor: matrix not square";
   if Array.length perm <> n then invalid_arg "Lu.factor: permutation length mismatch";
   let d = a.Mat.data in
   for i = 0 to n - 1 do
@@ -18,38 +22,46 @@ let factor_in_place a perm =
   done;
   let sign = ref 1.0 in
   for k = 0 to n - 1 do
-    (* pivot search in column k *)
-    let pivot = ref k in
+    let rk = k * n in
+    (* pivot search in column k, keeping the best modulus so far *)
+    let pivot = ref k and best = ref (Float.abs d.(rk + k)) in
     for i = k + 1 to n - 1 do
-      if Float.abs d.((i * n) + k) > Float.abs d.((!pivot * n) + k) then pivot := i
+      let v = Float.abs d.((i * n) + k) in
+      if v > !best then begin
+        pivot := i;
+        best := v
+      end
     done;
+    if !best < 1e-300 then raise (Singular k);
     let p = !pivot in
-    if Float.abs d.((p * n) + k) < 1e-300 then raise (Singular k);
     if p <> k then begin
+      let rp = p * n in
       for j = 0 to n - 1 do
-        let t = d.((k * n) + j) in
-        d.((k * n) + j) <- d.((p * n) + j);
-        d.((p * n) + j) <- t
+        let t = d.(rk + j) in
+        d.(rk + j) <- d.(rp + j);
+        d.(rp + j) <- t
       done;
       let t = perm.(k) in
       perm.(k) <- perm.(p);
       perm.(p) <- t;
       sign := -. !sign
     end;
-    let pk = d.((k * n) + k) in
+    let pk = d.(rk + k) in
     for i = k + 1 to n - 1 do
-      let lik = d.((i * n) + k) /. pk in
-      d.((i * n) + k) <- lik;
+      let ri = i * n in
+      let lik = d.(ri + k) /. pk in
+      d.(ri + k) <- lik;
       if lik <> 0.0 then
         for j = k + 1 to n - 1 do
-          d.((i * n) + j) <- d.((i * n) + j) -. (lik *. d.((k * n) + j))
+          let ukj = d.(rk + j) in
+          if ukj <> 0.0 then d.(ri + j) <- d.(ri + j) -. (lik *. ukj)
         done
     done
   done;
   !sign
 
 let solve_into lu perm b x =
-  let n, _ = Mat.dims lu in
+  let n = lu.Mat.rows in
   if Array.length b <> n || Array.length x <> n || Array.length perm <> n then
     invalid_arg "Lu.solve: dimension mismatch";
   if x == b then invalid_arg "Lu.solve_into: solution must not alias the rhs";

@@ -42,7 +42,7 @@ let instance_rng ~seed ~index ~attempt =
 let resolve_domains = function
   | Some d when d >= 1 -> d
   | Some _ -> invalid_arg "Montecarlo: domains must be >= 1"
-  | None -> Stdlib.max 1 (Domain.recommended_domain_count () - 1)
+  | None -> Domain.recommended_domain_count ()
 
 let generate_parallel ?(max_failure_ratio = 0.5) ?domains ?draw ~seed device
     ~n =

@@ -34,7 +34,8 @@ val instance_rng : seed:int -> index:int -> attempt:int -> Stc_numerics.Rng.t
 val resolve_domains : int option -> int
 (** The domain count a generator runs on: [Some d] is [d] (raising
     [Invalid_argument] when [d < 1]); [None] is
-    [max 1 (Domain.recommended_domain_count () - 1)]. *)
+    [Domain.recommended_domain_count ()], every core, since the
+    submitting domain runs tasks too. *)
 
 val generate_parallel :
   ?max_failure_ratio:float ->

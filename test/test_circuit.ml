@@ -56,36 +56,46 @@ let wave_tests =
 
 (* ----------------------------- Mosfet ----------------------------- *)
 
+(* A 10/1 µm device linearised at one bias point. *)
+let linearise p ~vgs ~vds =
+  let op = Mosfet.op () in
+  op.Mosfet.vgs <- vgs;
+  op.Mosfet.vds <- vds;
+  Mosfet.linearise p ~w:10e-6 ~l:1e-6 op;
+  op
+
 let mosfet_tests =
   [
     Alcotest.test_case "cutoff leaks only" `Quick (fun () ->
-        let op = Mosfet.evaluate Mosfet.default_nmos ~w:10e-6 ~l:1e-6 ~vgs:0.0 ~vds:1.0 in
-        Alcotest.(check bool) "cutoff" true (op.Mosfet.region = `Cutoff);
+        let op = linearise Mosfet.default_nmos ~vgs:0.0 ~vds:1.0 in
+        check_close 0.0 "no transconductance" 0.0 op.Mosfet.gm;
+        check_close 0.0 "leak conductance" 1e-12 op.Mosfet.gds;
         Alcotest.(check bool) "tiny current" true (Float.abs op.Mosfet.ids < 1e-10));
     Alcotest.test_case "saturation square law" `Quick (fun () ->
         let p = { Mosfet.default_nmos with lambda = 0.0 } in
-        let op = Mosfet.evaluate p ~w:10e-6 ~l:1e-6 ~vgs:1.7 ~vds:2.0 in
-        Alcotest.(check bool) "sat" true (op.Mosfet.region = `Saturation);
+        let op = linearise p ~vgs:1.7 ~vds:2.0 in
         (* 0.5 * 110u * 10 * 1.0^2 *)
         check_close 1e-9 "ids" 550e-6 op.Mosfet.ids;
-        check_close 1e-9 "gm = beta*vov" 1.1e-3 op.Mosfet.gm);
+        check_close 1e-9 "gm = beta*vov" 1.1e-3 op.Mosfet.gm;
+        check_close 0.0 "no output conductance without CLM" 0.0 op.Mosfet.gds);
     Alcotest.test_case "triode conductance" `Quick (fun () ->
         let p = { Mosfet.default_nmos with lambda = 0.0 } in
-        let op = Mosfet.evaluate p ~w:10e-6 ~l:1e-6 ~vgs:1.7 ~vds:0.1 in
-        Alcotest.(check bool) "triode" true (op.Mosfet.region = `Triode));
+        let op = linearise p ~vgs:1.7 ~vds:0.1 in
+        (* beta = 1.1 mA/V^2, vov = 1 V: ids = beta (vov vds - vds^2/2) *)
+        check_close 1e-12 "ids" 1.045e-4 op.Mosfet.ids;
+        check_close 1e-12 "gm = beta*vds" 1.1e-4 op.Mosfet.gm;
+        check_close 1e-12 "gds = beta*(vov - vds)" 9.9e-4 op.Mosfet.gds);
     Alcotest.test_case "pmos mirrors nmos" `Quick (fun () ->
-        let opn = Mosfet.evaluate Mosfet.default_nmos ~w:10e-6 ~l:1e-6 ~vgs:1.5 ~vds:1.5 in
+        let opn = linearise Mosfet.default_nmos ~vgs:1.5 ~vds:1.5 in
         let p = { Mosfet.default_nmos with kind = Mosfet.Pmos } in
-        let opp = Mosfet.evaluate p ~w:10e-6 ~l:1e-6 ~vgs:(-1.5) ~vds:(-1.5) in
+        let opp = linearise p ~vgs:(-1.5) ~vds:(-1.5) in
         check_close 1e-12 "current mirrored" (-.opn.Mosfet.ids) opp.Mosfet.ids;
         check_close 1e-12 "gm preserved" opn.Mosfet.gm opp.Mosfet.gm);
     Alcotest.test_case "continuity at triode/sat edge" `Quick (fun () ->
         let p = Mosfet.default_nmos in
         let vov = 0.5 in
-        let below = Mosfet.evaluate p ~w:10e-6 ~l:1e-6 ~vgs:(p.Mosfet.vt0 +. vov)
-                      ~vds:(vov -. 1e-9) in
-        let above = Mosfet.evaluate p ~w:10e-6 ~l:1e-6 ~vgs:(p.Mosfet.vt0 +. vov)
-                      ~vds:(vov +. 1e-9) in
+        let below = linearise p ~vgs:(p.Mosfet.vt0 +. vov) ~vds:(vov -. 1e-9) in
+        let above = linearise p ~vgs:(p.Mosfet.vt0 +. vov) ~vds:(vov +. 1e-9) in
         check_close 1e-9 "ids continuous" below.Mosfet.ids above.Mosfet.ids);
     Alcotest.test_case "capacitances positive and scale with W" `Quick (fun () ->
         let p = Mosfet.default_nmos in
@@ -176,9 +186,7 @@ let dc_tests =
         Alcotest.(check bool) "above threshold" true (vgs > 0.7 && vgs < 1.5);
         (* KCL: resistor current equals device current per square law *)
         let ir = (5.0 -. vgs) /. 100e3 in
-        let op =
-          Mosfet.evaluate Mosfet.default_nmos ~w:10e-6 ~l:1e-6 ~vgs ~vds:vgs
-        in
+        let op = linearise Mosfet.default_nmos ~vgs ~vds:vgs in
         check_close 1e-8 "currents match" ir op.Mosfet.ids);
     Alcotest.test_case "netlist validation" `Quick (fun () ->
         let bad =

@@ -117,36 +117,55 @@ let complex_close msg a b =
   Alcotest.(check (float 1e-9)) (msg ^ ".re") a.Complex.re b.Complex.re;
   Alcotest.(check (float 1e-9)) (msg ^ ".im") a.Complex.im b.Complex.im
 
+(* (G + jωC) x over complex [x], for residuals. *)
+let complex_mul_vec g c omega x =
+  let n, _ = Mat.dims g in
+  Array.init n (fun i ->
+      let acc = ref Complex.zero in
+      for j = 0 to n - 1 do
+        let a = { Complex.re = Mat.get g i j; im = omega *. Mat.get c i j } in
+        acc := Complex.add !acc (Complex.mul a x.(j))
+      done;
+      !acc)
+
 let cmat_tests =
   [
     Alcotest.test_case "complex solve 2x2" `Quick (fun () ->
-        (* (1+j) x = 2 -> x = 1 - j *)
-        let a = Cmat.init 1 1 (fun _ _ -> { Complex.re = 1.0; im = 1.0 }) in
-        let x = Cmat.solve a [| { Complex.re = 2.0; im = 0.0 } |] in
-        complex_close "x" { Complex.re = 1.0; im = -1.0 } x.(0));
+        (* [[1+j, 2], [0, j]] x = [5+j, 2j]  ->  x = [1, 2]; the zero
+           below the diagonal needs no elimination *)
+        let g = Mat.of_rows [| [| 1.0; 2.0 |]; [| 0.0; 0.0 |] |] in
+        let c = Mat.of_rows [| [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |] in
+        let x =
+          Cmat.solve g c ~omega:1.0
+            [| { Complex.re = 5.0; im = 1.0 }; { Complex.re = 0.0; im = 2.0 } |]
+        in
+        complex_close "x0" Complex.one x.(0);
+        complex_close "x1" { Complex.re = 2.0; im = 0.0 } x.(1));
     Alcotest.test_case "combine embeds g + jwc" `Quick (fun () ->
+        (* (1 + j·3·2) x = 1 + 6j only for x = 1 *)
         let g = Mat.of_rows [| [| 1.0 |] |] and c = Mat.of_rows [| [| 2.0 |] |] in
-        let m = Cmat.combine g c 3.0 in
-        complex_close "entry" { Complex.re = 1.0; im = 6.0 } (Cmat.get m 0 0));
+        let x = Cmat.solve g c ~omega:3.0 [| { Complex.re = 1.0; im = 6.0 } |] in
+        complex_close "x" Complex.one x.(0));
     qtest
       (QCheck.Test.make ~name:"cmat residual" ~count:30
          QCheck.(int_range 0 100000)
          (fun seed ->
            let rng = Rng.create seed in
            let n = 2 + Rng.int rng 5 in
-           let a =
-             Cmat.init n n (fun i j ->
+           let omega = Rng.uniform rng 0.5 2.0 in
+           let g =
+             Mat.init n n (fun i j ->
                  let re = Rng.uniform rng (-1.0) 1.0 in
-                 let im = Rng.uniform rng (-1.0) 1.0 in
-                 if i = j then { Complex.re = re +. 8.0; im } else { Complex.re = re; im })
+                 if i = j then re +. 8.0 else re)
            in
+           let c = Mat.init n n (fun _ _ -> Rng.uniform rng (-1.0) 1.0) in
            let b =
              Array.init n (fun _ ->
                  { Complex.re = Rng.uniform rng (-2.0) 2.0;
                    im = Rng.uniform rng (-2.0) 2.0 })
            in
-           let x = Cmat.solve a b in
-           let r = Cmat.mul_vec a x in
+           let x = Cmat.solve g c ~omega b in
+           let r = complex_mul_vec g c omega x in
            Array.for_all2
              (fun ri bi -> Complex.norm (Complex.sub ri bi) <= 1e-8)
              r b));

@@ -35,6 +35,91 @@ let batch_sizes = [ 1; 7; 64 ]
 let domain_counts = [ 1; 4 ]
 let ( let* ) r f = match r with Error _ as e -> e | Ok () -> f ()
 
+(* The boxed Complex.t elimination that Stc_numerics.Cmat replaced with
+   split real and imaginary arrays, kept as the reference that solver
+   must match bit for bit. [a] is row-major n×n; neither input is
+   modified. *)
+let boxed_solve n a b0 =
+  let m = Array.copy a and b = Array.copy b0 in
+  let get i j = m.((i * n) + j) and set i j z = m.((i * n) + j) <- z in
+  for k = 0 to n - 1 do
+    let pivot = ref k in
+    for i = k + 1 to n - 1 do
+      if Complex.norm (get i k) > Complex.norm (get !pivot k) then pivot := i
+    done;
+    if Complex.norm (get !pivot k) < 1e-300 then raise (Stc_numerics.Cmat.Singular k);
+    if !pivot <> k then begin
+      for j = k to n - 1 do
+        let t = get k j in
+        set k j (get !pivot j);
+        set !pivot j t
+      done;
+      let t = b.(k) in
+      b.(k) <- b.(!pivot);
+      b.(!pivot) <- t
+    end;
+    let pk = get k k in
+    for i = k + 1 to n - 1 do
+      let f = Complex.div (get i k) pk in
+      if f <> Complex.zero then begin
+        for j = k to n - 1 do
+          set i j (Complex.sub (get i j) (Complex.mul f (get k j)))
+        done;
+        b.(i) <- Complex.sub b.(i) (Complex.mul f b.(k))
+      end
+    done
+  done;
+  let x = Array.make n Complex.zero in
+  for i = n - 1 downto 0 do
+    let acc = ref b.(i) in
+    for j = i + 1 to n - 1 do
+      acc := Complex.sub !acc (Complex.mul (get i j) x.(j))
+    done;
+    x.(i) <- Complex.div !acc (get i i)
+  done;
+  x
+
+(* A system (G + jωC) x = b of size 1-16. A quarter of the entries are
+   exactly zero and a quarter of the remaining parts are, so rows swap
+   and some multipliers are exactly zero; the rest span 25 decades, as
+   MNA conductances and capacitances do. *)
+let complex_system =
+  QCheck.Gen.(
+    let part =
+      map3
+        (fun neg m e -> (if neg then -.m else m) *. (10.0 ** float_of_int e))
+        bool (float_range 1.0 10.0) (int_range (-12) 12)
+    in
+    let part = frequency [ (1, return 0.0); (3, part) ] in
+    let entry = frequency [ (1, return (0.0, 0.0)); (3, pair part part) ] in
+    let* n = int_range 1 16 in
+    let* gc = array_size (return (n * n)) entry in
+    let* b = array_size (return n) (map (fun (re, im) -> { Complex.re; im }) entry) in
+    let* log_f = float_range 0.0 9.0 in
+    return (n, gc, 2.0 *. Float.pi *. (10.0 ** log_f), b))
+
+let split_solve_matches_boxed (n, gc, omega, b) =
+  let mat part = { Stc_numerics.Mat.rows = n; cols = n; data = Array.map part gc } in
+  let a = Array.map (fun (g, c) -> { Complex.re = g; im = omega *. c }) gc in
+  let solve f = match f () with x -> Ok x | exception Stc_numerics.Cmat.Singular k -> Error k in
+  let bits v = Int64.bits_of_float v in
+  match
+    ( solve (fun () -> boxed_solve n a b),
+      solve (fun () -> Stc_numerics.Cmat.solve (mat fst) (mat snd) ~omega b) )
+  with
+  | Ok x, Ok y ->
+    Array.iteri
+      (fun i (x : Complex.t) ->
+        if bits x.re <> bits y.(i).re || bits x.im <> bits y.(i).im then
+          QCheck.Test.fail_reportf "x.(%d): boxed %h%+hj, split %h%+hj" i x.re x.im
+            y.(i).re y.(i).im)
+      x;
+    true
+  | Error k, Error k' when k = k' -> true
+  | Ok _, Error k -> QCheck.Test.fail_reportf "split solve singular at %d, boxed is not" k
+  | Error k, Ok _ -> QCheck.Test.fail_reportf "boxed solve singular at %d, split is not" k
+  | Error k, Error k' -> QCheck.Test.fail_reportf "singular at %d (boxed) vs %d (split)" k k'
+
 let property_tests =
   [
     qtest
@@ -128,6 +213,9 @@ let property_tests =
               let* rows = Gen.rows specs ~n in
               return (specs, rows)))
          (fun (specs, rows) -> prop (Oracle.csv_roundtrips ~specs ~rows)));
+    qtest
+      (QCheck.Test.make ~name:"split complex solve matches boxed bitwise" ~count:300
+         ~long_factor:10 (QCheck.make complex_system) split_solve_matches_boxed);
   ]
 
 (* ----------------------- flow_io error paths ---------------------- *)
