@@ -89,10 +89,11 @@ serve-smoke:
 # Everything the CI workflow runs: build, tier-1 tests, the QA sweep
 # (the suite in qcheck long mode) under the pinned seed, the
 # required-suite manifest, the STC_SLOW=1 paper-golden tier, the
-# network serving smoke, and the paper harness end to end (its text
-# output is not compared; a crash fails the step). The server-abuse
-# scenarios (connection flood, slow loris, reply ignorer, breaker
-# cycle) run in the test suite's `net faults` suite.
+# network serving smoke, the fast examples (net_serving drives the
+# client and server over loopback), and the paper harness end to end
+# (its text output is not compared; a crash fails the step). The
+# server-abuse scenarios (connection flood, slow loris, reply ignorer,
+# breaker cycle) run in the test suite's `net faults` suite.
 ci:
 	dune build @all
 	dune runtest
@@ -100,6 +101,7 @@ ci:
 	$(MAKE) suites
 	$(MAKE) golden
 	$(MAKE) serve-smoke
+	$(MAKE) examples
 	$(MAKE) bench
 
 examples:

@@ -93,24 +93,34 @@ let dropped_labels data ~dropped ~fraction =
   in
   Device_data.pass_labels_with data ~specs:judged ~subset:dropped
 
-let train_predictor config data ~dropped =
+(* [train fraction] fits one classifier for "passes every dropped
+   spec", judged against ranges perturbed by [fraction]. *)
+let dropped_trainer config data ~dropped =
   let k = Device_data.n_specs data in
   if Array.length dropped = 0 then
     invalid_arg "Compaction.train_predictor: empty dropped set";
   let kept = complement ~k dropped in
   let features = Device_data.features data ~keep:kept in
-  let train fraction =
+  fun fraction ->
     let labels = dropped_labels data ~dropped ~fraction in
     let features', labels' = maybe_grid config features labels in
     train_classifier config.learner features' labels'
-  in
+
+(* Without a guard the nominal model is the band; with one, the band is
+   the tight/loose pair and the nominal model is not part of it. *)
+let train_band (config : config) train =
+  if config.guard_fraction = 0.0 then Guard_band.single_model (train 0.0)
+  else
+    Guard_band.of_models
+      ~tight:(train (-.config.guard_fraction))
+      ~loose:(train config.guard_fraction)
+
+let train_predictor config data ~dropped =
+  let train = dropped_trainer config data ~dropped in
   let nominal = train 0.0 in
   let band =
-    if config.guard_fraction = 0.0 then Guard_band.single_model nominal
-    else
-      Guard_band.of_models
-        ~tight:(train (-.config.guard_fraction))
-        ~loose:(train config.guard_fraction)
+    train_band config (fun fraction ->
+        if fraction = 0.0 then nominal else train fraction)
   in
   (band, Guard_band.predict nominal)
 
@@ -119,10 +129,7 @@ let make_flow config data ~dropped =
   let kept = complement ~k dropped in
   let band =
     if Array.length dropped = 0 then None
-    else begin
-      let band, _ = train_predictor config data ~dropped in
-      Some band
-    end
+    else Some (train_band config (dropped_trainer config data ~dropped))
   in
   {
     specs = Device_data.specs data;

@@ -66,6 +66,9 @@ val train_predictor : config -> Device_data.t -> dropped:int array ->
     or not a valid index set. *)
 
 val make_flow : config -> Device_data.t -> dropped:int array -> flow
+(** The flow for a dropped set, its band equal to {!train_predictor}'s.
+    It trains only the models the band keeps: with a guard, the tight
+    and loose pair but not the nominal model. *)
 
 val flow_verdict : flow -> float array -> Guard_band.verdict
 (** Bins one device from its full measured spec row (only kept columns

@@ -28,6 +28,12 @@ let predict m =
   | Mlp mlp -> Stc_learn.Mlp.classify mlp
   | Opaque f -> f
 
+let input_width = function
+  | Svr m when Stc_svm.Svr.n_support m > 0 -> Some (Stc_svm.Svr.dim m)
+  | Svc m when Stc_svm.Svc.n_support m > 0 -> Some (Stc_svm.Svc.dim m)
+  | Mlp m -> Some (Stc_learn.Mlp.dim m)
+  | Svr _ | Svc _ | Constant _ | Opaque _ -> None
+
 let of_models ~tight ~loose = { tight; loose }
 
 let make ~tight ~loose = { tight = Opaque tight; loose = Opaque loose }

@@ -31,6 +31,11 @@ val constant : int -> model
 
 val predict : model -> classifier
 
+val input_width : model -> int option
+(** The number of inputs the model reads, where its data fixes one: an
+    SVR or SVC model's support-vector width (if it has support vectors)
+    or an MLP's input size. *)
+
 val of_models : tight:model -> loose:model -> t
 
 val make : tight:classifier -> loose:classifier -> t

@@ -158,15 +158,26 @@ let of_string text =
              exactly once)"
       in
       let* band_line = next_line cur in
+      (* a band model reads the kept specs: one whose width differs
+         would fail on every row it is served *)
+      let parse_model () =
+        let* m = Model_text.parse ~families:model_families cur in
+        match Guard_band.input_width m with
+        | Some w when w <> Array.length kept ->
+          fail cur
+            (Printf.sprintf "band model takes %d inputs but the flow keeps %d specs"
+               w (Array.length kept))
+        | _ -> Ok m
+      in
       let* band =
         match band_line with
         | "band none" -> Ok None
         | "band single" ->
-          let* m = Model_text.parse ~families:model_families cur in
+          let* m = parse_model () in
           Ok (Some (Guard_band.single_model m))
         | "band pair" ->
-          let* tight = Model_text.parse ~families:model_families cur in
-          let* loose = Model_text.parse ~families:model_families cur in
+          let* tight = parse_model () in
+          let* loose = parse_model () in
           Ok (Some (Guard_band.of_models ~tight ~loose))
         | _ -> fail cur "expected band line (none | single | pair)"
       in

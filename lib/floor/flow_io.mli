@@ -38,8 +38,10 @@ val of_string : string -> (Stc.Compaction.flow, string) result
     cut short mid-record reports that the flow text is truncated at
     the line where input ran out, non-finite floats (which
     [float_of_string] would accept) are rejected, [guard_fraction]
-    must lie in [[0, 1)], and the kept/dropped index lists must
-    partition the spec indices. *)
+    must lie in [[0, 1)], the kept/dropped index lists must
+    partition the spec indices, and a band model's input width (SVR or
+    SVC support-vector width, MLP input size) must equal the kept
+    count. *)
 
 val fingerprint : Stc.Compaction.flow -> (string, string) result
 (** 16 hex digits over the canonical serialised form

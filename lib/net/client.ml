@@ -28,9 +28,14 @@ let close t =
     close_in_noerr t.ic
   end
 
-let send_line t line =
+(* Frames are buffered in [oc]; a request flushes once, after its last
+   frame, so it reaches the server in one write. *)
+let write_frame t line =
   output_string t.oc line;
-  output_char t.oc '\n';
+  output_char t.oc '\n'
+
+let send_line t line =
+  write_frame t line;
   flush t.oc
 
 let recv_line t = input_line t.ic
@@ -68,8 +73,9 @@ let read_outcomes t n =
 
 let bin_batch t ~flow rows =
   let n = Array.length rows in
-  send_line t (P.format_request (P.Batch (flow, n)));
-  Array.iter (fun row -> send_line t (P.format_row row)) rows;
+  write_frame t (P.format_request (P.Batch (flow, n)));
+  Array.iter (fun row -> write_frame t (P.format_row row)) rows;
+  flush t.oc;
   match P.parse_reply (recv_line t) with
   | Ok (`Ok _) -> read_outcomes t n
   | Ok (`Err (code, msg)) -> Error (Printf.sprintf "%s: %s" code msg)
@@ -78,7 +84,7 @@ let bin_batch t ~flow rows =
 let stream t ~flow rows =
   let n = Array.length rows in
   Array.iter
-    (fun row -> send_line t (P.format_request (P.Bin (flow, row))))
+    (fun row -> write_frame t (P.format_request (P.Bin (flow, row))))
     rows;
   send_line t (P.format_request P.Flush);
   match read_outcomes t n with

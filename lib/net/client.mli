@@ -30,15 +30,17 @@ val ping : t -> (unit, string) result
 val bin_batch :
   t -> flow:string -> float array array -> (Stc_floor.Floor.outcome array, string) result
 (** One [BATCH] request: header, the rows, then the per-row replies in
-    order. A row the server refused surfaces as [Error] carrying that
-    row's [ERR] message (remaining replies are still drained, so the
-    connection stays usable). *)
+    order. The header and the rows go out in one write. A row the
+    server refused surfaces as [Error] carrying that row's [ERR]
+    message (remaining replies are still drained, so the connection
+    stays usable). *)
 
 val stream :
   t -> flow:string -> float array array -> (Stc_floor.Floor.outcome array, string) result
 (** The same devices through the pipelined path: one [BIN] frame per
-    row, then [FLUSH], then the deferred replies — this is the path
-    that exercises the server's batching and backpressure machinery. *)
+    row, then [FLUSH] (all in one write), then the deferred replies —
+    this is the path that exercises the server's batching and
+    backpressure machinery. *)
 
 val metrics : t -> ?format:Protocol.format -> unit -> (string, string) result
 (** The byte-counted metrics payload (default {!Protocol.Text}). *)

@@ -29,32 +29,53 @@ let flow_name_ok name =
          | _ -> false)
        name
 
-let fp = Printf.sprintf "%.17g"
+(* Printf's [%.17g] is this primitive applied to the format "%.17g"
+   (CamlinternalFormat.convert_float), so the bytes are the same
+   without the format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let add_row buf row =
+  for i = 0 to Array.length row - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    Buffer.add_string buf (format_float "%.17g" (Array.unsafe_get row i))
+  done
 
 let format_row row =
-  String.concat "," (Array.to_list (Array.map fp row))
+  let buf = Buffer.create (24 * Array.length row) in
+  add_row buf row;
+  Buffer.contents buf
 
 let parse_row line =
   if line = "" then Ok [||]
   else begin
-    let cells = String.split_on_char ',' line in
-    let row = Array.make (List.length cells) 0.0 in
-    let rec fill col = function
-      | [] -> Ok row
-      | cell :: more -> (
-        match float_of_string_opt cell with
-        | None -> Error (Printf.sprintf "column %d: non-numeric cell %S" (col + 1) cell)
-        | Some v when not (Float.is_finite v) ->
-          Error
-            (Printf.sprintf
-               "column %d: non-finite cell %S (NaN/inf measurements are \
-                rejected)"
-               (col + 1) cell)
-        | Some v ->
-          row.(col) <- v;
-          fill (col + 1) more)
+    let len = String.length line in
+    let cells = ref 1 in
+    for i = 0 to len - 1 do
+      if String.unsafe_get line i = ',' then incr cells
+    done;
+    let row = Array.make !cells 0.0 in
+    (* cell [col] starts at [start] and runs to the next comma *)
+    let rec fill col start =
+      let stop = ref start in
+      while !stop < len && String.unsafe_get line !stop <> ',' do
+        incr stop
+      done;
+      let stop = !stop in
+      let cell = String.sub line start (stop - start) in
+      match float_of_string cell with
+      | exception Failure _ ->
+        Error (Printf.sprintf "column %d: non-numeric cell %S" (col + 1) cell)
+      | v when not (Float.is_finite v) ->
+        Error
+          (Printf.sprintf
+             "column %d: non-finite cell %S (NaN/inf measurements are \
+              rejected)"
+             (col + 1) cell)
+      | v ->
+        row.(col) <- v;
+        if stop = len then Ok row else fill (col + 1) (stop + 1)
     in
-    fill 0 cells
+    fill 0 0
   end
 
 (* one line, flattened: reply lines must never embed a frame break *)
@@ -108,7 +129,13 @@ let format_request = function
   | Ping -> "PING"
   | Flows -> "FLOWS"
   | Info name -> "INFO " ^ name
-  | Bin (name, row) -> Printf.sprintf "BIN %s %s" name (format_row row)
+  | Bin (name, row) ->
+    let buf = Buffer.create (String.length name + 5 + (24 * Array.length row)) in
+    Buffer.add_string buf "BIN ";
+    Buffer.add_string buf name;
+    Buffer.add_char buf ' ';
+    add_row buf row;
+    Buffer.contents buf
   | Batch (name, n) -> Printf.sprintf "BATCH %s %d" name n
   | Flush -> "FLUSH"
   | Metrics Text -> "METRICS text"

@@ -199,7 +199,8 @@ type pending_item =
 type conn = {
   fd : Unix.file_descr;
   lines : string Queue.t;       (* complete frames not yet handled *)
-  mutable leftover : string;    (* bytes after the last newline *)
+  mutable buf : Bytes.t;        (* the connection's read buffer *)
+  mutable buf_len : int;        (* bytes [0, buf_len): a partial frame *)
   mutable eof : bool;
   pending : pending_item Queue.t;
   mutable first_pending_t : float;
@@ -209,9 +210,18 @@ type conn = {
 
 let conn_write conn s = write_all ~timeout_s:conn.write_timeout_s conn.fd s
 
+(* Reads into the free end of the connection's buffer, queues every
+   complete frame, and moves the partial frame left over to the front.
+   The buffer doubles only when a partial frame fills it, which the
+   [max_line_bytes] guard bounds. *)
 let recv_into conn =
-  let chunk = Bytes.create 65536 in
-  match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+  if conn.buf_len = Bytes.length conn.buf then begin
+    let bigger = Bytes.create (2 * Bytes.length conn.buf) in
+    Bytes.blit conn.buf 0 bigger 0 conn.buf_len;
+    conn.buf <- bigger
+  end;
+  let buf = conn.buf in
+  match Unix.read conn.fd buf conn.buf_len (Bytes.length buf - conn.buf_len) with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
@@ -222,17 +232,19 @@ let recv_into conn =
   | 0 -> conn.eof <- true
   | n ->
     conn.last_activity <- Clock.now ();
-    let data = conn.leftover ^ Bytes.sub_string chunk 0 n in
-    let pieces = String.split_on_char '\n' data in
-    let rec push = function
-      | [] -> conn.leftover <- ""
-      | [ last ] -> conn.leftover <- last
-      | line :: rest ->
-        Queue.push line conn.lines;
-        push rest
-    in
-    push pieces;
-    if String.length conn.leftover > P.max_line_bytes then begin
+    let stop = conn.buf_len + n in
+    let start = ref 0 in
+    (* only the bytes just read can hold a newline *)
+    for i = conn.buf_len to stop - 1 do
+      if Bytes.unsafe_get buf i = '\n' then begin
+        Queue.push (Bytes.sub_string buf !start (i - !start)) conn.lines;
+        start := i + 1
+      end
+    done;
+    let rest = stop - !start in
+    if !start > 0 then Bytes.blit buf !start buf 0 rest;
+    conn.buf_len <- rest;
+    if rest > P.max_line_bytes then begin
       Obs.Counter.incr m_errors;
       conn_write conn
         (P.err_line ~code:"frame-too-long"
@@ -635,7 +647,7 @@ let handle_conn server conn =
     match next_line server conn with
     | None ->
       (* end of stream; a partial frame left behind is a torn frame *)
-      if conn.leftover <> "" then Obs.Counter.incr m_torn_frames
+      if conn.buf_len > 0 then Obs.Counter.incr m_torn_frames
     | Some line ->
       Obs.Counter.incr m_requests;
       (match P.parse_request line with
@@ -653,7 +665,8 @@ let conn_main server id fd =
     {
       fd;
       lines = Queue.create ();
-      leftover = "";
+      buf = Bytes.create 65536;
+      buf_len = 0;
       eof = false;
       pending = Queue.create ();
       first_pending_t = 0.0;

@@ -153,6 +153,67 @@ let check_version_skew flow =
        else errorf "truncation error does not mention truncation: %S" e
      | exception e -> errorf "truncated parse raised %s" (Printexc.to_string e))
 
+let expect_rejection ~what ~needle text =
+  match Flow_io.of_string text with
+  | exception e -> errorf "%s: of_string raised %s" what (Printexc.to_string e)
+  | Ok _ -> errorf "%s: the flow was accepted" what
+  | Error e ->
+    if contains ~sub:needle e then Ok ()
+    else errorf "%s: error %S does not mention %S" what e needle
+
+(* Band models whose every line parses but which cannot serve a row:
+   support vectors of two widths, and models that read more inputs than
+   the flow keeps. *)
+let check_malformed_models (flow : Compaction.flow) =
+  let* text = Flow_io.to_string flow in
+  let lines = Array.of_list (split_lines text) in
+  (* the second support vector of every model that has two, one cell
+     short (a line is the coefficient, then the cells) *)
+  let ragged =
+    List.filter_map
+      (fun i ->
+        match
+          ( String.split_on_char ' ' lines.(i),
+            List.rev (String.split_on_char ' ' lines.(i + 2)) )
+        with
+        | [ "nsv"; k ], _ :: (_ :: _ as short)
+          when Option.value ~default:0 (int_of_string_opt k) >= 2 ->
+          let cut = Array.copy lines in
+          cut.(i + 2) <- String.concat " " (List.rev short);
+          Some (join_lines (Array.to_list cut))
+        | _ -> None)
+      (List.init (Array.length lines - 2) Fun.id)
+  in
+  (* the last kept spec moved to the dropped list: the partition stays
+     valid, but the models read one input more than the flow keeps *)
+  let kept = flow.Compaction.kept in
+  let n = Array.length kept in
+  let* narrowed =
+    match flow.Compaction.band with
+    | Some band
+      when n > 0
+           && (Guard_band.input_width (Guard_band.tight_model band) <> None
+              || Guard_band.input_width (Guard_band.loose_model band) <> None) ->
+      Flow_io.to_string
+        {
+          flow with
+          Compaction.kept = Array.sub kept 0 (n - 1);
+          dropped = Array.append flow.Compaction.dropped [| kept.(n - 1) |];
+        }
+      |> Result.map (fun text -> [ text ])
+    | _ -> Ok []
+  in
+  let rejected what needle texts =
+    List.fold_left
+      (fun acc text ->
+        let* () = acc in
+        expect_rejection ~what ~needle text)
+      (Ok ()) texts
+  in
+  let* () = rejected "ragged support vectors" "ragged support vectors" ragged in
+  let* () = rejected "a kept spec moved to dropped" "inputs but the flow keeps" narrowed in
+  Ok (List.length ragged, List.length narrowed)
+
 (* --------------------------- device rows -------------------------- *)
 
 type row_fault =

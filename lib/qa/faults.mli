@@ -50,6 +50,16 @@ val check_version_skew : Stc.Compaction.flow -> (unit, string) result
     the unsupported version, and a truncated file with one that says
     the file is truncated. *)
 
+val check_malformed_models :
+  Stc.Compaction.flow -> (int * int, string) result
+(** Two band-model defects every line of which parses, each of which
+    {!Stc_floor.Flow_io.of_string} must reject with a typed error: the
+    second support vector of an SVR or SVC model one cell short
+    (ragged support vectors), and the last kept spec moved to the
+    dropped list, so the band's models read one input more than the
+    flow keeps. Returns how many texts of each kind were checked; a
+    flow without such models yields none. *)
+
 val random_journal_fault : Rng.t -> string -> flow_fault
 (** As {!random_flow_fault}, with journal version strings — journals
     share the line-oriented text shape, so the fault algebra is the

@@ -94,3 +94,24 @@ let dist2_vec t i v =
     acc := !acc +. (dk *. dk)
   done;
   !acc
+
+(* The distance and the weighted sum share one function: ocamlopt
+   without flambda does not inline across modules, so calling
+   [dist2_vec] once per support vector pays a call and a boxed float
+   per term. *)
+let rbf_decision t ~gamma ~coef ~b v =
+  if t.n > 0 then check_vec t v;
+  if Array.length coef < t.n then invalid_arg "Flat.rbf_decision: coef too short";
+  let d = t.dim in
+  let data = t.data in
+  let acc = ref b in
+  for i = 0 to t.n - 1 do
+    let bi = i * d in
+    let s = ref 0.0 in
+    for k = 0 to d - 1 do
+      let dk = Array.unsafe_get data (bi + k) -. Array.unsafe_get v k in
+      s := !s +. (dk *. dk)
+    done;
+    acc := !acc +. (Array.unsafe_get coef i *. exp (-.gamma *. !s))
+  done;
+  !acc

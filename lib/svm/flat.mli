@@ -39,3 +39,13 @@ val dot_vec : t -> int -> float array -> float
     dimension. Raises [Invalid_argument] on dimension mismatch. *)
 
 val dist2_vec : t -> int -> float array -> float
+
+val rbf_decision :
+  t -> gamma:float -> coef:float array -> b:float -> float array -> float
+(** [rbf_decision t ~gamma ~coef ~b v] = b + Σᵢ coefᵢ·exp(−γ·‖rowᵢ − v‖²):
+    an RBF decision function over support vectors stored as [t], in one
+    loop. The running sum starts at [b] and adds the terms in row order,
+    and each squared distance sums left to right from 0, so the result
+    is bit-identical to folding {!Kernel.eval} over the boxed rows.
+    Raises [Invalid_argument] when [t] has rows and [v]'s length is not
+    [dim t], or when [coef] is shorter than [n_rows t]. *)

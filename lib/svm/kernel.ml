@@ -34,6 +34,16 @@ let eval_row_vec k rows i v =
   | Rbf { gamma } -> exp (-.gamma *. Flat.dist2_vec rows i v)
   | Sigmoid { gamma; coef0 } -> tanh ((gamma *. Flat.dot_vec rows i v) +. coef0)
 
+let decision k sv ~coef ~b x =
+  match k with
+  | Rbf { gamma } -> Flat.rbf_decision sv ~gamma ~coef ~b x
+  | Linear | Polynomial _ | Sigmoid _ ->
+    let acc = ref b in
+    for i = 0 to Flat.n_rows sv - 1 do
+      acc := !acc +. (coef.(i) *. eval_row_vec k sv i x)
+    done;
+    !acc
+
 let default_gamma ~dim =
   if dim <= 0 then invalid_arg "Kernel.default_gamma: dim must be positive";
   1.0 /. float_of_int dim

@@ -23,6 +23,15 @@ val eval_row_vec : t -> Flat.t -> int -> float array -> float
 (** [eval_row_vec k rows i v] computes K(rowsᵢ, v), bit-identical to
     [eval rows.(i) v]. *)
 
+val decision : t -> Flat.t -> coef:float array -> b:float -> float array -> float
+(** [decision k sv ~coef ~b x] = b + Σᵢ coefᵢ·K(svᵢ, x), the decision
+    function of a trained SVM whose support vectors are the rows of
+    [sv]. The sum starts at [b] and adds the terms in row order, so the
+    result is bit-identical to folding {!eval} over the boxed rows. RBF
+    runs as one fused loop ({!Flat.rbf_decision}); the other kernels go
+    through {!eval_row_vec}. Raises [Invalid_argument] when [sv] has
+    rows and [x]'s length differs from their width. *)
+
 val default_gamma : dim:int -> float
 (** libsvm's default 1/dim heuristic. *)
 

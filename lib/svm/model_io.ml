@@ -116,7 +116,18 @@ let raw_of_string ~tag text =
             let* rows = map_result parse_row body in
             let coef = Array.of_list (List.map fst rows) in
             let sv = Array.of_list (List.map snd rows) in
-            Ok (kernel, sv, coef, b)
+            (* the model stores its support vectors as one flat matrix,
+               which needs one width *)
+            match
+              Array.find_index (fun r -> Array.length r <> Array.length sv.(0)) sv
+            with
+            | Some i ->
+              Error
+                (Printf.sprintf
+                   "ragged support vectors (vector %d has %d cells, vector 1 \
+                    has %d)"
+                   (i + 1) (Array.length sv.(i)) (Array.length sv.(0)))
+            | None -> Ok (kernel, sv, coef, b)
           end
         | _ -> Error "missing kernel or bias header"))
   | header :: _ -> Error (Printf.sprintf "expected %S header, got %S" tag header)

@@ -6,7 +6,8 @@
     ([coef v1 v2 ...]); everything round-trips through [%.17g] so
     decisions are bit-identical after reload. The readers return
     [Error] for a non-finite bias, coefficient, support-vector cell or
-    kernel parameter, which [float_of_string] would accept. *)
+    kernel parameter, which [float_of_string] would accept, and for
+    support vectors of different widths. *)
 
 val svr_to_string : Svr.model -> string
 val svr_of_string : string -> (Svr.model, string) result

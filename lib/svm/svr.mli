@@ -50,6 +50,11 @@ val classify : model -> float array -> int
 (** sign of {!predict}: +1 or −1. *)
 
 val n_support : model -> int
+
+val dim : model -> int
+(** The width of the support vectors: the number of inputs the model
+    reads, or 0 when it has no support vectors. *)
+
 val bias : model -> float
 val kernel : model -> Kernel.t
 
@@ -65,5 +70,6 @@ type raw = {
 val to_raw : model -> raw
 
 val of_raw : raw -> model
-(** Rebuilds a model; no validation beyond array-length agreement
-    (raises [Invalid_argument] on mismatch). *)
+(** Rebuilds a model; no validation beyond shape (raises
+    [Invalid_argument] when [raw_sv] and [raw_coef] differ in length or
+    the support vectors differ in width). *)

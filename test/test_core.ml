@@ -474,6 +474,25 @@ let compaction_tests =
           (Guard_band.equal_verdict
              (Compaction.flow_verdict flow row_a)
              (Compaction.flow_verdict flow row_b)));
+    Alcotest.test_case "make_flow trains only the guard band's pair" `Quick
+      (fun () ->
+        let train = synthetic_data 8 300 in
+        let solves = Stc_obs.Registry.counter "stc_smo_solves_total" in
+        let before = Stc_obs.Registry.Counter.get solves in
+        let flow = Compaction.make_flow compaction_config train ~dropped:[| 2 |] in
+        Alcotest.(check int) "SMO solves" 2
+          (Stc_obs.Registry.Counter.get solves - before);
+        let band, _ =
+          Compaction.train_predictor compaction_config train ~dropped:[| 2 |]
+        in
+        let text f =
+          match Stc_floor.Flow_io.to_string f with
+          | Ok s -> s
+          | Error e -> Alcotest.fail e
+        in
+        Alcotest.(check string) "same flow bytes"
+          (text { flow with Compaction.band = Some band })
+          (text flow));
     Alcotest.test_case "duplicate dropped index rejected" `Quick (fun () ->
         let train = synthetic_data 8 100 in
         (match Compaction.make_flow compaction_config train ~dropped:[| 2; 2 |] with

@@ -106,6 +106,56 @@ let protocol_tests =
         in
         let back = get (Protocol.parse_row (Protocol.format_row row)) in
         Alcotest.(check (array (float 0.0))) "bit-identical" row back);
+    Alcotest.test_case "format_row is the %.17g join, byte for byte" `Quick
+      (fun () ->
+        let printf_join row =
+          String.concat "," (Array.to_list (Array.map (Printf.sprintf "%.17g") row))
+        in
+        let st = Random.State.make [| 2006 |] in
+        let random_row () =
+          Array.init (Random.State.int st 12)
+            (fun _ -> Int64.float_of_bits (Random.State.bits64 st))
+        in
+        let edge =
+          [|
+            -0.0; 0.0; 5e-324; -5e-324; 2.2250738585072009e-308; 1e-310;
+            Float.max_float; -.Float.max_float; Float.min_float; 0.1; -1.5;
+            Float.nan; Float.infinity; Float.neg_infinity;
+          |]
+        in
+        List.iter
+          (fun row ->
+            Alcotest.(check string) "format_row" (printf_join row)
+              (Protocol.format_row row);
+            Alcotest.(check string) "BIN frame"
+              (Printf.sprintf "BIN dut %s" (printf_join row))
+              (Protocol.format_request (Protocol.Bin ("dut", row)));
+            if Array.for_all Float.is_finite row then begin
+              let back = get (Protocol.parse_row (Protocol.format_row row)) in
+              Alcotest.(check (array int64)) "parse_row returns the bits"
+                (Array.map Int64.bits_of_float row)
+                (Array.map Int64.bits_of_float back)
+            end)
+          ([||] :: edge :: Array.to_list (Array.map (fun v -> [| v |]) edge)
+          @ List.init 300 (fun _ -> random_row ())));
+    Alcotest.test_case "parse_row keeps its error strings" `Quick (fun () ->
+        List.iter
+          (fun (line, want) ->
+            let got =
+              match Protocol.parse_row line with
+              | Ok row -> Printf.sprintf "Ok %d cells" (Array.length row)
+              | Error e -> e
+            in
+            Alcotest.(check string) line want got)
+          [
+            ("", "Ok 0 cells");
+            ("1,,2", "column 2: non-numeric cell \"\"");
+            ("1,2,", "column 3: non-numeric cell \"\"");
+            ("nan", "column 1: non-finite cell \"nan\" (NaN/inf measurements are rejected)");
+            ("1e999", "column 1: non-finite cell \"1e999\" (NaN/inf measurements are rejected)");
+            ("abc", "column 1: non-numeric cell \"abc\"");
+            ("0.5,-2,1e-3", "Ok 3 cells");
+          ]);
     Alcotest.test_case "all nine outcomes round-trip" `Quick (fun () ->
         List.iter
           (fun bin ->
@@ -385,6 +435,76 @@ let server_tests =
                 (match Protocol.parse_reply (Client.recv_line c) with
                  | Ok (`Ok _) -> ()
                  | _ -> Alcotest.fail "missing FLUSH ack"))));
+    Alcotest.test_case "a request written in pieces gets the same replies"
+      `Quick (fun () ->
+        let flow, rows = pooled 44 ~rows:12 in
+        let frames lines = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+        let n = Array.length rows in
+        let batch =
+          frames
+            (Protocol.format_request (Protocol.Batch ("dut", n))
+            :: List.map Protocol.format_row (Array.to_list rows))
+        and stream =
+          frames
+            (List.map
+               (fun row -> Protocol.format_request (Protocol.Bin ("dut", row)))
+               (Array.to_list rows)
+            @ [ Protocol.format_request Protocol.Flush ])
+        in
+        let torn = Obs.counter "stc_net_torn_frames_total" in
+        let torn_before = Obs.Counter.get torn in
+        let st = Random.State.make [| 44 |] in
+        (* cut offsets: random ones, one just after a newline and one
+           between two digits of a number *)
+        let cuts text =
+          let len = String.length text in
+          let where pred =
+            let rec go tries =
+              let i = 1 + Random.State.int st (len - 1) in
+              if pred i || tries = 0 then i else go (tries - 1)
+            in
+            go 1000
+          in
+          let digit c = c >= '0' && c <= '9' in
+          List.sort_uniq compare
+            (where (fun i -> text.[i - 1] = '\n')
+            :: where (fun i -> digit text.[i - 1] && digit text.[i])
+            :: List.init (1 + Random.State.int st 5) (fun _ -> where (fun _ -> true)))
+        in
+        (* no deadline flush between pieces, so FLUSH acks every row *)
+        let config = { Server.default_config with Server.flush_deadline_s = 30.0 } in
+        with_served ~config flow (fun ~server ~registry:_ ~entry:_ ~path:_ ->
+            (* writes [text] cut at [at], one syscall per piece with a
+               pause between, then reads the [n + 1] reply lines *)
+            let exchange text at =
+              let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+              Unix.setsockopt fd Unix.TCP_NODELAY true;
+              Unix.connect fd
+                (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+              let ic = Unix.in_channel_of_descr fd in
+              Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+                  let write_piece a b =
+                    let pos = ref a in
+                    while !pos < b do
+                      pos := !pos + Unix.write_substring fd text !pos (b - !pos)
+                    done;
+                    Unix.sleepf 0.002
+                  in
+                  let last =
+                    List.fold_left (fun a b -> write_piece a b; b) 0 at
+                  in
+                  write_piece last (String.length text);
+                  List.init (n + 1) (fun _ -> input_line ic))
+            in
+            List.iter
+              (fun text ->
+                let whole = exchange text [] in
+                for _ = 1 to 6 do
+                  Alcotest.(check (list string)) "replies" whole
+                    (exchange text (cuts text))
+                done)
+              [ batch; stream ]);
+        Alcotest.(check int) "no torn frames" torn_before (Obs.Counter.get torn));
     Alcotest.test_case
       "concurrent clients stay bit-identical across a live hot reload"
       `Quick (fun () ->

@@ -120,6 +120,68 @@ let split_solve_matches_boxed (n, gc, omega, b) =
   | Error k, Ok _ -> QCheck.Test.fail_reportf "boxed solve singular at %d, split is not" k
   | Error k, Error k' -> QCheck.Test.fail_reportf "singular at %d (boxed) vs %d (split)" k k'
 
+(* The decision fold Svr.predict and Svc.decision ran over boxed
+   support vectors before those moved into one Flat matrix, kept as the
+   reference the fused decision function must match bit for bit. *)
+let boxed_decision kernel sv coef b x =
+  let acc = ref b in
+  Array.iteri
+    (fun i s -> acc := !acc +. (coef.(i) *. Stc_svm.Kernel.eval kernel s x))
+    sv;
+  !acc
+
+(* Models of width 1-12 under each of the four kernels, a fifth of them
+   with no support vector; one probe is a support vector, so one
+   distance is exactly zero. *)
+let decision_case =
+  QCheck.Gen.(
+    let* dim = int_range 1 12 in
+    let* nsv = frequency [ (1, return 0); (4, int_range 1 40) ] in
+    let coord = float_range (-3.0) 3.0 in
+    let* sv = array_size (return nsv) (array_size (return dim) coord) in
+    let* coef = array_size (return nsv) (float_range (-10.0) 10.0) in
+    let* b = float_range (-2.0) 2.0 in
+    let* probes = array_size (int_range 1 4) (array_size (return dim) coord) in
+    let probes = if nsv > 0 then Array.append probes [| sv.(0) |] else probes in
+    let* gamma = float_range 0.05 4.0 in
+    let* coef0 = float_range (-1.0) 1.0 in
+    let* degree = int_range 2 3 in
+    return
+      ( Stc_svm.Kernel.
+          [
+            linear;
+            rbf gamma;
+            Polynomial { gamma; coef0; degree };
+            Sigmoid { gamma; coef0 };
+          ],
+        sv,
+        coef,
+        b,
+        probes ))
+
+let flat_decision_matches_boxed (kernels, sv, coef, b, probes) =
+  let module Svr = Stc_svm.Svr in
+  let module Svc = Stc_svm.Svc in
+  List.for_all
+    (fun kernel ->
+      let svr =
+        Svr.of_raw { Svr.raw_kernel = kernel; raw_sv = sv; raw_coef = coef; raw_b = b }
+      and svc =
+        Svc.of_raw { Svc.raw_kernel = kernel; raw_sv = sv; raw_coef = coef; raw_b = b }
+      in
+      Array.for_all
+        (fun x ->
+          let want = boxed_decision kernel sv coef b x in
+          let same what got =
+            Int64.bits_of_float got = Int64.bits_of_float want
+            || QCheck.Test.fail_reportf "%a, %d support vectors: %s %h, boxed fold %h"
+                 Stc_svm.Kernel.pp kernel (Array.length sv) what got want
+          in
+          same "Svr.predict" (Svr.predict svr x)
+          && same "Svc.decision" (Svc.decision svc x))
+        probes)
+    kernels
+
 let property_tests =
   [
     qtest
@@ -203,6 +265,10 @@ let property_tests =
                     ],
                   rows )))
          (fun (kernels, rows) -> prop (Oracle.flat_kernel_agrees kernels rows)));
+    qtest
+      (QCheck.Test.make ~name:"flat svm decision matches boxed fold bitwise"
+         ~count:200 ~long_factor:10 (QCheck.make decision_case)
+         flat_decision_matches_boxed);
     qtest
       (QCheck.Test.make ~name:"device CSV round trips bit-identically"
          ~count:50
@@ -387,6 +453,18 @@ let fault_tests =
         done);
     Alcotest.test_case "version skew and truncation are typed" `Quick (fun () ->
         check (Faults.check_version_skew (flow_at 3)));
+    Alcotest.test_case "malformed band models are typed errors" `Quick
+      (fun () ->
+        let ragged = ref 0 and narrowed = ref 0 in
+        for seed = 1 to 20 do
+          match Faults.check_malformed_models (flow_at seed) with
+          | Ok (r, n) ->
+            ragged := !ragged + r;
+            narrowed := !narrowed + n
+          | Error e -> Alcotest.fail e
+        done;
+        Alcotest.(check bool) "ragged support vectors checked" true (!ragged > 0);
+        Alcotest.(check bool) "narrowed kept lists checked" true (!narrowed > 0));
     Alcotest.test_case "CSV rejects injected bad rows" `Quick (fun () ->
         let rng = Rng.create 7 in
         for seed = 1 to 5 do
