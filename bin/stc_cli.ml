@@ -608,24 +608,11 @@ let queue_guard_arg =
            ~doc:"Bin guard-band parts Retest instead of escalating them to \
                  the full specification test on the spot.")
 
-let batch_deadline_arg =
-  Arg.(value & opt (some float) None
-       & info [ "batch-deadline" ] ~docv:"SECONDS"
-           ~doc:"Bound each batch's guard-escalation phase: once a batch \
-                 has run this long, its remaining guard parts are binned \
-                 Retest (counted as degraded) instead of waiting on more \
-                 full-test calls.")
-
-let run_serve flow_file input batch domains queue_guard batch_deadline metrics
-    trace =
+let run_serve flow_file input batch domains queue_guard metrics trace =
   guard_data_errors @@ fun () ->
   with_obs ~metrics ~trace @@ fun () ->
   check_at_least "--batch" 1 batch;
   check_at_least "--domains" 1 domains;
-  (match batch_deadline with
-   | Some d when d <= 0.0 ->
-     die_option "--batch-deadline must be positive (got %g)" d
-   | _ -> ());
   let flow =
     match Flow_io.load ~path:flow_file with
     | Ok flow -> flow
@@ -663,9 +650,7 @@ let run_serve flow_file input batch domains queue_guard batch_deadline metrics
         | Error e -> die_data "cannot read devices from %s: %s" src e
         | Ok [||] -> total
         | Ok rows ->
-          let (_ : Floor.outcome array) =
-            Floor.process ?retest ?batch_deadline_s:batch_deadline engine rows
-          in
+          let (_ : Floor.outcome array) = Floor.process ?retest engine rows in
           pump (total + Array.length rows)
       in
       let total = pump 0 in
@@ -675,7 +660,7 @@ let run_serve flow_file input batch domains queue_guard batch_deadline metrics
 let serve_cmd =
   let term =
     Term.(const run_serve $ flow_file_arg $ input_arg $ batch_arg $ domains_arg
-          $ queue_guard_arg $ batch_deadline_arg $ metrics_arg $ trace_arg)
+          $ queue_guard_arg $ metrics_arg $ trace_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -686,7 +671,6 @@ let serve_cmd =
 
 module Net_registry = Stc_net.Registry
 module Net_server = Stc_net.Server
-module Retry = Stc_floor.Retry
 
 let listen_arg =
   Arg.(value & opt int 0
@@ -733,14 +717,15 @@ let idle_timeout_arg =
   Arg.(value & opt float Net_server.default_config.Net_server.idle_timeout_s
        & info [ "idle-timeout" ] ~docv:"SECONDS"
            ~doc:"Reap a connection that has sent no bytes for $(docv) \
-                 (slow-loris defense); 0 or negative disables the reaper.")
+                 (slow-loris defense); 0, a negative value or inf disables \
+                 the reaper.")
 
 let write_timeout_arg =
   Arg.(value & opt float Net_server.default_config.Net_server.write_timeout_s
        & info [ "write-timeout" ] ~docv:"SECONDS"
            ~doc:"Tear down a connection whose peer stops reading replies \
-                 once a blocked write has waited $(docv); 0 or negative \
-                 waits forever.")
+                 once a blocked write has waited $(docv); 0, a negative \
+                 value or inf waits forever.")
 
 let drain_deadline_arg =
   Arg.(value & opt float Net_server.default_config.Net_server.drain_deadline_s
@@ -749,13 +734,6 @@ let drain_deadline_arg =
                  it stops accepting, answers every in-flight batch, and \
                  exits — forcing the remaining connections closed after \
                  $(docv).")
-
-let retries_arg =
-  Arg.(value & opt int 1
-       & info [ "retries" ] ~docv:"N"
-           ~doc:"Attempts (including the first) for each guard-band \
-                 escalation, with exponential backoff between them; 1 \
-                 disables retry.")
 
 let reload_signal_arg =
   Arg.(value & flag
@@ -766,7 +744,7 @@ let reload_signal_arg =
 
 let run_server host listen flows flush_rows flush_deadline max_pending
     max_conns idle_timeout write_timeout drain_deadline queue_guard
-    batch_deadline retries reload_signal batch domains metrics trace =
+    reload_signal batch domains metrics trace =
   guard_data_errors @@ fun () ->
   with_obs ~metrics ~trace @@ fun () ->
   List.iter
@@ -777,12 +755,17 @@ let run_server host listen flows flush_rows flush_deadline max_pending
       ("--flush-rows", flush_rows);
       ("--max-pending", max_pending);
       ("--max-conns", max_conns);
-      ("--retries", retries);
     ];
-  if flush_deadline <= 0.0 then
+  (* written so that NaN fails: the server waits on these in
+     [Unix.select], which raises EINVAL on a NaN timeout *)
+  if not (flush_deadline > 0.0) then
     die_option "--flush-deadline must be positive (got %g)" flush_deadline;
-  if drain_deadline <= 0.0 then
+  if not (drain_deadline > 0.0) then
     die_option "--drain-deadline must be positive (got %g)" drain_deadline;
+  if Float.is_nan idle_timeout then
+    die_option "--idle-timeout must be a number (got %g)" idle_timeout;
+  if Float.is_nan write_timeout then
+    die_option "--write-timeout must be a number (got %g)" write_timeout;
   let registry =
     Net_registry.create ~floor_config:{ Floor.batch_size = batch; domains } ()
   in
@@ -805,11 +788,6 @@ let run_server host listen flows flush_rows flush_deadline max_pending
       write_timeout_s = write_timeout;
       drain_deadline_s = drain_deadline;
       escalate = not queue_guard;
-      retry =
-        (if retries > 1 then
-           Some { Retry.default_policy with Retry.attempts = retries }
-         else None);
-      batch_deadline_s = batch_deadline;
     }
   in
   let server = Net_server.create ~config registry in
@@ -860,9 +838,8 @@ let server_cmd =
     Term.(const run_server $ host_arg $ listen_arg $ server_flows_arg
           $ flush_rows_arg $ flush_deadline_arg $ max_pending_arg
           $ max_conns_arg $ idle_timeout_arg $ write_timeout_arg
-          $ drain_deadline_arg $ queue_guard_arg $ batch_deadline_arg
-          $ retries_arg $ reload_signal_arg $ batch_arg $ domains_arg
-          $ metrics_arg $ trace_arg)
+          $ drain_deadline_arg $ queue_guard_arg $ reload_signal_arg
+          $ batch_arg $ domains_arg $ metrics_arg $ trace_arg)
   in
   Cmd.v
     (Cmd.info "server"

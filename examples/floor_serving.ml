@@ -58,13 +58,14 @@ let () =
     (Array.length flow.Compaction.kept)
     (Array.length flow.Compaction.specs);
   let stream = population 3 20_000 in
-  (* guard-band parts get the full specification test *)
-  let full_test row = Array.for_all2 Spec.passes specs row in
   Floor.with_engine
     ~config:{ Floor.batch_size = 512; domains = 4 }
     flow
     (fun engine ->
-      let outcomes = Floor.process ~retest:full_test engine stream in
+      (* guard-band parts get the full specification test *)
+      let outcomes =
+        Floor.process ~retest:(Floor.full_test flow) engine stream
+      in
       print_string (Floor.report engine);
       (* every verdict matches the in-memory flow, whatever the batching *)
       let mismatches = ref 0 in

@@ -13,10 +13,7 @@ let m_devices = Obs.counter "stc_floor_devices_total"
 let m_shipped = Obs.counter "stc_floor_shipped_total"
 let m_scrapped = Obs.counter "stc_floor_scrapped_total"
 let m_retested = Obs.counter "stc_floor_retested_total"
-let m_retries = Obs.counter "stc_floor_retries_total"
-let m_degraded = Obs.counter "stc_floor_degraded_total"
 let m_batches = Obs.counter "stc_floor_batches_total"
-let g_degraded_mode = Obs.gauge "stc_floor_degraded_mode"
 let h_batch = Obs.histogram "stc_floor_batch_s"
 
 type config = {
@@ -36,59 +33,29 @@ type stats = {
   shipped : int;
   scrapped : int;
   retested : int;
-  retries : int;
-  degraded : int;
   batches : int;
   elapsed_s : float;
   last_batch_s : float;
 }
 
-let empty_stats =
-  {
-    devices = 0;
-    shipped = 0;
-    scrapped = 0;
-    retested = 0;
-    retries = 0;
-    degraded = 0;
-    batches = 0;
-    elapsed_s = 0.0;
-    last_batch_s = 0.0;
-  }
-
 (* Per-engine counters live on the atomic registry representation so
-   [stats] is a set of lock-free reads; [reset_stats] swaps the whole
-   record for fresh zeroed atomics. The two timing fields stay plain
-   mutable floats: only the submitting domain writes them. *)
+   [stats] is a set of lock-free reads. The two timing fields stay
+   plain mutable floats: only the submitting domain writes them. *)
 type counters = {
   devices : Obs.Counter.t;
   shipped : Obs.Counter.t;
   scrapped : Obs.Counter.t;
   retested : Obs.Counter.t;
-  retries : Obs.Counter.t;
-  degraded : Obs.Counter.t;
   batches : Obs.Counter.t;
 }
-
-let fresh_counters () =
-  {
-    devices = Obs.Counter.make ();
-    shipped = Obs.Counter.make ();
-    scrapped = Obs.Counter.make ();
-    retested = Obs.Counter.make ();
-    retries = Obs.Counter.make ();
-    degraded = Obs.Counter.make ();
-    batches = Obs.Counter.make ();
-  }
 
 type t = {
   flow : Compaction.flow;
   config : config;
   pool : Pool.t;
-  mutable counters : counters;
+  counters : counters;
   mutable elapsed_s : float;
   mutable last_batch_s : float;
-  mutable degraded_mode : bool;
   mutable closed : bool;
 }
 
@@ -100,10 +67,16 @@ let create ?(config = default_config) flow =
     flow;
     config;
     pool = Pool.create ~domains:config.domains;
-    counters = fresh_counters ();
+    counters =
+      {
+        devices = Obs.Counter.make ();
+        shipped = Obs.Counter.make ();
+        scrapped = Obs.Counter.make ();
+        retested = Obs.Counter.make ();
+        batches = Obs.Counter.make ();
+      };
     elapsed_s = 0.0;
     last_batch_s = 0.0;
-    degraded_mode = false;
     closed = false;
   }
 
@@ -121,51 +94,24 @@ let stats t =
     shipped = Obs.Counter.get c.shipped;
     scrapped = Obs.Counter.get c.scrapped;
     retested = Obs.Counter.get c.retested;
-    retries = Obs.Counter.get c.retries;
-    degraded = Obs.Counter.get c.degraded;
     batches = Obs.Counter.get c.batches;
     elapsed_s = t.elapsed_s;
     last_batch_s = t.last_batch_s;
   }
-
-let degraded t = t.degraded_mode
-
-let reset_stats t =
-  t.counters <- fresh_counters ();
-  t.elapsed_s <- 0.0;
-  t.last_batch_s <- 0.0;
-  t.degraded_mode <- false;
-  Obs.Gauge.set g_degraded_mode 0.0
 
 (* One batch: verdicts fan out across the pool (each row's verdict is a
    pure function of the row, so scheduling cannot change it), then the
    guard escalations run sequentially in row order on the submitting
    domain — the retest callback stands for the full-test station and
    need not be thread-safe. *)
-let process ?retest ?retry ?batch_deadline_s ?(strict = false) t rows =
+let process ?retest t rows =
   if t.closed then invalid_arg "Floor.process: engine is shut down";
-  (match batch_deadline_s with
-   | Some d when d <= 0.0 ->
-     invalid_arg "Floor.process: batch_deadline_s must be positive"
-   | _ -> ());
   let k = Array.length t.flow.Compaction.specs in
   Array.iter
     (fun row ->
       if Array.length row <> k then
         invalid_arg "Floor.process: row width does not match the flow's specs")
     rows;
-  if strict then
-    Array.iteri
-      (fun r row ->
-        Array.iter
-          (fun j ->
-            if not (Float.is_finite row.(j)) then
-              invalid_arg
-                (Printf.sprintf
-                   "Floor.process: non-finite measurement in row %d, spec %d" r
-                   j))
-          t.flow.Compaction.kept)
-      rows;
   let n = Array.length rows in
   let verdicts = Array.make n Guard_band.Good in
   let out = Array.make n { bin = Tester.Ship; verdict = Guard_band.Good } in
@@ -187,60 +133,18 @@ let process ?retest ?retry ?batch_deadline_s ?(strict = false) t rows =
         for i = first to last do
           verdicts.(i) <- Compaction.flow_verdict t.flow rows.(i)
         done);
-    let shipped = ref 0
-    and scrapped = ref 0
-    and retested = ref 0
-    and retries = ref 0
-    and degraded_n = ref 0 in
-    (* A guard device the engine cannot escalate (station down, retries
-       exhausted, deadline blown) is never dropped: it is binned Retest
-       for a later station and counted [degraded]. *)
-    let shed () =
-      incr degraded_n;
-      Tester.Retest
-    in
-    let past_deadline () =
-      match batch_deadline_s with
-      | None -> false
-      | Some d -> Clock.now () -. t0 >= d
-    in
+    let shipped = ref 0 and scrapped = ref 0 and retested = ref 0 in
     let escalate row =
       match retest with
       | None -> Tester.Retest
       | Some full_test ->
-        if t.degraded_mode then shed ()
-        else if past_deadline () then shed ()
+        if full_test row then begin
+          incr shipped;
+          Tester.Ship
+        end
         else begin
-          match retry with
-          | None ->
-            (* no policy: the callback's failures are the caller's *)
-            if full_test row then begin
-              incr shipped;
-              Tester.Ship
-            end
-            else begin
-              incr scrapped;
-              Tester.Scrap
-            end
-          | Some policy ->
-            let result, attempts_retried =
-              Retry.run policy (fun () -> full_test row)
-            in
-            retries := !retries + attempts_retried;
-            (match result with
-             | Ok true ->
-               incr shipped;
-               Tester.Ship
-             | Ok false ->
-               incr scrapped;
-               Tester.Scrap
-             | Error _ ->
-               (* the station keeps failing: stop hammering it and
-                  serve every later guard device degraded until
-                  [reset_stats] declares it repaired *)
-               t.degraded_mode <- true;
-               Obs.Gauge.set g_degraded_mode 1.0;
-               shed ())
+          incr scrapped;
+          Tester.Scrap
         end
     in
     for i = base to hi - 1 do
@@ -269,8 +173,6 @@ let process ?retest ?retry ?batch_deadline_s ?(strict = false) t rows =
     bump t.counters.shipped m_shipped !shipped;
     bump t.counters.scrapped m_scrapped !scrapped;
     bump t.counters.retested m_retested !retested;
-    bump t.counters.retries m_retries !retries;
-    bump t.counters.degraded m_degraded !degraded_n;
     bump t.counters.batches m_batches 1;
     Obs.Histogram.observe h_batch dt;
     t.elapsed_s <- t.elapsed_s +. dt;
@@ -296,9 +198,6 @@ let report t =
       [ "shipped"; string_of_int s.shipped; pct s.shipped ];
       [ "scrapped"; string_of_int s.scrapped; pct s.scrapped ];
       [ "retested (guard)"; string_of_int s.retested; pct s.retested ];
-      [ "retest retries"; string_of_int s.retries; "" ];
-      [ "degraded (shed)"; string_of_int s.degraded; pct s.degraded ];
-      [ "mode"; (if t.degraded_mode then "DEGRADED" else "normal"); "" ];
       [ "batches"; string_of_int s.batches; "" ];
       [ "elapsed"; Printf.sprintf "%.3f s" s.elapsed_s; "" ];
       [ "last batch"; Printf.sprintf "%.1f ms" (1000.0 *. s.last_batch_s); "" ];

@@ -3,7 +3,6 @@ module Guard_band = Stc.Guard_band
 module Tester = Stc.Tester
 module Floor = Stc_floor.Floor
 module Flow_io = Stc_floor.Flow_io
-module Retry = Stc_floor.Retry
 module Obs = Stc_obs.Registry
 module Clock = Stc_obs.Clock
 
@@ -72,7 +71,6 @@ type status = {
   source : string option;
   specs : int;
   kept : int;
-  degraded : bool;
   breaker : breaker_state;
   breaker_failures : int;
   breaker_trips : int;
@@ -157,7 +155,6 @@ let status (e : entry) =
     source = e.source;
     specs = Array.length e.flow.Compaction.specs;
     kept = Array.length e.flow.Compaction.kept;
-    degraded = Floor.degraded e.engine;
     breaker = e.breaker;
     breaker_failures = e.failures;
     breaker_trips = e.trips;
@@ -174,8 +171,8 @@ let breaker (e : entry) = e.breaker
 (* ---------------------------- circuit breaker --------------------- *)
 
 (* A device the engine could not judge is never dropped: it is served
-   [Retest]/[Guard] for a later full-test station, the same shedding
-   convention {!Floor}'s sticky degraded mode uses for guard rows. *)
+   [Retest]/[Guard] for a later full-test station, the bin a queued
+   guard device gets. *)
 let shed_outcome = { Floor.bin = Tester.Retest; verdict = Guard_band.Guard }
 
 (* under [e.lock] *)
@@ -274,12 +271,12 @@ let reload ?(force = false) ?path t ~name =
             Ok (`Reloaded (status entry))
           end)))
 
-let process ?(escalate = true) ?retry ?batch_deadline_s (entry : entry) rows =
+let process ?(escalate = true) (entry : entry) rows =
   let stale = ref None in
   let result =
     with_lock entry.lock (fun () ->
-        (* cooldown elapsed: auto-recycle the engine (fresh pool, clean
-           degraded flag) and probe with this very batch *)
+        (* cooldown elapsed: auto-recycle the engine (fresh pool) and
+           probe with this very batch *)
         (match entry.breaker with
          | Open when Clock.now () >= entry.open_until ->
            stale := Some (swap_engine entry);
@@ -311,8 +308,7 @@ let process ?(escalate = true) ?retry ?batch_deadline_s (entry : entry) rows =
               if inject then
                 failwith "injected engine fault (chaos failpoint)"
               else
-                Floor.process ?retest ?retry ?batch_deadline_s entry.engine
-                  rows
+                Floor.process ?retest entry.engine rows
             with
             | outcomes ->
               (* a successful probe (or any healthy batch) closes *)

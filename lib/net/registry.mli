@@ -21,9 +21,9 @@
     its engine. An engine exception during [process] counts as one
     failure; [failure_threshold] {e consecutive} failures trip the
     breaker to [Open]. While open, batches are not run at all: every
-    row is answered [RETEST]/[GUARD] — the same shedding convention as
-    {!Stc_floor.Floor}'s degraded mode, so no accepted device is ever
-    dropped — and counted in [stc_net_breaker_shed_rows_total]. When
+    row is answered [RETEST]/[GUARD] — the bin a guard device gets when
+    it is queued for a later full-test station, so no accepted device
+    is ever dropped — and counted in [stc_net_breaker_shed_rows_total]. When
     the cooldown (exponential: [cooldown_s * backoff^(trips-1)], capped
     at [max_cooldown_s]) elapses, the next batch {e auto-recycles} the
     engine (fresh {!Stc_floor.Floor.create}, stale pool joined off the
@@ -64,7 +64,6 @@ type status = {
   source : string option;  (** the path reloads re-read *)
   specs : int;
   kept : int;
-  degraded : bool;
   breaker : breaker_state;
   breaker_failures : int;  (** consecutive failures so far (resets on success) *)
   breaker_trips : int;     (** lifetime trips (resets on reload/recycle) *)
@@ -138,22 +137,19 @@ val reload : ?force:bool -> ?path:string -> t -> name:string ->
 
 val process :
   ?escalate:bool ->
-  ?retry:Stc_floor.Retry.policy ->
-  ?batch_deadline_s:float ->
   entry ->
   float array array ->
   (Stc_floor.Floor.outcome array, string) result
 (** Bins one batch under the entry's process lock (batches from
     concurrent connections serialise per flow; different flows run in
     parallel). [escalate] (default true) runs {!Stc_floor.Floor.full_test}
-    on guard-band rows — wire rows carry the full spec width — with
-    [retry] / [batch_deadline_s] passed through to
-    {!Stc_floor.Floor.process}. Rows whose width does not match the
-    current flow produce [Error] (the whole batch is refused before any
-    row is binned, mirroring [Floor.process]'s all-or-nothing width
-    check). An engine exception feeds the circuit breaker (see above)
-    and the batch is answered with [RETEST]/[GUARD] shed outcomes —
-    still [Ok], still one reply per row. *)
+    on guard-band rows — wire rows carry the full spec width. Rows
+    whose width does not match the current flow produce [Error] (the
+    whole batch is refused before any row is binned, mirroring
+    [Floor.process]'s all-or-nothing width check). An engine exception
+    feeds the circuit breaker (see above) and the batch is answered
+    with [RETEST]/[GUARD] shed outcomes — still [Ok], still one reply
+    per row. *)
 
 val shutdown : t -> unit
 (** Shuts down every engine. Idempotent; [process] afterwards returns

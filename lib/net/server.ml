@@ -1,7 +1,6 @@
 module Obs = Stc_obs.Registry
 module Clock = Stc_obs.Clock
 module Floor = Stc_floor.Floor
-module Retry = Stc_floor.Retry
 module P = Protocol
 
 (* Process-wide serving counters; scraped live via METRICS. *)
@@ -38,8 +37,6 @@ type config = {
   drain_deadline_s : float;
   sndbuf_bytes : int option;
   escalate : bool;
-  retry : Stc_floor.Retry.policy option;
-  batch_deadline_s : float option;
 }
 
 let default_config =
@@ -56,8 +53,6 @@ let default_config =
     drain_deadline_s = 5.0;
     sndbuf_bytes = None;
     escalate = true;
-    retry = None;
-    batch_deadline_s = None;
   }
 
 type t = {
@@ -82,14 +77,20 @@ type t = {
 let create ?(config = default_config) registry =
   if config.flush_rows < 1 then
     invalid_arg "Server.create: flush_rows must be >= 1";
-  if config.flush_deadline_s <= 0.0 then
+  (* every timeout ends up in a [Unix.select], which raises EINVAL on a
+     NaN: each time check here is written so that NaN fails it *)
+  if not (config.flush_deadline_s > 0.0) then
     invalid_arg "Server.create: flush_deadline_s must be positive";
   if config.max_pending < 1 then
     invalid_arg "Server.create: max_pending must be >= 1";
   if config.max_connections < 1 then
     invalid_arg "Server.create: max_connections must be >= 1";
-  if config.drain_deadline_s < 0.0 then
+  if not (config.drain_deadline_s >= 0.0) then
     invalid_arg "Server.create: drain_deadline_s must be >= 0";
+  if Float.is_nan config.idle_timeout_s then
+    invalid_arg "Server.create: idle_timeout_s must not be NaN";
+  if Float.is_nan config.write_timeout_s then
+    invalid_arg "Server.create: write_timeout_s must not be NaN";
   (match config.sndbuf_bytes with
    | Some n when n < 1 ->
      invalid_arg "Server.create: sndbuf_bytes must be >= 1"
@@ -120,10 +121,11 @@ let with_lock m f =
 let draining t = Atomic.get t.drain_flag
 
 let drain ?deadline_s t =
+  let d =
+    match deadline_s with Some d -> d | None -> t.config.drain_deadline_s
+  in
+  if Float.is_nan d then invalid_arg "Server.drain: deadline_s must not be NaN";
   if not (Atomic.get t.drain_flag) then begin
-    let d =
-      match deadline_s with Some d -> d | None -> t.config.drain_deadline_s
-    in
     (* deadline first: a reader that observes the flag must find a
        valid deadline behind it *)
     Atomic.set t.drain_until (Clock.now () +. Stdlib.max 0.0 d);
@@ -138,10 +140,13 @@ exception Reaped          (* idle deadline: silent client cut loose *)
 exception Drain_expired   (* drain deadline: stop serving this client *)
 
 (* [true] when [fd] turns readable within [timeout_s] (negative =
-   forever); EINTR retries with the remaining time. *)
+   forever); EINTR retries with the remaining time. [Unix.select] takes
+   its whole seconds as a C int and refuses a timeout past 2^31 s, so a
+   longer one (an infinite write timeout) waits without bound too. *)
 let wait_io ~write fd timeout_s =
   let deadline =
-    if timeout_s < 0.0 then None else Some (Clock.now () +. timeout_s)
+    if timeout_s < 0.0 || timeout_s > 1e9 then None
+    else Some (Clock.now () +. timeout_s)
   in
   let rec go () =
     let t =
@@ -256,8 +261,7 @@ let recv_into conn =
 (* ------------------------------ flushing -------------------------- *)
 
 let registry_process server entry rows =
-  Registry.process ~escalate:server.config.escalate ?retry:server.config.retry
-    ?batch_deadline_s:server.config.batch_deadline_s entry rows
+  Registry.process ~escalate:server.config.escalate entry rows
 
 (* Answer every pending row, in request order, sharding maximal runs of
    same-flow rows into one engine batch each. *)
@@ -391,12 +395,11 @@ let err_draining = P.err_line ~code:"draining" "server is draining"
 
 let status_fields (st : Registry.status) =
   Printf.sprintf
-    "version %d fingerprint %s specs %d kept %d dropped %d degraded %d \
-     breaker %s trips %d"
+    "version %d fingerprint %s specs %d kept %d dropped %d breaker %s \
+     trips %d"
     st.Registry.version st.Registry.fingerprint st.Registry.specs
     st.Registry.kept
     (st.Registry.specs - st.Registry.kept)
-    (if st.Registry.degraded then 1 else 0)
     (Registry.breaker_state_to_string st.Registry.breaker)
     st.Registry.breaker_trips
 
@@ -564,12 +567,10 @@ let handle_request server conn req =
        reply conn
          (P.ok_line
             (Printf.sprintf
-               "health flow %s breaker %s failures %d trips %d degraded %d \
-                version %d"
+               "health flow %s breaker %s failures %d trips %d version %d"
                name
                (Registry.breaker_state_to_string st.Registry.breaker)
                st.Registry.breaker_failures st.Registry.breaker_trips
-               (if st.Registry.degraded then 1 else 0)
                st.Registry.version)))
   | P.Stats name ->
     flush ();
@@ -584,12 +585,10 @@ let handle_request server conn req =
        reply conn
          (P.ok_line
             (Printf.sprintf
-               "stats devices %d shipped %d scrapped %d retested %d retries \
-                %d degraded %d batches %d degraded_mode %d version %d"
+               "stats devices %d shipped %d scrapped %d retested %d batches \
+                %d version %d"
                s.Floor.devices s.Floor.shipped s.Floor.scrapped s.Floor.retested
-               s.Floor.retries s.Floor.degraded s.Floor.batches
-               (if st.Registry.degraded then 1 else 0)
-               st.Registry.version)))
+               s.Floor.batches st.Registry.version)))
   | P.Batch (name, count) ->
     flush ();
     if is_draining () then begin
@@ -700,13 +699,6 @@ let conn_main server id fd =
       | None -> ());
   Obs.Gauge.add g_active (-1.0)
 
-(* Jittered backoff for transient accept failures (EMFILE, ENFILE,
-   ENOBUFS, ...): hammering a fd-exhausted accept in a tight loop only
-   starves the handlers that would release fds. Deterministic jitter,
-   same as the floor's retry schedule. *)
-let accept_backoff =
-  { Retry.default_policy with base_delay_s = 0.01; max_delay_s = 0.5 }
-
 let reap_dead_threads server =
   let dead =
     with_lock server.lock (fun () ->
@@ -730,12 +722,15 @@ let accept_loop server lfd =
         Atomic.set server.stop_flag true
       | exception Unix.Unix_error (_, _, _) ->
         (* EMFILE/ENFILE/ENOMEM/ENOBUFS and anything else transient:
-           the listener must survive — count, back off, keep going *)
+           the listener must survive — count, back off, keep going.
+           Hammering a fd-exhausted accept in a tight loop only starves
+           the handlers that would release fds: wait 10 ms, doubling
+           per consecutive error, at most 0.5 s. *)
         Obs.Counter.incr m_accept_errors;
         incr consecutive_errors;
         Thread.delay
-          (Retry.delay_s accept_backoff
-             ~retry:(Stdlib.min 8 !consecutive_errors))
+          (Stdlib.min 0.5
+             (0.01 *. (2.0 ** float_of_int (!consecutive_errors - 1))))
       | fd, _addr ->
         consecutive_errors := 0;
         Obs.Counter.incr m_connections;

@@ -20,10 +20,11 @@
     [max_connections] are shed with one [ERR busy] line and a clean
     close (counted in [stc_net_shed_total]); transient accept failures
     (EMFILE, ENFILE, ENOBUFS, ...) never kill the listener — they are
-    counted in [stc_net_accept_errors_total] and retried under jittered
-    backoff. A connection that sends nothing for [idle_timeout_s] is
-    reaped ([ERR idle-timeout], [stc_net_idle_reaped_total]), so
-    slow-loris openers cannot pin handler threads; a client that stops
+    counted in [stc_net_accept_errors_total] and retried after a pause
+    of 10 ms, doubling per consecutive error up to 0.5 s. A connection
+    that sends nothing for [idle_timeout_s] is reaped
+    ([ERR idle-timeout], [stc_net_idle_reaped_total]), so slow-loris
+    openers cannot pin handler threads; a client that stops
     {e reading} is torn down when a reply write makes no progress for
     [write_timeout_s] ([stc_net_write_timeouts_total]).
 
@@ -35,12 +36,11 @@
     Once every connection has ended, or [drain_deadline_s] elapses,
     {!wait} calls {!stop} and returns.
 
-    {b Resilience.} Guard-band escalation runs under the server's
-    {!Stc_floor.Retry} policy and batch deadline, with
-    {!Stc_floor.Floor}'s sticky degraded mode per flow engine, and each
-    flow sits behind the {!Registry}'s circuit breaker: a crashing
-    engine is shed around ([RETEST] bins) and auto-recycled after a
-    cooldown — every row always gets a reply line. Torn frames,
+    {b Resilience.} Guard-band rows are escalated to
+    {!Stc_floor.Floor.full_test}, a range check that cannot hang or
+    fail. Each flow sits behind the {!Registry}'s circuit breaker: a
+    crashing engine is shed around ([RETEST] bins) and auto-recycled
+    after a cooldown — every row always gets a reply line. Torn frames,
     oversized lines and mid-batch disconnects kill only their own
     connection.
 
@@ -58,18 +58,16 @@ type config = {
   max_pending : int;        (** bounded pending-row queue, default 4096 *)
   idle_timeout_s : float;
       (** reap a connection with no request for this long (default
-          300 s; [<= 0] disables) *)
+          300 s; [<= 0] or infinity disables) *)
   write_timeout_s : float;
       (** tear down a client whose replies make no progress for this
-          long (default 30 s; [<= 0] disables) *)
+          long (default 30 s; [<= 0] or infinity disables) *)
   drain_deadline_s : float; (** drain budget, default 5 s (see {!drain}) *)
   sndbuf_bytes : int option;
       (** per-connection SO_SNDBUF (default [None]: OS default); tests
           shrink it to exercise the write deadline without megabytes of
           backlog *)
   escalate : bool;          (** full-test guard rows (default true) *)
-  retry : Stc_floor.Retry.policy option;  (** escalation retry policy *)
-  batch_deadline_s : float option;  (** per-batch escalation bound *)
 }
 
 val default_config : config
@@ -80,7 +78,8 @@ val create : ?config:config -> Registry.t -> t
 (** The registry is shared, not owned: {!stop} does not shut it down.
     Raises [Invalid_argument] on non-positive [flush_rows],
     [flush_deadline_s], [max_pending], [max_connections] or
-    [sndbuf_bytes], or a negative [drain_deadline_s]. *)
+    [sndbuf_bytes], a negative [drain_deadline_s], or a NaN in any of
+    the four time fields. Infinity is allowed and means no bound. *)
 
 val start : t -> unit
 (** Binds, listens, and spawns the accept thread; returns immediately.
@@ -104,7 +103,8 @@ val drain : ?deadline_s:float -> t -> unit
     [ERR draining], in-flight work keeps flushing, and {!wait} stops
     the server when the last connection ends or after [deadline_s]
     (default [config.drain_deadline_s]), whichever is first. Safe from
-    any thread and from signal context (two atomic stores). *)
+    any thread and from signal context (two atomic stores). Raises
+    [Invalid_argument] on a NaN [deadline_s]. *)
 
 val draining : t -> bool
 

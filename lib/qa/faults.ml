@@ -333,7 +333,6 @@ let check_csv_rejects_bad_rows rng ~trials ~specs ~rows =
 
 let check_floor_bad_rows rng ~trials flow =
   let k = Array.length flow.Compaction.specs in
-  let kept = flow.Compaction.kept in
   let base_row () =
     Array.init k (fun j ->
         let s = flow.Compaction.specs.(j) in
@@ -357,28 +356,14 @@ let check_floor_bad_rows rng ~trials flow =
                    (describe_row_fault fault) (Printexc.to_string e)
                | _ -> errorf "%s was accepted" (describe_row_fault fault))
             | Nan_cell _ | Pos_inf_cell _ | Neg_inf_cell _ ->
-              let faulted_kept =
-                Array.exists (fun j -> not (Float.is_finite row.(j))) kept
-              in
-              let* () =
-                (* strict mode rejects any non-finite cell the flow reads *)
-                if not faulted_kept then Ok ()
-                else begin
-                  match Floor.process ~strict:true engine [| row |] with
-                  | exception Invalid_argument _ -> Ok ()
-                  | exception e ->
-                    errorf "strict mode raised %s" (Printexc.to_string e)
-                  | _ -> errorf "strict mode accepted %s" (describe_row_fault fault)
-                end
-              in
-              (* default mode: graceful, deterministic degradation *)
+              (* graceful, deterministic degradation *)
               (match
                  ( Floor.process engine [| row |],
                    Floor.process engine [| row |],
                    Oracle.reference_outcomes flow [| row |] )
                with
                | exception e ->
-                 errorf "default mode raised %s on %s" (Printexc.to_string e)
+                 errorf "Floor.process raised %s on %s" (Printexc.to_string e)
                    (describe_row_fault fault)
                | a, b, r ->
                  if
@@ -584,164 +569,3 @@ let check_pool_misuse () =
     errorf "run after shutdown raised %s, not Invalid_argument"
       (Printexc.to_string e)
   | () -> Error "run after shutdown succeeded"
-
-(* ------------------------ degraded serving ------------------------ *)
-
-module Floor_retry = Stc_floor.Retry
-
-(* A flow whose model verdict is Guard for every in-range device: the
-   tight side votes fail, the loose side votes pass. Every row is then
-   escalated to the retest callback, the surface under test. *)
-let always_guard_flow () =
-  let spec name =
-    Spec.make ~name ~unit_label:"" ~nominal:0.5 ~lower:0.0 ~upper:1.0
-  in
-  {
-    Compaction.specs = [| spec "kept"; spec "dropped" |];
-    kept = [| 0 |];
-    dropped = [| 1 |];
-    band =
-      Some
-        (Guard_band.of_models
-           ~tight:(Guard_band.constant (-1))
-           ~loose:(Guard_band.constant 1));
-    guard_fraction = 0.01;
-    measured_guard = false;
-  }
-
-let guard_rows n = Array.init n (fun _ -> [| 0.5; 0.5 |])
-
-let quick_retry ~attempts =
-  {
-    Floor_retry.default_policy with
-    Floor_retry.attempts;
-    base_delay_s = 1e-4;
-    max_delay_s = 1e-3;
-  }
-
-exception Station_down
-
-let check_floor_flaky_retest ~fail_first =
-  Floor.with_engine (always_guard_flow ()) (fun engine ->
-      let calls = ref 0 in
-      let retest _row =
-        incr calls;
-        if !calls <= fail_first then raise Station_down;
-        true
-      in
-      let retry = quick_retry ~attempts:(fail_first + 2) in
-      match Floor.process ~retest ~retry engine (guard_rows 1) with
-      | exception e ->
-        errorf "flaky retest leaked %s through the retry policy"
-          (Printexc.to_string e)
-      | out ->
-        let s = Floor.stats engine in
-        if out.(0).Floor.bin <> Stc.Tester.Ship then
-          errorf "device not shipped after %d transient failures" fail_first
-        else if s.Floor.retries <> fail_first then
-          errorf "expected %d retries counted, got %d" fail_first
-            s.Floor.retries
-        else if s.Floor.degraded <> 0 || Floor.degraded engine then
-          Error "a recovered retest left the engine degraded"
-        else Ok ())
-
-let check_floor_degraded ~classify_permanent =
-  Floor.with_engine (always_guard_flow ()) (fun engine ->
-      let calls = ref 0 in
-      let retest _row =
-        incr calls;
-        raise Station_down
-      in
-      let retry =
-        let p = quick_retry ~attempts:3 in
-        if classify_permanent then
-          { p with Floor_retry.classify = (fun _ -> Floor_retry.Permanent) }
-        else p
-      in
-      let n = 4 in
-      match Floor.process ~retest ~retry engine (guard_rows n) with
-      | exception e ->
-        errorf "failing retest leaked %s instead of degrading"
-          (Printexc.to_string e)
-      | out ->
-        let s = Floor.stats engine in
-        let* () =
-          if Array.for_all (fun o -> o.Floor.bin = Stc.Tester.Retest) out then
-            Ok ()
-          else Error "a device was dropped or mis-binned under failure"
-        in
-        let* () =
-          if s.Floor.devices = n && s.Floor.degraded = n then Ok ()
-          else
-            errorf "expected %d devices all degraded, got %d devices, %d degraded"
-              n s.Floor.devices s.Floor.degraded
-        in
-        let* () =
-          if Floor.degraded engine then Ok ()
-          else Error "engine not flagged degraded after a permanent failure"
-        in
-        let* () =
-          (* permanent classification must not retry; transient must *)
-          let expected_retries = if classify_permanent then 0 else 2 in
-          if s.Floor.retries = expected_retries then Ok ()
-          else
-            errorf "expected %d retries, got %d" expected_retries
-              s.Floor.retries
-        in
-        let* () =
-          if Floor.throughput engine > 0.0 then Ok ()
-          else Error "throughput not positive under degradation"
-        in
-        (* degraded mode sheds without hammering the dead station *)
-        let before = !calls in
-        let _ = Floor.process ~retest ~retry engine (guard_rows 2) in
-        let* () =
-          if !calls = before then Ok ()
-          else Error "degraded mode still calls the failed station"
-        in
-        let* () =
-          if (Floor.stats engine).Floor.degraded = n + 2 then Ok ()
-          else Error "devices shed in degraded mode not counted"
-        in
-        Floor.reset_stats engine;
-        let* () =
-          if Floor.degraded engine then Error "reset_stats kept degraded mode"
-          else Ok ()
-        in
-        if Floor.stats engine = Floor.empty_stats then Ok ()
-        else Error "reset_stats left counters behind")
-
-let check_floor_batch_deadline () =
-  Floor.with_engine (always_guard_flow ()) (fun engine ->
-      let retest _row =
-        Unix.sleepf 0.03;
-        true
-      in
-      let n = 8 in
-      match
-        Floor.process ~retest ~batch_deadline_s:0.05 engine (guard_rows n)
-      with
-      | exception e ->
-        errorf "batch deadline raised %s" (Printexc.to_string e)
-      | out ->
-        let s = Floor.stats engine in
-        let* () =
-          if Array.length out = n then Ok ()
-          else Error "devices dropped at the batch deadline"
-        in
-        let* () =
-          if s.Floor.shipped >= 1 then Ok ()
-          else Error "no device served before the deadline"
-        in
-        let* () =
-          if s.Floor.degraded >= 1 then Ok ()
-          else Error "no device shed after the deadline"
-        in
-        let* () =
-          if s.Floor.shipped + s.Floor.degraded = n then Ok ()
-          else errorf "shipped %d + shed %d does not cover %d devices"
-                 s.Floor.shipped s.Floor.degraded n
-        in
-        if Floor.degraded engine then
-          Error "a batch deadline must not latch degraded mode"
-        else Ok ())

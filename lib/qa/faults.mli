@@ -107,8 +107,7 @@ val check_floor_bad_rows :
   Rng.t -> trials:int -> Stc.Compaction.flow -> (unit, string) result
 (** Feeds faulted rows straight to {!Stc_floor.Floor.process}: width
     mismatches must raise [Invalid_argument] (the documented typed
-    error); non-finite cells must either be rejected by
-    [~strict:true] or, by default, degrade to a deterministic verdict —
+    error); non-finite cells must degrade to a deterministic verdict —
     the same verdict on every repeat, equal to the reference binner's. *)
 
 (* --------------------------- pool workers ------------------------- *)
@@ -127,26 +126,3 @@ val check_pool_worker_delay : domains:int -> delay_s:float -> (unit, string) res
 val check_pool_misuse : unit -> (unit, string) result
 (** Zero-task jobs are no-ops; [run] after [shutdown] and invalid
     domain counts raise [Invalid_argument]; [shutdown] is idempotent. *)
-
-(* ------------------------ degraded serving ------------------------ *)
-
-val check_floor_flaky_retest : fail_first:int -> (unit, string) result
-(** A retest callback that raises on its first [fail_first] calls and
-    then succeeds: with a retry budget of [fail_first + 2] the device
-    must ship, [stats.retries] must equal [fail_first], and the engine
-    must not be degraded. *)
-
-val check_floor_degraded : classify_permanent:bool -> (unit, string) result
-(** A retest callback that always raises: every guard device is binned
-    [Retest] (none dropped), counted [degraded], the engine latches
-    degraded mode with positive throughput, later batches shed without
-    calling the dead station, and [reset_stats] restores normal
-    operation with zeroed counters. With [classify_permanent] the
-    policy stops at the first attempt (no retries); otherwise the
-    transient budget is exhausted first. *)
-
-val check_floor_batch_deadline : unit -> (unit, string) result
-(** A slow (30 ms) but healthy retest against a 50 ms batch deadline:
-    early devices ship, devices past the deadline are shed as
-    [degraded], nothing is dropped, and the deadline does not latch
-    degraded mode. *)

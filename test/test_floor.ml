@@ -268,12 +268,12 @@ let engine_tests =
       (fun () ->
         let flow = Lazy.force trained_flow in
         let test = data 6 500 in
-        let full_test row = Array.for_all2 Spec.passes specs row in
         let _, expected = Tester.run ~resolve_guard:true flow test in
         Floor.with_engine ~config:{ Floor.batch_size = 64; domains = 2 } flow
           (fun engine ->
             let (_ : Floor.outcome array) =
-              Floor.process ~retest:full_test engine (Device_data.values test)
+              Floor.process ~retest:(Floor.full_test flow) engine
+                (Device_data.values test)
             in
             let s = Floor.stats engine in
             Alcotest.(check int) "shipped" expected.Tester.shipped s.Floor.shipped;
@@ -292,15 +292,82 @@ let engine_tests =
             Alcotest.(check int) "devices" 260 s.Floor.devices;
             Alcotest.(check int) "batches" 10 s.Floor.batches;
             Alcotest.(check int) "bins partition" s.Floor.devices
-              (s.Floor.shipped + s.Floor.scrapped + s.Floor.retested);
-            Floor.reset_stats engine;
-            Alcotest.(check int) "reset" 0 (Floor.stats engine).Floor.devices));
+              (s.Floor.shipped + s.Floor.scrapped + s.Floor.retested)));
     Alcotest.test_case "row width validated" `Quick (fun () ->
         let flow = Lazy.force trained_flow in
         Floor.with_engine flow (fun engine ->
-            match Floor.process engine [| [| 1.0; 2.0 |] |] with
-            | exception Invalid_argument _ -> ()
-            | _ -> Alcotest.fail "expected Invalid_argument"));
+            let good = population 10 12 in
+            let (_ : Floor.outcome array) = Floor.process engine good in
+            let before = Floor.stats engine in
+            (* one short row refuses the whole call before any row is
+               binned *)
+            List.iter
+              (fun rows ->
+                (match Floor.process engine rows with
+                 | exception Invalid_argument _ -> ()
+                 | _ -> Alcotest.fail "expected Invalid_argument");
+                Alcotest.(check bool) "stats unchanged by the refused call"
+                  true
+                  (Floor.stats engine = before))
+              [ [| [| 1.0; 2.0 |] |]; Array.append good [| [| 1.0 |] |] ]));
+    Alcotest.test_case "a raising retest propagates, engine reusable" `Quick
+      (fun () ->
+        (* every in-range device escalates: the tight model votes fail,
+           the loose one votes pass *)
+        let spec name =
+          Spec.make ~name ~unit_label:"" ~nominal:0.5 ~lower:0.0 ~upper:1.0
+        in
+        let guard_flow =
+          {
+            Compaction.specs = [| spec "kept"; spec "dropped" |];
+            kept = [| 0 |];
+            dropped = [| 1 |];
+            band =
+              Some
+                (Guard_band.of_models
+                   ~tight:(Guard_band.constant (-1))
+                   ~loose:(Guard_band.constant 1));
+            guard_fraction = 0.01;
+            measured_guard = false;
+          }
+        in
+        let rows = [| [| 0.5; 0.5 |]; [| 0.5; 2.0 |] |] in
+        Floor.with_engine guard_flow (fun engine ->
+            (match
+               Floor.process ~retest:(fun _ -> failwith "station down") engine
+                 rows
+             with
+            | exception Failure _ -> ()
+            | _ -> Alcotest.fail "a raising retest was swallowed");
+            Alcotest.(check int) "the interrupted batch is not counted" 0
+              (Floor.stats engine).Floor.devices;
+            let out =
+              Floor.process ~retest:(Floor.full_test guard_flow) engine rows
+            in
+            Alcotest.(check bool) "next call bins by the full test" true
+              (Array.map (fun o -> o.Floor.bin) out
+              = [| Tester.Ship; Tester.Scrap |]);
+            let s = Floor.stats engine in
+            Alcotest.(check (list int)) "devices, retested, batches"
+              [ 2; 2; 1 ]
+              [ s.Floor.devices; s.Floor.retested; s.Floor.batches ]));
+    Alcotest.test_case "non-finite kept cell bins Scrap" `Quick (fun () ->
+        let flow = Lazy.force trained_flow in
+        let j = flow.Compaction.kept.(0) in
+        Floor.with_engine flow (fun engine ->
+            List.iter
+              (fun bad ->
+                let row = (population 11 1).(0) in
+                row.(j) <- bad;
+                List.iter
+                  (fun retest ->
+                    let o = (Floor.process ?retest engine [| row |]).(0) in
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%g scraps" bad)
+                      true
+                      (o.Floor.bin = Tester.Scrap))
+                  [ None; Some (Floor.full_test flow) ])
+              [ Float.nan; Float.infinity; Float.neg_infinity ]));
     Alcotest.test_case "served flow survives the disk round trip" `Quick
       (fun () ->
         let flow = Lazy.force trained_flow in

@@ -706,8 +706,21 @@ let server_tests =
               done;
               c
             in
+            let requests = Obs.counter "stc_net_requests_total" in
+            let requests_before = Obs.Counter.get requests in
             let a = open_half () in
             let b = open_half () in
+            (* both handlers must take their BATCH header before the
+               drain starts, or the header itself is answered
+               [ERR draining] and the connection closed *)
+            let deadline = Unix.gettimeofday () +. 2.0 in
+            while
+              Obs.Counter.get requests < requests_before + 2
+              && Unix.gettimeofday () < deadline
+            do
+              Thread.delay 0.005
+            done;
+            Thread.delay 0.05;
             let idle = Client.connect ~port:(Server.port server) () in
             with_client ~server (fun admin ->
                 match Client.shutdown admin with
@@ -831,6 +844,89 @@ let server_tests =
                 match Client.info c ~flow:"ghost" with
                 | Error _ -> ()
                 | Ok _ -> Alcotest.fail "INFO on a ghost flow succeeded")));
+    Alcotest.test_case "an infinite write timeout waits for a slow reader"
+      `Quick (fun () ->
+        let flow, rows = pooled 51 ~rows:16 in
+        let count = 4096 in
+        let batch = Array.init count (fun i -> rows.(i mod Array.length rows)) in
+        let reference = offline_reference flow batch in
+        (* small socket buffers: the reply fills them in kilobytes, so
+           the server's write blocks until the client reads *)
+        let config =
+          {
+            Server.default_config with
+            Server.write_timeout_s = Float.infinity;
+            max_pending = count;
+            sndbuf_bytes = Some 4096;
+          }
+        in
+        let errors = Obs.counter "stc_net_errors_total" in
+        let errors_before = Obs.Counter.get errors in
+        with_served ~config flow (fun ~server ~registry:_ ~entry:_ ~path:_ ->
+            let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+            (try Unix.setsockopt_int fd Unix.SO_RCVBUF 4096
+             with Unix.Unix_error _ -> ());
+            Unix.connect fd
+              (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+            let ic = Unix.in_channel_of_descr fd in
+            Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+                let text =
+                  String.concat ""
+                    (List.map
+                       (fun l -> l ^ "\n")
+                       (Protocol.format_request (Protocol.Batch ("dut", count))
+                       :: List.map Protocol.format_row (Array.to_list batch)))
+                in
+                let pos = ref 0 in
+                while !pos < String.length text do
+                  pos :=
+                    !pos
+                    + Unix.write_substring fd text !pos
+                        (String.length text - !pos)
+                done;
+                (* read nothing for a while: the server's reply write
+                   stalls and must wait, not fail *)
+                Unix.sleepf 0.3;
+                Alcotest.(check string) "batch ack"
+                  (Protocol.ok_line (Printf.sprintf "batch %d" count))
+                  (input_line ic);
+                Array.iteri
+                  (fun i o ->
+                    Alcotest.(check string)
+                      (Printf.sprintf "row %d" i)
+                      (Protocol.format_outcome o) (input_line ic))
+                  reference));
+        Alcotest.(check int) "no connection errors" errors_before
+          (Obs.Counter.get errors));
+    Alcotest.test_case "create refuses NaN timeouts, allows infinity" `Quick
+      (fun () ->
+        (* a NaN timeout reaches Unix.select, which raises EINVAL *)
+        let registry = Registry.create () in
+        let d = Server.default_config in
+        let with_times v =
+          [
+            ("flush", { d with Server.flush_deadline_s = v });
+            ("drain", { d with Server.drain_deadline_s = v });
+            ("idle", { d with Server.idle_timeout_s = v });
+            ("write", { d with Server.write_timeout_s = v });
+          ]
+        in
+        List.iter
+          (fun (what, config) ->
+            match Server.create ~config registry with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.failf "%s = nan accepted" what)
+          (with_times Float.nan);
+        List.iter
+          (fun (_, config) -> ignore (Server.create ~config registry))
+          (with_times Float.infinity);
+        let server = Server.create registry in
+        (match Server.drain ~deadline_s:Float.nan server with
+         | exception Invalid_argument _ -> ()
+         | () -> Alcotest.fail "drain ~deadline_s:nan accepted");
+        Alcotest.(check bool) "a refused drain does not start one" false
+          (Server.draining server);
+        Registry.shutdown registry);
   ]
 
 (* Each check boots its own loopback server, attacks it, and demands

@@ -414,31 +414,6 @@ let device_csv_tests =
                 Alcotest.failf "unexpected message %S" msg));
   ]
 
-(* ------------------------- floor strict mode ----------------------- *)
-
-let floor_strict_tests =
-  [
-    Alcotest.test_case "strict rejects non-finite kept cells" `Quick (fun () ->
-        let flow = Gen.run ~seed:5 Gen.flow in
-        let k = Array.length flow.Compaction.specs in
-        if Array.length flow.Compaction.kept = 0 then () (* nothing read *)
-        else
-          Floor.with_engine flow (fun engine ->
-              let bad = Array.make k Float.nan in
-              (match Floor.process ~strict:true engine [| bad |] with
-               | _ -> Alcotest.fail "expected Invalid_argument"
-               | exception Invalid_argument msg ->
-                 if not (contains msg "non-finite") then
-                   Alcotest.failf "unexpected message %S" msg);
-              (* the rejected batch must not move the counters *)
-              Alcotest.(check int) "no devices counted" 0
-                (Floor.stats engine).Floor.devices;
-              (* default mode degrades deterministically instead *)
-              let o = Floor.process engine [| bad |] in
-              Alcotest.(check bool) "nan scraps" true
-                (o.(0).Floor.bin = Stc.Tester.Scrap)));
-  ]
-
 (* ------------------------- fault injection ------------------------ *)
 
 let fault_tests =
@@ -540,7 +515,6 @@ let suites =
     ("qa.properties", property_tests);
     ("qa.flow_io_errors", flow_io_error_tests);
     ("qa.device_csv_errors", device_csv_tests);
-    ("qa.floor_strict", floor_strict_tests);
     ("qa.faults", fault_tests);
     ("qa.pool", pool_tests);
   ]

@@ -1,6 +1,5 @@
-(* Tests for the resilience layer: the stc-journal-1 write-ahead format,
-   kill/resume bit-identical compaction, the retry policy and
-   degraded-mode serving. *)
+(* Tests for the resilience layer: the stc-journal-1 write-ahead format
+   and kill/resume bit-identical compaction. *)
 
 module Spec = Stc.Spec
 module Device_data = Stc.Device_data
@@ -9,8 +8,6 @@ module Guard_band = Stc.Guard_band
 module Journal = Stc.Journal
 module Order = Stc.Order
 module Flow_io = Stc_floor.Flow_io
-module Floor = Stc_floor.Floor
-module Retry = Stc_floor.Retry
 module Faults = Stc_qa.Faults
 module Gen = Stc_qa.Gen
 module Rng = Stc_numerics.Rng
@@ -393,232 +390,8 @@ let qcheck_resume_tests =
                   = flow_bytes full.Compaction.flow)));
     ]
 
-(* ------------------------------- retry ---------------------------- *)
-
-exception Transient_glitch
-exception Broken
-
-let retry_tests =
-  [
-    Alcotest.test_case "backoff is deterministic, jittered, capped" `Quick
-      (fun () ->
-        let p =
-          {
-            Retry.default_policy with
-            Retry.base_delay_s = 0.01;
-            max_delay_s = 0.04;
-            jitter = 0.5;
-          }
-        in
-        for retry = 1 to 6 do
-          let d = Retry.delay_s p ~retry in
-          let nominal =
-            Stdlib.min p.Retry.max_delay_s
-              (p.Retry.base_delay_s *. (2.0 ** float_of_int (retry - 1)))
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "retry %d in [half, full] of %g" retry nominal)
-            true
-            (d <= nominal && d >= 0.5 *. nominal);
-          Alcotest.(check (float 0.0))
-            (Printf.sprintf "retry %d deterministic" retry)
-            d (Retry.delay_s p ~retry)
-        done;
-        Alcotest.(check bool) "capped" true
-          (Retry.delay_s p ~retry:10 <= p.Retry.max_delay_s));
-    Alcotest.test_case "flaky call succeeds after retries" `Quick (fun () ->
-        let slept = ref [] in
-        let sleep d = slept := d :: !slept in
-        let calls = ref 0 in
-        let p = { Retry.default_policy with Retry.attempts = 5 } in
-        let result, retries =
-          Retry.run ~sleep p (fun () ->
-              incr calls;
-              if !calls <= 2 then raise Transient_glitch;
-              !calls)
-        in
-        Alcotest.(check (result int string)) "value" (Ok 3)
-          (Result.map_error Printexc.to_string result);
-        Alcotest.(check int) "retries" 2 retries;
-        Alcotest.(check (list (float 0.0))) "slept the schedule"
-          [ Retry.delay_s p ~retry:2; Retry.delay_s p ~retry:1 ]
-          !slept);
-    Alcotest.test_case "exhaustion returns the last error" `Quick (fun () ->
-        let calls = ref 0 in
-        let p = { Retry.default_policy with Retry.attempts = 3 } in
-        let result, retries =
-          Retry.run ~sleep:ignore p (fun () ->
-              incr calls;
-              raise Transient_glitch)
-        in
-        Alcotest.(check int) "three attempts" 3 !calls;
-        Alcotest.(check int) "two retries" 2 retries;
-        (match result with
-         | Error Transient_glitch -> ()
-         | _ -> Alcotest.fail "expected the injected exception"));
-    Alcotest.test_case "permanent failures stop immediately" `Quick (fun () ->
-        let calls = ref 0 in
-        let p =
-          {
-            Retry.default_policy with
-            Retry.attempts = 5;
-            classify =
-              (function Broken -> Retry.Permanent | _ -> Retry.Transient);
-          }
-        in
-        let result, retries =
-          Retry.run ~sleep:ignore p (fun () ->
-              incr calls;
-              raise Broken)
-        in
-        Alcotest.(check int) "one attempt" 1 !calls;
-        Alcotest.(check int) "no retries" 0 retries;
-        (match result with
-         | Error Broken -> ()
-         | _ -> Alcotest.fail "expected Broken"));
-    Alcotest.test_case "fatal runtime exceptions are never retried" `Quick
-      (fun () ->
-        let calls = ref 0 in
-        let p = { Retry.default_policy with Retry.attempts = 5 } in
-        (match
-           Retry.run ~sleep:ignore p (fun () ->
-               incr calls;
-               assert false)
-         with
-        | exception Assert_failure _ -> ()
-        | _ -> Alcotest.fail "Assert_failure did not propagate");
-        Alcotest.(check int) "single attempt" 1 !calls);
-    Alcotest.test_case "attempts < 1 rejected" `Quick (fun () ->
-        Alcotest.check_raises "invalid"
-          (Invalid_argument "Retry.run: attempts must be >= 1")
-          (fun () ->
-            ignore
-              (Retry.run ~sleep:ignore
-                 { Retry.default_policy with Retry.attempts = 0 }
-                 (fun () -> ()))));
-    Alcotest.test_case "schedule is a pure function of the seed" `Quick
-      (fun () ->
-        (* two engines with the same policy must sleep the exact same
-           schedule; a different seed must jitter differently somewhere *)
-        let schedule seed =
-          let slept = ref [] in
-          let p =
-            {
-              Retry.default_policy with
-              Retry.attempts = 6;
-              base_delay_s = 0.01;
-              max_delay_s = 10.0;
-              jitter = 0.9;
-              seed;
-            }
-          in
-          let (_ : (unit, exn) result * int) =
-            Retry.run
-              ~sleep:(fun d -> slept := d :: !slept)
-              p
-              (fun () -> raise Transient_glitch)
-          in
-          List.rev !slept
-        in
-        Alcotest.(check (list (float 0.0))) "same seed, same schedule"
-          (schedule 17) (schedule 17);
-        Alcotest.(check int) "five sleeps for six attempts" 5
-          (List.length (schedule 17));
-        Alcotest.(check bool) "different seeds jitter apart" true
-          (schedule 17 <> schedule 18);
-        (* and delay_s itself is pure: repeated queries never advance
-           hidden state *)
-        let p = { Retry.default_policy with Retry.seed = 17; jitter = 0.9 } in
-        let first = List.init 5 (fun i -> Retry.delay_s p ~retry:(i + 1)) in
-        let second = List.init 5 (fun i -> Retry.delay_s p ~retry:(i + 1)) in
-        Alcotest.(check (list (float 0.0))) "delay_s is pure" first second);
-  ]
-
-(* -------------------------- floor resilience ---------------------- *)
-
-let trained_flow = lazy (Compaction.make_flow config (data 41 300) ~dropped:[| 2 |])
-
-let floor_tests =
-  [
-    Alcotest.test_case "flaky retest ships after retries" `Quick (fun () ->
-        List.iter
-          (fun fail_first ->
-            check_fault (Faults.check_floor_flaky_retest ~fail_first))
-          [ 1; 2; 3 ]);
-    Alcotest.test_case "permanent failure degrades, drops nothing" `Quick
-      (fun () ->
-        check_fault (Faults.check_floor_degraded ~classify_permanent:false);
-        check_fault (Faults.check_floor_degraded ~classify_permanent:true));
-    Alcotest.test_case "batch deadline sheds, does not latch" `Quick (fun () ->
-        check_fault (Faults.check_floor_batch_deadline ()));
-    Alcotest.test_case "fatal retest bug surfaces, does not degrade" `Quick
-      (fun () ->
-        (* every in-range device escalates: the tight model votes fail,
-           the loose one votes pass *)
-        let spec name =
-          Spec.make ~name ~unit_label:"" ~nominal:0.5 ~lower:0.0 ~upper:1.0
-        in
-        let guard_flow =
-          {
-            Compaction.specs = [| spec "kept"; spec "dropped" |];
-            kept = [| 0 |];
-            dropped = [| 1 |];
-            band =
-              Some
-                (Guard_band.of_models
-                   ~tight:(Guard_band.constant (-1))
-                   ~loose:(Guard_band.constant 1));
-            guard_fraction = 0.01;
-            measured_guard = false;
-          }
-        in
-        Floor.with_engine guard_flow (fun engine ->
-            let retest _row : bool = assert false in
-            (match
-               Floor.process ~retest ~retry:Retry.default_policy engine
-                 [| [| 0.5; 0.5 |] |]
-             with
-            | exception Assert_failure _ -> ()
-            | _ -> Alcotest.fail "a retest bug was swallowed by the policy");
-            Alcotest.(check bool) "a bug must not latch degraded mode" false
-              (Floor.degraded engine)));
-    Alcotest.test_case "strict rejection leaves stats untouched" `Quick
-      (fun () ->
-        let flow = Lazy.force trained_flow in
-        Floor.with_engine flow (fun engine ->
-            let good = population 42 12 in
-            let (_ : Floor.outcome array) = Floor.process engine good in
-            let before = Floor.stats engine in
-            Alcotest.(check int) "devices counted" 12 before.Floor.devices;
-            Alcotest.(check int) "one batch" 1 before.Floor.batches;
-            let bad = population 42 12 in
-            bad.(7).(0) <- Float.nan;
-            (match Floor.process ~strict:true engine bad with
-             | exception Invalid_argument _ -> ()
-             | _ -> Alcotest.fail "strict accepted a NaN row");
-            Alcotest.(check bool) "stats unchanged by the rejected call" true
-              (Floor.stats engine = before);
-            Alcotest.(check bool) "not degraded" false (Floor.degraded engine);
-            Floor.reset_stats engine;
-            Alcotest.(check bool) "reset to empty" true
-              (Floor.stats engine = Floor.empty_stats);
-            Alcotest.(check bool) "reset clears degraded" false
-              (Floor.degraded engine)));
-    Alcotest.test_case "process validates batch_deadline_s" `Quick (fun () ->
-        let flow = Lazy.force trained_flow in
-        Floor.with_engine flow (fun engine ->
-            Alcotest.check_raises "non-positive deadline"
-              (Invalid_argument "Floor.process: batch_deadline_s must be positive")
-              (fun () ->
-                ignore
-                  (Floor.process ~batch_deadline_s:0.0 engine
-                     (population 43 2)))));
-  ]
-
 let suites =
   [
     ("resilience: journal format", format_tests @ qcheck_tests);
     ("resilience: kill/resume", resume_tests @ qcheck_resume_tests);
-    ("resilience: retry policy", retry_tests);
-    ("resilience: degraded floor", floor_tests);
   ]
