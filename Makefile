@@ -81,17 +81,19 @@ suites:
 
 # End-to-end network serving smoke: a loopback server on an ephemeral
 # port, 100 devices from two concurrent clients (BATCH and pipelined
-# BIN paths), a hot reload under the traffic, METRICS in both formats
-# and a clean wire SHUTDOWN — all bit-checked against the offline
-# Floor reference. Exits nonzero on any mismatch.
+# BIN paths), a hot reload under the traffic, a METRICS scrape (request
+# and idle overload counters) and a clean wire SHUTDOWN — all
+# bit-checked against the offline Floor reference. Exits nonzero on any
+# mismatch.
 serve-smoke:
 	dune exec test/serve_smoke.exe
 
 # Everything the CI workflow runs: build, tier-1 tests, the QA sweep
 # (the suite in qcheck long mode) under the pinned seed, the
 # required-suite manifest, the STC_SLOW=1 paper-golden tier, the
-# network serving smoke, the fast examples (net_serving drives the
-# client and server over loopback), and the paper harness end to end
+# network serving smoke, the fast examples (quickstart and
+# custom_device bin on the floor engine, net_serving drives the client
+# and server over loopback), and the paper harness end to end
 # (its text output is not compared; a crash fails the step). The
 # server-abuse scenarios (connection flood, slow loris, reply ignorer,
 # breaker cycle) run in the test suite's `net faults` suite.
@@ -107,6 +109,7 @@ ci:
 
 examples:
 	dune exec examples/quickstart.exe
+	dune exec examples/custom_device.exe
 	dune exec examples/floor_serving.exe
 	dune exec examples/net_serving.exe
 

@@ -90,6 +90,14 @@ let order_conv =
   in
   Arg.conv (parse, print)
 
+(* The op-amp examination order an [--order] choice names. *)
+let opamp_order = function
+  | `Functional -> Order.Given Experiment.opamp_examination_order
+  | `Failures -> Order.By_failure_count
+  | `Correlation -> Order.By_correlation
+  | `Cluster -> Order.By_cluster 0.8
+  | `Mi -> Order.By_mutual_information
+
 let order =
   Arg.(value & opt order_conv `Functional
        & info [ "order" ] ~docv:"STRATEGY"
@@ -368,15 +376,10 @@ let run_opamp seed n_train n_test tolerance guard order learner grid_resolution
     make_config Experiment.opamp_config ~tolerance ~guard ~learner
       ~grid_resolution
   in
-  let order =
-    match order with
-    | `Functional -> Order.Given Experiment.opamp_examination_order
-    | `Failures -> Order.By_failure_count
-    | `Correlation -> Order.By_correlation
-    | `Cluster -> Order.By_cluster 0.8
-    | `Mi -> Order.By_mutual_information
+  let result =
+    greedy_with_journal ~journal ~resume ~order:(opamp_order order) config
+      ~train ~test
   in
-  let result = greedy_with_journal ~journal ~resume ~order config ~train ~test in
   let specs = Device_data.specs train in
   List.iter
     (fun s ->
@@ -524,7 +527,8 @@ let specs_cmd =
 let save_flow_arg =
   Arg.(required & opt (some string) None
        & info [ "save-flow" ] ~docv:"FILE"
-           ~doc:"Write the trained flow (stc-flow-1 format) to $(docv).")
+           ~doc:"Write the trained flow to $(docv): stc-flow-1, or \
+                 stc-flow-2 when the model is an MLP.")
 
 let save_test_arg =
   Arg.(value & opt (some string) None
@@ -545,15 +549,10 @@ let run_train seed n_train n_test tolerance guard order learner grid_resolution
     make_config Experiment.opamp_config ~tolerance ~guard ~learner
       ~grid_resolution
   in
-  let order =
-    match order with
-    | `Functional -> Order.Given Experiment.opamp_examination_order
-    | `Failures -> Order.By_failure_count
-    | `Correlation -> Order.By_correlation
-    | `Cluster -> Order.By_cluster 0.8
-    | `Mi -> Order.By_mutual_information
+  let result =
+    greedy_with_journal ~journal ~resume ~order:(opamp_order order) config
+      ~train ~test
   in
-  let result = greedy_with_journal ~journal ~resume ~order config ~train ~test in
   let flow = result.Compaction.flow in
   Printf.printf "kept %d of %d tests; "
     (Array.length flow.Compaction.kept)
@@ -629,10 +628,21 @@ let run_serve flow_file input batch domains queue_guard metrics trace =
   in
   Fun.protect ~finally:(fun () -> Device_csv.close_reader reader) @@ fun () ->
   let specs = flow.Compaction.specs in
-  let width = Array.length (Device_csv.header reader) in
-  if width <> Array.length specs then
-    die_data "input %s has %d columns but the flow has %d specs" src width
-      (Array.length specs);
+  (* rows are binned by column position, so the header must name the
+     flow's specs in the flow's order *)
+  let names = Array.map (fun s -> s.Spec.name) specs in
+  let header = Device_csv.header reader in
+  if header <> names then begin
+    let cell a j =
+      if j < Array.length a then Printf.sprintf "%S" a.(j) else "(none)"
+    in
+    let rec first_diff j =
+      if cell header j = cell names j then first_diff (j + 1) else j
+    in
+    let j = first_diff 0 in
+    die_data "input %s column %d is %s but the flow's spec %d is %s" src
+      (j + 1) (cell header j) (j + 1) (cell names j)
+  end;
   Printf.printf "%s: %d kept of %d specs, batch %d, domains %d\n%!" src
     (Array.length flow.Compaction.kept)
     (Array.length specs) batch domains;
@@ -685,8 +695,9 @@ let host_arg =
 let server_flows_arg =
   Arg.(non_empty & opt_all (pair ~sep:'=' string string) []
        & info [ "flow" ] ~docv:"NAME=FILE"
-           ~doc:"Serve the stc-flow-1 file $(i,FILE) under the route \
-                 $(i,NAME) (repeatable; each flow gets its own engine).")
+           ~doc:"Serve the flow file $(i,FILE) (stc-flow-1 or stc-flow-2) \
+                 under the route $(i,NAME) (repeatable; each flow gets its \
+                 own engine).")
 
 let flush_rows_arg =
   Arg.(value & opt int Net_server.default_config.Net_server.flush_rows
@@ -892,7 +903,8 @@ let flow_info_cmd =
     Term.(const run_flow_info $ flow_file_pos)
 
 let flow_cmd =
-  Cmd.group (Cmd.info "flow" ~doc:"Inspect saved stc-flow-1 files")
+  Cmd.group
+    (Cmd.info "flow" ~doc:"Inspect saved flow files (stc-flow-1 and stc-flow-2)")
     [ flow_info_cmd ]
 
 (* ------------------------------- main ------------------------------ *)

@@ -14,8 +14,8 @@ module Device_data = Stc.Device_data
 module Compaction = Stc.Compaction
 module Metrics = Stc.Metrics
 module Order = Stc.Order
-module Tester = Stc.Tester
 module Report = Stc.Report
+module Floor = Stc_floor.Floor
 module Variation = Stc_process.Variation
 module Montecarlo = Stc_process.Montecarlo
 
@@ -86,7 +86,14 @@ let () =
     (Report.pct (Metrics.loss_pct counts))
     (Report.pct (Metrics.guard_pct counts));
 
-  let _, summary = Tester.run flow test in
+  let stats =
+    Floor.with_engine flow (fun engine ->
+        let (_ : Floor.outcome array) =
+          Floor.process ~retest:(Floor.full_test flow) engine
+            (Device_data.values test)
+        in
+        Floor.stats engine)
+  in
   Printf.printf
     "production: shipped %d / scrapped %d / %d guard parts fully retested\n"
-    summary.Tester.shipped summary.Tester.scrapped summary.Tester.retested
+    stats.Floor.shipped stats.Floor.scrapped stats.Floor.retested

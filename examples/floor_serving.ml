@@ -8,7 +8,6 @@ module Spec = Stc.Spec
 module Device_data = Stc.Device_data
 module Compaction = Stc.Compaction
 module Guard_band = Stc.Guard_band
-module Tester = Stc.Tester
 module Flow_io = Stc_floor.Flow_io
 module Device_csv = Stc_floor.Device_csv
 module Floor = Stc_floor.Floor

@@ -69,9 +69,9 @@ let () =
              let count p = Array.length (Array.of_seq (Seq.filter p (Array.to_seq outcomes))) in
              Printf.printf "binned %d devices: %d ship, %d scrap, %d retest\n"
                (Array.length outcomes)
-               (count (fun o -> o.Floor.bin = Stc.Tester.Ship))
-               (count (fun o -> o.Floor.bin = Stc.Tester.Scrap))
-               (count (fun o -> o.Floor.bin = Stc.Tester.Retest)));
+               (count (fun o -> o.Floor.bin = Floor.Ship))
+               (count (fun o -> o.Floor.bin = Floor.Scrap))
+               (count (fun o -> o.Floor.bin = Floor.Retest)));
 
           (* hot reload: re-saving the identical flow is a no-op... *)
           (match Client.reload c ~flow:"opamp" () with

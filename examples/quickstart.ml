@@ -9,9 +9,9 @@ module Device_data = Stc.Device_data
 module Compaction = Stc.Compaction
 module Guard_band = Stc.Guard_band
 module Metrics = Stc.Metrics
-module Tester = Stc.Tester
 module Lookup = Stc.Lookup
 module Report = Stc.Report
+module Floor = Stc_floor.Floor
 module Rng = Stc_numerics.Rng
 
 (* 1. Declare the specifications: name, units, nominal, acceptability range. *)
@@ -75,19 +75,36 @@ let () =
     (Report.pct (Metrics.loss_pct counts))
     (Report.pct (Metrics.guard_pct counts));
 
-  (* 5. Deploy: build the tester lookup table (Sec. 3.3) and bin parts. *)
-  (match Tester.with_lookup flow ~resolution:48 with
+  (* 5. Deploy: build the tester lookup table (Sec. 3.3), then bin the
+     parts on the floor engine, which sends guard-band parts to the
+     full specification test. *)
+  (match flow.Compaction.band with
    | None -> print_endline "no model needed (nothing was dropped)"
-   | Some table ->
+   | Some band ->
+     let table =
+       Lookup.build
+         ~config:{ Lookup.default_config with resolution = 48 }
+         ~dim:(Array.length flow.Compaction.kept)
+         (Guard_band.classify band)
+     in
      let good, bad, guard = Lookup.verdict_counts table in
      Printf.printf
        "tester lookup table: %d cells (%d good / %d bad / %d guard)\n"
        (Lookup.cells table) good bad guard);
-  let _, summary = Tester.run flow test in
+  let stats =
+    Floor.with_engine flow (fun engine ->
+        let (_ : Floor.outcome array) =
+          Floor.process ~retest:(Floor.full_test flow) engine
+            (Device_data.values test)
+        in
+        Floor.stats engine)
+  in
+  (* a guard part ships only once it passes the full test, so the bad
+     parts shipped are exactly the model's escapes from step 4 *)
   Printf.printf
     "production run: shipped %d, scrapped %d, retested %d (escapes shipped: %d)\n"
-    summary.Tester.shipped summary.Tester.scrapped summary.Tester.retested
-    summary.Tester.shipped_bad;
+    stats.Floor.shipped stats.Floor.scrapped stats.Floor.retested
+    counts.Metrics.escapes;
 
   (* 6. Visualise the derived acceptance region over (s0, s1) — the
      corners where s0 + s1 would violate s2 are carved away (Fig. 3). *)

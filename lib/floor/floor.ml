@@ -1,6 +1,5 @@
 module Compaction = Stc.Compaction
 module Guard_band = Stc.Guard_band
-module Tester = Stc.Tester
 module Report = Stc.Report
 module Spec = Stc.Spec
 module Pool = Stc_process.Pool
@@ -23,8 +22,10 @@ type config = {
 
 let default_config = { batch_size = 256; domains = 1 }
 
+type bin = Ship | Scrap | Retest
+
 type outcome = {
-  bin : Tester.bin;
+  bin : bin;
   verdict : Guard_band.verdict;
 }
 
@@ -114,7 +115,7 @@ let process ?retest t rows =
     rows;
   let n = Array.length rows in
   let verdicts = Array.make n Guard_band.Good in
-  let out = Array.make n { bin = Tester.Ship; verdict = Guard_band.Good } in
+  let out = Array.make n { bin = Ship; verdict = Guard_band.Good } in
   let batch = t.config.batch_size in
   let lo = ref 0 in
   while !lo < n do
@@ -136,15 +137,15 @@ let process ?retest t rows =
     let shipped = ref 0 and scrapped = ref 0 and retested = ref 0 in
     let escalate row =
       match retest with
-      | None -> Tester.Retest
+      | None -> Retest
       | Some full_test ->
         if full_test row then begin
           incr shipped;
-          Tester.Ship
+          Ship
         end
         else begin
           incr scrapped;
-          Tester.Scrap
+          Scrap
         end
     in
     for i = base to hi - 1 do
@@ -152,10 +153,10 @@ let process ?retest t rows =
         match verdicts.(i) with
         | Guard_band.Good ->
           incr shipped;
-          Tester.Ship
+          Ship
         | Guard_band.Bad ->
           incr scrapped;
-          Tester.Scrap
+          Scrap
         | Guard_band.Guard ->
           incr retested;
           escalate rows.(i)

@@ -1,7 +1,9 @@
 (** The test-floor serving engine: loads a compacted flow (trained by
     {!Stc.Compaction.greedy}, persisted by {!Flow_io}) and bins a stream
     of device measurement rows in configurable batches across a
-    persistent {!Stc_process.Pool} of worker domains.
+    persistent {!Stc_process.Pool} of worker domains. It is the
+    deployed tester of Sec. 3.3/4.2: measure the kept specs, consult
+    the guard-banded model, send guard-band parts to the full test.
 
     Verdicts are bit-identical to calling
     {!Stc.Compaction.flow_verdict} row by row, regardless of batch size
@@ -22,8 +24,14 @@ type config = {
 val default_config : config
 (** 256-device batches, single domain. *)
 
+(** Where a device goes: [Ship] to the customer, [Scrap] to the bin,
+    or [Retest] — a guard-band part queued for the full-test station
+    because {!process} ran without a [retest] callback. On the wire
+    these are [SHIP], [SCRAP] and [RETEST]. *)
+type bin = Ship | Scrap | Retest
+
 type outcome = {
-  bin : Stc.Tester.bin;
+  bin : bin;
   verdict : Stc.Guard_band.verdict;
 }
 
@@ -59,9 +67,9 @@ val process :
 (** Bins each row: model-confident parts ship or scrap directly;
     guard-band parts are escalated to [retest] — the full (adaptive)
     specification test, [true] = part passes and ships. Without a
-    callback guard parts are binned {!Stc.Tester.Retest} for a later
-    station. Rows must have the flow's spec count (only kept columns
-    are read). Raises [Invalid_argument] on width mismatch or after
+    callback guard parts are binned [Retest] for a later station. Rows
+    must have the flow's spec count (only kept columns are read).
+    Raises [Invalid_argument] on width mismatch or after
     {!shutdown}; the call is then refused before any row is binned and
     {!stats} does not move. An exception raised by [retest] propagates
     to the caller: the [batch_size] batch it interrupted is not

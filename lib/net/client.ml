@@ -53,7 +53,7 @@ let ping t = Result.map (fun _ -> ()) (roundtrip t P.Ping)
 (* Drains [n] reply lines even when one of them is an ERR, so a bad row
    never desyncs the stream; the first error wins. *)
 let read_outcomes t n =
-  let outcomes = Array.make n { Stc_floor.Floor.bin = Stc.Tester.Scrap;
+  let outcomes = Array.make n { Stc_floor.Floor.bin = Stc_floor.Floor.Scrap;
                                 verdict = Stc.Guard_band.Bad } in
   let first_error = ref None in
   for i = 0 to n - 1 do
@@ -98,8 +98,8 @@ let stream t ~flow rows =
     | Ok (`Err (code, msg)) -> Error (Printf.sprintf "%s: %s" code msg)
     | Error e -> Error e)
 
-let metrics t ?(format = P.Text) () =
-  match roundtrip t (P.Metrics format) with
+let metrics t () =
+  match roundtrip t P.Metrics with
   | Error _ as e -> e
   | Ok detail -> (
     match String.split_on_char ' ' detail with

@@ -42,8 +42,9 @@ val stream :
     this is the path that exercises the server's batching and
     backpressure machinery. *)
 
-val metrics : t -> ?format:Protocol.format -> unit -> (string, string) result
-(** The byte-counted metrics payload (default {!Protocol.Text}). *)
+val metrics : t -> unit -> (string, string) result
+(** The byte-counted [stc-metrics-1] payload, which
+    {!Stc_obs.Registry.parse_text} reads. *)
 
 val flows : t -> (string list, string) result
 (** The [FLOW ...] description lines, one per registered flow. *)

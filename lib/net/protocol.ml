@@ -1,8 +1,5 @@
 module Floor = Stc_floor.Floor
-module Tester = Stc.Tester
 module Guard_band = Stc.Guard_band
-
-type format = Text | Json
 
 type request =
   | Ping
@@ -11,7 +8,7 @@ type request =
   | Bin of string * float array
   | Batch of string * int
   | Flush
-  | Metrics of format
+  | Metrics
   | Stats of string
   | Reload of { flow : string; path : string option }
   | Health of string option
@@ -108,8 +105,7 @@ let parse_request line =
         | Some _ -> Error "BATCH count must be >= 0"
         | None -> Error (Printf.sprintf "malformed BATCH count %S" n))
   | [ "FLUSH" ] -> Ok Flush
-  | [ "METRICS" ] | [ "METRICS"; "text" ] -> Ok (Metrics Text)
-  | [ "METRICS"; "json" ] -> Ok (Metrics Json)
+  | [ "METRICS" ] | [ "METRICS"; "text" ] -> Ok Metrics
   | [ "METRICS"; fmt ] -> Error (Printf.sprintf "unknown METRICS format %S" fmt)
   | [ "STATS"; name ] -> check_name name (fun () -> Ok (Stats name))
   | [ "RELOAD"; name ] ->
@@ -138,8 +134,7 @@ let format_request = function
     Buffer.contents buf
   | Batch (name, n) -> Printf.sprintf "BATCH %s %d" name n
   | Flush -> "FLUSH"
-  | Metrics Text -> "METRICS text"
-  | Metrics Json -> "METRICS json"
+  | Metrics -> "METRICS"
   | Stats name -> "STATS " ^ name
   | Reload { flow; path = None } -> "RELOAD " ^ flow
   | Reload { flow; path = Some p } -> Printf.sprintf "RELOAD %s %s" flow p
@@ -149,14 +144,14 @@ let format_request = function
   | Shutdown -> "SHUTDOWN"
 
 let bin_to_string = function
-  | Tester.Ship -> "SHIP"
-  | Tester.Scrap -> "SCRAP"
-  | Tester.Retest -> "RETEST"
+  | Floor.Ship -> "SHIP"
+  | Floor.Scrap -> "SCRAP"
+  | Floor.Retest -> "RETEST"
 
 let bin_of_string = function
-  | "SHIP" -> Some Tester.Ship
-  | "SCRAP" -> Some Tester.Scrap
-  | "RETEST" -> Some Tester.Retest
+  | "SHIP" -> Some Floor.Ship
+  | "SCRAP" -> Some Floor.Scrap
+  | "RETEST" -> Some Floor.Retest
   | _ -> None
 
 let verdict_to_string = function

@@ -22,8 +22,6 @@
     header, so a client can read the payload without sniffing for a
     terminator. *)
 
-type format = Text | Json
-
 type request =
   | Ping
   | Flows                                  (** list registry contents *)
@@ -31,7 +29,10 @@ type request =
   | Bin of string * float array            (** deferred: flow, row *)
   | Batch of string * int                  (** [n] row lines follow *)
   | Flush                                  (** answer pending [Bin]s now *)
-  | Metrics of format                      (** live registry export *)
+  | Metrics
+      (** live registry export in the [stc-metrics-1] text format; the
+          parser also accepts [METRICS text], the form older clients
+          send *)
   | Stats of string                        (** one flow's engine counters *)
   | Reload of { flow : string; path : string option }
   | Health of string option

@@ -1,6 +1,5 @@
 module Compaction = Stc.Compaction
 module Guard_band = Stc.Guard_band
-module Tester = Stc.Tester
 module Floor = Stc_floor.Floor
 module Flow_io = Stc_floor.Flow_io
 module Obs = Stc_obs.Registry
@@ -173,7 +172,7 @@ let breaker (e : entry) = e.breaker
 (* A device the engine could not judge is never dropped: it is served
    [Retest]/[Guard] for a later full-test station, the bin a queued
    guard device gets. *)
-let shed_outcome = { Floor.bin = Tester.Retest; verdict = Guard_band.Guard }
+let shed_outcome = { Floor.bin = Floor.Retest; verdict = Guard_band.Guard }
 
 (* under [e.lock] *)
 let close_breaker (e : entry) =

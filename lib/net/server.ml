@@ -599,16 +599,10 @@ let handle_request server conn req =
       raise Quit_conn
     end
     else handle_batch server conn name count
-  | P.Metrics fmt ->
+  | P.Metrics ->
     flush ();
-    let payload =
-      match fmt with P.Text -> Obs.to_text () | P.Json -> Obs.to_json ()
-    in
-    let payload =
-      if String.length payload > 0 && payload.[String.length payload - 1] = '\n'
-      then payload
-      else payload ^ "\n"
-    in
+    (* every stc-metrics-1 line, the last included, ends in '\n' *)
+    let payload = Obs.to_text () in
     reply conn (P.ok_line (Printf.sprintf "metrics %d" (String.length payload)));
     conn_write conn payload
   | P.Reload { flow; path } ->

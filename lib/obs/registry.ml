@@ -291,28 +291,3 @@ let parse_text text =
       in
       go [] 2 rest
     end
-
-let to_json ?(registry = global) () =
-  let fields =
-    List.map
-      (fun (name, m) ->
-        match m with
-        | M_counter c -> (name, Json.Num (float_of_int (Counter.get c)))
-        | M_gauge g -> (name, Json.Num (Gauge.get g))
-        | M_hist h ->
-          ( name,
-            Json.Obj
-              [
-                ("count", Json.Num (float_of_int (Histogram.count h)));
-                ("sum", Json.Num (Histogram.sum h));
-                ( "buckets",
-                  Json.Obj
-                    (Array.to_list
-                       (Array.map
-                          (fun (b, n) ->
-                            (bound_label b, Json.Num (float_of_int n)))
-                          (Histogram.bucket_counts h))) );
-              ] ))
-      (sorted_items registry)
-  in
-  Json.to_string (Json.Obj fields)

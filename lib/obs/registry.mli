@@ -101,6 +101,3 @@ val parse_text : string -> ((string * float) list, string) result
     registry [r], [parse_text (to_text ~registry:r ())] equals
     [Ok (flatten ~registry:r ())] while [r] is quiescent. *)
 
-val to_json : ?registry:t -> unit -> string
-(** One JSON object: counters and gauges as numbers, histograms as
-    [{"count": n, "sum": s, "buckets": {"<bound>": n, ..., "inf": n}}]. *)

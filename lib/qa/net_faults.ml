@@ -380,7 +380,7 @@ let check_breaker_cycle (flow, rows) =
       if
         Array.for_all
           (fun (o : Floor.outcome) ->
-            o.Floor.bin = Stc.Tester.Retest
+            o.Floor.bin = Floor.Retest
             && o.Floor.verdict = Stc.Guard_band.Guard)
           got
       then Ok ()

@@ -1,7 +1,6 @@
 module Spec = Stc.Spec
 module Compaction = Stc.Compaction
 module Guard_band = Stc.Guard_band
-module Tester = Stc.Tester
 module Kernel = Stc_svm.Kernel
 module Svr = Stc_svm.Svr
 module Svc = Stc_svm.Svc
@@ -77,21 +76,21 @@ let reference_outcomes ?retest (flow : Compaction.flow) rows =
     in
     let bin =
       match verdict with
-      | Guard_band.Good -> Tester.Ship
-      | Guard_band.Bad -> Tester.Scrap
+      | Guard_band.Good -> Floor.Ship
+      | Guard_band.Bad -> Floor.Scrap
       | Guard_band.Guard ->
         (match retest with
-         | None -> Tester.Retest
-         | Some full_test -> if full_test row then Tester.Ship else Tester.Scrap)
+         | None -> Floor.Retest
+         | Some full_test -> if full_test row then Floor.Ship else Floor.Scrap)
     in
     { Floor.bin; verdict }
   in
   Array.map bin_one rows
 
 let bin_name = function
-  | Tester.Ship -> "ship"
-  | Tester.Scrap -> "scrap"
-  | Tester.Retest -> "retest"
+  | Floor.Ship -> "ship"
+  | Floor.Scrap -> "scrap"
+  | Floor.Retest -> "retest"
 
 let floor_matches ?retest ~batch_sizes ~domain_counts flow rows =
   let expected = reference_outcomes ?retest flow rows in

@@ -3,9 +3,9 @@
    ephemeral port, pushes 100 devices through it from two concurrent
    clients — one on the BATCH path, one on the pipelined BIN path —
    while the main thread hot-reloads the flow under the traffic, then
-   scrapes METRICS in both formats and shuts the server down over the
-   wire. Every outcome must be bit-identical to the offline
-   [Floor.process] reference. Exits 0 on success, 1 on any failure. *)
+   scrapes METRICS and shuts the server down over the wire. Every
+   outcome must be bit-identical to the offline [Floor.process]
+   reference. Exits 0 on success, 1 on any failure. *)
 
 module Spec = Stc.Spec
 module Device_data = Stc.Device_data
@@ -18,7 +18,6 @@ module Server = Stc_net.Server
 module Client = Stc_net.Client
 module Protocol = Stc_net.Protocol
 module Obs = Stc_obs.Registry
-module Json = Stc_obs.Json
 
 let failures = ref 0
 
@@ -135,7 +134,7 @@ let () =
           | None -> check (what ^ " returned no result") false)
         results;
 
-      (* metrics scrape, both formats, through a fresh connection *)
+      (* metrics scrape through a fresh connection *)
       let c = Client.connect ~port () in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -146,6 +145,7 @@ let () =
              match Obs.parse_text text with
              | Error e -> check ("METRICS text parse: " ^ e) false
              | Ok metrics ->
+               (* a missing metric reads -1, which fails every check *)
                let value name =
                  match List.assoc_opt name metrics with
                  | Some v -> v
@@ -155,33 +155,20 @@ let () =
                  (value "stc_net_rows_total" >= 100.0);
                check "METRICS counts both request paths"
                  (value "stc_net_batches_total" >= 1.0
-                 && value "stc_net_flushes_total" >= 1.0)));
-          (match Client.metrics c ~format:Protocol.Json () with
-           | Error e -> check ("METRICS json: " ^ e) false
-           | Ok payload -> (
-             match Json.of_string payload with
-             | Error e -> check ("METRICS json parse: " ^ e) false
-             | Ok doc ->
-               check "METRICS json parses with nonzero request counter"
-                 (match Json.member "stc_net_requests_total" doc with
-                  | Some (Json.Num n) -> n >= 1.0
-                  | _ -> false);
+                 && value "stc_net_flushes_total" >= 1.0);
+               check "METRICS has a nonzero request counter"
+                 (value "stc_net_requests_total" >= 1.0);
                (* the overload-defense counters must be exported even
                   when idle (0 until an attack), so dashboards can
                   alert on them without waiting for an incident *)
-               let exported name =
-                 match Json.member name doc with
-                 | Some (Json.Num n) -> n >= 0.0
-                 | _ -> false
-               in
-               check "METRICS json exports the load-shedding counter"
-                 (exported "stc_net_shed_total");
-               check "METRICS json exports the idle-reap counter"
-                 (exported "stc_net_idle_reaped_total");
-               check "METRICS json exports the write-timeout counter"
-                 (exported "stc_net_write_timeouts_total");
-               check "METRICS json exports the accept-error counter"
-                 (exported "stc_net_accept_errors_total")));
+               check "METRICS exports the load-shedding counter"
+                 (value "stc_net_shed_total" >= 0.0);
+               check "METRICS exports the idle-reap counter"
+                 (value "stc_net_idle_reaped_total" >= 0.0);
+               check "METRICS exports the write-timeout counter"
+                 (value "stc_net_write_timeouts_total" >= 0.0);
+               check "METRICS exports the accept-error counter"
+                 (value "stc_net_accept_errors_total" >= 0.0)));
           (* clean shutdown over the wire *)
           match Client.shutdown c with
           | Ok () -> ()

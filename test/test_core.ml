@@ -12,7 +12,6 @@ module Lookup = Stc.Lookup
 module Order = Stc.Order
 module Cost = Stc.Cost
 module Compaction = Stc.Compaction
-module Tester = Stc.Tester
 module Report = Stc.Report
 module Rng = Stc_numerics.Rng
 
@@ -510,68 +509,6 @@ let compaction_tests =
         Alcotest.(check bool) "error < 5%" true (e < 0.05));
   ]
 
-(* ------------------------------ Tester ---------------------------- *)
-
-let tester_tests =
-  [
-    Alcotest.test_case "resolved guard parts never escape" `Quick (fun () ->
-        let train = synthetic_data 12 500 and test = synthetic_data 13 300 in
-        let flow = Compaction.make_flow compaction_config train ~dropped:[| 2 |] in
-        let outcomes, summary = Tester.run ~resolve_guard:true flow test in
-        Array.iter
-          (fun o ->
-            match (o.Tester.verdict, o.Tester.bin) with
-            | Guard_band.Guard, Tester.Ship ->
-              Alcotest.(check bool) "shipped guard is good" true o.Tester.truth_good
-            | Guard_band.Guard, Tester.Scrap ->
-              Alcotest.(check bool) "scrapped guard is bad" false o.Tester.truth_good
-            | (Guard_band.Good | Guard_band.Bad), (Tester.Ship | Tester.Scrap)
-            | _, Tester.Retest -> ())
-          outcomes;
-        Alcotest.(check int) "bins total" 300 (summary.Tester.shipped + summary.Tester.scrapped));
-    Alcotest.test_case "unresolved guard parts are binned Retest" `Quick
-      (fun () ->
-        let train = synthetic_data 12 500 and test = synthetic_data 13 300 in
-        let flow = Compaction.make_flow compaction_config train ~dropped:[| 2 |] in
-        let _, s_resolve = Tester.run ~resolve_guard:true flow test in
-        let outcomes, s_queue = Tester.run ~resolve_guard:false flow test in
-        Array.iter
-          (fun o ->
-            match (o.Tester.verdict, o.Tester.bin) with
-            | Guard_band.Guard, Tester.Retest -> ()
-            | Guard_band.Guard, (Tester.Ship | Tester.Scrap) ->
-              Alcotest.fail "guard part escaped the retest queue"
-            | (Guard_band.Good | Guard_band.Bad), Tester.Retest ->
-              Alcotest.fail "confident part queued for retest"
-            | (Guard_band.Good | Guard_band.Bad), (Tester.Ship | Tester.Scrap)
-              -> ())
-          outcomes;
-        Alcotest.(check int) "bins partition the lot" 300
-          (s_queue.Tester.shipped + s_queue.Tester.scrapped
-          + s_queue.Tester.retested);
-        Alcotest.(check int) "same retest volume either way"
-          s_resolve.Tester.retested s_queue.Tester.retested;
-        Alcotest.(check bool) "queueing cannot ship more" true
-          (s_queue.Tester.shipped <= s_resolve.Tester.shipped));
-    Alcotest.test_case "lookup tester agrees with direct flow" `Quick (fun () ->
-        let train = synthetic_data 14 500 and test = synthetic_data 15 200 in
-        let flow = Compaction.make_flow compaction_config train ~dropped:[| 2 |] in
-        (match Tester.with_lookup flow ~resolution:48 with
-         | None -> Alcotest.fail "expected a lookup table"
-         | Some table ->
-           let agree = ref 0 in
-           for i = 0 to Device_data.n_instances test - 1 do
-             let row = Device_data.instance_row test i in
-             if
-               Guard_band.equal_verdict
-                 (Tester.lookup_flow_verdict flow table row)
-                 (Compaction.flow_verdict flow row)
-             then incr agree
-           done;
-           Alcotest.(check bool) "≥95% agreement" true
-             (float_of_int !agree /. 200.0 > 0.95)));
-  ]
-
 (* ------------------------------ Report ---------------------------- *)
 
 let report_tests =
@@ -610,6 +547,5 @@ let suites =
     ("core.order", order_tests);
     ("core.cost", cost_tests);
     ("core.compaction", compaction_tests);
-    ("core.tester", tester_tests);
     ("core.report", report_tests);
   ]

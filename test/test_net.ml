@@ -3,7 +3,6 @@
    reference, and the server under attack (Stc_qa.Net_faults). *)
 
 module Compaction = Stc.Compaction
-module Tester = Stc.Tester
 module Guard_band = Stc.Guard_band
 module Floor = Stc_floor.Floor
 module Flow_io = Stc_floor.Flow_io
@@ -14,7 +13,6 @@ module Registry = Stc_net.Registry
 module Server = Stc_net.Server
 module Client = Stc_net.Client
 module Obs = Stc_obs.Registry
-module Json = Stc_obs.Json
 
 let pooled seed ~rows =
   Gen.run ~seed (Gen.flow_with_rows ~rows_per_flow:rows)
@@ -88,8 +86,7 @@ let protocol_tests =
             Protocol.Flush;
             Protocol.Quit;
             Protocol.Shutdown;
-            Protocol.Metrics Protocol.Text;
-            Protocol.Metrics Protocol.Json;
+            Protocol.Metrics;
             Protocol.Info "opamp";
             Protocol.Stats "mems.hot-1";
             Protocol.Batch ("a_b:c", 4096);
@@ -99,7 +96,13 @@ let protocol_tests =
               { flow = "dut"; path = Some "/tmp/with space/flow.stc" };
             Protocol.Health None;
             Protocol.Health (Some "mems.hot-1");
-          ]);
+          ];
+        (* older clients spell the metrics request "METRICS text" *)
+        List.iter
+          (fun line ->
+            Alcotest.(check bool) line true
+              (Protocol.parse_request line = Ok Protocol.Metrics))
+          [ "METRICS"; "METRICS text" ]);
     Alcotest.test_case "rows keep every bit through %.17g" `Quick (fun () ->
         let row =
           [| 1.0 /. 3.0; -1.2345678901234567e-300; 6.02214076e23; 0.1 |]
@@ -165,7 +168,7 @@ let protocol_tests =
                 Alcotest.check outcome "round trip" o
                   (get (Protocol.parse_outcome (Protocol.format_outcome o))))
               [ Guard_band.Good; Guard_band.Bad; Guard_band.Guard ])
-          [ Tester.Ship; Tester.Scrap; Tester.Retest ]);
+          [ Floor.Ship; Floor.Scrap; Floor.Retest ]);
     Alcotest.test_case "malformed requests are typed errors" `Quick (fun () ->
         List.iter
           (fun line ->
@@ -183,6 +186,7 @@ let protocol_tests =
             "BATCH dut -1";
             "BATCH dut many";
             "METRICS xml";
+            "METRICS json";
             "INFO";
             "bin dut 1.0";
             "HEALTH b@d";
@@ -329,7 +333,7 @@ let registry_tests =
         let shed_reference =
           Array.map
             (fun _ ->
-              { Floor.bin = Tester.Retest; verdict = Guard_band.Guard })
+              { Floor.bin = Floor.Retest; verdict = Guard_band.Guard })
             rows
         in
         check_outcomes "healthy before faults" reference
@@ -586,17 +590,11 @@ let server_tests =
                   (value "stc_net_rows_total" >= float_of_int (Array.length rows));
                 Alcotest.(check bool) "batches counted" true
                   (value "stc_net_batches_total" >= 1.0);
-                (* the JSON form parses with the Stc_obs JSON parser *)
-                let json = get (Client.metrics c ~format:Protocol.Json ()) in
-                match Json.of_string json with
-                | Error e -> Alcotest.fail ("metrics JSON: " ^ e)
-                | Ok doc -> (
-                  match Json.member "stc_net_requests_total" doc with
-                  | Some (Json.Num n) ->
-                    Alcotest.(check bool) "JSON requests counted" true (n >= 1.0)
-                  | _ ->
-                    Alcotest.fail
-                      "metrics JSON lacks stc_net_requests_total"))));
+                (* text is the only export format *)
+                Client.send_line c "METRICS json";
+                match Protocol.parse_reply (Client.recv_line c) with
+                | Ok (`Err ("bad-request", _)) -> ()
+                | _ -> Alcotest.fail "METRICS json was not a bad request")));
     Alcotest.test_case "client killed mid-batch does not kill the server"
       `Quick (fun () ->
         (* the SIGPIPE regression: a client pushes a full batch plus a
@@ -670,7 +668,7 @@ let server_tests =
                   Array.iter
                     (fun (o : Floor.outcome) ->
                       Alcotest.(check bool) "shed as RETEST" true
-                        (o.Floor.bin = Tester.Retest))
+                        (o.Floor.bin = Floor.Retest))
                     shed
                 done;
                 let hf = get (Client.health c ~flow:"dut" ()) in

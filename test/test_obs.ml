@@ -5,7 +5,6 @@
 
 module Obs = Stc_obs.Registry
 module Trace = Stc_obs.Trace
-module Json = Stc_obs.Json
 module Clock = Stc_obs.Clock
 module Pool = Stc_process.Pool
 module Rng = Stc_numerics.Rng
@@ -225,22 +224,6 @@ let registry_tests =
             "stc-metrics-1\ncounter a one";
             "stc-metrics-1\nhist h 1 2 nocolon";
           ]);
-    Alcotest.test_case "json export carries every metric" `Quick (fun () ->
-        let r = Obs.create () in
-        Obs.Counter.add (Obs.counter ~registry:r "jobs_total") 3;
-        Obs.Histogram.observe (Obs.histogram ~registry:r "lat_s") 0.5;
-        let json = Obs.to_json ~registry:r () in
-        List.iter
-          (fun needle ->
-            let found =
-              let nl = String.length needle and jl = String.length json in
-              let rec go i =
-                i + nl <= jl && (String.sub json i nl = needle || go (i + 1))
-              in
-              go 0
-            in
-            if not found then Alcotest.fail ("missing " ^ needle))
-          [ "\"jobs_total\": 3"; "\"lat_s\""; "\"count\": 1"; "\"buckets\"" ]);
   ]
 
 (* ------------------------------ tracer ---------------------------- *)
@@ -348,139 +331,6 @@ let trace_tests =
         | () -> Alcotest.fail "expected Invalid_argument");
   ]
 
-(* ------------------------------- json ----------------------------- *)
-
-let json_tests =
-  [
-    Alcotest.test_case "numbers use shortest round-trip form" `Quick (fun () ->
-        Alcotest.(check string) "0.1" "0.1" (Json.num_to_string 0.1);
-        Alcotest.(check string) "int" "42" (Json.num_to_string 42.0);
-        Alcotest.(check string) "nan is null" "null" (Json.num_to_string Float.nan);
-        Alcotest.(check string) "inf is null" "null"
-          (Json.num_to_string Float.infinity);
-        (* the shortest form must read back to the identical float *)
-        let v = 0.069928169250488281 in
-        Alcotest.(check (float 0.0)) "round trip" v
-          (float_of_string (Json.num_to_string v)));
-    Alcotest.test_case "strings escaped per RFC 8259" `Quick (fun () ->
-        Alcotest.(check string) "escapes" "\"a\\\"b\\\\c\\n\\u0001\""
-          (Json.to_string (Json.Str "a\"b\\c\n\x01")));
-    Alcotest.test_case "compact and indented forms agree modulo whitespace"
-      `Quick (fun () ->
-        let doc =
-          Json.Obj
-            [
-              ("name", Json.Str "x");
-              ("xs", Json.List [ Json.Num 1.0; Json.Bool true; Json.Null ]);
-            ]
-        in
-        let strip s =
-          String.concat ""
-            (String.split_on_char '\n'
-               (String.concat ""
-                  (String.split_on_char ' ' s)))
-        in
-        Alcotest.(check string) "same tokens"
-          (strip (Json.to_string ~indent:false doc))
-          (strip (Json.to_string ~indent:true doc)));
-    Alcotest.test_case "of_string inverts to_string" `Quick (fun () ->
-        let doc =
-          Json.Obj
-            [
-              ("name", Json.Str "x\"y\\z\n\t\x02");
-              ("unicode", Json.Str "\xc3\xa9\xe2\x82\xac");
-              ( "xs",
-                Json.List
-                  [
-                    Json.Num 1.5;
-                    Json.Num (-0.25);
-                    Json.Num 1e-300;
-                    Json.Bool true;
-                    Json.Bool false;
-                    Json.Null;
-                  ] );
-              ("empty_list", Json.List []);
-              ("empty_obj", Json.Obj []);
-              ("nested", Json.Obj [ ("deep", Json.List [ Json.Obj [] ]) ]);
-            ]
-        in
-        List.iter
-          (fun indent ->
-            match Json.of_string (Json.to_string ~indent doc) with
-            | Ok back ->
-              Alcotest.(check string)
-                (Printf.sprintf "round trip (indent %b)" indent)
-                (Json.to_string doc) (Json.to_string back)
-            | Error e -> Alcotest.fail e)
-          [ false; true ]);
-    Alcotest.test_case "of_string accepts standard JSON forms" `Quick
-      (fun () ->
-        List.iter
-          (fun (text, expected) ->
-            match Json.of_string text with
-            | Ok doc ->
-              Alcotest.(check string)
-                text expected
-                (Json.to_string ~indent:false doc)
-            | Error e -> Alcotest.fail (text ^ ": " ^ e))
-          [
-            ("  null  ", "null");
-            ("-1.25e2", "-125");
-            ("\"\\u00e9\\u20ac\"", "\"\xc3\xa9\xe2\x82\xac\"");
-            ("\"\\ud83d\\ude00\"", "\"\xf0\x9f\x98\x80\"");
-            ("[1,2,[3]]", "[1,2,[3]]");
-            ("{\"a\": {\"b\": []}}", "{\"a\":{\"b\":[]}}");
-          ]);
-    Alcotest.test_case "of_string rejects malformed documents" `Quick
-      (fun () ->
-        List.iter
-          (fun text ->
-            match Json.of_string text with
-            | Error _ -> ()
-            | Ok _ -> Alcotest.fail (Printf.sprintf "%S parsed" text))
-          [
-            "";
-            "nul";
-            "{";
-            "[1,]";
-            "{\"a\":}";
-            "{\"a\" 1}";
-            "\"unterminated";
-            "\"bad \\q escape\"";
-            "01";
-            "1 2";
-            "[1] trailing";
-            "\"\\ud83d\"";
-            "nan";
-          ]);
-    Alcotest.test_case "member looks up object fields" `Quick (fun () ->
-        let doc = Json.Obj [ ("a", Json.Num 1.0); ("b", Json.Null) ] in
-        Alcotest.(check bool) "hit" true (Json.member "a" doc = Some (Json.Num 1.0));
-        Alcotest.(check bool) "miss" true (Json.member "c" doc = None);
-        Alcotest.(check bool) "non-object" true
-          (Json.member "a" (Json.List []) = None));
-    Alcotest.test_case "registry JSON export parses with of_string" `Quick
-      (fun () ->
-        let r = Obs.create () in
-        let c = Obs.counter ~registry:r "stc_test_json_total" in
-        Obs.Counter.add c 7;
-        let h = Obs.histogram ~registry:r "stc_test_json_s" in
-        Obs.Histogram.observe h 0.004;
-        match Json.of_string (Obs.to_json ~registry:r ()) with
-        | Error e -> Alcotest.fail e
-        | Ok doc ->
-          (match Json.member "stc_test_json_total" doc with
-           | Some (Json.Num v) -> Alcotest.(check (float 0.0)) "counter" 7.0 v
-           | _ -> Alcotest.fail "counter missing from JSON export");
-          (match Json.member "stc_test_json_s" doc with
-           | Some (Json.Obj _ as h) -> (
-             match Json.member "count" h with
-             | Some (Json.Num c) ->
-               Alcotest.(check (float 0.0)) "histogram count" 1.0 c
-             | _ -> Alcotest.fail "histogram lacks a count")
-           | _ -> Alcotest.fail "histogram missing from JSON export"));
-  ]
-
 (* A writer storm against a concurrent exporter: every export must be a
    parseable snapshot, and the final counts must be exact — the lock-free
    registry never tears or drops an increment. *)
@@ -561,6 +411,5 @@ let suites =
     ("obs histograms", histogram_tests);
     ("obs registry", registry_tests);
     ("obs tracer", trace_tests);
-    ("obs json", json_tests);
     ("obs concurrency", concurrency_tests);
   ]
