@@ -4,19 +4,30 @@ type point = { freq : float; solution : Complex.t array }
 
 let m_points = Stc_obs.Registry.counter "stc_ac_points_total"
 
-let solve_at g c b freq = Cmat.solve g c ~omega:(2.0 *. Float.pi *. freq) b
+type solver = {
+  g : Stc_numerics.Mat.t;
+  c : Stc_numerics.Mat.t;
+  b : Complex.t array;
+}
+
+let prepare sys ~op =
+  let g, c, b = Mna.ac_matrices sys ~op in
+  { g; c; b }
+
+let solve_at s freq = Cmat.solve s.g s.c ~omega:(2.0 *. Float.pi *. freq) s.b
+
+let solve s ~freq =
+  let x = solve_at s freq in
+  Stc_obs.Registry.Counter.incr m_points;
+  x
 
 let sweep sys ~op ~freqs =
-  let g, c, b = Mna.ac_matrices sys ~op in
-  let points = Array.map (fun freq -> { freq; solution = solve_at g c b freq }) freqs in
+  let s = prepare sys ~op in
+  let points = Array.map (fun freq -> { freq; solution = solve_at s freq }) freqs in
   Stc_obs.Registry.Counter.add m_points (Array.length freqs);
   points
 
-let solve_one sys ~op ~freq =
-  let g, c, b = Mna.ac_matrices sys ~op in
-  let x = solve_at g c b freq in
-  Stc_obs.Registry.Counter.incr m_points;
-  x
+let solve_one sys ~op ~freq = solve (prepare sys ~op) ~freq
 
 let node_response sys points node =
   let idx = Mna.node_index sys node in

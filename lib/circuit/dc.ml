@@ -19,6 +19,7 @@ type workspace = {
   g : Mat.t;          (* stamped, then factored in place *)
   b : Vec.t;
   perm : int array;
+  cols : int array;   (* the LU's column scratch *)
   x_new : Vec.t;      (* the linear step's solution *)
   mos : Mosfet.op;    (* each MOSFET's operating point, while stamping *)
   mutable iterations : int;  (* Newton iterations not yet counted *)
@@ -27,7 +28,7 @@ type workspace = {
 let workspace sys =
   let n = Mna.size sys in
   { g = Mat.create n n 0.0; b = Vec.create n 0.0; perm = Array.make n 0;
-    x_new = Vec.create n 0.0; mos = Mosfet.op (); iterations = 0 }
+    cols = Array.make n 0; x_new = Vec.create n 0.0; mos = Mosfet.op (); iterations = 0 }
 
 let count_iterations ws =
   Stc_obs.Registry.Counter.add m_iterations ws.iterations;
@@ -47,7 +48,7 @@ let newton ?(companions = no_companions) opts sys ws ~time ~gmin ~source_scale
       ws.iterations <- ws.iterations + 1;
       Mna.stamp sys ~g:ws.g ~b:ws.b ~x ~mos:ws.mos ~time ~gmin ~source_scale ~inductors;
       companions ws.g ws.b;
-      match Lu.factor_in_place ws.g ws.perm with
+      match Lu.factor_in_place ws.g ws.perm ws.cols with
       | exception Lu.Singular _ -> None
       | (_ : float) ->
         Lu.solve_into ws.g ws.perm ws.b x_new;

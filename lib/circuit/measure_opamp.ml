@@ -43,33 +43,36 @@ let solve_dc p bench =
   | exception Dc.No_convergence msg -> fail "DC (%s)" msg
 
 (* |vout| at [freq] for a bench whose AC drive has magnitude 1 *)
-let response_mag sys ~op ~freq =
-  let x = Ac.solve_one sys ~op ~freq in
-  let idx = Mna.node_index sys "out" in
-  Complex.norm x.(idx)
+let response_mag ac ~out ~freq = Complex.norm (Ac.solve ac ~freq).(out)
 
 (* Find the frequency at which the response magnitude falls to [target],
    scanning a log grid for a bracket and refining with Brent on log f. *)
-let crossing_freq sys ~op ~target ~f_lo ~f_hi =
-  let g logf = response_mag sys ~op ~freq:(10.0 ** logf) -. target in
+let crossing_freq ac ~out ~target ~f_lo ~f_hi =
+  let g logf = response_mag ac ~out ~freq:(10.0 ** logf) -. target in
   match Roots.find_bracket g ~lo:(log10 f_lo) ~hi:(log10 f_hi) ~steps:60 with
   | None -> None
   | Some (a, b) -> Some (10.0 ** Roots.brent ~tol:1e-6 g a b)
 
-let measure_open_loop p =
+(* The open-loop bench's operating point and its small-signal system,
+   which the gain point and both crossing searches solve against. *)
+let open_loop p =
   let sys, op = solve_dc p Opamp.Open_loop_gain in
+  (sys, op, Ac.prepare sys ~op, Mna.node_index sys "out")
+
+let measure_open_loop p =
+  let sys, op, ac, out = open_loop p in
   let iq = -.Mna.branch_current sys op "vdd" in
-  let gain = response_mag sys ~op ~freq:1.0 in
+  let gain = response_mag ac ~out ~freq:1.0 in
   if gain <= 1.0 then fail "open-loop gain below unity (%.3g)" gain;
   let bw =
     match
-      crossing_freq sys ~op ~target:(gain /. sqrt 2.0) ~f_lo:1.0 ~f_hi:1e6
+      crossing_freq ac ~out ~target:(gain /. sqrt 2.0) ~f_lo:1.0 ~f_hi:1e6
     with
     | Some f -> f
     | None -> fail "no 3-dB point found"
   in
   let ugf =
-    match crossing_freq sys ~op ~target:1.0 ~f_lo:bw ~f_hi:1e9 with
+    match crossing_freq ac ~out ~target:1.0 ~f_lo:bw ~f_hi:1e9 with
     | Some f -> f
     | None -> fail "no unity-gain crossing found"
   in
@@ -77,7 +80,7 @@ let measure_open_loop p =
 
 let measure_mag p bench ~freq =
   let sys, op = solve_dc p bench in
-  response_mag sys ~op ~freq
+  response_mag (Ac.prepare sys ~op) ~out:(Mna.node_index sys "out") ~freq
 
 (* Trim a step-response waveform so that t = 0 is the start of the input
    edge; measurements are then relative to the stimulus. *)
@@ -133,24 +136,19 @@ let measure_short_circuit p =
   Float.abs (Mna.branch_current sys op "vshort")
 
 let phase_margin p =
-  let sys, op = solve_dc p Opamp.Open_loop_gain in
-  let gain = response_mag sys ~op ~freq:1.0 in
+  let _, _, ac, out = open_loop p in
+  let gain = response_mag ac ~out ~freq:1.0 in
   if gain <= 1.0 then fail "open-loop gain below unity (%.3g)" gain;
   let ugf =
-    match crossing_freq sys ~op ~target:1.0 ~f_lo:1.0 ~f_hi:1e9 with
+    match crossing_freq ac ~out ~target:1.0 ~f_lo:1.0 ~f_hi:1e9 with
     | Some f -> f
     | None -> fail "no unity-gain crossing found"
   in
-  let x = Ac.solve_one sys ~op ~freq:ugf in
-  let out = x.(Mna.node_index sys "out") in
   (* the bench inverts through two stages: the open-loop phase starts at
      180 deg (positive output for positive input at DC after the servo);
      margin = 180 + phase relative to the DC phase *)
-  let phase_dc =
-    let x0 = Ac.solve_one sys ~op ~freq:1.0 in
-    Ac.phase_deg x0.(Mna.node_index sys "out")
-  in
-  let rel = Ac.phase_deg out -. phase_dc in
+  let phase_dc = Ac.phase_deg (Ac.solve ac ~freq:1.0).(out) in
+  let rel = Ac.phase_deg (Ac.solve ac ~freq:ugf).(out) -. phase_dc in
   (* unwrap into (-360, 0] *)
   let rel = if rel > 0.0 then rel -. 360.0 else rel in
   180.0 +. rel

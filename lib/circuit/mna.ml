@@ -1,19 +1,28 @@
 module Vec = Stc_numerics.Vec
 module Mat = Stc_numerics.Mat
 
-type cap = { cp : int; cn : int; value : float }
+type cap = { cp : int; cn : int; value : float; pp : int; nn : int; pn : int; np : int }
 
-(* One element's resistive stamp with its unknowns resolved to indices
-   (-1 = ground). Capacitors have none: their transient companions and
-   AC susceptances come from [caps] and [ac_c]. *)
+(* One element's resistive stamp, compiled: every entry it adds to the
+   row-major G is a flat offset, -1 where its row or column is ground,
+   and every rhs entry and voltage it reads an unknown index, -1 for
+   ground. The offset names say which entry: [pq] is (p, q), [brp] is
+   (br, p). Capacitors have none: their transient companions and AC
+   susceptances come from [caps] and [ac_c]. *)
 type stamp =
-  | Conductance of { p : int; n : int; g : float }
-  | Inductor of { p : int; n : int; br : int; l : float }
-  | Vsource of { p : int; n : int; br : int; wave : Wave.t }
+  | Conductance of { pp : int; qq : int; pq : int; qp : int; g : float }
+  | Inductor of { pbr : int; qbr : int; brp : int; brq : int; br : int; brbr : int; l : float }
+  | Vsource of { pbr : int; qbr : int; brp : int; brq : int; br : int; wave : Wave.t }
   | Isource of { p : int; n : int; wave : Wave.t }
-  | Vcvs of { p : int; n : int; cp : int; cn : int; br : int; gain : float }
-  | Vccs of { p : int; n : int; cp : int; cn : int; gm : float }
-  | Mosfet of { d : int; g : int; s : int; model : Mosfet.params; w : float; l : float }
+  | Vcvs of {
+      pbr : int; qbr : int; brp : int; brq : int; brcp : int; brcn : int; gain : float }
+  | Vccs of { pcp : int; pcn : int; qcp : int; qcn : int; gm : float }
+  | Mosfet of {
+      d : int; g : int; s : int;
+      dg : int; ds : int; sg : int; ss : int; dd : int; sd : int;
+      model : Mosfet.params;
+      beta : float;
+    }
 
 (* Everything here is read-only once [build] returns, so one [t] can be
    shared by analyses running on several domains. *)
@@ -29,45 +38,72 @@ type t = {
   ac_b : Complex.t array;      (* AC source magnitudes *)
 }
 
+(* The flat offset of entry (i, j) of the row-major size × size G; -1
+   when either index is ground. *)
+let offset ~size i j = if i >= 0 && j >= 0 then (i * size) + j else -1
+
 let needs_branch = function
   | Netlist.Vsource _ | Netlist.Vcvs _ | Netlist.Inductor _ -> true
   | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Isource _
   | Netlist.Vccs _ | Netlist.Mosfet _ ->
     false
 
-let compile_stamp ~node ~branch = function
+let compile_stamp ~node ~branch ~size = function
   | Netlist.Resistor { p; n; r; _ } ->
-    Some (Conductance { p = node p; n = node n; g = 1.0 /. r })
+    let p = node p and q = node n in
+    let at = offset ~size in
+    Some (Conductance { pp = at p p; qq = at q q; pq = at p q; qp = at q p; g = 1.0 /. r })
   | Netlist.Capacitor _ -> None
   | Netlist.Inductor { name; p; n; l } ->
-    Some (Inductor { p = node p; n = node n; br = branch name; l })
+    let p = node p and q = node n and br = branch name in
+    let at = offset ~size in
+    Some
+      (Inductor
+         { pbr = at p br; qbr = at q br; brp = at br p; brq = at br q; br;
+           brbr = at br br; l })
   | Netlist.Vsource { name; p; n; wave; _ } ->
-    Some (Vsource { p = node p; n = node n; br = branch name; wave })
+    let p = node p and q = node n and br = branch name in
+    let at = offset ~size in
+    Some (Vsource { pbr = at p br; qbr = at q br; brp = at br p; brq = at br q; br; wave })
   | Netlist.Isource { p; n; wave; _ } -> Some (Isource { p = node p; n = node n; wave })
   | Netlist.Vcvs { name; p; n; cp; cn; gain } ->
+    let p = node p and q = node n and br = branch name in
+    let at = offset ~size in
     Some
       (Vcvs
-         { p = node p; n = node n; cp = node cp; cn = node cn; br = branch name; gain })
+         { pbr = at p br; qbr = at q br; brp = at br p; brq = at br q;
+           brcp = at br (node cp); brcn = at br (node cn); gain })
   | Netlist.Vccs { p; n; cp; cn; gm; _ } ->
-    Some (Vccs { p = node p; n = node n; cp = node cp; cn = node cn; gm })
+    let p = node p and q = node n and cp = node cp and cn = node cn in
+    let at = offset ~size in
+    Some (Vccs { pcp = at p cp; pcn = at p cn; qcp = at q cp; qcn = at q cn; gm })
   | Netlist.Mosfet { d; g; s; model; w; l; _ } ->
-    Some (Mosfet { d = node d; g = node g; s = node s; model; w; l })
+    let d = node d and g = node g and s = node s in
+    let at = offset ~size in
+    Some
+      (Mosfet
+         { d; g; s; dg = at d g; ds = at d s; sg = at s g; ss = at s s; dd = at d d;
+           sd = at s d; model; beta = Mosfet.beta model ~w ~l })
 
 (* Explicit capacitors plus MOSFET cgs/cgd/cdb. A MOSFET lists its three
    in the order cdb, cgd, cgs, which the transient stamps keep. *)
-let compile_caps ~node elements =
+let compile_caps ~node ~size elements =
+  let cap cp cn value =
+    let at = offset ~size in
+    { cp; cn; value; pp = at cp cp; nn = at cn cn; pn = at cp cn; np = at cn cp }
+  in
   let out = ref [] in
   List.iter
     (fun e ->
       match e with
       | Netlist.Capacitor { p; n; c; _ } ->
-        out := { cp = node p; cn = node n; value = c } :: !out
+        out := cap (node p) (node n) c :: !out
       | Netlist.Mosfet { d; g; s; model; w; l; _ } ->
         let id = node d and ig = node g and is = node s in
         out :=
-          { cp = ig; cn = is; value = Mosfet.cgs model ~w ~l }
-          :: { cp = ig; cn = id; value = Mosfet.cgd model ~w ~l }
-          :: { cp = id; cn = -1; value = Mosfet.cdb model ~w ~l }
+          cap ig is (Mosfet.cgs model ~w ~l)
+          :: cap ig id (Mosfet.cgd model ~w ~l)
+          :: cap id (-1) (Mosfet.cdb model ~w ~l)
           :: !out
       | Netlist.Resistor _ | Netlist.Inductor _ | Netlist.Vsource _
       | Netlist.Isource _ | Netlist.Vcvs _ | Netlist.Vccs _ ->
@@ -139,8 +175,8 @@ let build netlist =
     branch_of_name;
     n_nodes;
     size;
-    program = Array.of_list (List.filter_map (compile_stamp ~node ~branch) elements);
-    caps = compile_caps ~node elements;
+    program = Array.of_list (List.filter_map (compile_stamp ~node ~branch ~size) elements);
+    caps = compile_caps ~node ~size elements;
     ac_c;
     ac_b;
   }
@@ -171,36 +207,19 @@ type inductor_treatment =
   | Short
   | Companion of { h : float; prev : Vec.t }
 
-(* Accumulate [v] into the n×n row-major [g] at (i, j), skipping ground
-   rows/columns. *)
-let[@inline] gadd g n i j v =
-  if i >= 0 && j >= 0 then begin
-    let k = (i * n) + j in
-    g.(k) <- g.(k) +. v
-  end
+(* Accumulate [v] into the row-major [g] at flat offset [o], skipping a
+   ground row or column (-1). *)
+let[@inline] gadd g o v = if o >= 0 then g.(o) <- g.(o) +. v
 
 let[@inline] badd b i v = if i >= 0 then b.(i) <- b.(i) +. v
 
-let[@inline] stamp_conductance g n p q value =
-  gadd g n p p value;
-  gadd g n q q value;
-  gadd g n p q (-.value);
-  gadd g n q p (-.value)
-
-(* VCCS: current [gm * (v cp - v cn)] flowing p -> q through the element. *)
-let[@inline] stamp_vccs g n p q cp cn gm =
-  gadd g n p cp gm;
-  gadd g n p cn (-.gm);
-  gadd g n q cp (-.gm);
-  gadd g n q cn gm
-
 (* The KCL and branch-equation entries shared by every voltage-defined
    element: the branch current leaves p and enters q. *)
-let[@inline] stamp_branch g n p q br =
-  gadd g n p br 1.0;
-  gadd g n q br (-1.0);
-  gadd g n br p 1.0;
-  gadd g n br q (-1.0)
+let[@inline] stamp_branch g pbr qbr brp brq =
+  gadd g pbr 1.0;
+  gadd g qbr (-1.0);
+  gadd g brp 1.0;
+  gadd g brq (-1.0)
 
 let stamp t ~g ~b ~x ~mos ~time ~gmin ~source_scale ~inductors =
   let n = t.size in
@@ -211,45 +230,61 @@ let stamp t ~g ~b ~x ~mos ~time ~gmin ~source_scale ~inductors =
   Array.fill b 0 n 0.0;
   for k = 0 to Array.length t.program - 1 do
     match t.program.(k) with
-    | Conductance { p; n = q; g = value } -> stamp_conductance g n p q value
-    | Inductor { p; n = q; br; l } ->
-      stamp_branch g n p q br;
+    | Conductance { pp; qq; pq; qp; g = value } ->
+      gadd g pp value;
+      gadd g qq value;
+      gadd g pq (-.value);
+      gadd g qp (-.value)
+    | Inductor { pbr; qbr; brp; brq; br; brbr; l } ->
+      stamp_branch g pbr qbr brp brq;
       (match inductors with
        | Short -> ()
        | Companion { h; prev } ->
          (* backward Euler: v = (L/h) (i - i_prev) *)
-         gadd g n br br (-.(l /. h));
+         gadd g brbr (-.(l /. h));
          badd b br (-.(l /. h *. prev.(br))))
-    | Vsource { p; n = q; br; wave } ->
-      stamp_branch g n p q br;
+    | Vsource { pbr; qbr; brp; brq; br; wave } ->
+      stamp_branch g pbr qbr brp brq;
       badd b br (source_scale *. Wave.value wave time)
     | Isource { p; n = q; wave } ->
       let i = source_scale *. Wave.value wave time in
       badd b p (-.i);
       badd b q i
-    | Vcvs { p; n = q; cp; cn; br; gain } ->
-      stamp_branch g n p q br;
-      gadd g n br cp (-.gain);
-      gadd g n br cn gain
-    | Vccs { p; n = q; cp; cn; gm } -> stamp_vccs g n p q cp cn gm
-    | Mosfet { d; g = gate; s; model; w; l } ->
+    | Vcvs { pbr; qbr; brp; brq; brcp; brcn; gain } ->
+      stamp_branch g pbr qbr brp brq;
+      gadd g brcp (-.gain);
+      gadd g brcn gain
+    | Vccs { pcp; pcn; qcp; qcn; gm } ->
+      (* current [gm * (v cp - v cn)] flowing p -> q through the element *)
+      gadd g pcp gm;
+      gadd g pcn (-.gm);
+      gadd g qcp (-.gm);
+      gadd g qcn gm
+    | Mosfet { d; g = gate; s; dg; ds; sg; ss; dd; sd; model; beta } ->
       let vd = if d >= 0 then x.(d) else 0.0 in
       let vg = if gate >= 0 then x.(gate) else 0.0 in
       let vs = if s >= 0 then x.(s) else 0.0 in
       mos.Mosfet.vgs <- vg -. vs;
       mos.Mosfet.vds <- vd -. vs;
-      Mosfet.linearise model ~w ~l mos;
-      (* linearised drain current: i = ids0 + gm*(vgs - vgs0) + gds*(vds - vds0) *)
+      Mosfet.linearise model ~beta mos;
+      (* linearised drain current: i = ids0 + gm*(vgs - vgs0) + gds*(vds - vds0),
+         a VCCS gm from (gate, s) and a conductance gds across (d, s) *)
       let ieq = mos.ids -. (mos.gm *. mos.vgs) -. (mos.gds *. mos.vds) in
-      stamp_vccs g n d s gate s mos.gm;
-      stamp_conductance g n d s mos.gds;
+      gadd g dg mos.gm;
+      gadd g ds (-.mos.gm);
+      gadd g sg (-.mos.gm);
+      gadd g ss mos.gm;
+      gadd g dd mos.gds;
+      gadd g ss mos.gds;
+      gadd g ds (-.mos.gds);
+      gadd g sd (-.mos.gds);
       badd b d (-.ieq);
       badd b s ieq
   done;
   (* gmin from every node voltage unknown to ground *)
   if gmin > 0.0 then
     for i = 0 to t.n_nodes - 1 do
-      gadd g n i i gmin
+      gadd g ((i * n) + i) gmin
     done
 
 let ac_matrices t ~op =

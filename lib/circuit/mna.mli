@@ -12,8 +12,10 @@
 
 type t
 (** A netlist compiled once: unknowns numbered, and every element turned
-    into an index-resolved stamp (resistor conductances precomputed,
-    the AC capacitance matrix and source vector assembled). A [t] is
+    into a stamp whose matrix entries are flat offsets into the
+    row-major system matrix (resistor conductances and MOSFET gains
+    precomputed, the AC capacitance matrix and source vector
+    assembled). A [t] is
     immutable after {!build}, so analyses on several domains may share
     one; each analysis call brings its own matrix storage. *)
 
@@ -36,9 +38,18 @@ val node_voltage : t -> Stc_numerics.Vec.t -> Netlist.node -> float
 val branch_current : t -> Stc_numerics.Vec.t -> string -> float
 (** Branch current of a voltage-defined element, by element name. *)
 
-type cap = { cp : int; cn : int; value : float }
+type cap = {
+  cp : int;
+  cn : int;
+  value : float;
+  pp : int;  (** flat offset of (cp, cp) in the row-major G *)
+  nn : int;  (** of (cn, cn) *)
+  pn : int;  (** of (cp, cn) *)
+  np : int;  (** of (cn, cp) *)
+}
 (** A (possibly device-internal) linear capacitance between two
-    unknown indices (-1 = ground). *)
+    unknown indices (-1 = ground), with the offsets its transient
+    companion adds to, -1 where a row or column is ground. *)
 
 val capacitances : t -> cap array
 (** All capacitances: explicit capacitors plus MOSFET cgs/cgd/cdb

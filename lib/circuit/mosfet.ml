@@ -70,9 +70,11 @@ let[@inline] square_law p ~beta ~vgs ~vds op =
     op.gds <- 0.5 *. beta *. vov *. vov *. p.lambda
   end
 
-let linearise p ~w ~l op =
+let beta p ~w ~l =
   assert (w > 0.0 && l > 0.0);
-  let beta = p.kp *. w /. l in
+  p.kp *. w /. l
+
+let linearise p ~beta op =
   match p.kind with
   | Nmos -> square_law p ~beta ~vgs:op.vgs ~vds:op.vds op
   | Pmos ->

@@ -35,13 +35,19 @@ type op = {
 val op : unit -> op
 (** Fresh scratch storage, all zero. *)
 
-val linearise : params -> w:float -> l:float -> op -> unit
-(** [linearise p ~w ~l op] evaluates the square law at [op.vgs] and
-    [op.vds] and writes [ids], [gm] and [gds]: cutoff (a 1e-12 S leak),
-    triode or saturation. For PMOS set terminal voltages as-is (vgs,
-    vds negative in normal operation); the model mirrors them, and
-    [ids] is still the current flowing drain→source. It allocates
-    nothing: {!Mna.stamp} calls it for every device on every Newton
+val beta : params -> w:float -> l:float -> float
+(** [beta p ~w ~l] is the device's square-law gain [kp·W/L], in A/V².
+    {!Mna.build} computes it once per device. Requires positive [w] and
+    [l]. *)
+
+val linearise : params -> beta:float -> op -> unit
+(** [linearise p ~beta op] evaluates the square law of a device with
+    gain [beta] (from {!beta}) at [op.vgs] and [op.vds] and writes
+    [ids], [gm] and [gds]: cutoff (a 1e-12 S leak), triode or
+    saturation. For PMOS set terminal voltages as-is (vgs, vds negative
+    in normal operation); the model mirrors them, and [ids] is still
+    the current flowing drain→source. It allocates nothing:
+    {!Mna.stamp} calls it for every device on every Newton
     iteration. *)
 
 val cgs : params -> w:float -> l:float -> float

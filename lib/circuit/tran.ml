@@ -42,21 +42,19 @@ let prepare h cs =
     cs.ieq.(k) <- -.(geq *. cs.v_prev.(k)) -. cs.i_prev.(k)
   done
 
-let[@inline] gadd g n i j v =
-  let k = (i * n) + j in
-  g.(k) <- g.(k) +. v
+(* add [v] at flat offset [o] of the row-major [g], unless it is a
+   ground row or column (-1) *)
+let[@inline] gadd g o v = if o >= 0 then g.(o) <- g.(o) +. v
 
 let stamp_companions cs (g : Mat.t) b =
-  let n = g.Mat.cols and g = g.Mat.data in
+  let g = g.Mat.data in
   for k = 0 to Array.length cs.caps - 1 do
     let geq = cs.geq.(k) and ieq = cs.ieq.(k) in
-    let { Mna.cp; cn; _ } = cs.caps.(k) in
-    if cp >= 0 then gadd g n cp cp geq;
-    if cn >= 0 then gadd g n cn cn geq;
-    if cp >= 0 && cn >= 0 then begin
-      gadd g n cp cn (-.geq);
-      gadd g n cn cp (-.geq)
-    end;
+    let { Mna.cp; cn; pp; nn; pn; np; _ } = cs.caps.(k) in
+    gadd g pp geq;
+    gadd g nn geq;
+    gadd g pn (-.geq);
+    gadd g np (-.geq);
     if cp >= 0 then b.(cp) <- b.(cp) -. ieq;
     if cn >= 0 then b.(cn) <- b.(cn) +. ieq
   done

@@ -61,7 +61,7 @@ let linearise p ~vgs ~vds =
   let op = Mosfet.op () in
   op.Mosfet.vgs <- vgs;
   op.Mosfet.vds <- vds;
-  Mosfet.linearise p ~w:10e-6 ~l:1e-6 op;
+  Mosfet.linearise p ~beta:(Mosfet.beta p ~w:10e-6 ~l:1e-6) op;
   op
 
 let mosfet_tests =

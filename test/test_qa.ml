@@ -120,6 +120,131 @@ let split_solve_matches_boxed (n, gc, omega, b) =
   | Error k, Ok _ -> QCheck.Test.fail_reportf "boxed solve singular at %d, split is not" k
   | Error k, Error k' -> QCheck.Test.fail_reportf "singular at %d (boxed) vs %d (split)" k k'
 
+(* Lu.factor_in_place and Lu.solve_into as they were before the
+   factorisation listed each pivot row's non-zero columns once and gave
+   an exactly-zero entry below the pivot its multiplier without a
+   division, kept as the reference those must match bit for bit. *)
+let reference_factor (a : Stc_numerics.Mat.t) perm =
+  let n = a.rows and d = a.data in
+  for i = 0 to n - 1 do
+    perm.(i) <- i
+  done;
+  let sign = ref 1.0 in
+  for k = 0 to n - 1 do
+    let rk = k * n in
+    let pivot = ref k and best = ref (Float.abs d.(rk + k)) in
+    for i = k + 1 to n - 1 do
+      let v = Float.abs d.((i * n) + k) in
+      if v > !best then begin
+        pivot := i;
+        best := v
+      end
+    done;
+    if !best < 1e-300 then raise (Stc_numerics.Lu.Singular k);
+    let p = !pivot in
+    if p <> k then begin
+      let rp = p * n in
+      for j = 0 to n - 1 do
+        let t = d.(rk + j) in
+        d.(rk + j) <- d.(rp + j);
+        d.(rp + j) <- t
+      done;
+      let t = perm.(k) in
+      perm.(k) <- perm.(p);
+      perm.(p) <- t;
+      sign := -. !sign
+    end;
+    let pk = d.(rk + k) in
+    for i = k + 1 to n - 1 do
+      let ri = i * n in
+      let lik = d.(ri + k) /. pk in
+      d.(ri + k) <- lik;
+      if lik <> 0.0 then
+        for j = k + 1 to n - 1 do
+          let ukj = d.(rk + j) in
+          if ukj <> 0.0 then d.(ri + j) <- d.(ri + j) -. (lik *. ukj)
+        done
+    done
+  done;
+  !sign
+
+let reference_solve (lu : Stc_numerics.Mat.t) perm b =
+  let n = lu.rows and d = lu.data in
+  let x = Array.init n (fun i -> b.(perm.(i))) in
+  for i = 1 to n - 1 do
+    let acc = ref x.(i) in
+    for j = 0 to i - 1 do
+      acc := !acc -. (d.((i * n) + j) *. x.(j))
+    done;
+    x.(i) <- !acc
+  done;
+  for i = n - 1 downto 0 do
+    let acc = ref x.(i) in
+    for j = i + 1 to n - 1 do
+      acc := !acc -. (d.((i * n) + j) *. x.(j))
+    done;
+    x.(i) <- !acc /. d.((i * n) + i)
+  done;
+  x
+
+(* A sparse real system of size 1-12, as MNA stamps them: a third of
+   the entries exactly zero and the rest of either sign across 25
+   decades, so pivots are negative (making a zero multiplier -0.0) and
+   rows swap. A tenth of the systems repeat one row, and a tenth zero
+   one column, so they are singular. *)
+let real_system =
+  QCheck.Gen.(
+    let value =
+      map3
+        (fun neg m e -> (if neg then -.m else m) *. (10.0 ** float_of_int e))
+        bool (float_range 1.0 10.0) (int_range (-12) 12)
+    in
+    let entry = frequency [ (1, return 0.0); (2, value) ] in
+    let* n = int_range 1 12 in
+    let* a = array_size (return (n * n)) entry in
+    let* b = array_size (return n) entry in
+    let* defect = frequency [ (8, return `None); (1, return `Repeat_row); (1, return `Zero_column) ] in
+    let* r0 = int_range 0 (n - 1) in
+    let* r1 = int_range 0 (n - 1) in
+    (match defect with
+     | `None -> ()
+     | `Repeat_row -> Array.blit a (r0 * n) a (r1 * n) n
+     | `Zero_column -> for i = 0 to n - 1 do a.((i * n) + r0) <- 0.0 done);
+    return (n, a, b))
+
+let lu_matches_reference (n, a, b) =
+  let module Lu = Stc_numerics.Lu in
+  let bits v = Int64.bits_of_float v in
+  let mat () = { Stc_numerics.Mat.rows = n; cols = n; data = Array.copy a } in
+  let want = mat () and got = mat () in
+  let want_perm = Array.make n 0 and got_perm = Array.make n 0 in
+  let factor f = match f () with s -> Ok s | exception Lu.Singular k -> Error k in
+  match
+    ( factor (fun () -> reference_factor want want_perm),
+      factor (fun () -> Lu.factor_in_place got got_perm (Array.make n 0)) )
+  with
+  | Ok s, Ok s' ->
+    if bits s <> bits s' then QCheck.Test.fail_reportf "sign %g, reference %g" s' s;
+    if got_perm <> want_perm then QCheck.Test.fail_report "permutations differ";
+    Array.iteri
+      (fun k w ->
+        if bits w <> bits got.data.(k) then
+          QCheck.Test.fail_reportf "factor (%d, %d): %h, reference %h" (k / n) (k mod n)
+            got.data.(k) w)
+      want.data;
+    let x = Array.make n 0.0 in
+    Lu.solve_into got got_perm b x;
+    Array.iteri
+      (fun i w ->
+        if bits w <> bits x.(i) then
+          QCheck.Test.fail_reportf "x.(%d): %h, reference %h" i x.(i) w)
+      (reference_solve want want_perm b);
+    true
+  | Error k, Error k' when k = k' -> true
+  | Ok _, Error k -> QCheck.Test.fail_reportf "singular at %d, the reference is not" k
+  | Error k, Ok _ -> QCheck.Test.fail_reportf "the reference is singular at %d, this is not" k
+  | Error k, Error k' -> QCheck.Test.fail_reportf "singular at %d, the reference at %d" k' k
+
 (* The decision fold Svr.predict and Svc.decision ran over boxed
    support vectors before those moved into one Flat matrix, kept as the
    reference the fused decision function must match bit for bit. *)
@@ -282,6 +407,9 @@ let property_tests =
     qtest
       (QCheck.Test.make ~name:"split complex solve matches boxed bitwise" ~count:300
          ~long_factor:10 (QCheck.make complex_system) split_solve_matches_boxed);
+    qtest
+      (QCheck.Test.make ~name:"pattern-skipping LU matches the reference elimination bitwise"
+         ~count:300 ~long_factor:10 (QCheck.make real_system) lu_matches_reference);
   ]
 
 (* ----------------------- flow_io error paths ---------------------- *)
