@@ -8,10 +8,12 @@ type result = {
 
 exception No_convergence of float
 
-(* the LTE tolerances, abstol in volts; tran.mli says how they were
+(* the LTE tolerances, abstol in volts, and the |Δx|∞ at which a
+   step's Newton solve stops, in volts; tran.mli says how they were
    chosen *)
 let reltol = 1e-7
 let abstol = 1e-9
+let newton_tol = 1e-4
 
 let m_steps = Stc_obs.Registry.counter "stc_tran_steps_total"
 let m_rejected = Stc_obs.Registry.counter "stc_tran_rejected_steps_total"
@@ -125,7 +127,7 @@ let run sys ~tstop ~dt =
       geq = slots (); ieq = slots () }
   in
   let ws = Dc.workspace sys in
-  let nopts = Dc.default_options in
+  let nopts = { Dc.default_options with tol = newton_tol } in
   let n_nodes = List.length (Netlist.nodes (Mna.netlist sys)) in
   let times = ref [ 0.0 ] and states = ref [ op ] in
   (* the points accepted since the last breakpoint, newest first, at
@@ -152,11 +154,21 @@ let run sys ~tstop ~dt =
       in
       let target = if step = remaining then stop else t +. step in
       prepare step cs;
-      (* Newton starts on the line through the last two points accepted
-         since the breakpoint; with fewer, from the last accepted point *)
+      (* Newton starts on the quadratic through the last three points
+         accepted since the breakpoint, on the line through two, or from
+         the last accepted point *)
       let start =
         match !history with
-        | (t1, x1) :: (t0, x0) :: _ ->
+        | (t2, x2) :: (t1, x1) :: (t0, x0) :: _ ->
+          (* the Lagrange weights of the three points at [target] *)
+          let w2 = (target -. t1) *. (target -. t0) /. ((t2 -. t1) *. (t2 -. t0)) in
+          let w1 = (target -. t2) *. (target -. t0) /. ((t1 -. t2) *. (t1 -. t0)) in
+          let w0 = (target -. t2) *. (target -. t1) /. ((t0 -. t2) *. (t0 -. t1)) in
+          for i = 0 to Vec.dim x2 - 1 do
+            predicted.(i) <- (w2 *. x2.(i)) +. (w1 *. x1.(i)) +. (w0 *. x0.(i))
+          done;
+          predicted
+        | [ (t1, x1); (t0, x0) ] ->
           let s = (target -. t1) /. (t1 -. t0) in
           for i = 0 to Vec.dim x1 - 1 do
             predicted.(i) <- x1.(i) +. (s *. (x1.(i) -. x0.(i)))

@@ -7,8 +7,8 @@
    The op-amp pins are full Table 1 spec vectors of four instances. The
    seven DC/AC specs are pinned bit for bit to the values captured
    before the netlist was compiled. The four transient specs are pinned
-   bit for bit under the LTE-controlled timestep and the Newton
-   predictor, and must also stay within a stated relative tolerance of
+   bit for bit under the LTE-controlled timestep, the quadratic Newton
+   predictor and the transient Newton tolerance, and must also stay within a stated relative tolerance of
    the values the fixed 1200-step grid gave, which are kept here as the
    reference.
 
@@ -118,13 +118,14 @@ let opamp_specs =
 let tran_specs = [| (3, 1e-5); (4, 1e-5); (5, 5e-3); (6, 5e-3) |]
 
 (* The [tran_specs] of each draw under the LTE-controlled timestep, with
-   each Newton solve started from the linear prediction. *)
+   each Newton solve started from the quadratic prediction and stopped
+   at Tran's step tolerance. *)
 let opamp_tran_specs =
   [|
-    [| 0x3fe2d8bd31a966d1L; 0x4014a5c803d6c9c2L; 0x3f96b92234a72c6fL; 0x40792487b5a16ca6L |];
-    [| 0x3fdfd2f012a515a2L; 0x40187479742ad0cdL; 0x3f92f403b65ab1e2L; 0x407bcb31082d363fL |];
-    [| 0x3fe2434e69194b30L; 0x40154ea5b8dfa711L; 0x3f99ebed8df0181eL; 0x407a28df5e97a956L |];
-    [| 0x3fe0114aed6c3dc6L; 0x401837fe5e220e42L; 0x3f8c597f8045e0b5L; 0x4079b4be1d906005L |];
+    [| 0x3fe2d8bd31e16863L; 0x4014a5c803cf9046L; 0x3f96b9223582c0c2L; 0x40792487b534f7faL |];
+    [| 0x3fdfd2f012323ddbL; 0x4018747973a0a534L; 0x3f92f403b7f8d9efL; 0x407bcb31084e8e3aL |];
+    [| 0x3fe2434e67fbababL; 0x40154ea5b9a678acL; 0x3f99ebed903033b9L; 0x407a28df5e6ec5baL |];
+    [| 0x3fe0114aecf0e560L; 0x401837fe5f114008L; 0x3f8c597f85ae956eL; 0x4079b4be1e0c227cL |];
   |]
 
 let opamp_tests =
@@ -323,7 +324,7 @@ let pins =
     ( "sine current source, trapezoidal",
       2518, "4bfb0bc1f9feec53cd81da4823d91c62", 0x3fec811485c2f3daL );
     ( "PWL source, trapezoidal",
-      4128, "15fa54207fa65d14aad3d11befd375d0", 0xbef91bd77d89bc48L );
+      4128, "5235fc90b3deb2edc3133ce4bdba337e", 0xbef91bd77d89b870L );
     ( "RLC tank: AC current drive",
       22, "a41512b6b12408c83fe2b69b665f9902", 0xbf70ee47dffa929dL );
     ( "gmin stepping: DC-floating node",
