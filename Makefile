@@ -6,7 +6,7 @@
 # replay the same stream.
 QA_SEED ?= 2005
 
-.PHONY: all build check test bench golden examples qa suites serve-smoke ci clean
+.PHONY: all build check test bench bench-diff golden examples qa suites serve-smoke ci clean
 
 all: build
 
@@ -24,6 +24,17 @@ test:
 # text on stdout. Timing is stcbench's job (BENCHMARK.json).
 bench:
 	dune exec bench/main.exe
+
+# Compares two files of saved stcbench result lines (the last stdout
+# line of each run, one run per line, line i of OLD paired with line i
+# of NEW) against the bounds in BENCHMARK.json: per metric, the medians
+# with quartiles, the change/parent ratio, wins out of N pairs, the
+# bound, and whether the gain rule is met or the bound holds. Exits 1
+# if a bound is broken. See tools/bench_diff.ml.
+bench-diff:
+	@if [ -z "$(OLD)" ] || [ -z "$(NEW)" ]; then \
+	  echo "usage: make bench-diff OLD=FILE NEW=FILE" >&2; exit 2; fi
+	@dune exec tools/bench_diff.exe -- $(OLD) $(NEW)
 
 # The paper-golden regression tier at near-paper populations (7-16 s on
 # a 2-vCPU host); the smoke tier runs in the default `dune runtest`.

@@ -14,6 +14,9 @@ let default_options = { max_iter = 150; tol = 1e-9; gmin = 1e-12; max_step = 0.5
 exception No_convergence of string
 
 let m_iterations = Stc_obs.Registry.counter "stc_newton_iterations_total"
+let m_solves = Stc_obs.Registry.counter "stc_dc_solves_total"
+let m_gmin_stepping = Stc_obs.Registry.counter "stc_dc_gmin_stepping_total"
+let m_source_stepping = Stc_obs.Registry.counter "stc_dc_source_stepping_total"
 
 type workspace = {
   g : Mat.t;          (* stamped, then factored in place *)
@@ -85,11 +88,20 @@ let solve_at ?(options = default_options) ?x0 ~time sys =
   let newton ~gmin ~source_scale ~x0 =
     newton options sys ws ~time ~gmin ~source_scale ~inductors:Mna.Short ~x0
   in
-  Fun.protect ~finally:(fun () -> count_iterations ws) @@ fun () ->
+  (* which fallbacks this solve took, counted once when it ends *)
+  let gmin_stepping = ref false and source_stepping = ref false in
+  let count () =
+    count_iterations ws;
+    Stc_obs.Registry.Counter.incr m_solves;
+    if !gmin_stepping then Stc_obs.Registry.Counter.incr m_gmin_stepping;
+    if !source_stepping then Stc_obs.Registry.Counter.incr m_source_stepping
+  in
+  Fun.protect ~finally:count @@ fun () ->
   match newton ~gmin:options.gmin ~source_scale:1.0 ~x0 with
   | Some x -> x
   | None ->
     (* gmin stepping: solve with a heavy leak and tighten progressively *)
+    gmin_stepping := true;
     let via_gmin =
       List.fold_left
         (fun acc gmin ->
@@ -102,6 +114,7 @@ let solve_at ?(options = default_options) ?x0 ~time sys =
      | Some x -> x
      | None ->
        (* source stepping from a dead circuit *)
+       source_stepping := true;
        let via_src =
          List.fold_left
            (fun acc scale ->

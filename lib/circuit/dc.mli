@@ -49,14 +49,18 @@ val newton :
 val solve : ?options:options -> ?x0:Stc_numerics.Vec.t -> Mna.t ->
   Stc_numerics.Vec.t
 (** Operating point at [time = 0]. Tries plain Newton from [x0] (zeros
-    by default), then gmin stepping, then source stepping, and adds
-    every iteration to [stc_newton_iterations_total]. Raises
-    [No_convergence] if all fail. *)
+    by default), then gmin stepping, then source stepping. When it
+    ends, it adds its iterations to [stc_newton_iterations_total], one
+    to [stc_dc_solves_total], and one to [stc_dc_gmin_stepping_total]
+    and to [stc_dc_source_stepping_total] if it took that fallback,
+    once per call so that domains do not contend on the counters.
+    Raises [No_convergence] if all fail. *)
 
 val solve_at : ?options:options -> ?x0:Stc_numerics.Vec.t -> time:float ->
   Mna.t -> Stc_numerics.Vec.t
 (** Operating point with time-dependent sources frozen at [time];
-    used by the transient engine for its initial condition. *)
+    used by the transient engine for its initial condition. Counts as
+    {!solve} does. *)
 
 val sweep :
   ?options:options ->

@@ -48,38 +48,34 @@ let needs_branch = function
   | Netlist.Vccs _ | Netlist.Mosfet _ ->
     false
 
-let compile_stamp ~node ~branch ~size = function
+let compile_stamp ~node ~branch ~size e =
+  let at = offset ~size in
+  match e with
   | Netlist.Resistor { p; n; r; _ } ->
     let p = node p and q = node n in
-    let at = offset ~size in
     Some (Conductance { pp = at p p; qq = at q q; pq = at p q; qp = at q p; g = 1.0 /. r })
   | Netlist.Capacitor _ -> None
   | Netlist.Inductor { name; p; n; l } ->
     let p = node p and q = node n and br = branch name in
-    let at = offset ~size in
     Some
       (Inductor
          { pbr = at p br; qbr = at q br; brp = at br p; brq = at br q; br;
            brbr = at br br; l })
   | Netlist.Vsource { name; p; n; wave; _ } ->
     let p = node p and q = node n and br = branch name in
-    let at = offset ~size in
     Some (Vsource { pbr = at p br; qbr = at q br; brp = at br p; brq = at br q; br; wave })
   | Netlist.Isource { p; n; wave; _ } -> Some (Isource { p = node p; n = node n; wave })
   | Netlist.Vcvs { name; p; n; cp; cn; gain } ->
     let p = node p and q = node n and br = branch name in
-    let at = offset ~size in
     Some
       (Vcvs
          { pbr = at p br; qbr = at q br; brp = at br p; brq = at br q;
            brcp = at br (node cp); brcn = at br (node cn); gain })
   | Netlist.Vccs { p; n; cp; cn; gm; _ } ->
     let p = node p and q = node n and cp = node cp and cn = node cn in
-    let at = offset ~size in
     Some (Vccs { pcp = at p cp; pcn = at p cn; qcp = at q cp; qcn = at q cn; gm })
   | Netlist.Mosfet { d; g; s; model; w; l; _ } ->
     let d = node d and g = node g and s = node s in
-    let at = offset ~size in
     Some
       (Mosfet
          { d; g; s; dg = at d g; ds = at d s; sg = at s g; ss = at s s; dd = at d d;
@@ -88,8 +84,8 @@ let compile_stamp ~node ~branch ~size = function
 (* Explicit capacitors plus MOSFET cgs/cgd/cdb. A MOSFET lists its three
    in the order cdb, cgd, cgs, which the transient stamps keep. *)
 let compile_caps ~node ~size elements =
+  let at = offset ~size in
   let cap cp cn value =
-    let at = offset ~size in
     { cp; cn; value; pp = at cp cp; nn = at cn cn; pn = at cp cn; np = at cn cp }
   in
   let out = ref [] in

@@ -200,6 +200,37 @@ let dc_tests =
         (match Netlist.validate negative with
          | Error _ -> ()
          | Ok () -> Alcotest.fail "expected non-positive value error"));
+    Alcotest.test_case "each fallback bumps its own counter once" `Quick (fun () ->
+        let counters =
+          [ "stc_dc_solves_total"; "stc_dc_gmin_stepping_total";
+            "stc_dc_source_stepping_total" ]
+          |> List.map Stc_obs.Registry.counter
+        in
+        (* the solves, gmin-stepping and source-stepping counts one
+           solve adds *)
+        let bumps ?options netlist =
+          let before = List.map Stc_obs.Registry.Counter.get counters in
+          ignore (Dc.solve ?options (Mna.build netlist) : Stc_numerics.Vec.t);
+          List.map2 (fun c b -> Stc_obs.Registry.Counter.get c - b) counters before
+        in
+        let check what want got = Alcotest.(check (list int)) what want got in
+        let nfet = Netlist.nmos "m1" ~d:"a" ~g:"a" ~s:"0" ~w:10e-6 ~l:1e-6 () in
+        check "plain solve" [ 1; 0; 0 ] (bumps (resistor_divider ()));
+        (* a node with no DC path: singular without gmin *)
+        check "gmin stepping" [ 1; 1; 0 ]
+          (bumps
+             ~options:{ Dc.default_options with Dc.gmin = 0.0 }
+             (Netlist.of_elements
+                [ Netlist.vdc "v1" "in" "0" 2.0; Netlist.r "r1" "in" "a" 1e3;
+                  Netlist.c "c1" "a" "f" 1e-9; nfet ]));
+        (* 10 V onto a diode-connected device within 12 iterations:
+           plain Newton and gmin stepping both run out, source stepping
+           does not *)
+        check "source stepping after gmin stepping" [ 1; 1; 1 ]
+          (bumps
+             ~options:{ Dc.default_options with Dc.max_iter = 12 }
+             (Netlist.of_elements
+                [ Netlist.vdc "v1" "in" "0" 10.0; Netlist.r "r1" "in" "a" 1e3; nfet ])));
   ]
 
 (* --------------------------- AC analysis -------------------------- *)

@@ -191,7 +191,8 @@ let reference_solve (lu : Stc_numerics.Mat.t) perm b =
    the entries exactly zero and the rest of either sign across 25
    decades, so pivots are negative (making a zero multiplier -0.0) and
    rows swap. A tenth of the systems repeat one row, and a tenth zero
-   one column, so they are singular. *)
+   one column, so they are singular. One entry in 300 is infinite, so
+   some pivots are, where a zero multiplier must still be 0/pivot. *)
 let real_system =
   QCheck.Gen.(
     let value =
@@ -199,7 +200,10 @@ let real_system =
         (fun neg m e -> (if neg then -.m else m) *. (10.0 ** float_of_int e))
         bool (float_range 1.0 10.0) (int_range (-12) 12)
     in
-    let entry = frequency [ (1, return 0.0); (2, value) ] in
+    let entry =
+      frequency
+        [ (100, return 0.0); (199, value); (1, oneofl [ infinity; neg_infinity ]) ]
+    in
     let* n = int_range 1 12 in
     let* a = array_size (return (n * n)) entry in
     let* b = array_size (return n) entry in

@@ -358,7 +358,7 @@ let netlist_tests =
 
 (* The minor-heap words one nominal instance may allocate. A stamp
    allocates nothing, an LU factorisation only its boxed sign, and the
-   complex elimination nothing per pivot; what is left, about 185 k
+   complex elimination nothing per pivot; what is left, about 161 k
    words, is per transient step and per AC point. The boxed code
    allocated 960 k. A change that boxes the hot path again fails here. *)
 let alloc_budget = 300_000.0
@@ -375,4 +375,27 @@ let alloc_test =
         Alcotest.failf "one instance allocated %.0f minor words, over the budget of %.0f"
           words alloc_budget)
 
-let suites = [ ("circuit.pins", opamp_tests @ netlist_tests @ [ alloc_test ]) ]
+(* ------------------------ Newton iterations ------------------------ *)
+
+(* The Newton iterations one nominal instance may take, DC and
+   transient. It took 2,112 with each transient step solved to the DC
+   tolerance from a linear prediction, and takes 1,039 with the
+   quadratic prediction and Tran's step tolerance. A change that
+   tightens the transient solve again, or loses the predictor, fails
+   here. *)
+let newton_budget = 1_200
+
+let newton_test =
+  Alcotest.test_case "one instance takes at most 1,200 Newton iterations" `Quick (fun () ->
+      let iterations = Stc_obs.Registry.counter "stc_newton_iterations_total" in
+      let measure () = ignore (Measure_opamp.measure Opamp.nominal : Measure_opamp.values) in
+      measure ();
+      let before = Stc_obs.Registry.Counter.get iterations in
+      measure ();
+      let taken = Stc_obs.Registry.Counter.get iterations - before in
+      if taken > newton_budget then
+        Alcotest.failf "one instance took %d Newton iterations, over the budget of %d" taken
+          newton_budget)
+
+let suites =
+  [ ("circuit.pins", opamp_tests @ netlist_tests @ [ alloc_test; newton_test ]) ]
