@@ -22,7 +22,7 @@ type workspace = {
   g : Mat.t;          (* stamped, then factored in place *)
   b : Vec.t;
   perm : int array;
-  cols : int array;   (* the LU's column scratch *)
+  cols : int array;   (* the LU's column list *)
   x_new : Vec.t;      (* the linear step's solution *)
   mos : Mosfet.op;    (* each MOSFET's operating point, while stamping *)
   mutable iterations : int;  (* Newton iterations not yet counted *)

@@ -28,7 +28,7 @@ let factor_in_place a perm cols =
   let d = a.Mat.data in
   if Array.length d <> n * n then invalid_arg "Lu.factor: data length mismatch";
   if Array.length perm <> n then invalid_arg "Lu.factor: permutation length mismatch";
-  if Array.length cols < n then invalid_arg "Lu.factor: column scratch too short";
+  if Array.length cols < n then invalid_arg "Lu.factor: column buffer too short";
   (* the checks above keep every index below in bounds *)
   for i = 0 to n - 1 do
     Array.unsafe_set perm i i

@@ -10,7 +10,7 @@ val factor_in_place : Mat.t -> int array -> int array -> float
     storage: [a] is overwritten with the packed factors (L strictly
     below the diagonal, its unit diagonal implied; U on and above) and
     [perm] with the row permutation, row [i] of PA being row [perm.(i)]
-    of [a]. [cols], of length at least [n], is scratch for the columns
+    of [a]. [cols], of length at least [n], is a buffer for the columns
     each pivot row updates; its contents are irrelevant before and
     after. Returns the permutation's sign. Exact zeros of a pivot row
     are skipped and an exactly-zero entry below a finite pivot gets its

@@ -8,9 +8,9 @@
    seven DC/AC specs are pinned bit for bit to the values captured
    before the netlist was compiled. The four transient specs are pinned
    bit for bit under the LTE-controlled timestep, the quadratic Newton
-   predictor and the transient Newton tolerance, and must also stay within a stated relative tolerance of
-   the values the fixed 1200-step grid gave, which are kept here as the
-   reference.
+   predictor and the transient Newton tolerance, and must also stay
+   within a stated relative tolerance of the values the fixed 1200-step
+   grid gave, which are kept here as the reference.
 
    The small netlists cover what the op-amp benches never reach: the
    inductor companion inside a transient, VCVS and VCCS,
@@ -380,9 +380,9 @@ let alloc_test =
 (* The Newton iterations one nominal instance may take, DC and
    transient. It took 2,112 with each transient step solved to the DC
    tolerance from a linear prediction, and takes 1,039 with the
-   quadratic prediction and Tran's step tolerance. A change that
-   tightens the transient solve again, or loses the predictor, fails
-   here. *)
+   quadratic prediction and Tran's step tolerance (1,548 with that
+   prediction at a tolerance of 1e-5 V). A change that tightens the
+   transient solve again fails here. *)
 let newton_budget = 1_200
 
 let newton_test =

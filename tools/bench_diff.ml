@@ -7,9 +7,10 @@
    run, a JSON object), one run per line; line i of OLD and line i of
    NEW are one pair, run one after the other. For every metric the
    runs report, in BENCHMARK.json's order (end-to-end metrics, then
-   per-layer ones, then any other), it prints the parent's and the
+   per-layer ones), it prints the parent's and the
    change's median with quartiles, the change/parent ratio of the
-   medians, the pairs the change won, the bound and a verdict:
+   medians, the pairs the change won, the bound and a verdict (a
+   metric BENCHMARK.json does not declare is not reported):
 
    - "gain": the change won at least nine tenths of the pairs, and the
      medians differ, in the better direction, by more than the
@@ -199,9 +200,10 @@ let read_runs file =
   in
   go 1 []
 
-type bound = { better_lower : bool; bound : float option }
+(* a metric as BENCHMARK.json declares it *)
+type declared = { better_lower : bool; bound : float option }
 
-(* name -> bound, in BENCHMARK.json's order *)
+(* name -> declaration, in BENCHMARK.json's order *)
 let read_bounds file =
   let ic = try open_in_bin file with Sys_error e -> bad "%s" e in
   let text = really_input_string ic (in_channel_length ic) in
@@ -242,18 +244,17 @@ let quartiles xs = (Stats.quantile xs 0.25, Stats.median xs, Stats.quantile xs 0
 
 let compare_metric ~name ~unit_ ~spec old_v new_v =
   let pairs = Array.length old_v in
-  let better_lower = match spec with Some s -> s.better_lower | None -> true in
-  let better a b = if better_lower then a < b else a > b in
+  let better a b = if spec.better_lower then a < b else a > b in
   let wins = ref 0 in
   Array.iteri (fun i o -> if better new_v.(i) o then incr wins) old_v;
   let ((q1, om, q3) as old_q) = quartiles old_v and ((_, nm, _) as new_q) = quartiles new_v in
   let gain = 10 * !wins >= 9 * pairs && better nm om && Float.abs (nm -. om) > q3 -. q1 in
-  let bound = Option.bind spec (fun s -> s.bound) in
+  let bound = spec.bound in
   let broken =
     match bound with
     | None -> false
     | Some b ->
-      if better_lower then nm > om *. (1.0 +. b) else nm < om *. (1.0 -. b)
+      if spec.better_lower then nm > om *. (1.0 +. b) else nm < om *. (1.0 -. b)
   in
   let verdict =
     if gain then "gain"
@@ -264,14 +265,8 @@ let compare_metric ~name ~unit_ ~spec old_v new_v =
   { name; unit_; old_q; new_q; wins = !wins; pairs; bound; verdict; broken }
 
 let rows ~bounds old_runs new_runs =
-  let names =
-    let reported = List.concat_map (fun r -> List.map fst r.metrics) (old_runs @ new_runs) in
-    let known = List.filter (fun n -> List.mem n reported) (List.map fst bounds) in
-    known
-    @ List.sort_uniq compare (List.filter (fun n -> not (List.mem_assoc n bounds)) reported)
-  in
   List.filter_map
-    (fun name ->
+    (fun (name, spec) ->
       let values runs = List.map (fun r -> List.assoc_opt name r.metrics) runs in
       let olds = values old_runs and news = values new_runs in
       (* a metric counts only over the pairs where both runs report it *)
@@ -285,8 +280,8 @@ let rows ~bounds old_runs new_runs =
       | (_, _, unit_) :: _ ->
         let old_v = Array.of_list (List.map (fun (o, _, _) -> o) both)
         and new_v = Array.of_list (List.map (fun (_, n, _) -> n) both) in
-        Some (compare_metric ~name ~unit_ ~spec:(List.assoc_opt name bounds) old_v new_v))
-    names
+        Some (compare_metric ~name ~unit_ ~spec old_v new_v))
+    bounds
 
 let print_report ~old_file ~new_file old_runs new_runs rows =
   let n = List.length old_runs in
