@@ -102,9 +102,10 @@ serve-smoke:
 # Everything the CI workflow runs: build, tier-1 tests, the QA sweep
 # (the suite in qcheck long mode) under the pinned seed, the
 # required-suite manifest, the STC_SLOW=1 paper-golden tier, the
-# network serving smoke, the fast examples (quickstart and
-# custom_device bin on the floor engine, net_serving drives the client
-# and server over loopback), and the paper harness end to end
+# network serving smoke, every example (quickstart and custom_device
+# bin on the floor engine, opamp_compaction and mems_tritemp run the
+# paper's two case studies in about a second each, net_serving drives
+# the client and server over loopback), and the paper harness end to end
 # (its text output is not compared; a crash fails the step). The
 # server-abuse scenarios (connection flood, slow loris, reply ignorer,
 # breaker cycle) run in the test suite's `net faults` suite.
@@ -121,6 +122,8 @@ ci:
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/custom_device.exe
+	dune exec examples/opamp_compaction.exe
+	dune exec examples/mems_tritemp.exe
 	dune exec examples/floor_serving.exe
 	dune exec examples/net_serving.exe
 

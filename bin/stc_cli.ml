@@ -1,10 +1,10 @@
 (* Command-line driver for the test-compaction experiments.
 
-   stc opamp  — greedy compaction of the 11 op-amp specification tests
+   stc opamp  — greedy compaction of the 11 op-amp specification tests;
+                --save-flow/--save-test persist the flow and a device CSV
    stc mems   — hot/cold temperature-test elimination + cost analysis
    stc sweep  — accuracy vs training-set size
    stc specs  — print the specification tables
-   stc train  — train an op-amp flow and persist it (with a device CSV)
    stc serve  — reload a flow and bin a CSV of devices on the floor engine
    stc server — persistent multi-client TCP flow server with hot reload
    stc flow   — inspect saved flow files (stc flow info FILE)
@@ -266,16 +266,22 @@ let greedy_with_journal ~journal ~resume ~order config ~train ~test =
         end
     end
 
-(* Range checks for the population and guard options, run before any
-   simulation. A guard fraction must lie in [0, 1) — the range a saved
-   flow may carry — and must leave every spec range of the device
-   non-empty once the tight guard-band model narrows it. *)
+(* Range checks for the population, tolerance and guard options, run
+   before any simulation. An empty test set would judge every candidate
+   at zero prediction error, and a NaN tolerance would reject every one
+   (an error is never <= nan). A guard fraction must lie in [0, 1) — the
+   range a saved flow may carry — and must leave every spec range of the
+   device non-empty once the tight guard-band model narrows it. *)
 let check_at_least option min n =
   if n < min then die_option "%s must be >= %d (got %d)" option min n
 
 let check_population ~n_train ~n_test =
   check_at_least "--train" 1 n_train;
-  check_at_least "--test" 0 n_test
+  check_at_least "--test" 1 n_test
+
+let check_tolerance t =
+  if not (t >= 0.0 && t < 1.0) then
+    die_option "--tolerance must be in [0, 1) (got %g)" t
 
 let check_guard specs = function
   | None -> ()
@@ -323,9 +329,9 @@ let print_flow_metrics flow test =
 
 (* ------------------------------ opamp ----------------------------- *)
 
-(* Shared by `stc opamp` and `stc train`: either the historical uniform
-   populations, or (--enrich) a boundary-biased training set with
-   importance weights plus a uniform test set. *)
+(* Either the historical uniform populations, or (--enrich) a
+   boundary-biased training set with importance weights plus a uniform
+   test set. *)
 let opamp_populations ~enrich ~pilot ~seed ~n_train ~n_test =
   if not enrich then begin
     Printf.printf "generating %d op-amp instances (seed %d)...\n%!"
@@ -360,9 +366,23 @@ let opamp_populations ~enrich ~pilot ~seed ~n_train ~n_test =
     (train, test)
   end
 
+let save_flow_arg =
+  Arg.(value & opt (some string) None
+       & info [ "save-flow" ] ~docv:"FILE"
+           ~doc:"Write the compacted flow to $(docv) (stc-flow-1, or \
+                 stc-flow-2 when the model is an MLP), ready for \
+                 $(b,stc serve --flow) and $(b,stc server --flow).")
+
+let save_test_arg =
+  Arg.(value & opt (some string) None
+       & info [ "save-test" ] ~docv:"FILE"
+           ~doc:"Write the held-out test population as a device CSV, ready \
+                 for $(b,stc serve --input).")
+
 let run_opamp seed n_train n_test tolerance guard order learner grid_resolution
-    enrich pilot journal resume metrics trace =
+    enrich pilot save_flow save_test journal resume metrics trace =
   check_population ~n_train ~n_test;
+  check_tolerance tolerance;
   check_guard Experiment.opamp_specs guard;
   guard_data_errors @@ fun () ->
   with_obs ~metrics ~trace @@ fun () ->
@@ -388,23 +408,43 @@ let run_opamp seed n_train n_test tolerance guard order learner grid_resolution
         (100.0 *. s.Compaction.error)
         (if s.Compaction.accepted then "eliminated" else "kept"))
     result.Compaction.steps;
+  let flow = result.Compaction.flow in
   Printf.printf "kept %d of %d tests; "
-    (Array.length result.Compaction.flow.Compaction.kept)
+    (Array.length flow.Compaction.kept)
     (Array.length specs);
-  print_flow_metrics result.Compaction.flow test
+  print_flow_metrics flow test;
+  Option.iter
+    (fun path ->
+      match Flow_io.save ~path flow with
+      | Ok () -> Printf.printf "flow -> %s\n" path
+      | Error e -> die_data "cannot save flow: %s" e)
+    save_flow;
+  Option.iter
+    (fun path ->
+      Device_csv.write ~path ~specs:(Device_data.specs test)
+        ~rows:(Device_data.values test);
+      Printf.printf "test population (%d devices) -> %s\n"
+        (Device_data.n_instances test) path)
+    save_test
 
 let opamp_cmd =
   let term =
     Term.(const run_opamp $ seed $ n_train $ n_test $ tolerance $ guard $ order
           $ learner $ grid_resolution $ enrich_arg $ pilot_arg
+          $ save_flow_arg $ save_test_arg
           $ journal_arg $ resume_arg $ metrics_arg $ trace_arg)
   in
-  Cmd.v (Cmd.info "opamp" ~doc:"Greedy compaction of the op-amp test set") term
+  Cmd.v
+    (Cmd.info "opamp"
+       ~doc:"Greedy compaction of the op-amp test set; optionally save the \
+             flow and the test population for serving")
+    term
 
 (* ------------------------------- mems ----------------------------- *)
 
 let run_mems seed n_train n_test tolerance guard learner grid_resolution =
   check_population ~n_train ~n_test;
+  check_tolerance tolerance;
   check_guard Experiment.mems_specs guard;
   Printf.printf "generating %d MEMS instances (seed %d)...\n%!"
     (n_train + n_test) seed;
@@ -416,23 +456,21 @@ let run_mems seed n_train n_test tolerance guard learner grid_resolution =
     make_config Experiment.mems_config ~tolerance ~guard ~learner
       ~grid_resolution
   in
-  let both =
-    Array.append Experiment.mems_cold_indices Experiment.mems_hot_indices
+  let eliminate name dropped =
+    let counts, _ = Compaction.eliminate config ~train ~test ~dropped in
+    Printf.printf "eliminate %-5s escape %s  loss %s  guard %s\n" name
+      (Report.pct (Metrics.escape_pct counts))
+      (Report.pct (Metrics.loss_pct counts))
+      (Report.pct (Metrics.guard_pct counts));
+    counts
   in
-  List.iter
-    (fun (name, dropped) ->
-      let counts, _ = Compaction.eliminate config ~train ~test ~dropped in
-      Printf.printf "eliminate %-5s escape %s  loss %s  guard %s\n" name
-        (Report.pct (Metrics.escape_pct counts))
-        (Report.pct (Metrics.loss_pct counts))
-        (Report.pct (Metrics.guard_pct counts)))
-    [
-      ("-40C", Experiment.mems_cold_indices);
-      ("80C", Experiment.mems_hot_indices);
-      ("both", both);
-    ];
+  let (_ : Metrics.counts) = eliminate "-40C" Experiment.mems_cold_indices in
+  let (_ : Metrics.counts) = eliminate "80C" Experiment.mems_hot_indices in
   (* cost story for eliminating both temperature tests *)
-  let counts, _ = Compaction.eliminate config ~train ~test ~dropped:both in
+  let counts =
+    eliminate "both"
+      (Array.append Experiment.mems_cold_indices Experiment.mems_hot_indices)
+  in
   let room_pass =
     let room = Array.init 5 (fun k -> k) in
     let count = ref 0 in
@@ -465,7 +503,7 @@ let sizes_arg =
 
 let run_sweep seed n_test sizes =
   List.iter (check_at_least "--sizes" 1) sizes;
-  check_at_least "--test" 0 n_test;
+  check_at_least "--test" 1 n_test;
   let n_train = List.fold_left Stdlib.max 1 sizes in
   Printf.printf "generating %d op-amp instances (seed %d)...\n%!"
     (n_train + n_test) seed;
@@ -522,70 +560,12 @@ let specs_cmd =
   Cmd.v (Cmd.info "specs" ~doc:"Print the specification tables")
     Term.(const run_specs $ const ())
 
-(* ------------------------------- train ----------------------------- *)
-
-let save_flow_arg =
-  Arg.(required & opt (some string) None
-       & info [ "save-flow" ] ~docv:"FILE"
-           ~doc:"Write the trained flow to $(docv): stc-flow-1, or \
-                 stc-flow-2 when the model is an MLP.")
-
-let save_test_arg =
-  Arg.(value & opt (some string) None
-       & info [ "save-test" ] ~docv:"FILE"
-           ~doc:"Also write the held-out test population as a device CSV, \
-                 ready for $(b,stc serve --input).")
-
-let run_train seed n_train n_test tolerance guard order learner grid_resolution
-    enrich pilot save_flow save_test journal resume metrics trace =
-  check_population ~n_train ~n_test;
-  check_guard Experiment.opamp_specs guard;
-  guard_data_errors @@ fun () ->
-  with_obs ~metrics ~trace @@ fun () ->
-  let train, test =
-    opamp_populations ~enrich ~pilot ~seed ~n_train ~n_test
-  in
-  let config =
-    make_config Experiment.opamp_config ~tolerance ~guard ~learner
-      ~grid_resolution
-  in
-  let result =
-    greedy_with_journal ~journal ~resume ~order:(opamp_order order) config
-      ~train ~test
-  in
-  let flow = result.Compaction.flow in
-  Printf.printf "kept %d of %d tests; "
-    (Array.length flow.Compaction.kept)
-    (Array.length flow.Compaction.specs);
-  print_flow_metrics flow test;
-  (match Flow_io.save ~path:save_flow flow with
-   | Ok () -> Printf.printf "flow -> %s\n" save_flow
-   | Error e -> die_data "cannot save flow: %s" e);
-  match save_test with
-  | None -> ()
-  | Some path ->
-    Device_csv.write ~path ~specs:(Device_data.specs test)
-      ~rows:(Device_data.values test);
-    Printf.printf "test population (%d devices) -> %s\n"
-      (Device_data.n_instances test) path
-
-let train_cmd =
-  let term =
-    Term.(const run_train $ seed $ n_train $ n_test $ tolerance $ guard $ order
-          $ learner $ grid_resolution $ enrich_arg $ pilot_arg
-          $ save_flow_arg $ save_test_arg
-          $ journal_arg $ resume_arg $ metrics_arg $ trace_arg)
-  in
-  Cmd.v
-    (Cmd.info "train"
-       ~doc:"Train an op-amp compaction flow and persist it for serving")
-    term
-
 (* ------------------------------- serve ----------------------------- *)
 
 let flow_file_arg =
   Arg.(required & opt (some string) None
-       & info [ "flow" ] ~docv:"FILE" ~doc:"Flow saved by $(b,stc train).")
+       & info [ "flow" ] ~docv:"FILE"
+           ~doc:"Flow saved by $(b,stc opamp --save-flow).")
 
 let input_arg =
   Arg.(required & opt (some string) None
@@ -862,7 +842,8 @@ let server_cmd =
 
 let flow_file_pos =
   Arg.(required & pos 0 (some string) None
-       & info [] ~docv:"FILE" ~doc:"Flow file saved by $(b,stc train).")
+       & info [] ~docv:"FILE"
+           ~doc:"Flow file saved by $(b,stc opamp --save-flow).")
 
 let run_flow_info file =
   guard_data_errors @@ fun () ->
@@ -932,7 +913,6 @@ let () =
             mems_cmd;
             sweep_cmd;
             specs_cmd;
-            train_cmd;
             serve_cmd;
             server_cmd;
             flow_cmd;

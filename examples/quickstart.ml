@@ -9,7 +9,6 @@ module Device_data = Stc.Device_data
 module Compaction = Stc.Compaction
 module Guard_band = Stc.Guard_band
 module Metrics = Stc.Metrics
-module Lookup = Stc.Lookup
 module Report = Stc.Report
 module Floor = Stc_floor.Floor
 module Rng = Stc_numerics.Rng
@@ -75,22 +74,8 @@ let () =
     (Report.pct (Metrics.loss_pct counts))
     (Report.pct (Metrics.guard_pct counts));
 
-  (* 5. Deploy: build the tester lookup table (Sec. 3.3), then bin the
-     parts on the floor engine, which sends guard-band parts to the
-     full specification test. *)
-  (match flow.Compaction.band with
-   | None -> print_endline "no model needed (nothing was dropped)"
-   | Some band ->
-     let table =
-       Lookup.build
-         ~config:{ Lookup.default_config with resolution = 48 }
-         ~dim:(Array.length flow.Compaction.kept)
-         (Guard_band.classify band)
-     in
-     let good, bad, guard = Lookup.verdict_counts table in
-     Printf.printf
-       "tester lookup table: %d cells (%d good / %d bad / %d guard)\n"
-       (Lookup.cells table) good bad guard);
+  (* 5. Deploy: bin the parts on the floor engine (Sec. 3.3), which
+     sends guard-band parts to the full specification test. *)
   let stats =
     Floor.with_engine flow (fun engine ->
         let (_ : Floor.outcome array) =

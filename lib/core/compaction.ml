@@ -70,12 +70,6 @@ let complement ~k dropped =
   done;
   Array.of_list !kept
 
-(* Train one ±1 classifier on (features, labels), returned with its
-   model data so flows can be serialised. Degenerate one-class inputs
-   yield a constant predictor. Delegates to the LEARNER contract. *)
-let train_classifier ?warm learner features labels =
-  Learner.train ?warm learner ~features ~labels
-
 let maybe_grid config features labels =
   match config.grid with
   | None -> (features, labels)
@@ -104,7 +98,7 @@ let dropped_trainer config data ~dropped =
   fun fraction ->
     let labels = dropped_labels data ~dropped ~fraction in
     let features', labels' = maybe_grid config features labels in
-    train_classifier config.learner features' labels'
+    Learner.train config.learner ~features:features' ~labels:labels'
 
 (* Without a guard the nominal model is the band; with one, the band is
    the tight/loose pair and the nominal model is not part of it. *)
@@ -355,8 +349,8 @@ let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
                           maybe_grid config features labels
                         in
                         let model =
-                          train_classifier ?warm config.learner features'
-                            labels'
+                          Learner.train ?warm config.learner
+                            ~features:features' ~labels:labels'
                         in
                         Guard_band.predict model))
               in

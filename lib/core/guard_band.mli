@@ -12,9 +12,8 @@ type classifier = float array -> int
 
 (** A ±1 predictor with its trained model data exposed, so guard bands
     built from SVMs can be serialised ({!Stc_floor.Flow_io}) and shipped
-    to the production floor. [Opaque] wraps an arbitrary closure (e.g. a
-    lookup table or an adaptive-guard margin rule) and cannot be
-    serialised. *)
+    to the production floor. [Opaque] wraps an arbitrary closure (e.g.
+    an adaptive-guard margin rule) and cannot be serialised. *)
 type model =
   | Constant of int           (** degenerate one-class training data *)
   | Svr of Stc_svm.Svr.model  (** the paper's ε-SVM, classified by sign *)

@@ -31,8 +31,8 @@ let to_text (m : Guard_band.model) =
     Ok (Printf.sprintf "model mlp %d\n%s" (count_lines body) body)
   | Guard_band.Opaque _ ->
     Error
-      "band holds an opaque classifier (lookup table or adaptive-guard \
-       margin); only Constant/Svr/Svc/Mlp models serialise"
+      "band holds an opaque classifier (an adaptive-guard margin); only \
+       Constant/Svr/Svc/Mlp models serialise"
 
 let parse ?(families = all_families) cur =
   let allowed f = List.mem f families in

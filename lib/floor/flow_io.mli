@@ -8,8 +8,7 @@
     [to_string (of_string s) = Ok s], and a reloaded flow reproduces the
     original's verdicts bit-for-bit (floats round-trip through
     [%.17g]). Bands built from closures ({!Stc.Guard_band.Opaque}, e.g.
-    lookup-table or adaptive-guard bands) cannot be serialised and
-    yield [Error]. *)
+    adaptive-guard bands) cannot be serialised and yield [Error]. *)
 
 val version : string
 (** The legacy header tag, ["stc-flow-1"] — SVR/SVC/constant bands

@@ -69,9 +69,3 @@ let histogram xs ~bins ~lo ~hi =
       counts.(b) <- counts.(b) + 1)
     xs;
   counts
-
-let summary xs =
-  if Array.length xs = 0 then "n=0"
-  else
-    Printf.sprintf "n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g max=%.4g"
-      (Array.length xs) (mean xs) (stddev xs) (min xs) (median xs) (max xs)

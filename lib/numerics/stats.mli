@@ -23,6 +23,3 @@ val correlation : float array -> float array -> float
 val histogram : float array -> bins:int -> lo:float -> hi:float -> int array
 (** Counts per bin over [lo, hi); values outside the range are clamped
     into the first/last bin. Requires [bins > 0] and [lo < hi]. *)
-
-val summary : float array -> string
-(** One-line "n mean sd min med max" description for logs. *)

@@ -46,8 +46,6 @@ type defect_model = {
   severity : float;
 }
 
-let default_defect_model = { rate = 0.02; severity = 3.0 }
-
 let inject rng model params =
   if model.rate < 0.0 || model.rate > 1.0 then
     invalid_arg "Process_model.inject: rate outside [0,1]";

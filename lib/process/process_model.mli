@@ -40,9 +40,6 @@ type defect_model = {
   severity : float;  (** gross multiplier, e.g. 3.0 *)
 }
 
-val default_defect_model : defect_model
-(** 2 % defect rate, ×/÷ 3 severity. *)
-
 val inject :
   Stc_numerics.Rng.t -> defect_model -> float array -> float array * bool
 (** [inject rng model params] returns the (possibly) defected parameter

@@ -1,6 +1,6 @@
 (* Tests for the stc core library: specs, data handling, guard banding,
-   grid compaction, lookup tables, orderings, cost model and the
-   compaction loop itself on synthetic devices with known structure. *)
+   grid compaction, orderings, cost model and the compaction loop itself
+   on synthetic devices with known structure. *)
 
 module Spec = Stc.Spec
 module Device_data = Stc.Device_data
@@ -8,7 +8,6 @@ module Calibration = Stc.Calibration
 module Guard_band = Stc.Guard_band
 module Metrics = Stc.Metrics
 module Grid_compact = Stc.Grid_compact
-module Lookup = Stc.Lookup
 module Order = Stc.Order
 module Cost = Stc.Cost
 module Compaction = Stc.Compaction
@@ -248,42 +247,6 @@ let grid_tests =
            let r = Grid_compact.compact ~features ~labels () in
            r.Grid_compact.kept_original = 0
            && Array.for_all (fun l -> l = 1) r.Grid_compact.labels));
-  ]
-
-(* ------------------------------ Lookup ---------------------------- *)
-
-let lookup_tests =
-  [
-    Alcotest.test_case "table reproduces a simple classifier" `Quick (fun () ->
-        let classify v =
-          if v.(0) +. v.(1) > 1.0 then Guard_band.Good else Guard_band.Bad
-        in
-        let config = { Lookup.default_config with Lookup.resolution = 64 } in
-        let table = Lookup.build ~config ~dim:2 classify in
-        let rng = Rng.create 11 in
-        let points =
-          Array.init 500 (fun _ -> [| Rng.float rng; Rng.float rng |])
-        in
-        let agreement = Lookup.agreement table classify ~points in
-        Alcotest.(check bool) "high agreement" true (agreement > 0.95));
-    Alcotest.test_case "clamps out-of-window points" `Quick (fun () ->
-        let table = Lookup.build ~dim:1 (fun v ->
-            if v.(0) > 0.5 then Guard_band.Good else Guard_band.Bad)
-        in
-        Alcotest.(check string) "far right is good" "good"
-          (Guard_band.verdict_to_string (Lookup.lookup table [| 99.0 |]));
-        Alcotest.(check string) "far left is bad" "bad"
-          (Guard_band.verdict_to_string (Lookup.lookup table [| -99.0 |])));
-    Alcotest.test_case "cell budget enforced" `Quick (fun () ->
-        let config = { Lookup.default_config with Lookup.resolution = 64 } in
-        (match Lookup.build ~config ~dim:6 (fun _ -> Guard_band.Good) with
-         | exception Invalid_argument _ -> ()
-         | _ -> Alcotest.fail "expected cap"));
-    Alcotest.test_case "verdict counts total" `Quick (fun () ->
-        let table = Lookup.build ~dim:2 (fun _ -> Guard_band.Guard) in
-        let g, b, u = Lookup.verdict_counts table in
-        Alcotest.(check int) "all guard" (Lookup.cells table) u;
-        Alcotest.(check int) "none else" 0 (g + b));
   ]
 
 (* ------------------------------ Order ----------------------------- *)
@@ -543,7 +506,6 @@ let suites =
     ("core.guard_band", guard_band_tests);
     ("core.metrics", metrics_tests);
     ("core.grid_compact", grid_tests);
-    ("core.lookup", lookup_tests);
     ("core.order", order_tests);
     ("core.cost", cost_tests);
     ("core.compaction", compaction_tests);

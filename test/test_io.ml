@@ -1,11 +1,9 @@
-(* Serialisation round-trip tests: SVM models and tester lookup tables. *)
+(* Serialisation round-trip tests: SVM kernels and models. *)
 
 module Kernel = Stc_svm.Kernel
 module Svr = Stc_svm.Svr
 module Svc = Stc_svm.Svc
 module Model_io = Stc_svm.Model_io
-module Lookup = Stc.Lookup
-module Guard_band = Stc.Guard_band
 module Rng = Stc_numerics.Rng
 
 let check_close tol = Alcotest.(check (float tol))
@@ -74,45 +72,9 @@ let svc_tests =
              x));
   ]
 
-let lookup_tests =
-  [
-    Alcotest.test_case "lookup table round-trips" `Quick (fun () ->
-        let classify v =
-          if v.(0) +. v.(1) > 1.0 then Guard_band.Good
-          else if v.(0) > 0.9 then Guard_band.Guard
-          else Guard_band.Bad
-        in
-        let config = { Lookup.default_config with Lookup.resolution = 12 } in
-        let table = Lookup.build ~config ~dim:2 classify in
-        let text = Lookup.to_string table in
-        (match Lookup.of_string text with
-         | Error e -> Alcotest.fail e
-         | Ok table' ->
-           Alcotest.(check int) "cells" (Lookup.cells table) (Lookup.cells table');
-           let rng = Rng.create 4 in
-           for _ = 1 to 300 do
-             let v = [| Rng.uniform rng (-1.) 2.; Rng.uniform rng (-1.) 2. |] in
-             Alcotest.(check bool) "same verdict" true
-               (Guard_band.equal_verdict (Lookup.lookup table v)
-                  (Lookup.lookup table' v))
-           done));
-    Alcotest.test_case "corrupted cells rejected" `Quick (fun () ->
-        let table = Lookup.build ~dim:1 (fun _ -> Guard_band.Good) in
-        let text = Lookup.to_string table in
-        let corrupted = String.map (fun c -> if c = 'G' then 'X' else c) text in
-        (match Lookup.of_string corrupted with
-         | Error _ -> ()
-         | Ok _ -> Alcotest.fail "expected rejection"));
-    Alcotest.test_case "truncated document rejected" `Quick (fun () ->
-        (match Lookup.of_string "stc-lookup-1\ndim 2\n" with
-         | Error _ -> ()
-         | Ok _ -> Alcotest.fail "expected rejection"));
-  ]
-
 let suites =
   [
     ("io.kernel", kernel_tests);
     ("io.svr", svr_tests);
     ("io.svc", svc_tests);
-    ("io.lookup", lookup_tests);
   ]

@@ -5,7 +5,6 @@ let () =
     (Test_numerics.suites
      @ Test_circuit.suites
      @ Test_sim_pins.suites
-     @ Test_spice.suites
      @ Test_io.suites
      @ Test_more.suites
      @ Test_mems.suites
