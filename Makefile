@@ -59,7 +59,8 @@ qa:
 	  fi
 
 # Suites that gate invariants CI relies on: SMO warm-start / flat
-# storage equivalence (svm_equiv.*), enrichment and Monte-Carlo
+# storage equivalence and shrinking, whose solves must stop at the
+# optimum of the whole problem (svm_equiv.*), enrichment and Monte-Carlo
 # determinism at any domain count (process.enrich, process.parallel),
 # the learner zoo and its promotion gate (learner.*), the simulator's
 # spec-vector pins and one-instance allocation budget (circuit.pins),
@@ -74,7 +75,7 @@ qa:
 # fails, naming the suite, if one of these is no longer registered in
 # test_main.ml, so CI cannot pass by silently dropping it.
 # Comma-separated.
-REQUIRED_SUITES = svm_equiv.smo,svm_equiv.flows,process.enrich,process.parallel,learner.mlp,learner.mi,learner.io,learner.flow2,learner.gate,circuit.pins,golden: smoke,qa.properties,qa.faults,qa.pool,net faults,resilience: kill/resume,net server
+REQUIRED_SUITES = svm_equiv.smo,svm_equiv.flows,svm_equiv.shrink,process.enrich,process.parallel,learner.mlp,learner.mi,learner.io,learner.flow2,learner.gate,circuit.pins,golden: smoke,qa.properties,qa.faults,qa.pool,net faults,resilience: kill/resume,net server
 
 suites:
 	@mkdir -p _build

@@ -180,10 +180,15 @@ let trace_arg =
                  spans (stc-trace-1 text format, one per-candidate-drop \
                  span tree per greedy step) to $(docv).")
 
+(* A write error, also one raised by the flush at close, is a data
+   error: it exits 2 before the caller prints its "->" line. *)
 let write_text_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc contents)
+  try
+    let oc = open_out path in
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+        output_string oc contents;
+        close_out oc)
+  with Sys_error e -> die_data "cannot write %s: %s" path e
 
 (* Observability envelope for a command: tracing is switched on for the
    run when --trace was given, and both exports are written even when
@@ -421,8 +426,10 @@ let run_opamp seed n_train n_test tolerance guard order learner grid_resolution
     save_flow;
   Option.iter
     (fun path ->
-      Device_csv.write ~path ~specs:(Device_data.specs test)
-        ~rows:(Device_data.values test);
+      (try
+         Device_csv.write ~path ~specs:(Device_data.specs test)
+           ~rows:(Device_data.values test)
+       with Sys_error e -> die_data "cannot save test population: %s" e);
       Printf.printf "test population (%d devices) -> %s\n"
         (Device_data.n_instances test) path)
     save_test

@@ -29,7 +29,9 @@ let write ~path ~specs ~rows =
           output_string oc
             (String.concat "," (Array.to_list (Array.map fp row)));
           output_char oc '\n')
-        rows)
+        rows;
+      (* inside the body, so a write error at the final flush raises *)
+      close_out oc)
 
 (* ------------------------------ streaming ------------------------- *)
 

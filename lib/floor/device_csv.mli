@@ -7,7 +7,8 @@ val write :
   path:string -> specs:Stc.Spec.t array -> rows:float array array -> unit
 (** Raises [Invalid_argument] on a row-width mismatch or a non-finite
     cell (a NaN/inf would survive [%.17g] and poison the reader),
-    [Sys_error] on an unwritable path. *)
+    [Sys_error] on an unwritable path or a failed write, the flush at
+    close included. *)
 
 val read : path:string -> (string array * float array array, string) result
 (** Header names and device rows. All rows must have the header's

@@ -208,9 +208,13 @@ let save ~path flow =
   | Ok text ->
     (try
        let oc = open_out_bin path in
+       (* closing flushes: a write error there (a full disk) must reach
+          the caller, so [close_out] runs inside the body *)
        Fun.protect
          ~finally:(fun () -> close_out_noerr oc)
-         (fun () -> output_string oc text);
+         (fun () ->
+           output_string oc text;
+           close_out oc);
        Ok ()
      with Sys_error e -> Error e)
 

@@ -51,6 +51,9 @@ val fingerprint : Stc.Compaction.flow -> (string, string) result
     when {!to_string} fails. *)
 
 val save : path:string -> Stc.Compaction.flow -> (unit, string) result
+(** Writes {!to_string}'s bytes to [path]. A [Sys_error] — an
+    unwritable path, or a failed write, the flush at close included —
+    comes back as [Error], so a short file is never reported saved. *)
 
 val load : path:string -> (Stc.Compaction.flow, string) result
 (** {!of_string} on the file's bytes; [Sys_error]s (missing file,

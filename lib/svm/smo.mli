@@ -5,7 +5,24 @@
 
     with second-order working-set selection (Fan, Chen & Lin 2005).
     Both C-SVC and ε-SVR reduce to this problem; see {!Svc} and
-    {!Svr}. *)
+    {!Svr}.
+
+    The solver shrinks the problem (Joachims 1999, as libsvm does).
+    Every min(size, 1000) iterations it drops from its two O(size)
+    scans each variable at a bound that cannot take part in a violating
+    pair, so late iterations touch only the few variables still moving.
+    The active set stays in index order, so rows keep their index space
+    and a solve whose shrunk variables never become violators takes
+    the unshrunk solver's steps. It keeps [G_bar], the part of the
+    gradient owed to variables at their upper bound, and updates it
+    when a variable reaches or leaves that bound; a shrunk variable's
+    gradient is rebuilt from [G_bar] and the free variables. Every
+    variable is brought back once, the first time the KKT gap falls to
+    10·eps. When the active set meets the stopping rule, the whole
+    gradient is rebuilt and every variable checked again; a violator
+    resumes the solve. A [max_iter] exit rebuilds it too, before [rho]
+    and [objective] are computed. Each rebuild counts toward the
+    [stc_smo_reconstructs_total] registry counter. *)
 
 type problem = {
   size : int;

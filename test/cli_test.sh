@@ -7,7 +7,8 @@
 # It checks that two `stc opamp --save-flow --save-test` runs write the
 # same bytes, that `stc serve` bins every saved device, that a journal
 # cut after some of its steps resumes to the same flow, and the exit
-# codes of a deleted command (124) and of out-of-range options (1). No
+# codes of a deleted command (124), of out-of-range options (1) and of
+# a save, metrics or trace file that cannot be written (2). No
 # line that carries a timing is compared. Silent on success; on a
 # failure it names the check on stderr and exits 1.
 set -eu
@@ -55,3 +56,16 @@ expect_exit 1 opamp --test 0
 expect_exit 1 opamp --tolerance nan
 expect_exit 1 mems --test 0
 expect_exit 1 sweep --test 0
+
+# a write that fails, also at the flush when the file is closed, is a
+# data error: exit 2 and no "->" line claiming the file was written
+if [ -c /dev/full ]; then
+  for out in --save-flow --save-test --metrics --trace; do
+    "$stc" opamp --train 40 --test 20 "$out" /dev/full > full.out 2>&1 \
+      && got=0 || got=$?
+    [ "$got" -eq 2 ] || fail "stc opamp $out /dev/full: exit $got, expected 2"
+    if grep -q -- '->' full.out; then
+      fail "stc opamp $out /dev/full printed a '->' line"
+    fi
+  done
+fi

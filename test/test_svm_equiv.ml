@@ -1,14 +1,17 @@
-(* The warm-start/flat-storage equivalence gate.
+(* The warm-start/flat-storage equivalence gate, and the shrinking
+   gate.
 
-   The SMO hot path now (a) seeds solves from the previous candidate's
-   alphas and (b) computes kernels over contiguous flat storage. This
-   suite pins the contract that makes both safe: warm-started solves
-   converge to the same optimum as cold ones (within the KKT
-   tolerance), and a full warm-started compaction produces the very
-   same stc-flow-1 bytes as a cold one on the paper's benches.
+   The SMO hot path (a) seeds solves from the previous candidate's
+   alphas, (b) computes kernels over contiguous flat storage and (c)
+   shrinks the active set. These suites pin the contract that makes
+   all three safe: warm-started solves converge to the same optimum as
+   cold ones (within the KKT tolerance), a full warm-started compaction
+   produces the very same stc-flow-1 bytes as a cold one on the paper's
+   benches, and a shrinking solve stops at a KKT point of the whole
+   problem, not only of its active set.
 
-   Both suites are on `make suites`'s required list, so CI fails if
-   either stops being registered. *)
+   All three suites are on `make suites`'s required list, so CI fails
+   if one stops being registered. *)
 
 module Kernel = Stc_svm.Kernel
 module Smo = Stc_svm.Smo
@@ -306,7 +309,186 @@ let flow_equiv_tests =
         check_warm_cold_flows "mems" Experiment.mems_config ~train ~test);
   ]
 
+(* ------------------------------ shrinking ------------------------------ *)
+
+let c_reconstructs = Obs.counter "stc_smo_reconstructs_total"
+
+(* A noisy-label C-SVC dual: 150–420 points in the plane, a linear
+   concept with 15–30 % of its labels flipped, so many variables end at
+   C. At eps = 1e-5 nearly all of these run for thousands of iterations
+   and shrink. *)
+let noisy_svc seed =
+  let rng = Rng.create (90_000 + seed) in
+  let n = 150 + Rng.int rng 271 in
+  let x =
+    Array.init n (fun _ -> Array.init 2 (fun _ -> Rng.uniform rng (-1.5) 1.5))
+  in
+  let flip = Rng.uniform rng 0.15 0.3 in
+  let y =
+    Array.map
+      (fun xi ->
+        let label = if xi.(0) +. (0.5 *. xi.(1)) > 0.0 then 1.0 else -1.0 in
+        if Rng.uniform rng 0.0 1.0 < flip then -.label else label)
+      x
+  in
+  let c = Rng.uniform rng 2.0 10.0 in
+  let kernel = Kernel.rbf (Rng.uniform rng 0.5 5.0) in
+  let q =
+    Array.init n (fun i ->
+        Array.init n (fun j -> y.(i) *. y.(j) *. Kernel.eval kernel x.(i) x.(j)))
+  in
+  let problem =
+    {
+      Smo.size = n;
+      q_row = (fun i -> q.(i));
+      q_diag = Array.init n (fun i -> q.(i).(i));
+      p = Array.make n (-1.0);
+      y;
+      c = Array.make n c;
+    }
+  in
+  { n; c; problem; q }
+
+(* An ε-SVR dual (the {!Svr} formulation: 2l variables, y = +1 for the
+   first l and −1 for the second): a noisy sine on 100–200 points. *)
+let noisy_svr seed =
+  let rng = Rng.create (80_000 + seed) in
+  let l = 100 + Rng.int rng 101 in
+  let n = 2 * l in
+  let x = Array.init l (fun _ -> Rng.uniform rng (-2.0) 2.0) in
+  let noise = Rng.uniform rng 0.05 0.3 in
+  let target =
+    Array.map (fun xi -> sin (2.0 *. xi) +. Rng.uniform rng (-.noise) noise) x
+  in
+  let c = Rng.uniform rng 5.0 20.0 in
+  let epsilon = Rng.uniform rng 0.01 0.1 in
+  let kernel = Kernel.rbf (Rng.uniform rng 0.5 5.0) in
+  let y = Array.init n (fun s -> if s < l then 1.0 else -1.0) in
+  let base s = if s < l then s else s - l in
+  let q =
+    Array.init n (fun s ->
+        Array.init n (fun u ->
+            y.(s) *. y.(u)
+            *. Kernel.eval kernel [| x.(base s) |] [| x.(base u) |]))
+  in
+  let problem =
+    {
+      Smo.size = n;
+      q_row = (fun s -> q.(s));
+      q_diag = Array.init n (fun s -> q.(s).(s));
+      p =
+        Array.init n (fun s ->
+            if s < l then epsilon -. target.(s) else epsilon +. target.(s - l));
+      y;
+      c = Array.make n c;
+    }
+  in
+  { n; c; problem; q }
+
+(* Solves far from the default iteration cap, so each one stops at a
+   KKT point; returns the solution and the gradient rebuilds it made. *)
+let solve_counting ?(eps = eps) ?(max_iter = 1_000_000) p =
+  let before = Obs.Counter.get c_reconstructs in
+  let sol = Smo.solve ~eps ~max_iter p.problem in
+  (sol, Obs.Counter.get c_reconstructs - before)
+
+(* The three checks every shrinking solve must pass: the KKT gap
+   recomputed from α alone is within eps, α stays in its box with
+   yᵀα = 0 (both duals start from zero), and the optimum matches an
+   eps/100 solve of the same problem. *)
+let check_shrunk_solve ~what p (sol : Smo.solution) =
+  let gap = kkt_gap p sol in
+  if gap > eps then
+    QCheck.Test.fail_reportf "%s: recomputed KKT gap %.17g > %g" what gap eps;
+  let y_alpha = ref 0.0 in
+  Array.iteri
+    (fun i a -> y_alpha := !y_alpha +. (p.problem.Smo.y.(i) *. a))
+    sol.Smo.alpha;
+  if Float.abs !y_alpha > 1e-9 *. p.c then
+    QCheck.Test.fail_reportf "%s: y'alpha = %.17g" what !y_alpha;
+  let reference, _ = solve_counting ~eps:(eps /. 100.0) p in
+  check_same_optimum ~what p reference sol
+
+let shrink_property ~name ~count gen =
+  qtest
+    (QCheck.Test.make ~count ~name seed_arb (fun seed ->
+         let p = gen seed in
+         let sol, _ = solve_counting p in
+         check_shrunk_solve ~what:(Printf.sprintf "seed %d" seed) p sol))
+
+(* Problems whose solve converges on the active set, finds a violator
+   among the shrunk variables once the whole gradient is rebuilt, and
+   resumes. A solve rebuilds once when it first unshrinks (gap
+   10·eps) and once per final check or at a max_iter exit, so a solve
+   that never resumes rebuilds at most twice: three rebuilds mean the
+   final check found a violator at least once. *)
+let resuming =
+  [
+    ("C-SVC", noisy_svc, 7);
+    ("C-SVC", noisy_svc, 13);
+    ("e-SVR", noisy_svr, 8);
+    ("e-SVR", noisy_svr, 12);
+  ]
+
+let shrink_tests =
+  [
+    shrink_property ~count:12 ~name:"C-SVC: shrinking stops at the optimum"
+      noisy_svc;
+    shrink_property ~count:12 ~name:"e-SVR: shrinking stops at the optimum"
+      noisy_svr;
+    Alcotest.test_case "the final check resumes on pinned problems" `Quick
+      (fun () ->
+        List.iter
+          (fun (kind, gen, seed) ->
+            let what = Printf.sprintf "%s seed %d" kind seed in
+            let p = gen seed in
+            let sol, rebuilds = solve_counting p in
+            if rebuilds < 3 then
+              Alcotest.failf "%s: %d gradient rebuilds, expected a resume"
+                what rebuilds;
+            ignore (check_shrunk_solve ~what p sol : bool))
+          resuming);
+    Alcotest.test_case "a max_iter exit reports its own objective" `Quick
+      (fun () ->
+        (* stopped mid-solve with variables shrunk: the objective must be
+           ½αᵀQα + pᵀα of the returned α, read off a rebuilt gradient *)
+        let p = noisy_svc 7 in
+        let sol, rebuilds = solve_counting ~max_iter:3_000 p in
+        Alcotest.(check int) "stopped at the cap" 3_000 sol.Smo.iterations;
+        Alcotest.(check bool) "rebuilt at the cap" true (rebuilds >= 1);
+        let a = sol.Smo.alpha in
+        let obj = ref 0.0 in
+        for t = 0 to p.n - 1 do
+          let qa = ref 0.0 in
+          for i = 0 to p.n - 1 do
+            qa := !qa +. (p.q.(t).(i) *. a.(i))
+          done;
+          obj := !obj +. (a.(t) *. ((0.5 *. !qa) +. p.problem.Smo.p.(t)))
+        done;
+        let tol = 1e-9 *. (1.0 +. Float.abs !obj) in
+        if Float.abs (sol.Smo.objective -. !obj) > tol then
+          Alcotest.failf "objective %.17g, recomputed %.17g"
+            sol.Smo.objective !obj);
+    Alcotest.test_case "a 2,000-variable e-SVR solve rebuilds the gradient"
+      `Quick (fun () ->
+        let rng = Rng.create 2_000 in
+        let x = Array.init 1_000 (fun _ -> [| Rng.uniform rng (-2.0) 2.0 |]) in
+        let y =
+          Array.map (fun xi -> sin (2.0 *. xi.(0)) +. Rng.uniform rng (-0.2) 0.2) x
+        in
+        let c = 10.0 in
+        let before = Obs.Counter.get c_reconstructs in
+        let m = Svr.train ~c ~kernel:(Kernel.rbf 1.0) ~x ~y () in
+        let rebuilds = Obs.Counter.get c_reconstructs - before in
+        if rebuilds < 1 then
+          Alcotest.fail "stc_smo_reconstructs_total did not move: nothing shrank";
+        match Stc_qa.Oracle.svr_dual_feasible ~c m with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "model infeasible: %s" e);
+  ]
+
 let suites =
   [
     ("svm_equiv.smo", smo_equiv_tests); ("svm_equiv.flows", flow_equiv_tests);
+    ("svm_equiv.shrink", shrink_tests);
   ]
