@@ -409,12 +409,27 @@ let check_shrunk_solve ~what p (sol : Smo.solution) =
   let reference, _ = solve_counting ~eps:(eps /. 100.0) p in
   check_same_optimum ~what p reference sol
 
+(* Each case checks the first problem from its seed on, 10,000 seeds
+   apart, whose solve runs past 1,000 iterations (about one seed in
+   nine stops sooner); such a solve must have shrunk, so it must have
+   rebuilt the gradient. *)
 let shrink_property ~name ~count gen =
+  let rec long_solve seed tries =
+    let p = gen seed in
+    let sol, rebuilds = solve_counting p in
+    if sol.Smo.iterations > 1_000 then (seed, p, sol, rebuilds)
+    else if tries = 0 then
+      QCheck.Test.fail_reportf "seed %d: still under 1,000 iterations" seed
+    else long_solve (seed + 10_000) (tries - 1)
+  in
   qtest
     (QCheck.Test.make ~count ~name seed_arb (fun seed ->
-         let p = gen seed in
-         let sol, _ = solve_counting p in
-         check_shrunk_solve ~what:(Printf.sprintf "seed %d" seed) p sol))
+         let seed, p, sol, rebuilds = long_solve seed 20 in
+         let what = Printf.sprintf "seed %d" seed in
+         if rebuilds < 1 then
+           QCheck.Test.fail_reportf "%s: %d iterations and no gradient rebuild"
+             what sol.Smo.iterations;
+         check_shrunk_solve ~what p sol))
 
 (* Problems whose solve converges on the active set, finds a violator
    among the shrunk variables once the whole gradient is rebuilt, and
