@@ -22,20 +22,6 @@ type t = {
   margin : float;
 }
 
-let complement ~k dropped =
-  let is_dropped = Array.make k false in
-  Array.iter
-    (fun j ->
-      if j < 0 || j >= k then invalid_arg "Adaptive_guard: bad spec index";
-      if is_dropped.(j) then invalid_arg "Adaptive_guard: duplicate index";
-      is_dropped.(j) <- true)
-    dropped;
-  let kept = ref [] in
-  for j = k - 1 downto 0 do
-    if not is_dropped.(j) then kept := j :: !kept
-  done;
-  Array.of_list !kept
-
 let resolve_gamma gamma features =
   match gamma with Some g -> g | None -> Kernel.median_gamma features
 
@@ -69,7 +55,7 @@ let train ?(config = default_config) data ~dropped =
   if config.target_guard < 0.0 || config.target_guard >= 1.0 then
     invalid_arg "Adaptive_guard.train: target_guard outside [0,1)";
   let specs = Device_data.specs data in
-  let kept = complement ~k:(Array.length specs) dropped in
+  let kept = Device_data.kept data ~dropped in
   let features = Device_data.features data ~keep:kept in
   let labels = Device_data.pass_labels data ~subset:dropped in
   let decision = train_decision config.learner features labels in

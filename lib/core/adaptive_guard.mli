@@ -15,7 +15,8 @@ type config = {
 }
 
 val default_config : config
-(** ε-SVR (C = 10, ε = 0.1, γ = 1/dim) targeting 5 % guard volume. *)
+(** ε-SVR (C = 10, ε = 0.1, γ from the median heuristic) targeting
+    5 % guard volume. *)
 
 type t
 

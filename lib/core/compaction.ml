@@ -24,7 +24,6 @@ type config = {
   guard_fraction : float;
   grid : Grid_compact.config option;
   measured_guard : bool;
-  warm_start : bool;
 }
 
 let default_config =
@@ -34,7 +33,6 @@ let default_config =
     guard_fraction = 0.01;
     grid = None;
     measured_guard = true;
-    warm_start = true;
   }
 
 type flow = {
@@ -56,20 +54,6 @@ let identity_flow specs =
     measured_guard = false;
   }
 
-let complement ~k dropped =
-  let is_dropped = Array.make k false in
-  Array.iter
-    (fun j ->
-      if j < 0 || j >= k then invalid_arg "Compaction: bad spec index";
-      if is_dropped.(j) then invalid_arg "Compaction: duplicate dropped index";
-      is_dropped.(j) <- true)
-    dropped;
-  let kept = ref [] in
-  for j = k - 1 downto 0 do
-    if not (is_dropped.(j)) then kept := j :: !kept
-  done;
-  Array.of_list !kept
-
 let maybe_grid config features labels =
   match config.grid with
   | None -> (features, labels)
@@ -90,10 +74,9 @@ let dropped_labels data ~dropped ~fraction =
 (* [train fraction] fits one classifier for "passes every dropped
    spec", judged against ranges perturbed by [fraction]. *)
 let dropped_trainer config data ~dropped =
-  let k = Device_data.n_specs data in
   if Array.length dropped = 0 then
     invalid_arg "Compaction.train_predictor: empty dropped set";
-  let kept = complement ~k dropped in
+  let kept = Device_data.kept data ~dropped in
   let features = Device_data.features data ~keep:kept in
   fun fraction ->
     let labels = dropped_labels data ~dropped ~fraction in
@@ -119,8 +102,7 @@ let train_predictor config data ~dropped =
   (band, Guard_band.predict nominal)
 
 let make_flow config data ~dropped =
-  let k = Device_data.n_specs data in
-  let kept = complement ~k dropped in
+  let kept = Device_data.kept data ~dropped in
   let band =
     if Array.length dropped = 0 then None
     else Some (train_band config (dropped_trainer config data ~dropped))
@@ -289,7 +271,6 @@ let journal_fingerprint config ~train ~test ~order =
 
 let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
     ?journal ?(replay = [||]) config ~train ~test =
-  let k = Device_data.n_specs train in
   let examination = Order.compute order train in
   if Array.length replay > Array.length examination then
     invalid_arg
@@ -301,18 +282,6 @@ let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
     | Ok () -> ()
     | Error e ->
       failwith (Printf.sprintf "Compaction.greedy_resumable: %s: %s" what e)
-  in
-  (* Warm-start state for the per-candidate nominal solves only:
-     successive candidates share most of their feature set, so SMO is
-     seeded from the last *accepted* model's alphas (a rejected
-     candidate's state is rolled back below — its problem differs from
-     every later candidate's by two label flips instead of one). The
-     final flow's models ([make_flow] below, and every guard-band
-     pair) always train cold, so the persisted flow bytes depend only
-     on the accept/reject decisions — which the equivalence suite pins
-     to be warm/cold-identical. *)
-  let warm =
-    if config.warm_start then Learner.warm_state config.learner else None
   in
   let dropped = ref [] in
   let steps = ref [] in
@@ -336,24 +305,15 @@ let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
             (Printf.sprintf "compaction.candidate.%d" candidate)
             (fun () ->
               let trial = Array.of_list (List.rev (candidate :: !dropped)) in
-              let kept = complement ~k trial in
-              let warm_before = Option.map Learner.checkpoint warm in
+              (* the nominal model of [make_flow]'s trainer: it depends
+                 on the trial set alone *)
               let nominal =
                 Trace.with_span "compaction.train" (fun () ->
                     Obs.Histogram.time h_train (fun () ->
-                        let features = Device_data.features train ~keep:kept in
-                        let labels =
-                          dropped_labels train ~dropped:trial ~fraction:0.0
-                        in
-                        let features', labels' =
-                          maybe_grid config features labels
-                        in
-                        let model =
-                          Learner.train ?warm config.learner
-                            ~features:features' ~labels:labels'
-                        in
-                        Guard_band.predict model))
+                        Guard_band.predict
+                          (dropped_trainer config train ~dropped:trial 0.0)))
               in
+              let kept = Device_data.kept train ~dropped:trial in
               let error =
                 Trace.with_span "compaction.validate" (fun () ->
                     Obs.Histogram.time h_validate (fun () ->
@@ -361,11 +321,6 @@ let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
                           ~dropped:trial))
               in
               let accepted = error <= config.tolerance in
-              (* rejected candidates don't advance the warm state *)
-              if not accepted then
-                (match (warm, warm_before) with
-                | Some w, Some s -> Learner.rollback w s
-                | _ -> ());
               Obs.Counter.incr m_candidates;
               Obs.Counter.incr (if accepted then m_accepted else m_rejected);
               Obs.Gauge.set g_last_error error;

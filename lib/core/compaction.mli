@@ -12,7 +12,7 @@
 type learner = Learner.spec =
   | Epsilon_svr of { c : float; epsilon : float; gamma : float option }
       (** the paper's ε-SVM: regression on ±1 targets, classify by
-          sign; [gamma = None] uses 1/dim *)
+          sign; [gamma = None] uses {!Stc_svm.Kernel.median_gamma} *)
   | C_svc of { c : float; gamma : float option }
       (** standard soft-margin classification, for ablation *)
   | Mlp of Stc_learn.Mlp.config
@@ -29,20 +29,11 @@ type config = {
   measured_guard : bool;
       (** also guard-band devices whose *measured* kept specs fall
           within δ of a range boundary *)
-  warm_start : bool;
-      (** seed each candidate's SMO solve from the previous
-          candidate's alphas (ε-SVR only; C-SVC always starts cold
-          because labels enter the dual's equality constraint). An
-          execution strategy, not a semantic knob: the final flow and
-          all guard-band models always train cold, decisions are
-          pinned warm/cold-identical by the equivalence suite, and the
-          journal fingerprint deliberately ignores it — a warm run may
-          resume a cold journal and vice versa. *)
 }
 
 val default_config : config
-(** ε-SVR (C=10, ε=0.1, γ=1/dim), e_T = 1 %, δ = 1 %, no grid
-    compaction, measured guard on, warm starts enabled. *)
+(** ε-SVR (C=10, ε=0.1, γ from the median heuristic), e_T = 1 %,
+    δ = 1 %, no grid compaction, measured guard on. *)
 
 type flow = {
   specs : Spec.t array;
@@ -104,8 +95,9 @@ val greedy :
   train:Device_data.t ->
   test:Device_data.t ->
   result
-(** The Fig. 2 loop. Each candidate's e_p is measured on [test], the
-    paper's protocol. [order] defaults to [By_failure_count];
+(** The Fig. 2 loop. Each candidate's nominal model is trained on its
+    trial set alone, as {!train_predictor} trains it, and its e_p is
+    measured on [test], the paper's protocol. [order] defaults to [By_failure_count];
     [eval_each] (default false) additionally evaluates the guard-banded
     flow on [test] after every accepted elimination (Figure 5 data). *)
 

@@ -34,6 +34,18 @@ let normalized_row t ~instance ~keep =
 let features t ~keep =
   Array.init (n_instances t) (fun i -> normalized_row t ~instance:i ~keep)
 
+let kept t ~dropped =
+  let k = n_specs t in
+  let is_dropped = Array.make k false in
+  Array.iter
+    (fun j ->
+      if j < 0 || j >= k then invalid_arg "Device_data.kept: bad spec index";
+      if is_dropped.(j) then
+        invalid_arg "Device_data.kept: duplicate dropped index";
+      is_dropped.(j) <- true)
+    dropped;
+  Array.of_list (List.filter (fun j -> not is_dropped.(j)) (List.init k Fun.id))
+
 let passes_all t ~instance =
   let row = t.values.(instance) in
   let k = Array.length t.specs in

@@ -25,6 +25,11 @@ val normalized_row : t -> instance:int -> keep:int array -> float array
 
 val features : t -> keep:int array -> float array array
 
+val kept : t -> dropped:int array -> int array
+(** The spec indices not in [dropped], ascending: the columns a flow
+    that drops [dropped] still measures. Raises [Invalid_argument] on
+    an index outside [0, n_specs) or a repeated one. *)
+
 val passes_all : t -> instance:int -> bool
 val passes_subset : t -> instance:int -> subset:int array -> bool
 

@@ -7,9 +7,8 @@
     Three families implement the contract today:
 
     - [Epsilon_svr] — the paper's ε-SVM (regression on ±1 targets,
-      classified by sign); the reference implementation. Flows trained
-      through this module are byte-identical to the pre-refactor
-      direct [Stc_svm.Svr] path (pinned by [test_svm_equiv.ml]).
+      classified by sign); the reference implementation, trained by
+      {!Stc_svm.Svr.train} with nothing in between.
     - [C_svc] — soft-margin classification, for ablation.
     - [Mlp] — a small pure-OCaml one-hidden-layer perceptron
       ({!Stc_learn.Mlp}), SGD + momentum, deterministic from its
@@ -40,25 +39,9 @@ val default_svr : spec
 val default_mlp : spec
 (** [Mlp Stc_learn.Mlp.default_config]. *)
 
-(** {1 Warm starts}
-
-    An optional cross-candidate execution state. Only ε-SVR supports
-    one (SMO alpha reuse); for every other family [warm_state] is
-    [None] and the loop trains cold. Semantics are unchanged either
-    way — warm starts may only change iteration counts, never the
-    model. *)
-
-type warm
-type snapshot
-
-val warm_state : spec -> warm option
-val checkpoint : warm -> snapshot
-val rollback : warm -> snapshot -> unit
-
 (** {1 The contract} *)
 
 val train :
-  ?warm:warm ->
   spec ->
   features:float array array ->
   labels:int array ->

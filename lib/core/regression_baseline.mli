@@ -12,11 +12,12 @@
 type config = {
   c : float;
   epsilon : float;
-  gamma : float option;  (** None = 1/dim *)
+  gamma : float option;  (** None = {!Stc_svm.Kernel.median_gamma} *)
 }
 
 val default_config : config
-(** C = 10, ε = 0.01 (in normalised units), γ = 1/dim. *)
+(** C = 10, ε = 0.01 (in normalised units), γ from the median
+    heuristic. *)
 
 type t
 

@@ -12,56 +12,13 @@ type t = {
   mutable misses : int;
 }
 
-let create ~size ~row_bytes ?(budget_bytes = 64_000_000) compute =
-  ignore size;
+let create ~row_bytes ?(budget_bytes = 64_000_000) compute =
   let capacity = Stdlib.max 16 (budget_bytes / Stdlib.max 1 row_bytes) in
   {
     compute;
     table = Hashtbl.create 256;
     order = Queue.create ();
     capacity;
-    hits = 0;
-    misses = 0;
-  }
-
-(* Below this problem size the whole kernel matrix is materialised up
-   front with [fill_symmetric] (cache-friendly, half the evals); above
-   it rows are computed lazily through the FIFO cache. *)
-let dense_limit = 256
-
-let fill_symmetric n entry =
-  let rows = Array.init n (fun _ -> Array.make n 0.0) in
-  let b = 64 in
-  let nb = (n + b - 1) / b in
-  for ib = 0 to nb - 1 do
-    for jb = ib to nb - 1 do
-      let i1 = Stdlib.min n ((ib * b) + b) in
-      let j0 = jb * b and j1 = Stdlib.min n ((jb * b) + b) in
-      for i = ib * b to i1 - 1 do
-        for j = Stdlib.max i j0 to j1 - 1 do
-          let v = entry i j in
-          rows.(i).(j) <- v;
-          if j <> i then rows.(j).(i) <- v
-        done
-      done
-    done
-  done;
-  rows
-
-let dense rows =
-  let n = Array.length rows in
-  let table = Hashtbl.create (Stdlib.max 16 (2 * n)) in
-  let order = Queue.create () in
-  Array.iteri
-    (fun i r ->
-      Hashtbl.add table i r;
-      Queue.add i order)
-    rows;
-  {
-    compute = (fun i -> rows.(i));
-    table;
-    order;
-    capacity = Stdlib.max 16 n;
     hits = 0;
     misses = 0;
   }

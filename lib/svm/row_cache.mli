@@ -3,29 +3,10 @@
 
 type t
 
-val create : size:int -> row_bytes:int -> ?budget_bytes:int ->
-  (int -> float array) -> t
-(** [create ~size ~row_bytes f] caches results of [f] for keys in
-    [0, size). At most [budget_bytes / row_bytes] rows are kept
-    (default budget 64 MB, at least 16 rows). *)
-
-val dense_limit : int
-(** Problem-size threshold below which the training paths materialise
-    the whole kernel matrix via {!fill_symmetric} + {!dense} instead of
-    lazy per-row computation. *)
-
-val fill_symmetric : int -> (int -> int -> float) -> float array array
-(** [fill_symmetric n entry] builds the n×n matrix of [entry i j] with
-    a blocked traversal that evaluates only the upper triangle and
-    mirrors it. Only valid when [entry] is bit-for-bit symmetric —
-    true of all {!Kernel.eval_rows} kernels (per-element products
-    commute and accumulation order is fixed). *)
-
-val dense : float array array -> t
-(** [dense rows] wraps a fully precomputed kernel matrix: every [get]
-    is a hit and no row is ever evicted. Backs the blocked
-    small-problem path where materialising the whole matrix up front
-    is cheaper than lazy per-row computation. *)
+val create : row_bytes:int -> ?budget_bytes:int -> (int -> float array) -> t
+(** [create ~row_bytes f] caches results of [f]. At most
+    [budget_bytes / row_bytes] rows are kept (default budget 64 MB, at
+    least 16 rows). *)
 
 val get : t -> int -> float array
 

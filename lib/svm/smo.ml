@@ -8,7 +8,7 @@ type problem = {
   q_diag : float array;
   p : float array;
   y : float array;
-  c : float array;
+  c : float;
 }
 
 type solution = {
@@ -22,14 +22,12 @@ let tau = 1e-12
 
 let m_solves = Stc_obs.Registry.counter "stc_smo_solves_total"
 let m_iterations = Stc_obs.Registry.counter "stc_smo_iterations_total"
-let m_warm_starts = Stc_obs.Registry.counter "stc_smo_warm_starts_total"
 let m_reconstructs = Stc_obs.Registry.counter "stc_smo_reconstructs_total"
 
-let solve ?(eps = 1e-3) ?max_iter ?alpha0 prob =
+let solve ?(eps = 1e-3) ?max_iter prob =
   let n = prob.size in
   assert (Array.length prob.p = n);
   assert (Array.length prob.y = n);
-  assert (Array.length prob.c = n);
   Array.iter (fun yi -> assert (yi = 1.0 || yi = -1.0)) prob.y;
   let max_iter =
     match max_iter with Some m -> m | None -> Stdlib.max 10_000 (10 * n)
@@ -43,38 +41,14 @@ let solve ?(eps = 1e-3) ?max_iter ?alpha0 prob =
       invalid_arg "Smo.solve: q_row shorter than the problem size";
     r
   in
-  let alpha =
-    match alpha0 with
-    | Some a ->
-      assert (Array.length a = n);
-      if Array.exists (fun ai -> ai <> 0.0) a then
-        Stc_obs.Registry.Counter.incr m_warm_starts;
-      Array.copy a
-    | None -> Array.make n 0.0
-  in
-  (* gradient G_i = (Qα)_i + p_i, and G_bar_i = Σ_{j at upper bound}
-     C_j Q_ij, the part of G owed to variables at their upper bound:
-     a shrunk variable's G is rebuilt from G_bar and the free
-     variables alone *)
+  (* α starts at 0, so the gradient G = Qα + p starts at p, and
+     G_bar_i = Σ_{j at upper bound} C·Q_ij, the part of G owed to
+     variables at their upper bound, starts at 0: a shrunk variable's
+     G is rebuilt from G_bar and the free variables alone *)
+  let alpha = Array.make n 0.0 in
   let grad = Array.copy prob.p in
   let g_bar = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let ai = Array.unsafe_get alpha i in
-    if ai <> 0.0 then begin
-      let qi = fetch_row i in
-      for t = 0 to n - 1 do
-        Array.unsafe_set grad t
-          (Array.unsafe_get grad t +. (ai *. Array.unsafe_get qi t))
-      done;
-      let ci = c.(i) in
-      if ai >= ci then
-        for t = 0 to n - 1 do
-          Array.unsafe_set g_bar t
-            (Array.unsafe_get g_bar t +. (ci *. Array.unsafe_get qi t))
-        done
-    end
-  done;
-  let is_upper_bound i = alpha.(i) >= prob.c.(i) in
+  let is_upper_bound i = alpha.(i) >= c in
   let is_lower_bound i = alpha.(i) <= 0.0 in
   (* The active set, in increasing index order: every O(n) scan below
      runs over active.(0 .. n_active-1) only. Shrinking compacts it
@@ -96,9 +70,7 @@ let solve ?(eps = 1e-3) ?max_iter ?alpha0 prob =
       let t = Array.unsafe_get active k in
       let gt = Array.unsafe_get grad t in
       if Array.unsafe_get y t = 1.0 then begin
-        if
-          Array.unsafe_get alpha t < Array.unsafe_get c t && -.gt >= !gmax
-        then begin
+        if Array.unsafe_get alpha t < c && -.gt >= !gmax then begin
           gmax := -.gt;
           gmax_idx := t
         end
@@ -142,7 +114,7 @@ let solve ?(eps = 1e-3) ?max_iter ?alpha0 prob =
             end
           end
         end
-        else if Array.unsafe_get alpha t < Array.unsafe_get c t then begin
+        else if Array.unsafe_get alpha t < c then begin
           let grad_diff = gmax_v -. gt in
           if -.gt >= !gmax2 then gmax2 := -.gt;
           if grad_diff > 0.0 then begin
@@ -241,8 +213,8 @@ let solve ?(eps = 1e-3) ?max_iter ?alpha0 prob =
     done;
     n_active := !kept
   in
-  (* G_bar += d·Q_v when variable v reaches (d = C_v) or leaves
-     (d = −C_v) its upper bound *)
+  (* G_bar += d·Q_v when variable v reaches (d = C) or leaves (d = −C)
+     its upper bound *)
   let add_to_g_bar d qv =
     for t = 0 to n - 1 do
       Array.unsafe_set g_bar t
@@ -282,7 +254,6 @@ let solve ?(eps = 1e-3) ?max_iter ?alpha0 prob =
       | Some (i, j) ->
         incr iterations;
         let qi = fetch_row i and qj = fetch_row j in
-        let ci = prob.c.(i) and cj = prob.c.(j) in
         let old_ai = alpha.(i) and old_aj = alpha.(j) in
         if prob.y.(i) <> prob.y.(j) then begin
           let quad =
@@ -303,15 +274,15 @@ let solve ?(eps = 1e-3) ?max_iter ?alpha0 prob =
             alpha.(i) <- 0.0;
             alpha.(j) <- -.diff
           end;
-          if diff > ci -. cj then begin
-            if alpha.(i) > ci then begin
-              alpha.(i) <- ci;
-              alpha.(j) <- ci -. diff
+          if diff > 0.0 then begin
+            if alpha.(i) > c then begin
+              alpha.(i) <- c;
+              alpha.(j) <- c -. diff
             end
           end
-          else if alpha.(j) > cj then begin
-            alpha.(j) <- cj;
-            alpha.(i) <- cj +. diff
+          else if alpha.(j) > c then begin
+            alpha.(j) <- c;
+            alpha.(i) <- c +. diff
           end
         end
         else begin
@@ -323,20 +294,20 @@ let solve ?(eps = 1e-3) ?max_iter ?alpha0 prob =
           let sum = alpha.(i) +. alpha.(j) in
           alpha.(i) <- alpha.(i) -. delta;
           alpha.(j) <- alpha.(j) +. delta;
-          if sum > ci then begin
-            if alpha.(i) > ci then begin
-              alpha.(i) <- ci;
-              alpha.(j) <- sum -. ci
+          if sum > c then begin
+            if alpha.(i) > c then begin
+              alpha.(i) <- c;
+              alpha.(j) <- sum -. c
             end
           end
           else if alpha.(j) < 0.0 then begin
             alpha.(j) <- 0.0;
             alpha.(i) <- sum
           end;
-          if sum > cj then begin
-            if alpha.(j) > cj then begin
-              alpha.(j) <- cj;
-              alpha.(i) <- sum -. cj
+          if sum > c then begin
+            if alpha.(j) > c then begin
+              alpha.(j) <- c;
+              alpha.(i) <- sum -. c
             end
           end
           else if alpha.(i) < 0.0 then begin
@@ -360,10 +331,7 @@ let solve ?(eps = 1e-3) ?max_iter ?alpha0 prob =
             in
             Array.unsafe_set grad t gt;
             if Array.unsafe_get y t = 1.0 then begin
-              if
-                Array.unsafe_get alpha t < Array.unsafe_get c t
-                && -.gt >= !gmax
-              then begin
+              if Array.unsafe_get alpha t < c && -.gt >= !gmax then begin
                 gmax := -.gt;
                 gmax_idx := t
               end
@@ -375,10 +343,10 @@ let solve ?(eps = 1e-3) ?max_iter ?alpha0 prob =
           done
         end
         else scan_max ();
-        if (old_ai >= ci) <> (alpha.(i) >= ci) then
-          add_to_g_bar (if alpha.(i) >= ci then ci else -.ci) qi;
-        if (old_aj >= cj) <> (alpha.(j) >= cj) then
-          add_to_g_bar (if alpha.(j) >= cj then cj else -.cj) qj;
+        if (old_ai >= c) <> (alpha.(i) >= c) then
+          add_to_g_bar (if alpha.(i) >= c then c else -.c) qi;
+        if (old_aj >= c) <> (alpha.(j) >= c) then
+          add_to_g_bar (if alpha.(j) >= c then c else -.c) qj;
         loop ()
   in
   loop ();

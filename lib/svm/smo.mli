@@ -1,7 +1,7 @@
 (** Generic SMO solver for the SVM dual problem (libsvm formulation):
 
     {v min_α  1/2 αᵀQα + pᵀα
-       s.t.   yᵀα = Δ,  0 ≤ α_i ≤ C_i v}
+       s.t.   yᵀα = 0,  0 ≤ α_i ≤ C v}
 
     with second-order working-set selection (Fan, Chen & Lin 2005).
     Both C-SVC and ε-SVR reduce to this problem; see {!Svc} and
@@ -32,7 +32,7 @@ type problem = {
   q_diag : float array;  (** diagonal of Q *)
   p : float array;
   y : float array;       (** entries must be ±1 *)
-  c : float array;       (** per-variable upper bound *)
+  c : float;             (** upper bound of every variable *)
 }
 
 type solution = {
@@ -42,9 +42,7 @@ type solution = {
   iterations : int;
 }
 
-val solve : ?eps:float -> ?max_iter:int -> ?alpha0:float array -> problem -> solution
-(** [eps] is the KKT violation tolerance (default 1e-3, libsvm's);
-    [max_iter] caps the outer loop (default 10·size, at least 10 000);
-    [alpha0] must be feasible if supplied (default all-zeros, which is
-    feasible when Δ = 0). A nonzero [alpha0] counts toward the
-    [stc_smo_warm_starts_total] registry counter. *)
+val solve : ?eps:float -> ?max_iter:int -> problem -> solution
+(** Solves from α = 0, so the solution depends only on the problem.
+    [eps] is the KKT violation tolerance (default 1e-3, libsvm's);
+    [max_iter] caps the outer loop (default 10·size, at least 10 000). *)

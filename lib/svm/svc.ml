@@ -19,7 +19,6 @@ let train ?(c = 1.0) ?kernel ?(eps = 1e-3) ~x ~y () =
     (fun row ->
       if Array.length row <> dim then invalid_arg "Svc.train: ragged inputs")
     x;
-  ignore dim;
   Array.iter
     (fun yi ->
       if yi <> 1 && yi <> -1 then invalid_arg "Svc.train: labels must be +/-1")
@@ -36,14 +35,9 @@ let train ?(c = 1.0) ?kernel ?(eps = 1e-3) ~x ~y () =
   let fx = Flat.of_rows x in
   let q i t = yf.(i) *. yf.(t) *. Kernel.eval_rows kernel fx i t in
   let cache =
-    if l <= Row_cache.dense_limit then begin
-      Obs.Counter.add m_kernel_evals (l * (l + 1) / 2);
-      Row_cache.dense (Row_cache.fill_symmetric l q)
-    end
-    else
-      Row_cache.create ~size:l ~row_bytes:(8 * l) (fun i ->
-          Obs.Counter.add m_kernel_evals l;
-          Array.init l (fun t -> q i t))
+    Row_cache.create ~row_bytes:(8 * l) (fun i ->
+        Obs.Counter.add m_kernel_evals l;
+        Array.init l (fun t -> q i t))
   in
   Obs.Counter.add m_kernel_evals l (* the diagonal below *);
   let problem =
@@ -53,7 +47,7 @@ let train ?(c = 1.0) ?kernel ?(eps = 1e-3) ~x ~y () =
       q_diag = Array.init l (fun i -> Kernel.eval_rows kernel fx i i);
       p = Array.make l (-1.0);
       y = yf;
-      c = Array.make l c;
+      c;
     }
   in
   let sol = Smo.solve ~eps problem in

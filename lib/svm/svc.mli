@@ -11,7 +11,8 @@ val train :
   unit ->
   model
 (** Trains on inputs [x] with labels [y] (each ±1). Defaults:
-    [c = 1.0], RBF kernel with γ = 1/dim, [eps = 1e-3]. Raises
+    [c = 1.0], RBF kernel with γ from {!Kernel.median_gamma},
+    [eps = 1e-3]. Raises
     [Invalid_argument] on empty data, ragged rows, or labels outside
     {−1, +1}. *)
 

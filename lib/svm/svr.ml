@@ -10,34 +10,9 @@ type model = {
   b : float;
 }
 
-type warm = { mutable warm_alpha : float array option }
-type snapshot = float array option
-
-let warm_state () = { warm_alpha = None }
-let warm_checkpoint w = w.warm_alpha
-let warm_rollback w s = w.warm_alpha <- s
-
-(* A previous solution is a feasible start for the next candidate's
-   dual whenever the problem shape is unchanged: the extended labels
-   [+1; −1] are fixed by the formulation (so yᵀα is preserved) and the
-   box [0, C] only depends on the current C. Features, targets and
-   gamma may all differ — that only moves the optimum, not the
-   feasible region. Anything else (size or box mismatch) falls back to
-   the cold zero start. *)
-let warm_alpha0 warm ~n ~c =
-  match warm with
-  | None -> None
-  | Some w -> (
-    match w.warm_alpha with
-    | Some a
-      when Array.length a = n
-           && Array.for_all (fun ai -> ai >= 0.0 && ai <= c) a ->
-      Some a
-    | _ -> None)
-
 (* libsvm's EPSILON_SVR formulation: 2l variables [α; α*] with extended
    labels [+1; −1], p = [ε − z; ε + z], Q_st = y_s y_t K(s mod l, t mod l). *)
-let train ?(c = 1.0) ?(epsilon = 0.1) ?kernel ?(eps = 1e-3) ?warm ~x ~y () =
+let train ?(c = 1.0) ?(epsilon = 0.1) ?kernel ?(eps = 1e-3) ~x ~y () =
   let l = Array.length x in
   if l = 0 then invalid_arg "Svr.train: empty training set";
   if Array.length y <> l then invalid_arg "Svr.train: x/y length mismatch";
@@ -57,43 +32,30 @@ let train ?(c = 1.0) ?(epsilon = 0.1) ?kernel ?(eps = 1e-3) ?warm ~x ~y () =
   let ys = Array.init n (fun s -> if s < l then 1.0 else -1.0) in
   let base s = if s < l then s else s - l in
   let fx = Flat.of_rows x in
+  (* rows s and s+l differ only in sign pattern, so the underlying
+     kernel row is computed once and shared between them *)
+  let krows = Array.make l [||] in
+  let kernel_row bs =
+    if Array.length krows.(bs) = 0 then begin
+      Obs.Counter.add m_kernel_evals l;
+      krows.(bs) <- Array.init l (fun t -> Kernel.eval_rows kernel fx bs t)
+    end;
+    krows.(bs)
+  in
   let cache =
-    if n <= Row_cache.dense_limit then begin
-      Obs.Counter.add m_kernel_evals (l * (l + 1) / 2);
-      let km =
-        Row_cache.fill_symmetric l (fun i j -> Kernel.eval_rows kernel fx i j)
-      in
-      Row_cache.dense
-        (Array.init n (fun s ->
-             let krow = km.(base s) in
-             Array.init n (fun t -> ys.(s) *. ys.(t) *. krow.(base t))))
-    end
-    else begin
-      (* rows s and s+l differ only in sign pattern, so the underlying
-         kernel row is computed once and shared between them *)
-      let krows = Array.make l [||] in
-      let kernel_row bs =
-        if Array.length krows.(bs) = 0 then begin
-          Obs.Counter.add m_kernel_evals l;
-          krows.(bs) <-
-            Array.init l (fun t -> Kernel.eval_rows kernel fx bs t)
-        end;
-        krows.(bs)
-      in
-      Row_cache.create ~size:n ~row_bytes:(8 * n) (fun s ->
-          let krow = kernel_row (base s) in
-          (* ys values are exactly ±1, so the sign products reduce to
-             IEEE-exact negations: bit-identical to the multiplication *)
-          let row = Array.make n 0.0 in
-          let flip = s >= l in
-          for t = 0 to l - 1 do
-            let k = Array.unsafe_get krow t in
-            let pos = if flip then -.k else k in
-            Array.unsafe_set row t pos;
-            Array.unsafe_set row (t + l) (-.pos)
-          done;
-          row)
-    end
+    Row_cache.create ~row_bytes:(8 * n) (fun s ->
+        let krow = kernel_row (base s) in
+        (* ys values are exactly ±1, so the sign products reduce to
+           IEEE-exact negations: bit-identical to the multiplication *)
+        let row = Array.make n 0.0 in
+        let flip = s >= l in
+        for t = 0 to l - 1 do
+          let k = Array.unsafe_get krow t in
+          let pos = if flip then -.k else k in
+          Array.unsafe_set row t pos;
+          Array.unsafe_set row (t + l) (-.pos)
+        done;
+        row)
   in
   Obs.Counter.add m_kernel_evals n (* the diagonal below *);
   let problem =
@@ -108,12 +70,10 @@ let train ?(c = 1.0) ?(epsilon = 0.1) ?kernel ?(eps = 1e-3) ?warm ~x ~y () =
         Array.init n (fun s ->
             if s < l then epsilon -. y.(s) else epsilon +. y.(s - l));
       y = ys;
-      c = Array.make n c;
+      c;
     }
   in
-  let alpha0 = warm_alpha0 warm ~n ~c in
-  let sol = Smo.solve ~eps ?alpha0 problem in
-  (match warm with None -> () | Some w -> w.warm_alpha <- Some sol.Smo.alpha);
+  let sol = Smo.solve ~eps problem in
   let accesses = Row_cache.hits cache + Row_cache.misses cache in
   if accesses > 0 then
     Obs.Gauge.set g_cache_hit_rate

@@ -113,6 +113,15 @@ let device_data_tests =
     Alcotest.test_case "spec_column" `Quick (fun () ->
         Alcotest.(check (array (float 0.0))) "col c" [| 2.0; 3.5; 4.0; 1.0 |]
           (Device_data.spec_column small_data 2));
+    Alcotest.test_case "kept rejects a bad or repeated index" `Quick (fun () ->
+        Alcotest.(check (array int)) "kept" [| 1 |]
+          (Device_data.kept small_data ~dropped:[| 2; 0 |]);
+        List.iter
+          (fun dropped ->
+            match Device_data.kept small_data ~dropped with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.fail "expected Invalid_argument")
+          [ [| 3 |]; [| -1 |]; [| 1; 1 |] ]);
   ]
 
 (* --------------------------- Calibration -------------------------- *)
@@ -455,6 +464,57 @@ let compaction_tests =
         Alcotest.(check string) "same flow bytes"
           (text { flow with Compaction.band = Some band })
           (text flow));
+    Alcotest.test_case "each candidate trains on its trial set alone" `Quick
+      (fun () ->
+        (* a step's error and SMO work are those of a fresh train on its
+           trial set, whatever the loop trained before it: what lets
+           candidates be evaluated out of order *)
+        let train, test =
+          Stc.Experiment.generate_opamp ~seed:701 ~n_train:160 ~n_test:80 ()
+        in
+        let config =
+          { Stc.Experiment.opamp_config with Compaction.guard_fraction = 0.0 }
+        in
+        let iterations = Stc_obs.Registry.counter "stc_smo_iterations_total" in
+        let counted f =
+          let before = Stc_obs.Registry.Counter.get iterations in
+          let r = f () in
+          (r, Stc_obs.Registry.Counter.get iterations - before)
+        in
+        let result, loop_iterations =
+          counted (fun () ->
+              Compaction.greedy
+                ~order:(Order.Given Stc.Experiment.opamp_examination_order)
+                config ~train ~test)
+        in
+        let dropped = ref [] and reference_iterations = ref 0 in
+        List.iter
+          (fun (s : Compaction.step) ->
+            let spec = s.Compaction.spec_index in
+            let trial = Array.of_list (List.rev (spec :: !dropped)) in
+            let (_, nominal), n =
+              counted (fun () ->
+                  Compaction.train_predictor config train ~dropped:trial)
+            in
+            reference_iterations := !reference_iterations + n;
+            let error =
+              Compaction.prediction_error nominal test
+                ~kept:(Device_data.kept train ~dropped:trial) ~dropped:trial
+            in
+            Alcotest.(check int64)
+              (Printf.sprintf "spec %d: error bits" spec)
+              (Int64.bits_of_float error)
+              (Int64.bits_of_float s.Compaction.error);
+            if s.Compaction.accepted then dropped := spec :: !dropped)
+          result.Compaction.steps;
+        let _, final =
+          counted (fun () ->
+              Compaction.make_flow config train
+                ~dropped:result.Compaction.flow.Compaction.dropped)
+        in
+        Alcotest.(check int) "SMO iterations: reference trains + final flow"
+          (!reference_iterations + final)
+          loop_iterations);
     Alcotest.test_case "duplicate dropped index rejected" `Quick (fun () ->
         let train = synthetic_data 8 100 in
         (match Compaction.make_flow compaction_config train ~dropped:[| 2; 2 |] with

@@ -70,7 +70,7 @@ let smo_tests =
             q_diag = [| 1.0; 1.0 |];
             p = [| -1.0; -1.0 |];
             y;
-            c = [| 100.0; 100.0 |];
+            c = 100.0;
           }
         in
         let sol = Smo.solve problem in
@@ -92,7 +92,7 @@ let smo_tests =
             q_diag = Array.init n (fun i -> Kernel.eval k x.(i) x.(i));
             p = Array.make n (-1.0);
             y;
-            c = Array.make n c;
+            c;
           }
         in
         let sol = Smo.solve problem in
@@ -117,7 +117,7 @@ let smo_tests =
             q_diag = Array.init 4 (fun i -> Kernel.eval k x.(i) x.(i));
             p = Array.make 4 (-1.0);
             y;
-            c = Array.make 4 10.0;
+            c = 10.0;
           }
         in
         let sol = Smo.solve problem in
@@ -251,7 +251,7 @@ let cache_tests =
     Alcotest.test_case "caches and evicts" `Quick (fun () ->
         let calls = ref 0 in
         let cache =
-          Row_cache.create ~size:10 ~row_bytes:8 ~budget_bytes:(8 * 16)
+          Row_cache.create ~row_bytes:8 ~budget_bytes:(8 * 16)
             (fun i ->
               incr calls;
               [| float_of_int i |])
@@ -262,7 +262,7 @@ let cache_tests =
         Alcotest.(check int) "hits" 3 (Row_cache.hits cache));
     Alcotest.test_case "eviction keeps working" `Quick (fun () ->
         let cache =
-          Row_cache.create ~size:100 ~row_bytes:8 ~budget_bytes:(8 * 16)
+          Row_cache.create ~row_bytes:8 ~budget_bytes:(8 * 16)
             (fun i -> [| float_of_int i |])
         in
         for i = 0 to 99 do
@@ -290,7 +290,7 @@ let smo_optimality_tests =
             q_diag = Array.init n (fun i -> Kernel.eval k x.(i) x.(i));
             p = Array.make n (-1.0);
             y;
-            c = Array.make n c;
+            c;
           }
         in
         let sol = Smo.solve problem in
