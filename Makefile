@@ -68,11 +68,11 @@ qa:
 # (qa.properties, qa.faults, qa.pool, and
 # net faults: the server under attack), bit-identical flows across a
 # journal kill and resume (resilience: kill/resume), and no
-# acknowledged device dropped by a crashing engine, whose rows the
-# breaker sheds as RETEST (net faults), or by a draining server (net
-# server). `dune runtest` runs every registered suite; this target
-# fails, naming the suite, if one of these is no longer registered in
-# test_main.ml, so CI cannot pass by silently dropping it.
+# acknowledged device dropped by torn frames or a mid-batch disconnect
+# (net faults), or by a draining server (net server). `dune runtest`
+# runs every registered suite; this target fails, naming the suite, if
+# one of these is no longer registered in test_main.ml, so CI cannot
+# pass by silently dropping it.
 # Comma-separated.
 REQUIRED_SUITES = svm_equiv.shrink,process.enrich,process.parallel,learner.mlp,learner.mi,learner.io,learner.flow2,learner.gate,circuit.pins,golden: smoke,qa.properties,qa.faults,qa.pool,net faults,resilience: kill/resume,net server
 
@@ -107,8 +107,8 @@ serve-smoke:
 # paper's two case studies in about a second each, net_serving drives
 # the client and server over loopback), and the paper harness end to end
 # (its text output is not compared; a crash fails the step). The
-# server-abuse scenarios (connection flood, slow loris, reply ignorer,
-# breaker cycle) run in the test suite's `net faults` suite.
+# server-abuse scenarios (connection flood, slow loris, reply ignorer)
+# run in the test suite's `net faults` suite.
 ci:
 	dune build @all
 	dune runtest

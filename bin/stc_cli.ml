@@ -672,12 +672,12 @@ module Net_server = Stc_net.Server
 let listen_arg =
   Arg.(value & opt int 0
        & info [ "listen" ] ~docv:"PORT"
-           ~doc:"TCP port to listen on; 0 (the default) picks an ephemeral \
-                 port and prints it.")
+           ~doc:"TCP port to listen on, in [0, 65535]; 0 (the default) \
+                 picks an ephemeral port and prints it.")
 
 let host_arg =
   Arg.(value & opt string "127.0.0.1"
-       & info [ "host" ] ~docv:"ADDR" ~doc:"Bind address.")
+       & info [ "host" ] ~docv:"ADDR" ~doc:"Bind address (IPv4).")
 
 let server_flows_arg =
   Arg.(non_empty & opt_all (pair ~sep:'=' string string) []
@@ -764,6 +764,14 @@ let run_server host listen flows flush_rows flush_deadline max_pending
     die_option "--idle-timeout must be a number (got %g)" idle_timeout;
   if Float.is_nan write_timeout then
     die_option "--write-timeout must be a number (got %g)" write_timeout;
+  if listen < 0 || listen > 65535 then
+    die_option "--listen must be in [0, 65535] (got %d)" listen;
+  let ipv4 =
+    match Unix.inet_addr_of_string host with
+    | addr -> Unix.domain_of_sockaddr (Unix.ADDR_INET (addr, 0)) = Unix.PF_INET
+    | exception Failure _ -> false
+  in
+  if not ipv4 then die_option "--host must be an IPv4 address (got %S)" host;
   let registry =
     Net_registry.create ~floor_config:{ Floor.batch_size = batch; domains } ()
   in
@@ -800,7 +808,9 @@ let run_server host listen flows flush_rows flush_deadline max_pending
   latch Sys.sigint stop_requested;
   latch Sys.sigterm stop_requested;
   if reload_signal then latch Sys.sighup hup;
-  Net_server.start server;
+  (try Net_server.start server
+   with Unix.Unix_error (e, _, _) ->
+     die_option "cannot listen on %s:%d: %s" host listen (Unix.error_message e));
   Printf.printf "listening on %s:%d (%d flows)\n%!" host
     (Net_server.port server) (List.length flows);
   let announced_drain = ref false in

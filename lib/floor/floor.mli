@@ -12,9 +12,10 @@
 
     The retest callback stands for the full-test station. Every serving
     front end passes {!full_test}, a range check over columns the row
-    already holds, so escalation cannot hang or fail; fault tolerance
-    for serving lives in the network server (circuit breaker, drain,
-    admission control), not here. *)
+    already holds, so escalation cannot hang or fail, and {!process}
+    raises only [Invalid_argument], on caller misuse. Fault tolerance
+    for serving lives in the network server (drain, admission control,
+    per-connection teardown), not here. *)
 
 type config = {
   batch_size : int;  (** devices classified per pool dispatch *)

@@ -125,7 +125,7 @@ let flows t =
 
 let info t ~flow = roundtrip t (P.Info flow)
 let stats t ~flow = roundtrip t (P.Stats flow)
-let health t ?flow () = roundtrip t (P.Health flow)
+let health t = roundtrip t P.Health
 
 let reload t ~flow ?path () =
   match roundtrip t (P.Reload { flow; path }) with

@@ -54,10 +54,9 @@ val info : t -> flow:string -> (string, string) result
 
 val stats : t -> flow:string -> (string, string) result
 
-val health : t -> ?flow:string -> unit -> (string, string) result
-(** Readiness probe: [HEALTH] (whole server; [Error] while draining) or
-    [HEALTH <flow>] (that flow's breaker state). Returns the [OK]
-    detail line. *)
+val health : t -> (string, string) result
+(** Readiness probe: the [OK] detail line of [HEALTH]
+    (["health serving flows <n>"]); [Error] while the server drains. *)
 
 val reload :
   t -> flow:string -> ?path:string -> unit ->

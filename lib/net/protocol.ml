@@ -11,7 +11,7 @@ type request =
   | Metrics
   | Stats of string
   | Reload of { flow : string; path : string option }
-  | Health of string option
+  | Health
   | Quit
   | Shutdown
 
@@ -114,8 +114,8 @@ let parse_request line =
     (* the path is the whole remainder: file names may contain spaces *)
     check_name name (fun () ->
         Ok (Reload { flow = name; path = Some (String.concat " " (path :: rest)) }))
-  | [ "HEALTH" ] -> Ok (Health None)
-  | [ "HEALTH"; name ] -> check_name name (fun () -> Ok (Health (Some name)))
+  | [ "HEALTH" ] -> Ok Health
+  | "HEALTH" :: _ -> Error "HEALTH takes no argument"
   | [ "QUIT" ] -> Ok Quit
   | [ "SHUTDOWN" ] -> Ok Shutdown
   | [] | [ "" ] -> Error "empty request"
@@ -138,8 +138,7 @@ let format_request = function
   | Stats name -> "STATS " ^ name
   | Reload { flow; path = None } -> "RELOAD " ^ flow
   | Reload { flow; path = Some p } -> Printf.sprintf "RELOAD %s %s" flow p
-  | Health None -> "HEALTH"
-  | Health (Some name) -> "HEALTH " ^ name
+  | Health -> "HEALTH"
   | Quit -> "QUIT"
   | Shutdown -> "SHUTDOWN"
 

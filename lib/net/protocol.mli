@@ -35,9 +35,9 @@ type request =
           send *)
   | Stats of string                        (** one flow's engine counters *)
   | Reload of { flow : string; path : string option }
-  | Health of string option
-      (** readiness probe: whole server ([None] — [ERR draining] while
-          the server drains) or one flow's breaker state ([Some name]) *)
+  | Health
+      (** readiness probe: [OK health serving flows <n>], or
+          [ERR draining] while the server drains *)
   | Quit                                   (** close this connection *)
   | Shutdown                               (** drain, then stop the server *)
 

@@ -27,7 +27,6 @@ let h_flush = Obs.histogram "stc_net_flush_s"
 type config = {
   host : string;
   port : int;
-  backlog : int;
   max_connections : int;
   flush_rows : int;
   flush_deadline_s : float;
@@ -43,7 +42,6 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 0;
-    backlog = 64;
     max_connections = 64;
     flush_rows = 256;
     flush_deadline_s = 0.05;
@@ -75,6 +73,8 @@ type t = {
 }
 
 let create ?(config = default_config) registry =
+  if config.port < 0 || config.port > 65535 then
+    invalid_arg "Server.create: port must be in [0, 65535]";
   if config.flush_rows < 1 then
     invalid_arg "Server.create: flush_rows must be >= 1";
   (* every timeout ends up in a [Unix.select], which raises EINVAL on a
@@ -395,13 +395,10 @@ let err_draining = P.err_line ~code:"draining" "server is draining"
 
 let status_fields (st : Registry.status) =
   Printf.sprintf
-    "version %d fingerprint %s specs %d kept %d dropped %d breaker %s \
-     trips %d"
+    "version %d fingerprint %s specs %d kept %d dropped %d"
     st.Registry.version st.Registry.fingerprint st.Registry.specs
     st.Registry.kept
     (st.Registry.specs - st.Registry.kept)
-    (Registry.breaker_state_to_string st.Registry.breaker)
-    st.Registry.breaker_trips
 
 let handle_batch server conn name count =
   match Registry.find server.registry name with
@@ -539,39 +536,14 @@ let handle_request server conn req =
        let st = Registry.status entry in
        reply conn
          (P.ok_line (Printf.sprintf "flow %s %s" name (status_fields st))))
-  | P.Health None ->
+  | P.Health ->
     flush ();
     if is_draining () then reply conn err_draining
-    else begin
-      let statuses = Registry.list server.registry in
-      let open_breakers =
-        List.length
-          (List.filter
-             (fun (st : Registry.status) -> st.Registry.breaker <> Registry.Closed)
-             statuses)
-      in
+    else
       reply conn
         (P.ok_line
-           (Printf.sprintf "health serving flows %d breakers-open %d"
-              (List.length statuses) open_breakers))
-    end
-  | P.Health (Some name) ->
-    flush ();
-    (match Registry.find server.registry name with
-     | None ->
-       Obs.Counter.incr m_errors;
-       reply conn
-         (P.err_line ~code:"unknown-flow" (Printf.sprintf "flow %S" name))
-     | Some entry ->
-       let st = Registry.status entry in
-       reply conn
-         (P.ok_line
-            (Printf.sprintf
-               "health flow %s breaker %s failures %d trips %d version %d"
-               name
-               (Registry.breaker_state_to_string st.Registry.breaker)
-               st.Registry.breaker_failures st.Registry.breaker_trips
-               st.Registry.version)))
+           (Printf.sprintf "health serving flows %d"
+              (List.length (Registry.names server.registry))))
   | P.Stats name ->
     flush ();
     (match Registry.find server.registry name with
@@ -797,7 +769,7 @@ let start t =
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
      let addr = Unix.inet_addr_of_string t.config.host in
      Unix.bind fd (Unix.ADDR_INET (addr, t.config.port));
-     Unix.listen fd t.config.backlog
+     Unix.listen fd 64
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);

@@ -38,11 +38,9 @@
 
     {b Resilience.} Guard-band rows are escalated to
     {!Stc_floor.Floor.full_test}, a range check that cannot hang or
-    fail. Each flow sits behind the {!Registry}'s circuit breaker: a
-    crashing engine is shed around ([RETEST] bins) and auto-recycled
-    after a cooldown — every row always gets a reply line. Torn frames,
-    oversized lines and mid-batch disconnects kill only their own
-    connection.
+    fail, so binning raises only [Invalid_argument] on a bad batch,
+    which is answered with [ERR] lines. Torn frames, oversized lines
+    and mid-batch disconnects kill only their own connection.
 
     All deadlines (flush, idle, write, drain) are computed on
     {!Stc_obs.Clock.now}, so a wall-clock step (NTP, DST) never fires
@@ -50,8 +48,8 @@
 
 type config = {
   host : string;            (** bind address, default ["127.0.0.1"] *)
-  port : int;               (** 0 picks an ephemeral port (see {!port}) *)
-  backlog : int;            (** listen queue, default 64 *)
+  port : int;
+      (** in [0, 65535]; 0 picks an ephemeral port (see {!port}) *)
   max_connections : int;    (** concurrent clients, default 64 *)
   flush_rows : int;         (** batch flush threshold, default 256 *)
   flush_deadline_s : float; (** max age of a pending row, default 0.05 *)
@@ -76,18 +74,20 @@ type t
 
 val create : ?config:config -> Registry.t -> t
 (** The registry is shared, not owned: {!stop} does not shut it down.
-    Raises [Invalid_argument] on non-positive [flush_rows],
-    [flush_deadline_s], [max_pending], [max_connections] or
-    [sndbuf_bytes], a negative [drain_deadline_s], or a NaN in any of
-    the four time fields. Infinity is allowed and means no bound. *)
+    Raises [Invalid_argument] on a [port] outside [0, 65535], a
+    non-positive [flush_rows], [flush_deadline_s], [max_pending],
+    [max_connections] or [sndbuf_bytes], a negative
+    [drain_deadline_s], or a NaN in any of the four time fields.
+    Infinity is allowed and means no bound. *)
 
 val start : t -> unit
-(** Binds, listens, and spawns the accept thread; returns immediately.
-    Raises [Unix.Unix_error] when the address cannot be bound, and
-    [Invalid_argument] if already started. Also sets the process-wide
-    SIGPIPE disposition to ignore, so a client that disconnects
-    mid-reply surfaces as [EPIPE] (per-connection teardown, counted in
-    [stc_net_disconnects_total]) instead of killing the process. *)
+(** Binds, listens with a queue of 64 pending connections, and spawns
+    the accept thread; returns immediately. Raises [Unix.Unix_error]
+    when the address cannot be bound, and [Invalid_argument] if
+    already started. Also sets the process-wide SIGPIPE disposition to
+    ignore, so a client that disconnects mid-reply surfaces as [EPIPE]
+    (per-connection teardown, counted in [stc_net_disconnects_total])
+    instead of killing the process. *)
 
 val port : t -> int
 (** The bound port (resolves [port = 0]); raises [Invalid_argument]

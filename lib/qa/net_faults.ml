@@ -37,8 +37,8 @@ let flow_route = "dut"
 let default_loopback_config =
   { Server.default_config with Server.flush_deadline_s = 0.02 }
 
-let with_loopback_server ?(config = default_loopback_config) ?breaker flow f =
-  let registry = Registry.create ?breaker () in
+let with_loopback_server ?(config = default_loopback_config) flow f =
+  let registry = Registry.create () in
   match Registry.add registry ~name:flow_route flow with
   | Error e -> Error ("registry add: " ^ e)
   | Ok entry ->
@@ -366,93 +366,3 @@ let check_connection_flood (flow, rows) =
   in
   fresh_client_matches ~what:"after connection flood" ~port flow_route rows
     reference
-
-(* the breaker contract, end to end over the wire: repeated engine
-   crashes degrade the flow to RETEST verdicts instead of killing
-   connections, HEALTH tracks closed -> open -> closed, and after the
-   cooldown the auto-recycled engine serves bit-identical verdicts *)
-let check_breaker_cycle (flow, rows) =
-  let n = Array.length rows in
-  if n = 0 then Ok ()
-  else begin
-    let reference = offline_reference flow rows in
-    let all_retest got =
-      if
-        Array.for_all
-          (fun (o : Floor.outcome) ->
-            o.Floor.bin = Floor.Retest
-            && o.Floor.verdict = Stc.Guard_band.Guard)
-          got
-      then Ok ()
-      else Error "breaker: a crashed batch leaked a non-RETEST verdict"
-    in
-    let contains ~needle hay =
-      let nh = String.length hay and nn = String.length needle in
-      let rec go i =
-        if i + nn > nh then false
-        else String.sub hay i nn = needle || go (i + 1)
-      in
-      nn = 0 || go 0
-    in
-    let breaker =
-      {
-        Registry.failure_threshold = 2;
-        cooldown_s = 1.0;
-        cooldown_backoff = 1.0;
-        max_cooldown_s = 1.0;
-      }
-    in
-    with_loopback_server ~breaker flow @@ fun ~port ~registry:_ ~entry ->
-    let c = Client.connect ~port () in
-    Fun.protect ~finally:(fun () -> Client.quit c) @@ fun () ->
-    let health_is ~what state =
-      match Client.health c ~flow:flow_route () with
-      | Error e -> Error (Printf.sprintf "%s: HEALTH: %s" what e)
-      | Ok detail ->
-        let want = Printf.sprintf "breaker %s" state in
-        if contains ~needle:(want ^ " ") (detail ^ " ") then Ok ()
-        else
-          Error
-            (Printf.sprintf "%s: HEALTH says %S, expected %S" what detail want)
-    in
-    let batch what =
-      match Client.bin_batch c ~flow:flow_route rows with
-      | Error e -> Error (Printf.sprintf "%s: %s" what e)
-      | Ok got -> Ok got
-    in
-    (* healthy serving first *)
-    let* () = health_is ~what:"before faults" "closed" in
-    let* () =
-      match batch "healthy batch" with
-      | Error _ as e -> e
-      | Ok got -> same_outcomes ~what:"healthy batch" reference got
-    in
-    (* two consecutive crashes trip the threshold-2 breaker; both
-       batches are still answered, row for row, as RETEST *)
-    Registry.inject_engine_faults entry 2;
-    let* () =
-      match batch "first crash" with Error _ as e -> e | Ok got -> all_retest got
-    in
-    let* () =
-      match batch "second crash" with
-      | Error _ as e -> e
-      | Ok got -> all_retest got
-    in
-    let* () = health_is ~what:"after tripping" "open" in
-    (* while open the engine is not even asked *)
-    let* () =
-      match batch "while open" with Error _ as e -> e | Ok got -> all_retest got
-    in
-    (* cooldown passes; the half-open probe meets a healthy engine,
-       closes the breaker, and the verdicts are bit-identical again *)
-    Thread.delay 1.2;
-    let* () =
-      match batch "half-open probe" with
-      | Error _ as e -> e
-      | Ok got -> same_outcomes ~what:"half-open probe" reference got
-    in
-    let* () = health_is ~what:"after recovery" "closed" in
-    if (Registry.status entry).Registry.breaker_trips < 1 then
-      Error "breaker: status never recorded a trip"
-    else Ok ()
-  end

@@ -8,7 +8,11 @@
     {!Stc_floor.Floor.process} run over the same flow, and the process
     must never see an uncaught exception. Checks return
     [(unit, string) result], like the {!Faults} checks; the [net faults]
-    suite in [test/test_net.ml] runs them all. *)
+    suite in [test/test_net.ml] runs them all.
+
+    There is no crashing-engine check: {!Stc_floor.Floor.process}
+    raises only [Invalid_argument], which the server answers with [ERR]
+    lines, so every attack here comes from the client side. *)
 
 val check_torn_frames :
   Stc.Compaction.flow * float array array -> (unit, string) result
@@ -59,13 +63,3 @@ val check_connection_flood :
     with one [ERR busy] line and a clean close, counted in
     [stc_net_shed_total]. Once the flood releases its slots a fresh
     client must be admitted and match the offline reference. *)
-
-val check_breaker_cycle :
-  Stc.Compaction.flow * float array array -> (unit, string) result
-(** Drives the per-flow circuit breaker through a full cycle over the
-    wire using the registry's crash failpoint: consecutive engine
-    crashes answer every row [RETEST]/[GUARD] (never an error, never a
-    dropped device) and trip the breaker; [HEALTH] reports
-    [closed -> open -> closed]; after the cooldown the auto-recycled
-    engine's half-open probe succeeds and verdicts are again
-    bit-identical to the offline reference. *)

@@ -7,10 +7,11 @@
 # It checks that two `stc opamp --save-flow --save-test` runs write the
 # same bytes, that `stc serve` bins every saved device, that a journal
 # cut after some of its steps resumes to the same flow, and the exit
-# codes of a deleted command (124), of out-of-range options (1) and of
-# a save, metrics or trace file that cannot be written (2). No
-# line that carries a timing is compared. Silent on success; on a
-# failure it names the check on stderr and exits 1.
+# codes of a deleted command (124), of out-of-range options and a
+# server address that cannot be bound (1), and of a save, metrics or
+# trace file that cannot be written (2). No line that carries a timing
+# is compared. Silent on success; on a failure it names the check on
+# stderr and exits 1.
 set -eu
 
 stc=$1
@@ -56,6 +57,12 @@ expect_exit 1 opamp --test 0
 expect_exit 1 opamp --tolerance nan
 expect_exit 1 mems --test 0
 expect_exit 1 sweep --test 0
+# `stc server` checks its address before it loads a flow (a missing
+# flow file would exit 2), and a bind failure is one line and exit 1;
+# 192.0.2.1 is TEST-NET-1, which no local interface holds
+expect_exit 1 server --listen 70000 --flow dut=missing.stc
+expect_exit 1 server --host nosuchhost --flow dut=missing.stc
+expect_exit 1 server --host 192.0.2.1 --flow dut=a.stc
 
 # a write that fails, also at the flush when the file is closed, is a
 # data error: exit 2 and no "->" line claiming the file was written

@@ -94,8 +94,7 @@ let protocol_tests =
             Protocol.Reload { flow = "dut"; path = None };
             Protocol.Reload
               { flow = "dut"; path = Some "/tmp/with space/flow.stc" };
-            Protocol.Health None;
-            Protocol.Health (Some "mems.hot-1");
+            Protocol.Health;
           ];
         (* older clients spell the metrics request "METRICS text" *)
         List.iter
@@ -189,6 +188,7 @@ let protocol_tests =
             "METRICS json";
             "INFO";
             "bin dut 1.0";
+            "HEALTH dut";
             "HEALTH b@d";
             "HEALTH two flows";
           ]);
@@ -313,50 +313,6 @@ let registry_tests =
               (offline_reference identity rows)
               (get (Registry.process entry rows));
             Registry.shutdown r));
-    Alcotest.test_case "breaker trips on repeated crashes, recycle heals"
-      `Quick (fun () ->
-        let flow, rows = pooled 35 ~rows:4 in
-        let breaker =
-          (* a huge cooldown pins the breaker open: this test drives the
-             manual recycle path, the net faults suite drives the auto
-             one *)
-          {
-            Registry.failure_threshold = 2;
-            cooldown_s = 30.0;
-            cooldown_backoff = 2.0;
-            max_cooldown_s = 60.0;
-          }
-        in
-        let r = Registry.create ~breaker () in
-        let entry = get (Registry.add r ~name:"a" flow) in
-        let reference = offline_reference flow rows in
-        let shed_reference =
-          Array.map
-            (fun _ ->
-              { Floor.bin = Floor.Retest; verdict = Guard_band.Guard })
-            rows
-        in
-        check_outcomes "healthy before faults" reference
-          (get (Registry.process entry rows));
-        Registry.inject_engine_faults entry 2;
-        check_outcomes "first crash sheds RETEST" shed_reference
-          (get (Registry.process entry rows));
-        Alcotest.(check bool) "one failure stays closed" true
-          (Registry.breaker entry = Registry.Closed);
-        check_outcomes "second crash sheds RETEST" shed_reference
-          (get (Registry.process entry rows));
-        Alcotest.(check bool) "threshold trips the breaker" true
-          (Registry.breaker entry = Registry.Open);
-        check_outcomes "open breaker sheds without the engine" shed_reference
-          (get (Registry.process entry rows));
-        Alcotest.(check int) "trip recorded" 1
-          (Registry.status entry).Registry.breaker_trips;
-        Registry.recycle entry;
-        Alcotest.(check bool) "recycle closes the breaker" true
-          (Registry.breaker entry = Registry.Closed);
-        check_outcomes "bit-identical after recycle" reference
-          (get (Registry.process entry rows));
-        Registry.shutdown r);
     Alcotest.test_case "reload without a source is an error" `Quick (fun () ->
         let flow, _ = pooled 34 ~rows:3 in
         let r = Registry.create () in
@@ -644,46 +600,6 @@ let server_tests =
             with_client ~server (fun c ->
                 check_outcomes "after write-after-close" reference
                   (get (Client.bin_batch c ~flow:"dut" rows)))));
-    Alcotest.test_case "HEALTH tracks the per-flow breaker over the wire"
-      `Quick (fun () ->
-        let flow, rows = pooled 49 ~rows:6 in
-        let reference = offline_reference flow rows in
-        with_served flow (fun ~server ~registry:_ ~entry ~path:_ ->
-            with_client ~server (fun c ->
-                let h = get (Client.health c ()) in
-                Alcotest.(check bool) "server healthy" true
-                  (contains ~needle:"health serving" h
-                  && contains ~needle:"breakers-open 0" h);
-                let hf = get (Client.health c ~flow:"dut" ()) in
-                Alcotest.(check bool) "flow breaker closed" true
-                  (contains ~needle:"breaker closed" hf);
-                (match Client.health c ~flow:"ghost" () with
-                 | Error _ -> ()
-                 | Ok d -> Alcotest.fail ("HEALTH on a ghost flow: " ^ d));
-                (* crash the engine past the default threshold: the
-                   rows still get replies (RETEST), HEALTH flips *)
-                Registry.inject_engine_faults entry 3;
-                for _ = 1 to 3 do
-                  let shed = get (Client.bin_batch c ~flow:"dut" rows) in
-                  Array.iter
-                    (fun (o : Floor.outcome) ->
-                      Alcotest.(check bool) "shed as RETEST" true
-                        (o.Floor.bin = Floor.Retest))
-                    shed
-                done;
-                let hf = get (Client.health c ~flow:"dut" ()) in
-                Alcotest.(check bool) "flow breaker open" true
-                  (contains ~needle:"breaker open" hf);
-                let h = get (Client.health c ()) in
-                Alcotest.(check bool) "server counts the open breaker" true
-                  (contains ~needle:"breakers-open 1" h);
-                (* a manual recycle heals it, bit-identically *)
-                Registry.recycle entry;
-                let hf = get (Client.health c ~flow:"dut" ()) in
-                Alcotest.(check bool) "flow breaker closed again" true
-                  (contains ~needle:"breaker closed" hf);
-                check_outcomes "bit-identical after recycle" reference
-                  (get (Client.bin_batch c ~flow:"dut" rows)))));
     Alcotest.test_case "drain answers half-flushed batches then stops"
       `Quick (fun () ->
         let flow, rows = pooled 50 ~rows:20 in
@@ -750,7 +666,7 @@ let server_tests =
                Alcotest.fail "new connection closed without ERR draining");
             close_in_noerr rej_ic;
             (* new work on an already-open connection is refused too *)
-            (match Client.health idle () with
+            (match Client.health idle with
              | Error e ->
                Alcotest.(check bool) "HEALTH says draining" true
                  (contains ~needle:"draining" e)
@@ -824,21 +740,44 @@ let server_tests =
     Alcotest.test_case "INFO, FLOWS and STATS describe the route" `Quick
       (fun () ->
         let flow, rows = pooled 47 ~rows:5 in
+        let reference = offline_reference flow rows in
+        let fingerprint = get (Flow_io.fingerprint flow) in
+        let specs = Array.length flow.Compaction.specs in
+        let kept = Array.length flow.Compaction.kept in
+        let count p = Array.fold_left (fun n o -> if p o then n + 1 else n) 0 in
         with_served flow (fun ~server ~registry:_ ~entry:_ ~path:_ ->
             with_client ~server (fun c ->
-                let (_ : Floor.outcome array) =
-                  get (Client.bin_batch c ~flow:"dut" rows)
-                in
-                let lines = get (Client.flows c) in
-                Alcotest.(check int) "one flow" 1 (List.length lines);
-                Alcotest.(check bool) "names the route" true
-                  (String.length (List.hd lines) > 5);
-                let info = get (Client.info c ~flow:"dut") in
-                Alcotest.(check bool) "info has fingerprint" true
-                  (String.length info > 0);
-                let stats = get (Client.stats c ~flow:"dut") in
-                Alcotest.(check bool) "stats counted the devices" true
-                  (String.length stats > 0);
+                check_outcomes "served" reference
+                  (get (Client.bin_batch c ~flow:"dut" rows));
+                Alcotest.(check (list string)) "FLOWS line"
+                  [ Printf.sprintf "FLOW dut 1 %s %d/%d" fingerprint kept specs ]
+                  (get (Client.flows c));
+                Alcotest.(check string) "INFO detail"
+                  (Printf.sprintf
+                     "flow dut version 1 fingerprint %s specs %d kept %d \
+                      dropped %d"
+                     fingerprint specs kept
+                     (Array.length flow.Compaction.dropped))
+                  (get (Client.info c ~flow:"dut"));
+                Alcotest.(check string) "STATS detail"
+                  (Printf.sprintf
+                     "stats devices %d shipped %d scrapped %d retested %d \
+                      batches 1 version 1"
+                     (Array.length rows)
+                     (count (fun o -> o.Floor.bin = Floor.Ship) reference)
+                     (count (fun o -> o.Floor.bin = Floor.Scrap) reference)
+                     (count
+                        (fun o -> o.Floor.verdict = Guard_band.Guard)
+                        reference))
+                  (get (Client.stats c ~flow:"dut"));
+                Alcotest.(check string) "HEALTH detail"
+                  "health serving flows 1" (get (Client.health c));
+                (* HEALTH takes no flow: a typed bad-request, after
+                   which the connection still answers *)
+                Client.send_line c "HEALTH dut";
+                (match Protocol.parse_reply (Client.recv_line c) with
+                 | Ok (`Err ("bad-request", _)) -> ()
+                 | _ -> Alcotest.fail "HEALTH dut was not a bad request");
                 match Client.info c ~flow:"ghost" with
                 | Error _ -> ()
                 | Ok _ -> Alcotest.fail "INFO on a ghost flow succeeded")));
@@ -901,6 +840,12 @@ let server_tests =
         (* a NaN timeout reaches Unix.select, which raises EINVAL *)
         let registry = Registry.create () in
         let d = Server.default_config in
+        List.iter
+          (fun port ->
+            match Server.create ~config:{ d with Server.port } registry with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.failf "port %d accepted" port)
+          [ -1; 65536; 70000 ];
         let with_times v =
           [
             ("flush", { d with Server.flush_deadline_s = v });
@@ -948,8 +893,6 @@ let fault_tests =
       Net_faults.check_slow_loris;
     fault "a reply-ignoring client hits the write deadline" 66
       Net_faults.check_reply_ignorer;
-    fault "a crashing engine trips the breaker, which recovers" 67
-      Net_faults.check_breaker_cycle;
   ]
 
 let suites =
