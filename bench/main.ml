@@ -758,10 +758,14 @@ let overload_flood = 16
 
 let net_overload () =
   section "Overload: well-behaved client under a connection flood";
-  let st = Stc_qa.Gen.state ~seed:2005 in
-  let flow, base = Stc_qa.Gen.flow_with_rows ~rows_per_flow:64 st in
-  let n_base = Array.length base in
-  let chunk = Array.init overload_batch (fun i -> base.(i mod n_base)) in
+  (* the Table 3 "Both" flow, on the first MEMS test rows *)
+  let flow =
+    match Lazy.force table3_counts with
+    | [ _; _; (_, _, flow) ] -> flow
+    | _ -> assert false
+  in
+  let _, test = Lazy.force mems_data in
+  let chunk = Array.sub (Device_data.values test) 0 overload_batch in
   let shed_total () =
     Obs.Counter.get (Obs.counter "stc_net_shed_total")
   in

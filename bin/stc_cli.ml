@@ -231,7 +231,7 @@ let greedy_with_journal ~journal ~resume ~order config ~train ~test =
         Fun.protect
           ~finally:(fun () -> Journal.close w)
           (fun () ->
-            Compaction.greedy_resumable ~order ~journal:w config ~train ~test)
+            Compaction.greedy ~order ~journal:w config ~train ~test)
     in
     if not resume then fresh ()
     else if not (Sys.file_exists path) then begin
@@ -255,7 +255,7 @@ let greedy_with_journal ~journal ~resume ~order config ~train ~test =
         if r.Journal.complete then begin
           Printf.printf "journal %s is complete: replaying all %d steps\n%!"
             path n;
-          Compaction.greedy_resumable ~order ~replay:r.Journal.entries config
+          Compaction.greedy ~order ~replay:r.Journal.entries config
             ~train ~test
         end
         else begin
@@ -266,7 +266,7 @@ let greedy_with_journal ~journal ~resume ~order config ~train ~test =
             Fun.protect
               ~finally:(fun () -> Journal.close w)
               (fun () ->
-                Compaction.greedy_resumable ~order ~journal:w
+                Compaction.greedy ~order ~journal:w
                   ~replay:r.Journal.entries config ~train ~test)
         end
     end

@@ -129,36 +129,3 @@ let solve_at ?(options = default_options) ?x0 ~time sys =
         | None -> raise (No_convergence "DC operating point did not converge")))
 
 let solve ?options ?x0 sys = solve_at ?options ?x0 ~time:0.0 sys
-
-let sweep ?options sys ~source ~values =
-  let netlist = Mna.netlist sys in
-  (match Netlist.find netlist source with
-   | Netlist.Vsource { wave = Wave.Dc _; _ } -> ()
-   | Netlist.Vsource _ ->
-     invalid_arg "Dc.sweep: swept source must have a DC waveform"
-   | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Inductor _
-   | Netlist.Isource _ | Netlist.Vcvs _ | Netlist.Vccs _ | Netlist.Mosfet _ ->
-     invalid_arg "Dc.sweep: source must name a voltage source");
-  let with_value v =
-    let elements =
-      List.map
-        (fun e ->
-          match e with
-          | Netlist.Vsource { name; p; n; wave = _; ac } when name = source ->
-            Netlist.Vsource { name; p; n; wave = Wave.Dc v; ac }
-          | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Inductor _
-          | Netlist.Vsource _ | Netlist.Isource _ | Netlist.Vcvs _
-          | Netlist.Vccs _ | Netlist.Mosfet _ ->
-            e)
-        netlist.Netlist.elements
-    in
-    Mna.build (Netlist.of_elements elements)
-  in
-  let previous = ref None in
-  Array.map
-    (fun v ->
-      let sys_v = with_value v in
-      let x = solve ?options ?x0:!previous sys_v in
-      previous := Some x;
-      (v, x))
-    values

@@ -61,15 +61,3 @@ val solve_at : ?options:options -> ?x0:Stc_numerics.Vec.t -> time:float ->
 (** Operating point with time-dependent sources frozen at [time];
     used by the transient engine for its initial condition. Counts as
     {!solve} does. *)
-
-val sweep :
-  ?options:options ->
-  Mna.t ->
-  source:string ->
-  values:float array ->
-  (float * Stc_numerics.Vec.t) array
-(** DC transfer-curve analysis: re-solves the operating point for each
-    value of the named DC voltage source, using the previous solution
-    as the Newton starting point (source-value continuation). Raises
-    [Not_found] if [source] does not name a voltage source,
-    [Invalid_argument] if its waveform is not DC. *)

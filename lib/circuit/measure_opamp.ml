@@ -14,16 +14,6 @@ type values = {
   short_circuit_current : float;
 }
 
-let names =
-  [|
-    "gain"; "3-dB bandwidth"; "unity gain frequency"; "slew rate"; "rise time";
-    "overshoot"; "settling time"; "quiescent current"; "common mode gain";
-    "power supply gain"; "short circuit current";
-  |]
-
-let units =
-  [| "-"; "Hz"; "MHz"; "V/us"; "us"; "-"; "ns"; "uA"; "-"; "-"; "mA" |]
-
 let to_array v =
   [|
     v.gain; v.bandwidth_3db; v.unity_gain_freq; v.slew_rate; v.rise_time;
@@ -53,14 +43,11 @@ let crossing_freq ac ~out ~target ~f_lo ~f_hi =
   | None -> None
   | Some (a, b) -> Some (10.0 ** Roots.brent ~tol:1e-6 g a b)
 
-(* The open-loop bench's operating point and its small-signal system,
-   which the gain point and both crossing searches solve against. *)
-let open_loop p =
-  let sys, op = solve_dc p Opamp.Open_loop_gain in
-  (sys, op, Ac.prepare sys ~op, Mna.node_index sys "out")
-
 let measure_open_loop p =
-  let sys, op, ac, out = open_loop p in
+  let sys, op = solve_dc p Opamp.Open_loop_gain in
+  (* one small-signal system for the gain point and both crossing
+     searches *)
+  let ac = Ac.prepare sys ~op and out = Mna.node_index sys "out" in
   let iq = -.Mna.branch_current sys op "vdd" in
   let gain = response_mag ac ~out ~freq:1.0 in
   if gain <= 1.0 then fail "open-loop gain below unity (%.3g)" gain;
@@ -134,24 +121,6 @@ let measure_large_step p =
 let measure_short_circuit p =
   let sys, op = solve_dc p Opamp.Short_circuit in
   Float.abs (Mna.branch_current sys op "vshort")
-
-let phase_margin p =
-  let _, _, ac, out = open_loop p in
-  let gain = response_mag ac ~out ~freq:1.0 in
-  if gain <= 1.0 then fail "open-loop gain below unity (%.3g)" gain;
-  let ugf =
-    match crossing_freq ac ~out ~target:1.0 ~f_lo:1.0 ~f_hi:1e9 with
-    | Some f -> f
-    | None -> fail "no unity-gain crossing found"
-  in
-  (* the bench inverts through two stages: the open-loop phase starts at
-     180 deg (positive output for positive input at DC after the servo);
-     margin = 180 + phase relative to the DC phase *)
-  let phase_dc = Ac.phase_deg (Ac.solve ac ~freq:1.0).(out) in
-  let rel = Ac.phase_deg (Ac.solve ac ~freq:ugf).(out) -. phase_dc in
-  (* unwrap into (-360, 0] *)
-  let rel = if rel > 0.0 then rel -. 360.0 else rel in
-  180.0 +. rel
 
 let measure p =
   let gain, bw, ugf, iq = measure_open_loop p in

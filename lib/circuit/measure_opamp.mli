@@ -15,13 +15,8 @@ type values = {
   short_circuit_current : float; (** mA *)
 }
 
-val names : string array
-(** The eleven spec names in Table 1 order. *)
-
-val units : string array
-
 val to_array : values -> float array
-(** Values in the {!names} order. *)
+(** Values in Table 1 order, the order of the fields above. *)
 
 exception Measurement_failed of string
 
@@ -30,9 +25,3 @@ val measure : Opamp.params -> values
     [Measurement_failed] when a bench does not converge or a response
     never crosses a required threshold (e.g. a broken instance whose
     gain never reaches unity). *)
-
-val phase_margin : Opamp.params -> float
-(** Open-loop phase margin in degrees: 180° + ∠H(f_unity). Not one of
-    the paper's eleven specs, but the designer-facing stability number
-    behind the overshoot/settling behaviour. Raises
-    [Measurement_failed] like {!measure}. *)

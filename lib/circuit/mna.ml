@@ -14,9 +14,6 @@ type stamp =
   | Inductor of { pbr : int; qbr : int; brp : int; brq : int; br : int; brbr : int; l : float }
   | Vsource of { pbr : int; qbr : int; brp : int; brq : int; br : int; wave : Wave.t }
   | Isource of { p : int; n : int; wave : Wave.t }
-  | Vcvs of {
-      pbr : int; qbr : int; brp : int; brq : int; brcp : int; brcn : int; gain : float }
-  | Vccs of { pcp : int; pcn : int; qcp : int; qcn : int; gm : float }
   | Mosfet of {
       d : int; g : int; s : int;
       dg : int; ds : int; sg : int; ss : int; dd : int; sd : int;
@@ -43,9 +40,8 @@ type t = {
 let offset ~size i j = if i >= 0 && j >= 0 then (i * size) + j else -1
 
 let needs_branch = function
-  | Netlist.Vsource _ | Netlist.Vcvs _ | Netlist.Inductor _ -> true
-  | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Isource _
-  | Netlist.Vccs _ | Netlist.Mosfet _ ->
+  | Netlist.Vsource _ | Netlist.Inductor _ -> true
+  | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Isource _ | Netlist.Mosfet _ ->
     false
 
 let compile_stamp ~node ~branch ~size e =
@@ -65,15 +61,6 @@ let compile_stamp ~node ~branch ~size e =
     let p = node p and q = node n and br = branch name in
     Some (Vsource { pbr = at p br; qbr = at q br; brp = at br p; brq = at br q; br; wave })
   | Netlist.Isource { p; n; wave; _ } -> Some (Isource { p = node p; n = node n; wave })
-  | Netlist.Vcvs { name; p; n; cp; cn; gain } ->
-    let p = node p and q = node n and br = branch name in
-    Some
-      (Vcvs
-         { pbr = at p br; qbr = at q br; brp = at br p; brq = at br q;
-           brcp = at br (node cp); brcn = at br (node cn); gain })
-  | Netlist.Vccs { p; n; cp; cn; gm; _ } ->
-    let p = node p and q = node n and cp = node cp and cn = node cn in
-    Some (Vccs { pcp = at p cp; pcn = at p cn; qcp = at q cp; qcn = at q cn; gm })
   | Netlist.Mosfet { d; g; s; model; w; l; _ } ->
     let d = node d and g = node g and s = node s in
     Some
@@ -101,8 +88,7 @@ let compile_caps ~node ~size elements =
           :: cap ig id (Mosfet.cgd model ~w ~l)
           :: cap id (-1) (Mosfet.cdb model ~w ~l)
           :: !out
-      | Netlist.Resistor _ | Netlist.Inductor _ | Netlist.Vsource _
-      | Netlist.Isource _ | Netlist.Vcvs _ | Netlist.Vccs _ ->
+      | Netlist.Resistor _ | Netlist.Inductor _ | Netlist.Vsource _ | Netlist.Isource _ ->
         ())
     elements;
   Array.of_list (List.rev !out)
@@ -140,7 +126,7 @@ let compile_ac ~node ~branch ~size elements =
         stamp_c2 ig is (Mosfet.cgs model ~w ~l);
         stamp_c2 ig id (Mosfet.cgd model ~w ~l);
         cadd id id (Mosfet.cdb model ~w ~l)
-      | Netlist.Resistor _ | Netlist.Vcvs _ | Netlist.Vccs _ -> ())
+      | Netlist.Resistor _ -> ())
     elements;
   (c, b)
 
@@ -246,16 +232,6 @@ let stamp t ~g ~b ~x ~mos ~time ~gmin ~source_scale ~inductors =
       let i = source_scale *. Wave.value wave time in
       badd b p (-.i);
       badd b q i
-    | Vcvs { pbr; qbr; brp; brq; brcp; brcn; gain } ->
-      stamp_branch g pbr qbr brp brq;
-      gadd g brcp (-.gain);
-      gadd g brcn gain
-    | Vccs { pcp; pcn; qcp; qcn; gm } ->
-      (* current [gm * (v cp - v cn)] flowing p -> q through the element *)
-      gadd g pcp gm;
-      gadd g pcn (-.gm);
-      gadd g qcp (-.gm);
-      gadd g qcn gm
     | Mosfet { d; g = gate; s; dg; ds; sg; ss; dd; sd; model; beta } ->
       let vd = if d >= 0 then x.(d) else 0.0 in
       let vg = if gate >= 0 then x.(gate) else 0.0 in

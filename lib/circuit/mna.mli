@@ -1,7 +1,7 @@
 (** Modified nodal analysis: unknown numbering and element stamping.
 
     Unknowns are the non-ground node voltages followed by one branch
-    current per voltage-defined element (voltage sources, VCVS,
+    current per voltage-defined element (voltage sources and
     inductors). Sign conventions:
 
     - KCL rows read "sum of currents leaving the node = injections".

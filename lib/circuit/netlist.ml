@@ -6,8 +6,6 @@ type element =
   | Inductor of { name : string; p : node; n : node; l : float }
   | Vsource of { name : string; p : node; n : node; wave : Wave.t; ac : float }
   | Isource of { name : string; p : node; n : node; wave : Wave.t; ac : float }
-  | Vcvs of { name : string; p : node; n : node; cp : node; cn : node; gain : float }
-  | Vccs of { name : string; p : node; n : node; cp : node; cn : node; gm : float }
   | Mosfet of {
       name : string;
       d : node;
@@ -20,10 +18,6 @@ type element =
 
 type t = { elements : element list }
 
-let empty = { elements = [] }
-
-let add t e = { elements = t.elements @ [ e ] }
-
 let of_elements elements = { elements }
 
 let is_ground node = node = "0" || node = "gnd"
@@ -32,25 +26,17 @@ let element_nodes = function
   | Resistor { p; n; _ } | Capacitor { p; n; _ } | Inductor { p; n; _ }
   | Vsource { p; n; _ } | Isource { p; n; _ } ->
     [ p; n ]
-  | Vcvs { p; n; cp; cn; _ } | Vccs { p; n; cp; cn; _ } -> [ p; n; cp; cn ]
   | Mosfet { d; g; s; _ } -> [ d; g; s ]
 
 let element_name = function
   | Resistor { name; _ } | Capacitor { name; _ } | Inductor { name; _ }
-  | Vsource { name; _ } | Isource { name; _ } | Vcvs { name; _ }
-  | Vccs { name; _ } | Mosfet { name; _ } ->
-    name
+  | Vsource { name; _ } | Isource { name; _ } | Mosfet { name; _ } -> name
 
 let nodes t =
   t.elements
   |> List.concat_map element_nodes
   |> List.filter (fun n -> not (is_ground n))
   |> List.sort_uniq compare
-
-let find t name =
-  match List.find_opt (fun e -> element_name e = name) t.elements with
-  | Some e -> e
-  | None -> raise Not_found
 
 let validate t =
   let names = List.map element_name t.elements in
@@ -73,7 +59,7 @@ let validate t =
           | Capacitor { c; _ } -> c <= 0.0
           | Inductor { l; _ } -> l <= 0.0
           | Mosfet { w; l; _ } -> w <= 0.0 || l <= 0.0
-          | Vsource _ | Isource _ | Vcvs _ | Vccs _ -> false)
+          | Vsource _ | Isource _ -> false)
         t.elements
     in
     (match bad with
@@ -87,7 +73,6 @@ let l name p n l = Inductor { name; p; n; l }
 let vdc name p n v = Vsource { name; p; n; wave = Wave.Dc v; ac = 0.0 }
 let vac name p n ~dc ~mag = Vsource { name; p; n; wave = Wave.Dc dc; ac = mag }
 let vwave name p n wave = Vsource { name; p; n; wave; ac = 0.0 }
-let idc name p n v = Isource { name; p; n; wave = Wave.Dc v; ac = 0.0 }
 
 let nmos name ~d ~g ~s ?(model = Mosfet.default_nmos) ~w ~l () =
   Mosfet { name; d; g; s; model; w; l }

@@ -12,8 +12,6 @@ type element =
   | Vsource of { name : string; p : node; n : node; wave : Wave.t; ac : float }
   | Isource of { name : string; p : node; n : node; wave : Wave.t; ac : float }
       (** current flows p → n through the source when positive *)
-  | Vcvs of { name : string; p : node; n : node; cp : node; cn : node; gain : float }
-  | Vccs of { name : string; p : node; n : node; cp : node; cn : node; gm : float }
   | Mosfet of {
       name : string;
       d : node;
@@ -26,8 +24,6 @@ type element =
 
 type t = { elements : element list }
 
-val empty : t
-val add : t -> element -> t
 val of_elements : element list -> t
 
 val nodes : t -> node list
@@ -36,9 +32,6 @@ val nodes : t -> node list
 val is_ground : node -> bool
 
 val element_name : element -> string
-
-val find : t -> string -> element
-(** Find an element by name; raises [Not_found]. *)
 
 val validate : t -> (unit, string) result
 (** Structural checks: unique names, positive R/C/L values, positive
@@ -52,7 +45,6 @@ val l : string -> node -> node -> float -> element
 val vdc : string -> node -> node -> float -> element
 val vac : string -> node -> node -> dc:float -> mag:float -> element
 val vwave : string -> node -> node -> Wave.t -> element
-val idc : string -> node -> node -> float -> element
 val nmos : string -> d:node -> g:node -> s:node -> ?model:Mosfet.params ->
   w:float -> l:float -> unit -> element
 val pmos : string -> d:node -> g:node -> s:node -> ?model:Mosfet.params ->

@@ -76,8 +76,7 @@ let breakpoints sys ~tstop =
       match e with
       | Netlist.Vsource { wave; _ } | Netlist.Isource { wave; _ } ->
         Wave.breakpoints wave ~tmax:tstop
-      | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Inductor _
-      | Netlist.Vcvs _ | Netlist.Vccs _ | Netlist.Mosfet _ ->
+      | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Inductor _ | Netlist.Mosfet _ ->
         [])
     netlist.Netlist.elements
   |> List.sort_uniq compare
@@ -229,9 +228,4 @@ let node_waveform sys result node =
     (fun i t ->
       let v = if idx < 0 then 0.0 else result.states.(i).(idx) in
       (t, v))
-    result.times
-
-let branch_waveform sys result name =
-  Array.mapi
-    (fun i t -> (t, Mna.branch_current sys result.states.(i) name))
     result.times

@@ -74,6 +74,3 @@ val run : Mna.t -> tstop:float -> dt:float -> result
 
 val node_waveform : Mna.t -> result -> Netlist.node -> (float * float) array
 (** (time, voltage) samples for one node. *)
-
-val branch_waveform : Mna.t -> result -> string -> (float * float) array
-(** (time, current) samples for a voltage-defined element. *)

@@ -9,11 +9,10 @@ type t =
       width : float;
       period : float;
     }
-  | Sine of { offset : float; amplitude : float; freq : float; phase : float }
-  | Pwl of (float * float) array
 
-let pulse_value p t =
-  match p with
+let value w t =
+  match w with
+  | Dc v -> v
   | Pulse { v1; v2; delay; rise; fall; width; period } ->
     if t < delay then v1
     else begin
@@ -30,23 +29,10 @@ let pulse_value p t =
         else v2 +. ((v1 -. v2) *. (tp -. rise -. width) /. fall)
       else v1
     end
-  | Dc _ | Sine _ | Pwl _ -> assert false
-
-let value w t =
-  match w with
-  | Dc v -> v
-  | Pulse _ -> pulse_value w t
-  | Sine { offset; amplitude; freq; phase } ->
-    offset +. (amplitude *. sin ((2.0 *. Float.pi *. freq *. t) +. phase))
-  | Pwl points -> Stc_numerics.Interp.linear points t
 
 let breakpoints w ~tmax =
   match w with
   | Dc _ -> []
-  | Sine _ -> []
-  | Pwl points ->
-    Array.to_list points
-    |> List.filter_map (fun (t, _) -> if t > 0.0 && t <= tmax then Some t else None)
   | Pulse { delay; rise; fall; width; period; _ } ->
     let edges_one t0 =
       [ t0; t0 +. rise; t0 +. rise +. width; t0 +. rise +. width +. fall ]

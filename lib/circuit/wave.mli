@@ -11,9 +11,6 @@ type t =
       width : float;
       period : float;   (** 0 or infinite means single pulse *)
     }
-  | Sine of { offset : float; amplitude : float; freq : float; phase : float }
-  | Pwl of (float * float) array
-      (** piecewise linear (time, value), times ascending *)
 
 val value : t -> float -> float
 (** [value w t] evaluates the waveform at time [t] (t >= 0). *)

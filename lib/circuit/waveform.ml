@@ -15,14 +15,14 @@ let final w =
   require_nonempty "final" w;
   snd w.(Array.length w - 1)
 
-let rise_time ?(low_frac = 0.1) ?(high_frac = 0.9) w =
+let rise_time w =
   require_nonempty "rise_time" w;
   let v0 = initial w and v1 = final w in
   let step = v1 -. v0 in
   if step = 0.0 then None
   else begin
-    let low = v0 +. (low_frac *. step) in
-    let high = v0 +. (high_frac *. step) in
+    let low = v0 +. (0.1 *. step) in
+    let high = v0 +. (0.9 *. step) in
     let dir = if step > 0.0 then `Rising else `Falling in
     match
       ( Interp.crossing w ~level:low ~direction:dir,

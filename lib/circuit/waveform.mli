@@ -8,10 +8,9 @@ val value_at : t -> float -> float
 
 val final : t -> float
 
-val rise_time :
-  ?low_frac:float -> ?high_frac:float -> t -> float option
-(** 10 %→90 % (defaults) transition time between the initial and final
-    values. [None] if the waveform never crosses the thresholds. *)
+val rise_time : t -> float option
+(** 10 %→90 % transition time between the initial and final values.
+    [None] if the waveform never crosses the thresholds. *)
 
 val overshoot : t -> float
 (** (peak − final) / |step|, where step = final − initial; 0 when the

@@ -1,18 +1,11 @@
-type mode = Scale | Shift
-
 type t =
   | Factor of float
   | Offset of float
 
-let fit mode ~measured_nominal ~target_nominal =
-  match mode with
-  | Scale ->
-    if Float.abs measured_nominal < 1e-30 then
-      Offset (target_nominal -. measured_nominal)
-    else Factor (target_nominal /. measured_nominal)
-  | Shift -> Offset (target_nominal -. measured_nominal)
-
-let identity = Factor 1.0
+let fit ~measured_nominal ~target_nominal =
+  if Float.abs measured_nominal < 1e-30 then
+    Offset (target_nominal -. measured_nominal)
+  else Factor (target_nominal /. measured_nominal)
 
 let apply t v =
   match t with
@@ -23,7 +16,3 @@ let apply_all ts vs =
   if Array.length ts <> Array.length vs then
     invalid_arg "Calibration.apply_all: length mismatch";
   Array.mapi (fun i v -> apply ts.(i) v) vs
-
-let describe = function
-  | Factor k -> Printf.sprintf "x%.6g" k
-  | Offset d -> Printf.sprintf "%+.6g" d

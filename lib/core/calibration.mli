@@ -7,22 +7,15 @@
     unchanged. The map is monotone affine per spec, so pass/fail
     topology and inter-spec correlations are preserved. *)
 
-type mode =
-  | Scale  (** value' = k·value, for ratio-scale specs (gains, currents…) *)
-  | Shift  (** value' = value + d, for offset-like specs whose nominal
-               is at or near zero (overshoot, cross-axis sensitivity) *)
-
 type t
 
-val fit : mode -> measured_nominal:float -> target_nominal:float -> t
-(** [Scale] falls back to [Shift] when [measured_nominal] is too close
-    to zero for a stable ratio. *)
-
-val identity : t
+val fit : measured_nominal:float -> target_nominal:float -> t
+(** The ratio [k = target_nominal / measured_nominal] (value' =
+    k·value); when [measured_nominal] is too close to zero for a stable
+    ratio, the offset [d = target_nominal - measured_nominal] (value' =
+    value + d) instead. *)
 
 val apply : t -> float -> float
 
 val apply_all : t array -> float array -> float array
 (** Element-wise; lengths must match. *)
-
-val describe : t -> string

@@ -194,7 +194,6 @@ type step = {
   spec_index : int;
   accepted : bool;
   error : float;
-  counts : Metrics.counts option;
 }
 
 type result = {
@@ -269,19 +268,19 @@ let journal_fingerprint config ~train ~test ~order =
   add_population test;
   Journal.fingerprint_hex (Buffer.contents b)
 
-let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
-    ?journal ?(replay = [||]) config ~train ~test =
+let greedy ?(order = Order.By_failure_count) ?journal ?(replay = [||]) config
+    ~train ~test =
   let examination = Order.compute order train in
   if Array.length replay > Array.length examination then
     invalid_arg
       (Printf.sprintf
-         "Compaction.greedy_resumable: journal has %d steps but this run \
-          examines only %d specs"
+         "Compaction.greedy: journal has %d steps but this run examines \
+          only %d specs"
          (Array.length replay) (Array.length examination));
   let journal_write what = function
     | Ok () -> ()
     | Error e ->
-      failwith (Printf.sprintf "Compaction.greedy_resumable: %s: %s" what e)
+      failwith (Printf.sprintf "Compaction.greedy: %s: %s" what e)
   in
   let dropped = ref [] in
   let steps = ref [] in
@@ -294,8 +293,8 @@ let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
           if e.Journal.spec_index <> candidate then
             invalid_arg
               (Printf.sprintf
-                 "Compaction.greedy_resumable: journal step %d examined spec \
-                  %d but this run examines spec %d (order or data mismatch)"
+                 "Compaction.greedy: journal step %d examined spec %d but \
+                  this run examines spec %d (order or data mismatch)"
                  i e.Journal.spec_index candidate);
           Obs.Counter.incr m_replayed;
           (e.Journal.accepted, e.Journal.error)
@@ -338,17 +337,7 @@ let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
               (accepted, error))
       in
       if accepted then dropped := candidate :: !dropped;
-      let counts =
-        if accepted && eval_each then begin
-          let c, _ =
-            eliminate config ~train ~test
-              ~dropped:(Array.of_list (List.rev !dropped))
-          in
-          Some c
-        end
-        else None
-      in
-      steps := { spec_index = candidate; accepted; error; counts } :: !steps)
+      steps := { spec_index = candidate; accepted; error } :: !steps)
     examination;
   (match journal with
    | None -> ()
@@ -359,6 +348,3 @@ let greedy_resumable ?(order = Order.By_failure_count) ?(eval_each = false)
         make_flow config train ~dropped:final_dropped)
   in
   { flow; steps = List.rev !steps; config }
-
-let greedy ?order ?eval_each config ~train ~test =
-  greedy_resumable ?order ?eval_each config ~train ~test

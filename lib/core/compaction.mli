@@ -79,7 +79,6 @@ type step = {
   spec_index : int;
   accepted : bool;
   error : float;                    (** e_p for this candidate *)
-  counts : Metrics.counts option;   (** test metrics after the step, when evaluated *)
 }
 
 type result = {
@@ -87,19 +86,6 @@ type result = {
   steps : step list;   (** in examination order *)
   config : config;
 }
-
-val greedy :
-  ?order:Order.strategy ->
-  ?eval_each:bool ->
-  config ->
-  train:Device_data.t ->
-  test:Device_data.t ->
-  result
-(** The Fig. 2 loop. Each candidate's nominal model is trained on its
-    trial set alone, as {!train_predictor} trains it, and its e_p is
-    measured on [test], the paper's protocol. [order] defaults to [By_failure_count];
-    [eval_each] (default false) additionally evaluates the guard-banded
-    flow on [test] after every accepted elimination (Figure 5 data). *)
 
 val journal_fingerprint :
   config -> train:Device_data.t -> test:Device_data.t -> order:int array ->
@@ -109,16 +95,20 @@ val journal_fingerprint :
     the test data too). Two runs whose greedy decisions could diverge
     get different fingerprints. *)
 
-val greedy_resumable :
+val greedy :
   ?order:Order.strategy ->
-  ?eval_each:bool ->
   ?journal:Journal.writer ->
   ?replay:Journal.entry array ->
   config ->
   train:Device_data.t ->
   test:Device_data.t ->
   result
-(** {!greedy} with crash resumability. [replay] holds the steps an
+(** The Fig. 2 loop. Each candidate's nominal model is trained on its
+    trial set alone, as {!train_predictor} trains it, and its e_p is
+    measured on [test], the paper's protocol. [order] defaults to
+    [By_failure_count].
+
+    The loop is resumable after a crash. [replay] holds the steps an
     earlier (killed) run already decided, in examination order: they
     are taken as recorded — no SVM is trained for them — and the loop
     continues live from the first unjournaled candidate, so the

@@ -81,7 +81,7 @@ let once f =
 
 let fit_calibrations specs measured =
   Array.init (Array.length specs) (fun i ->
-      Calibration.fit Calibration.Scale ~measured_nominal:measured.(i)
+      Calibration.fit ~measured_nominal:measured.(i)
         ~target_nominal:specs.(i).Spec.nominal)
 
 (* Calibration factors fitted once against the simulated nominal device
@@ -92,16 +92,11 @@ let opamp_calibrations =
       fit_calibrations opamp_specs
         (Measure_opamp.to_array (Measure_opamp.measure Opamp.nominal)))
 
-let calibrated calibrations raw =
-  match calibrations with
-  | Some c -> Calibration.apply_all c raw
-  | None -> raw
-
-let opamp_device ?(calibrate = true) () =
-  let calibrations = if calibrate then Some (opamp_calibrations ()) else None in
+let opamp_device () =
+  let calibrations = opamp_calibrations () in
   let simulate draw =
     match Measure_opamp.measure (opamp_params_of_draw draw) with
-    | values -> Some (calibrated calibrations (Measure_opamp.to_array values))
+    | values -> Some (Calibration.apply_all calibrations (Measure_opamp.to_array values))
     | exception Measure_opamp.Measurement_failed _ -> None
   in
   {
@@ -123,9 +118,8 @@ let generate_datasets device specs ~seed ~n_train ~n_test =
   ( Device_data.of_montecarlo ~specs train_mc,
     Device_data.of_montecarlo ~specs test_mc )
 
-let generate_opamp ?calibrate ~seed ~n_train ~n_test () =
-  generate_datasets (opamp_device ?calibrate ()) opamp_specs ~seed
-    ~n_train ~n_test
+let generate_opamp ~seed ~n_train ~n_test () =
+  generate_datasets (opamp_device ()) opamp_specs ~seed ~n_train ~n_test
 
 (* ------------------------------------------------------------------ *)
 (* Boundary-biased enrichment                                          *)
@@ -154,10 +148,9 @@ let generate_enriched ?config ?domains device specs ~seed ~pilot ~n_train
     Device_data.of_montecarlo ~specs test_mc,
     stats )
 
-let generate_opamp_enriched ?calibrate ?config ?domains ~seed ~pilot ~n_train
-    ~n_test () =
-  generate_enriched ?config ?domains (opamp_device ?calibrate ()) opamp_specs
-    ~seed ~pilot ~n_train ~n_test
+let generate_opamp_enriched ?config ?domains ~seed ~pilot ~n_train ~n_test () =
+  generate_enriched ?config ?domains (opamp_device ()) opamp_specs ~seed ~pilot
+    ~n_train ~n_test
 
 (* ------------------------------------------------------------------ *)
 (* MEMS accelerometer                                                  *)
@@ -254,11 +247,11 @@ let mems_measure geometry =
 let mems_calibrations =
   once (fun () -> fit_calibrations mems_specs (mems_measure Geometry.nominal))
 
-let mems_device ?(calibrate = true) () =
-  let calibrations = if calibrate then Some (mems_calibrations ()) else None in
+let mems_device () =
+  let calibrations = mems_calibrations () in
   let simulate draw =
     match mems_measure (mems_geometry_of_draw draw) with
-    | raw -> Some (calibrated calibrations raw)
+    | raw -> Some (Calibration.apply_all calibrations raw)
     | exception Measure_mems.Measurement_failed _ -> None
   in
   {
@@ -268,9 +261,8 @@ let mems_device ?(calibrate = true) () =
     simulate;
   }
 
-let generate_mems ?calibrate ~seed ~n_train ~n_test () =
-  generate_datasets (mems_device ?calibrate ()) mems_specs ~seed
-    ~n_train ~n_test
+let generate_mems ~seed ~n_train ~n_test () =
+  generate_datasets (mems_device ()) mems_specs ~seed ~n_train ~n_test
 
 (* ------------------------------------------------------------------ *)
 (* Default configurations                                              *)

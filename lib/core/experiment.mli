@@ -8,21 +8,20 @@ val opamp_specs : Spec.t array
 (** The eleven Table 1 specifications with the paper's nominal values
     and acceptability ranges. *)
 
-val opamp_device : ?calibrate:bool -> unit -> Stc_process.Montecarlo.device
+val opamp_device : unit -> Stc_process.Montecarlo.device
 (** ±10 % uniform variation on every MOSFET W and L and both
     capacitors (14 parameters), simulated through the six test benches.
-    [calibrate] (default true) maps each measured spec onto the paper's
-    nominal scale (see {!Calibration}); the factors are fitted on the
-    first such call in the process, which simulates the nominal device,
-    and [simulate] is then safe to call from several domains at once. *)
+    Each measured spec is mapped onto the paper's nominal scale (see
+    {!Calibration}); the factors are fitted on the first call in the
+    process, which simulates the nominal device, and [simulate] is then
+    safe to call from several domains at once. *)
 
 val opamp_examination_order : int array
 (** Device-functionality examination order (the paper's strategy): the
     specs most entangled with others first. *)
 
 val generate_opamp :
-  ?calibrate:bool -> seed:int -> n_train:int -> n_test:int ->
-  unit -> Device_data.t * Device_data.t
+  seed:int -> n_train:int -> n_test:int -> unit -> Device_data.t * Device_data.t
 (** Monte-Carlo training and test populations: one
     {!Stc_process.Montecarlo.generate_parallel} population of
     [n_train + n_test] instances, split. Deterministic per seed, at any
@@ -35,7 +34,6 @@ val spec_limits : Spec.t array -> (float * float) array
     {!Stc_process.Enrich.generate} expects. *)
 
 val generate_opamp_enriched :
-  ?calibrate:bool ->
   ?config:Stc_process.Enrich.config ->
   ?domains:int ->
   seed:int ->
@@ -63,15 +61,14 @@ val mems_cold_indices : int array
 
 val mems_hot_indices : int array
 
-val mems_device : ?calibrate:bool -> unit -> Stc_process.Montecarlo.device
+val mems_device : unit -> Stc_process.Montecarlo.device
 (** ±10 % uniform variation on each spring's length, width and
     orientation angle, the plate dimensions, the comb gap and overlap
     (16 parameters). Calibrated like {!opamp_device}: the factors are
     resolved when the device is built. *)
 
 val generate_mems :
-  ?calibrate:bool -> seed:int -> n_train:int -> n_test:int ->
-  unit -> Device_data.t * Device_data.t
+  seed:int -> n_train:int -> n_test:int -> unit -> Device_data.t * Device_data.t
 (** As {!generate_opamp}, on the MEMS device and specs. *)
 
 (** {1 Defaults} *)

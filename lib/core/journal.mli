@@ -5,7 +5,7 @@
     journal records every decided step (spec examined, accept/reject,
     prediction error) to disk, flushed before the loop advances, so a
     killed run resumes by replaying the recorded decisions instead of
-    retraining ({!Compaction.greedy_resumable}). The decisions alone
+    retraining ({!Compaction.greedy}). The decisions alone
     suffice: every training input is a deterministic function of the
     decisions so far, so a resumed run produces a flow bit-identical to
     an uninterrupted one — the trained models themselves never need to

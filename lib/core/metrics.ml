@@ -51,8 +51,3 @@ let loss_pct c = pct c.losses c.total
 let guard_pct c = pct c.guards c.total
 let yield_pct c = pct c.truth_good c.total
 let prediction_error_pct c = pct (c.escapes + c.losses) c.total
-
-let pp fmt c =
-  Format.fprintf fmt
-    "n=%d yield=%.1f%% escape=%.2f%% loss=%.2f%% guard=%.2f%%" c.total
-    (yield_pct c) (escape_pct c) (loss_pct c) (guard_pct c)

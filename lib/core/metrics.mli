@@ -28,5 +28,3 @@ val yield_pct : counts -> float
 
 val prediction_error_pct : counts -> float
 (** (escapes + losses) / total · 100. *)
-
-val pp : Format.formatter -> counts -> unit

@@ -31,7 +31,3 @@ let perturb t ~fraction =
   if not (lower < upper) then
     invalid_arg (Printf.sprintf "Spec.perturb %s: range collapsed" t.name);
   { t with range = { lower; upper } }
-
-let pp fmt t =
-  Format.fprintf fmt "%s [%s]: nominal %g, range %g..%g" t.name t.unit_label
-    t.nominal t.range.lower t.range.upper

@@ -36,5 +36,3 @@ val perturb : t -> fraction:float -> t
     paper's "±1 % of the acceptability range boundaries" (Sec. 5.1).
     A zero boundary does not move. Raises [Invalid_argument] if the
     perturbed range collapses. *)
-
-val pp : Format.formatter -> t -> unit

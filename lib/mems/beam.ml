@@ -23,7 +23,10 @@ let axial_stiffness b ~temp =
   check b;
   Material.youngs_modulus temp *. b.thickness *. b.width /. b.length
 
-let folded_axial_stiffness ?(fold_ratio = 100.0) b ~temp =
+(* typical folded-flexure anisotropy *)
+let fold_ratio = 100.0
+
+let folded_axial_stiffness b ~temp =
   check b;
   let e = Material.youngs_modulus temp in
   fold_ratio *. e *. b.thickness *. (b.width ** 3.0) /. (b.length ** 3.0)

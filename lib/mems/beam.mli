@@ -23,11 +23,11 @@ val lateral_stiffness : ?strain:float -> t -> temp:float -> float
 val axial_stiffness : t -> temp:float -> float
 (** Axial (stretching) stiffness of a straight beam [E t w / L], N/m. *)
 
-val folded_axial_stiffness : ?fold_ratio:float -> t -> temp:float -> float
+val folded_axial_stiffness : t -> temp:float -> float
 (** Stiff-direction stiffness of the *folded* suspension: the load path
     runs through bending of the folding truss, not axial stretch, so it
-    is a multiple of the lateral stiffness rather than [E t w / L].
-    Default [fold_ratio] 100 (typical folded-flexure anisotropy). *)
+    is a multiple of the lateral stiffness rather than [E t w / L]: 100
+    times [E t w³ / L³] (typical folded-flexure anisotropy). *)
 
 val buckling_strain : t -> float
 (** Compressive strain magnitude at which the lateral stiffness would

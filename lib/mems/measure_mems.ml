@@ -8,12 +8,6 @@ type values = {
   bandwidth : float;
 }
 
-let names =
-  [| "scale factor"; "cross-axis sensitivity"; "peak frequency";
-     "quality factor"; "3-dB bandwidth" |]
-
-let units = [| "mV/V"; "mV/V"; "kHz"; "-"; "kHz" |]
-
 let to_array v =
   [| v.scale_factor; v.cross_axis; v.peak_freq; v.quality; v.bandwidth |]
 

@@ -12,10 +12,8 @@ type values = {
                                  low-pass crossing for overdamped parts) *)
 }
 
-val names : string array
-val units : string array
-
 val to_array : values -> float array
+(** Values in Table 2 order, the order of the fields above. *)
 
 exception Measurement_failed of string
 

@@ -56,6 +56,7 @@ let default_config =
 type t = {
   registry : Registry.t;
   config : config;
+  addr : Unix.inet_addr;  (* config.host, parsed *)
   lock : Mutex.t;
   mutable listen_fd : Unix.file_descr option;
   mutable bound_port : int;
@@ -73,6 +74,15 @@ type t = {
 }
 
 let create ?(config = default_config) registry =
+  let addr =
+    match Unix.inet_addr_of_string config.host with
+    | addr when Unix.domain_of_sockaddr (Unix.ADDR_INET (addr, 0)) = Unix.PF_INET ->
+      addr
+    | _ | (exception Failure _) ->
+      invalid_arg
+        (Printf.sprintf "Server.create: host must be an IPv4 address (got %S)"
+           config.host)
+  in
   if config.port < 0 || config.port > 65535 then
     invalid_arg "Server.create: port must be in [0, 65535]";
   if config.flush_rows < 1 then
@@ -98,6 +108,7 @@ let create ?(config = default_config) registry =
   {
     registry;
     config;
+    addr;
     lock = Mutex.create ();
     listen_fd = None;
     bound_port = -1;
@@ -767,8 +778,7 @@ let start t =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     let addr = Unix.inet_addr_of_string t.config.host in
-     Unix.bind fd (Unix.ADDR_INET (addr, t.config.port));
+     Unix.bind fd (Unix.ADDR_INET (t.addr, t.config.port));
      Unix.listen fd 64
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());

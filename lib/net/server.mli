@@ -47,7 +47,7 @@
     or starves them. *)
 
 type config = {
-  host : string;            (** bind address, default ["127.0.0.1"] *)
+  host : string;            (** IPv4 bind address, default ["127.0.0.1"] *)
   port : int;
       (** in [0, 65535]; 0 picks an ephemeral port (see {!port}) *)
   max_connections : int;    (** concurrent clients, default 64 *)
@@ -74,9 +74,10 @@ type t
 
 val create : ?config:config -> Registry.t -> t
 (** The registry is shared, not owned: {!stop} does not shut it down.
-    Raises [Invalid_argument] on a [port] outside [0, 65535], a
-    non-positive [flush_rows], [flush_deadline_s], [max_pending],
-    [max_connections] or [sndbuf_bytes], a negative
+    Raises [Invalid_argument] on a [host] that is not a numeric IPv4
+    address (a host name or an IPv6 address), a [port] outside
+    [0, 65535], a non-positive [flush_rows], [flush_deadline_s],
+    [max_pending], [max_connections] or [sndbuf_bytes], a negative
     [drain_deadline_s], or a NaN in any of the four time fields.
     Infinity is allowed and means no bound. *)
 

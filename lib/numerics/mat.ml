@@ -72,10 +72,6 @@ let mul_vec m x =
       done;
       !acc)
 
-let row m i = Array.init m.cols (fun j -> get m i j)
-
-let col m j = Array.init m.rows (fun i -> get m i j)
-
 let of_rows rows =
   let r = Array.length rows in
   if r = 0 then create 0 0 0.0
@@ -87,12 +83,3 @@ let of_rows rows =
       rows;
     init r c (fun i j -> rows.(i).(j))
   end
-
-let pp fmt m =
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "|";
-    for j = 0 to m.cols - 1 do
-      Format.fprintf fmt " %10.4g" (get m i j)
-    done;
-    Format.fprintf fmt " |@\n"
-  done

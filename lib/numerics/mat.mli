@@ -27,9 +27,4 @@ val scale : float -> t -> t
 val mul : t -> t -> t
 val mul_vec : t -> Vec.t -> Vec.t
 
-val row : t -> int -> Vec.t
-val col : t -> int -> Vec.t
-
 val of_rows : float array array -> t
-
-val pp : Format.formatter -> t -> unit

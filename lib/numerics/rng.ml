@@ -24,8 +24,6 @@ let uint64 t = mix (next_state t)
 let split t =
   { state = uint64 t; cached_normal = None }
 
-let copy t = { state = t.state; cached_normal = t.cached_normal }
-
 (* Take the top 53 bits for a uniform double in [0,1). *)
 let float t =
   let bits = Int64.shift_right_logical (uint64 t) 11 in

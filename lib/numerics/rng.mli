@@ -13,8 +13,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives an independent generator and advances [t]. *)
 
-val copy : t -> t
-
 val uint64 : t -> int64
 (** Next raw 64-bit output. *)
 

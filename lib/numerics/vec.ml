@@ -50,8 +50,6 @@ let dist2 x y =
   done;
   !acc
 
-let sum x = Array.fold_left ( +. ) 0.0 x
-
 let map = Array.map
 
 let map2 f x y =
@@ -69,12 +67,3 @@ let max_index x =
 let of_list = Array.of_list
 
 let to_list = Array.to_list
-
-let pp fmt x =
-  Format.fprintf fmt "[";
-  Array.iteri
-    (fun i xi ->
-      if i > 0 then Format.fprintf fmt "; ";
-      Format.fprintf fmt "%.6g" xi)
-    x;
-  Format.fprintf fmt "]"

@@ -35,8 +35,6 @@ val norm_inf : t -> float
 val dist2 : t -> t -> float
 (** [dist2 x y] is the squared Euclidean distance between [x] and [y]. *)
 
-val sum : t -> float
-
 val map : (float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
 
@@ -46,6 +44,3 @@ val max_index : t -> int
 
 val of_list : float list -> t
 val to_list : t -> float list
-
-val pp : Format.formatter -> t -> unit
-(** Prints as [[x0; x1; ...]] with 6 significant digits. *)

@@ -30,14 +30,3 @@ let sample rng p =
 let sample_all rng params = Array.map (sample rng) params
 
 let nominal_values params = Array.map (fun p -> p.nominal) params
-
-let pp fmt p =
-  let describe =
-    match p.dist with
-    | Uniform_relative f -> Printf.sprintf "U(±%g%%)" (100.0 *. f)
-    | Normal_relative f -> Printf.sprintf "N(σ=%g%%)" (100.0 *. f)
-    | Uniform_absolute (lo, hi) -> Printf.sprintf "U[%g, %g]" lo hi
-    | Normal_absolute s -> Printf.sprintf "N(σ=%g)" s
-    | Fixed -> "fixed"
-  in
-  Format.fprintf fmt "%s = %g %s" p.name p.nominal describe

@@ -25,5 +25,3 @@ val sample : Stc_numerics.Rng.t -> param -> float
 val sample_all : Stc_numerics.Rng.t -> param array -> float array
 
 val nominal_values : param array -> float array
-
-val pp : Format.formatter -> param -> unit

@@ -23,10 +23,6 @@
 val run : seed:int -> 'a QCheck.Gen.t -> 'a
 (** Draw one value deterministically from a seed. *)
 
-val state : seed:int -> Random.State.t
-(** The qcheck random state for a seed — pass to repeated [Gen] calls
-    when a whole sweep must replay from one seed. *)
-
 (* ------------------------- specs and rows ------------------------- *)
 
 val spec : Stc.Spec.t QCheck.Gen.t

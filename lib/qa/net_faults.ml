@@ -1,5 +1,4 @@
 module Floor = Stc_floor.Floor
-module Flow_io = Stc_floor.Flow_io
 module Protocol = Stc_net.Protocol
 module Registry = Stc_net.Registry
 module Server = Stc_net.Server
@@ -41,12 +40,11 @@ let with_loopback_server ?(config = default_loopback_config) flow f =
   let registry = Registry.create () in
   match Registry.add registry ~name:flow_route flow with
   | Error e -> Error ("registry add: " ^ e)
-  | Ok entry ->
+  | Ok _ ->
     Fun.protect
       ~finally:(fun () -> Registry.shutdown registry)
       (fun () ->
-        Server.with_server ~config registry (fun server ->
-            f ~port:(Server.port server) ~registry ~entry))
+        Server.with_server ~config registry (fun server -> f ~port:(Server.port server)))
 
 (* the process-global metrics registry: checks assert deltas, never
    absolute values, because earlier checks in the same process also
@@ -98,7 +96,7 @@ let fresh_client_matches ~what ~port flow rows reference =
 
 let check_torn_frames (flow, rows) =
   let reference = offline_reference flow rows in
-  with_loopback_server flow @@ fun ~port ~registry:_ ~entry:_ ->
+  with_loopback_server flow @@ fun ~port ->
   let fd = connect_raw port in
   let ic = Unix.in_channel_of_descr fd in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
@@ -123,7 +121,7 @@ let check_mid_batch_disconnect (flow, rows) =
   if n < 2 then Error "mid-batch disconnect: needs at least 2 rows"
   else begin
     let reference = offline_reference flow rows in
-    with_loopback_server flow @@ fun ~port ~registry:_ ~entry:_ ->
+    with_loopback_server flow @@ fun ~port ->
     let fd = connect_raw port in
     send_all fd (Printf.sprintf "BATCH %s %d\n" flow_route n);
     for i = 0 to (n / 2) - 1 do
@@ -133,77 +131,6 @@ let check_mid_batch_disconnect (flow, rows) =
     fresh_client_matches ~what:"after mid-batch disconnect" ~port flow_route
       rows reference
   end
-
-let check_reload_inflight (flow, rows) =
-  let reference = offline_reference flow rows in
-  let path = Filename.temp_file "stc_qa_net" ".flow" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      match Flow_io.save ~path flow with
-      | Error e -> Error ("save flow: " ^ e)
-      | Ok () ->
-        with_loopback_server flow @@ fun ~port ~registry ~entry ->
-        let iters = 4 in
-        let client_errors = ref [] in
-        let finished = Atomic.make false in
-        let client_thread =
-          Thread.create
-            (fun () ->
-              Fun.protect
-                ~finally:(fun () -> Atomic.set finished true)
-                (fun () ->
-                  let c = Client.connect ~port () in
-                  Fun.protect
-                    ~finally:(fun () -> Client.quit c)
-                    (fun () ->
-                      for iter = 1 to iters do
-                        match Client.bin_batch c ~flow:flow_route rows with
-                        | Error e ->
-                          client_errors :=
-                            Printf.sprintf "iteration %d: %s" iter e
-                            :: !client_errors
-                        | Ok got -> (
-                          match
-                            same_outcomes
-                              ~what:(Printf.sprintf "iteration %d" iter)
-                              reference got
-                          with
-                          | Ok () -> ()
-                          | Error e -> client_errors := e :: !client_errors)
-                      done)))
-            ()
-        in
-        (* hammer forced swaps of a semantically identical flow while
-           the client streams: the drain must keep every batch on one
-           engine *)
-        let reloads = ref 0 in
-        let reload_failure = ref None in
-        while not (Atomic.get finished) && !reload_failure = None do
-          (match Registry.reload ~force:true ~path registry ~name:flow_route with
-           | Ok (`Reloaded _) -> incr reloads
-           | Ok (`Unchanged _) ->
-             reload_failure := Some "forced reload reported `Unchanged"
-           | Error e -> reload_failure := Some ("reload: " ^ e));
-          Thread.delay 0.001
-        done;
-        Thread.join client_thread;
-        let* () =
-          match !reload_failure with None -> Ok () | Some e -> Error e
-        in
-        let* () =
-          match !client_errors with
-          | [] -> Ok ()
-          | e :: _ -> Error ("under reload: " ^ e)
-        in
-        let version = (Registry.status entry).Registry.version in
-        if version <> 1 + !reloads then
-          Error
-            (Printf.sprintf "version %d after %d forced reloads (expected %d)"
-               version !reloads (1 + !reloads))
-        else if !reloads = 0 then
-          Error "no reload completed while the client streamed"
-        else Ok ())
 
 (* ------------------------------ chaos ----------------------------- *)
 
@@ -233,7 +160,7 @@ let check_slow_loris (flow, rows) =
   let config =
     { default_loopback_config with Server.idle_timeout_s = 0.25 }
   in
-  with_loopback_server ~config flow @@ fun ~port ~registry:_ ~entry:_ ->
+  with_loopback_server ~config flow @@ fun ~port ->
   let reaped0 = counter_value "stc_net_idle_reaped_total" in
   (* a classic slow loris: open, trickle a partial frame, go silent *)
   let fd = connect_raw port in
@@ -271,7 +198,7 @@ let check_reply_ignorer (flow, rows) =
         sndbuf_bytes = Some 4096;
       }
     in
-    with_loopback_server ~config flow @@ fun ~port ~registry:_ ~entry:_ ->
+    with_loopback_server ~config flow @@ fun ~port ->
     let timeouts0 = counter_value "stc_net_write_timeouts_total" in
     let fd = connect_raw port in
     (* a tiny receive window: the attacker's kernel stops ACKing new
@@ -303,7 +230,7 @@ let check_connection_flood (flow, rows) =
   let config =
     { default_loopback_config with Server.max_connections = max_conns }
   in
-  with_loopback_server ~config flow @@ fun ~port ~registry:_ ~entry:_ ->
+  with_loopback_server ~config flow @@ fun ~port ->
   let shed0 = counter_value "stc_net_shed_total" in
   let fds = Array.init flood (fun _ -> connect_raw port) in
   Fun.protect

@@ -12,7 +12,10 @@
 
     There is no crashing-engine check: {!Stc_floor.Floor.process}
     raises only [Invalid_argument], which the server answers with [ERR]
-    lines, so every attack here comes from the client side. *)
+    lines, so every attack here comes from the client side. Nor is
+    there a hot-reload check: the [net server] case "concurrent clients
+    stay bit-identical across a live hot reload" forces swaps under
+    four clients on both the [BATCH] and [BIN] paths. *)
 
 val check_torn_frames :
   Stc.Compaction.flow * float array array -> (unit, string) result
@@ -29,15 +32,6 @@ val check_mid_batch_disconnect :
     Only that connection dies: a fresh client then runs the full batch
     and must match the offline reference. [Error] for fewer than 2
     rows, which would test nothing. *)
-
-val check_reload_inflight :
-  Stc.Compaction.flow * float array array -> (unit, string) result
-(** Hammers forced hot reloads (same file, so the flow is semantically
-    identical) from the serving thread while a client streams batches
-    concurrently. Every row must be answered, every verdict must equal
-    the offline reference (the swap drains — no batch straddles two
-    engines), and the entry's version must have advanced by exactly the
-    number of successful reloads. *)
 
 val check_slow_loris :
   Stc.Compaction.flow * float array array -> (unit, string) result

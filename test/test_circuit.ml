@@ -38,12 +38,6 @@ let wave_tests =
               width = 0.3; period = 1.0 }
         in
         check_close 1e-12 "second period high" 1.0 (Wave.value p 1.2));
-    Alcotest.test_case "sine" `Quick (fun () ->
-        let s = Wave.Sine { offset = 1.0; amplitude = 2.0; freq = 1.0; phase = 0.0 } in
-        check_close 1e-9 "quarter" 3.0 (Wave.value s 0.25));
-    Alcotest.test_case "pwl" `Quick (fun () ->
-        let w = Wave.Pwl [| (0.0, 0.0); (1.0, 5.0) |] in
-        check_close 1e-12 "interp" 2.5 (Wave.value w 0.5));
     Alcotest.test_case "breakpoints sorted within range" `Quick (fun () ->
         let p =
           Wave.Pulse
@@ -128,35 +122,13 @@ let dc_tests =
         let sys =
           Mna.build
             (Netlist.of_elements
-               [ Netlist.idc "i1" "0" "a" 1e-3; Netlist.r "r1" "a" "0" 2000.0 ])
+               [
+                 Netlist.Isource { name = "i1"; p = "0"; n = "a"; wave = Wave.Dc 1e-3; ac = 0.0 };
+                 Netlist.r "r1" "a" "0" 2000.0;
+               ])
         in
         let x = Dc.solve sys in
         check_close 1e-6 "v = IR" 2.0 (Mna.node_voltage sys x "a"));
-    Alcotest.test_case "vcvs gain" `Quick (fun () ->
-        let sys =
-          Mna.build
-            (Netlist.of_elements
-               [
-                 Netlist.vdc "vin" "a" "0" 1.0;
-                 Netlist.Vcvs { name = "e1"; p = "b"; n = "0"; cp = "a"; cn = "0"; gain = 5.0 };
-                 Netlist.r "rl" "b" "0" 1000.0;
-               ])
-        in
-        let x = Dc.solve sys in
-        check_close 1e-9 "amplified" 5.0 (Mna.node_voltage sys x "b"));
-    Alcotest.test_case "vccs transconductance" `Quick (fun () ->
-        let sys =
-          Mna.build
-            (Netlist.of_elements
-               [
-                 Netlist.vdc "vin" "a" "0" 2.0;
-                 Netlist.Vccs { name = "g1"; p = "0"; n = "b"; cp = "a"; cn = "0"; gm = 1e-3 };
-                 Netlist.r "rl" "b" "0" 1000.0;
-               ])
-        in
-        let x = Dc.solve sys in
-        (* current 2mA pushed into b through 1k: v = +2 V *)
-        check_close 1e-6 "v" 2.0 (Mna.node_voltage sys x "b"));
     Alcotest.test_case "inductor is a DC short" `Quick (fun () ->
         let sys =
           Mna.build
@@ -253,7 +225,7 @@ let ac_tests =
         let x = Ac.solve_one sys ~op ~freq:fc in
         let out = x.(Mna.node_index sys "out") in
         check_close 1e-6 "magnitude" (1.0 /. sqrt 2.0) (Complex.norm out);
-        check_close 1e-4 "phase -45deg" (-45.0) (Ac.phase_deg out));
+        check_close 1e-4 "phase -45deg" (-45.0) (Complex.arg out *. 180.0 /. Float.pi));
     Alcotest.test_case "rl high-pass via inductor branch" `Quick (fun () ->
         let r = 100.0 and l = 1e-3 in
         let sys =
@@ -282,10 +254,8 @@ let ac_tests =
         in
         let op = Dc.solve sys in
         let freqs = Stc_numerics.Interp.logspace 1.0 1e6 25 in
-        let pts = Ac.sweep sys ~op ~freqs in
-        let mags =
-          Array.map (fun (_, z) -> Complex.norm z) (Ac.node_response sys pts "out")
-        in
+        let ac = Ac.prepare sys ~op and out = Mna.node_index sys "out" in
+        let mags = Array.map (fun freq -> Complex.norm (Ac.solve ac ~freq).(out)) freqs in
         let ok = ref true in
         for i = 0 to Array.length mags - 2 do
           if mags.(i + 1) > mags.(i) +. 1e-12 then ok := false
@@ -315,8 +285,7 @@ let check_time_grid ?(merge = 0.0) name netlist ~tstop ~dt =
             if b < tstop && not (Array.exists (fun t -> Float.abs (t -. b) <= merge) times)
             then Alcotest.failf "%s: breakpoint %h is not a sample" name b)
           (Wave.breakpoints wave ~tmax:tstop)
-      | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Inductor _
-      | Netlist.Vcvs _ | Netlist.Vccs _ | Netlist.Mosfet _ ->
+      | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Inductor _ | Netlist.Mosfet _ ->
         ())
     netlist.Netlist.elements;
   for i = 1 to n - 1 do
@@ -368,8 +337,8 @@ let tran_tests =
                ])
         in
         let result = Tran.run sys ~tstop:(5.0 *. tau) ~dt:(tau /. 200.0) in
-        let i = Tran.branch_waveform sys result "l1" in
-        check_close 2e-3 "asymptote V/R" 0.1 (Waveform.final i));
+        let last = result.Tran.states.(Array.length result.Tran.states - 1) in
+        check_close 2e-3 "asymptote V/R" 0.1 (Mna.branch_current sys last "l1"));
     Alcotest.test_case "lc trapezoidal preserves oscillation" `Quick (fun () ->
         (* series RLC with tiny R: energy should persist over one period *)
         let l = 1e-3 and c = 1e-6 in
@@ -558,16 +527,6 @@ let opamp_tests =
         let v2 = Measure_opamp.measure p2 in
         Alcotest.(check bool) "bigger cc slews slower" true
           (v2.Measure_opamp.slew_rate < v1.Measure_opamp.slew_rate));
-    Alcotest.test_case "phase margin is healthy and load-sensitive" `Slow
-      (fun () ->
-        let pm = Measure_opamp.phase_margin Opamp.nominal in
-        Alcotest.(check bool) "40..90 degrees" true (pm > 40.0 && pm < 90.0);
-        let heavy =
-          { Opamp.nominal with Stc_circuit.Opamp.cl =
-              Opamp.nominal.Stc_circuit.Opamp.cl *. 3.0 }
-        in
-        let pm_heavy = Measure_opamp.phase_margin heavy in
-        Alcotest.(check bool) "heavier load erodes margin" true (pm_heavy < pm));
     Alcotest.test_case "all benches build and validate" `Quick (fun () ->
         List.iter
           (fun bench ->

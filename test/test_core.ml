@@ -129,26 +129,17 @@ let device_data_tests =
 let calibration_tests =
   [
     Alcotest.test_case "scale maps nominal exactly" `Quick (fun () ->
-        let c = Calibration.fit Calibration.Scale ~measured_nominal:24376.0
-                  ~target_nominal:14000.0
-        in
+        let c = Calibration.fit ~measured_nominal:24376.0 ~target_nominal:14000.0 in
         check_close 1e-6 "nominal" 14000.0 (Calibration.apply c 24376.0);
         check_close 1e-6 "proportional" 7000.0 (Calibration.apply c 12188.0));
-    Alcotest.test_case "shift maps nominal exactly" `Quick (fun () ->
-        let c = Calibration.fit Calibration.Shift ~measured_nominal:0.0176
-                  ~target_nominal:0.0001
-        in
-        check_close 1e-12 "nominal" 0.0001 (Calibration.apply c 0.0176));
     Alcotest.test_case "scale falls back on zero nominal" `Quick (fun () ->
-        let c = Calibration.fit Calibration.Scale ~measured_nominal:0.0
-                  ~target_nominal:0.0
-        in
+        let c = Calibration.fit ~measured_nominal:0.0 ~target_nominal:0.0 in
         check_close 1e-12 "identity-ish" 0.3 (Calibration.apply c 0.3));
     Alcotest.test_case "apply_all element-wise" `Quick (fun () ->
         let cs =
           [|
-            Calibration.fit Calibration.Scale ~measured_nominal:2.0 ~target_nominal:1.0;
-            Calibration.identity;
+            Calibration.fit ~measured_nominal:2.0 ~target_nominal:1.0;
+            Calibration.fit ~measured_nominal:1.0 ~target_nominal:1.0;
           |]
         in
         Alcotest.(check (array (float 1e-12))) "mapped" [| 2.0; 5.0 |]

@@ -4,8 +4,6 @@
 module Netlist = Stc_circuit.Netlist
 module Wave = Stc_circuit.Wave
 module Mna = Stc_circuit.Mna
-module Dc = Stc_circuit.Dc
-module Ac = Stc_circuit.Ac
 module Tran = Stc_circuit.Tran
 module Waveform = Stc_circuit.Waveform
 module Experiment = Stc.Experiment
@@ -57,26 +55,6 @@ let tran_option_tests =
          | _ -> Alcotest.fail "expected Invalid_argument"));
   ]
 
-let ac_helper_tests =
-  [
-    Alcotest.test_case "db and phase helpers" `Quick (fun () ->
-        check_close 1e-9 "20dB" 20.0 (Ac.db { Complex.re = 10.0; im = 0.0 });
-        Alcotest.(check bool) "zero is -inf" true
-          (Ac.db Complex.zero = Float.neg_infinity);
-        check_close 1e-9 "90 degrees" 90.0
-          (Ac.phase_deg { Complex.re = 0.0; im = 1.0 }));
-    Alcotest.test_case "node_response extracts ground as zero" `Quick (fun () ->
-        let sys =
-          Mna.build
-            (Netlist.of_elements
-               [ Netlist.vac "v" "a" "0" ~dc:0.0 ~mag:1.0; Netlist.r "r" "a" "0" 1.0 ])
-        in
-        let op = Dc.solve sys in
-        let pts = Ac.sweep sys ~op ~freqs:[| 1.0; 10.0 |] in
-        let resp = Ac.node_response sys pts "0" in
-        Array.iter (fun (_, z) -> check_close 0.0 "ground" 0.0 (Complex.norm z)) resp);
-  ]
-
 let experiment_tests =
   [
     Alcotest.test_case "op-amp process model has 14 parameters" `Quick (fun () ->
@@ -110,14 +88,6 @@ let experiment_tests =
         let sorted = Array.copy Experiment.opamp_examination_order in
         Array.sort compare sorted;
         Alcotest.(check (array int)) "0..10" (Array.init 11 (fun i -> i)) sorted);
-    Alcotest.test_case "uncalibrated mems differs from calibrated" `Quick
-      (fun () ->
-        let a, _ = Experiment.generate_mems ~calibrate:false ~seed:9 ~n_train:5 ~n_test:1 () in
-        let b, _ = Experiment.generate_mems ~calibrate:true ~seed:9 ~n_train:5 ~n_test:1 () in
-        (* same draws, different measurement scale (e.g. bandwidth) *)
-        Alcotest.(check bool) "bandwidth scaled" true
-          (Stc.Device_data.value a ~instance:0 ~spec:4
-           <> Stc.Device_data.value b ~instance:0 ~spec:4));
   ]
 
 let flow_edge_tests =
@@ -223,71 +193,10 @@ let cluster_tests =
         Alcotest.(check int) "three singletons" 3 (List.length groups));
   ]
 
-let dc_sweep_tests =
-  [
-    Alcotest.test_case "divider transfer is linear in the source" `Quick
-      (fun () ->
-        let sys =
-          Mna.build
-            (Netlist.of_elements
-               [
-                 Netlist.vdc "vin" "in" "0" 0.0;
-                 Netlist.r "r1" "in" "mid" 1000.0;
-                 Netlist.r "r2" "mid" "0" 1000.0;
-               ])
-        in
-        let points = Dc.sweep sys ~source:"vin" ~values:[| 0.0; 2.0; 4.0 |] in
-        Array.iter
-          (fun (v, x) ->
-            (* the swept system has the same node order: rebuild index *)
-            check_close 1e-6 "half" (v /. 2.0) x.(1) |> ignore;
-            ignore (v, x))
-          points;
-        Alcotest.(check int) "three points" 3 (Array.length points));
-    Alcotest.test_case "nmos inverter transfer is monotone falling" `Quick
-      (fun () ->
-        let netlist =
-          Netlist.of_elements
-            [
-              Netlist.vdc "vdd" "vdd" "0" 5.0;
-              Netlist.vdc "vin" "g" "0" 0.0;
-              Netlist.r "rload" "vdd" "d" 10e3;
-              Netlist.nmos "m1" ~d:"d" ~g:"g" ~s:"0" ~w:20e-6 ~l:1e-6 ();
-            ]
-        in
-        let sys = Mna.build netlist in
-        let values = Array.init 11 (fun i -> 0.5 *. float_of_int i) in
-        let points = Dc.sweep sys ~source:"vin" ~values in
-        let out_index = Mna.node_index sys "d" in
-        let previous = ref Float.infinity in
-        Array.iter
-          (fun (_, x) ->
-            let vout = x.(out_index) in
-            Alcotest.(check bool) "monotone non-increasing" true
-              (vout <= !previous +. 1e-9);
-            previous := vout)
-          points;
-        (* rail-to-rail-ish swing *)
-        let _, first = points.(0) and _, last = points.(10) in
-        Alcotest.(check bool) "off output high" true (first.(out_index) > 4.9);
-        Alcotest.(check bool) "on output low" true (last.(out_index) < 1.0));
-    Alcotest.test_case "sweeping a resistor is rejected" `Quick (fun () ->
-        let sys =
-          Mna.build
-            (Netlist.of_elements
-               [ Netlist.vdc "v" "a" "0" 1.0; Netlist.r "r1" "a" "0" 1.0 ])
-        in
-        (match Dc.sweep sys ~source:"r1" ~values:[| 1.0 |] with
-         | exception Invalid_argument _ -> ()
-         | _ -> Alcotest.fail "expected Invalid_argument"));
-  ]
-
 let suites =
   [
     ("more.clusters", cluster_tests);
-    ("more.dc_sweep", dc_sweep_tests);
     ("more.tran_options", tran_option_tests);
-    ("more.ac_helpers", ac_helper_tests);
     ("more.experiment", experiment_tests);
     ("more.flow_edges", flow_edge_tests);
   ]

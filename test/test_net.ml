@@ -846,6 +846,12 @@ let server_tests =
             | exception Invalid_argument _ -> ()
             | _ -> Alcotest.failf "port %d accepted" port)
           [ -1; 65536; 70000 ];
+        List.iter
+          (fun host ->
+            match Server.create ~config:{ d with Server.host } registry with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.failf "host %S accepted" host)
+          [ "nosuchhost"; "::1" ];
         let with_times v =
           [
             ("flush", { d with Server.flush_deadline_s = v });
@@ -885,8 +891,6 @@ let fault_tests =
       Net_faults.check_torn_frames;
     fault "a mid-batch disconnect kills only its connection" 62
       Net_faults.check_mid_batch_disconnect;
-    fault "forced hot reloads under traffic keep every verdict" 63
-      Net_faults.check_reload_inflight;
     fault "a connection flood is shed past max-conns" 64
       Net_faults.check_connection_flood;
     fault "a slow-loris opener is reaped by the idle deadline" 65

@@ -234,7 +234,7 @@ let greedy_journalled path cfg ~train ~test ~replay =
     Fun.protect
       ~finally:(fun () -> Journal.close w)
       (fun () ->
-        Compaction.greedy_resumable ~journal:w ~replay cfg ~train ~test)
+        Compaction.greedy ~journal:w ~replay cfg ~train ~test)
 
 let resume_tests =
   [
@@ -325,12 +325,12 @@ let resume_tests =
         Alcotest.check_raises "order mismatch"
           (Invalid_argument
              (Printf.sprintf
-                "Compaction.greedy_resumable: journal step 0 examined spec %d \
-                 but this run examines spec %d (order or data mismatch)"
+                "Compaction.greedy: journal step 0 examined spec %d but this \
+                 run examines spec %d (order or data mismatch)"
                 bogus.(0).Journal.spec_index order.(0)))
           (fun () ->
             ignore
-              (Compaction.greedy_resumable ~replay:bogus config ~train ~test)));
+              (Compaction.greedy ~replay:bogus config ~train ~test)));
   ]
 
 (* qcheck: save→resume round-trips greedy results on random populations *)

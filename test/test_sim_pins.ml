@@ -13,9 +13,8 @@
    grid gave, which are kept here as the reference.
 
    The small netlists cover what the op-amp benches never reach: the
-   inductor companion inside a transient, VCVS and VCCS,
-   sine/PWL/periodic-pulse sources, AC current drive, the gmin- and
-   source-stepping fallbacks of the DC solver, and Dc.sweep. *)
+   inductor companion inside a transient, AC current drive, and the
+   gmin- and source-stepping fallbacks of the DC solver. *)
 
 module Netlist = Stc_circuit.Netlist
 module Wave = Stc_circuit.Wave
@@ -113,7 +112,7 @@ let opamp_specs =
   |]
 
 (* The transient specs (slew rate, rise time, overshoot, settling
-   time) by Measure_opamp.names index, each with its relative tolerance
+   time) by Table 1 index, each with its relative tolerance
    against the fixed-grid value in [opamp_specs]. *)
 let tran_specs = [| (3, 1e-5); (4, 1e-5); (5, 5e-3); (6, 5e-3) |]
 
@@ -137,7 +136,7 @@ let opamp_tests =
           in
           Array.iteri
             (fun j expected ->
-              let name = Measure_opamp.names.(j) in
+              let name = Stc.Experiment.opamp_specs.(j).Stc.Spec.name in
               match Array.find_index (fun (k, _) -> k = j) tran_specs with
               | None -> Alcotest.(check string) name (hex_bits expected) (hex measured.(j))
               | Some k ->
@@ -157,18 +156,21 @@ let tran_values netlist ~tstop ~dt =
   let r = Tran.run sys ~tstop ~dt in
   Array.concat (Array.to_list (Array.map2 (fun t x -> Array.append [| t |] x) r.Tran.times r.Tran.states))
 
+(* The operating point, then every unknown's phasor at each frequency,
+   solved as Measure_opamp solves its benches. *)
 let ac_values netlist ~freqs =
   let sys = Mna.build netlist in
   let op = Dc.solve sys in
+  let ac = Ac.prepare sys ~op in
   Array.concat
     (op
     :: Array.to_list
          (Array.map
-            (fun p ->
+            (fun freq ->
               Array.concat
                 (Array.to_list
-                   (Array.map (fun z -> [| z.Complex.re; z.Complex.im |]) p.Ac.solution)))
-            (Ac.sweep sys ~op ~freqs)))
+                   (Array.map (fun z -> [| z.Complex.re; z.Complex.im |]) (Ac.solve ac ~freq))))
+            freqs))
 
 let dc_values ?options netlist = Dc.solve ?options (Mna.build netlist)
 
@@ -203,65 +205,6 @@ let cases =
                r "r1" "in" "a" 100.0;
                l "l1" "a" "0" 1e-3;
              ]) );
-    ( "VCVS: DC and AC",
-      fun () ->
-        ac_values ~freqs:[| 1e2; 1e4; 1e5; 1e6; 1e7 |]
-          (of_elements
-             [
-               vac "v1" "in" "0" ~dc:0.3 ~mag:1.0;
-               r "rin" "in" "0" 1e3;
-               Vcvs { name = "e1"; p = "out"; n = "0"; cp = "in"; cn = "0"; gain = -4.7 };
-               r "rl" "out" "x" 2.2e3;
-               r "r2" "x" "0" 1e3;
-               c "c2" "x" "0" 1e-9;
-             ]) );
-    ( "VCCS: DC and AC",
-      fun () ->
-        ac_values ~freqs:[| 1e2; 1e4; 1e5; 1e6; 1e7 |]
-          (of_elements
-             [
-               vac "v1" "in" "0" ~dc:0.5 ~mag:1.0;
-               Vccs { name = "g1"; p = "out"; n = "0"; cp = "in"; cn = "0"; gm = 2e-3 };
-               r "rl" "out" "0" 5e3;
-               c "cl" "out" "0" 1e-9;
-             ]) );
-    ( "VCCS: periodic pulse, trapezoidal",
-      fun () ->
-        tran_values ~tstop:1e-5 ~dt:1e-7
-          (of_elements
-             [
-               vwave "v1" "in" "0"
-                 (Wave.Pulse
-                    { v1 = 0.0; v2 = 0.5; delay = 0.5e-6; rise = 0.1e-6; fall = 0.1e-6;
-                      width = 1e-6; period = 3e-6 });
-               Vccs { name = "g1"; p = "out"; n = "0"; cp = "in"; cn = "0"; gm = 2e-3 };
-               r "rl" "out" "0" 5e3;
-               c "cl" "out" "0" 1e-9;
-             ]) );
-    ( "sine current source, trapezoidal",
-      fun () ->
-        tran_values ~tstop:3e-5 ~dt:2e-7
-          (of_elements
-             [
-               Isource
-                 { name = "i1"; p = "0"; n = "a";
-                   wave = Wave.Sine { offset = 1e-3; amplitude = 5e-4; freq = 1e5; phase = 0.3 };
-                   ac = 0.0 };
-               r "r1" "a" "0" 1e3;
-               c "c1" "a" "0" 1e-9;
-             ]) );
-    ( "PWL source, trapezoidal",
-      fun () ->
-        tran_values ~tstop:8e-6 ~dt:1e-7
-          (of_elements
-             [
-               vwave "v1" "in" "0"
-                 (Wave.Pwl
-                    [| (0.0, 0.0); (1e-6, 1.0); (3.05e-6, 1.0); (4e-6, -0.5); (6e-6, 0.2) |]);
-               r "r1" "in" "a" 1e3;
-               c "c1" "a" "0" 1e-9;
-               nfet "m1" ~d:"a" ~g:"a";
-             ]) );
     ( "RLC tank: AC current drive",
       fun () ->
         ac_values ~freqs:[| 1e4; 1.5e5; 1.59e5; 1.6e5; 1e6 |]
@@ -289,22 +232,6 @@ let cases =
           ~options:{ Dc.default_options with Dc.max_iter = 12 }
           (of_elements
              [ vdc "v1" "in" "0" 10.0; r "r1" "in" "a" 1e3; nfet "m1" ~d:"a" ~g:"a" ]) );
-    ( "Dc.sweep: NMOS inverter transfer curve",
-      fun () ->
-        let sys =
-          Mna.build
-            (of_elements
-               [
-                 vdc "vdd" "vdd" "0" 5.0;
-                 vdc "vin" "in" "0" 0.0;
-                 r "rd" "vdd" "out" 10e3;
-                 nfet "m1" ~d:"out" ~g:"in";
-               ])
-        in
-        Dc.sweep sys ~source:"vin" ~values:(Array.init 11 (fun i -> 0.5 *. float_of_int i))
-        |> Array.to_list
-        |> List.concat_map (fun (v, x) -> v :: Array.to_list x)
-        |> Array.of_list );
   ]
 
 (* (case, value count, MD5 of the comma-joined %016Lx bit patterns, the
@@ -315,24 +242,12 @@ let pins =
       31170, "bfd05112624a29ee8eff843b4377b56a", 0x3f7723e29bd2ca60L );
     ( "inductor companion: RL step",
       6295, "08fc3ef1a2fccf67559c99f2819d7eac", 0x3f7753c8a5df7a68L );
-    ( "VCVS: DC and AC",
-      55, "5e49adc8650aa9ae92436f2a78b7078b", 0x3ef0327b7d6c52ddL );
-    ( "VCCS: DC and AC",
-      33, "a4f48f3b1ce8cb3dcd0cdf6de9f89efb", 0x0000000000000000L );
-    ( "VCCS: periodic pulse, trapezoidal",
-      1212, "3c5634fce1ce195eca2190e5134fc6ea", 0xbd619799812dea11L );
-    ( "sine current source, trapezoidal",
-      2518, "4bfb0bc1f9feec53cd81da4823d91c62", 0x3fec811485c2f3daL );
-    ( "PWL source, trapezoidal",
-      4128, "5235fc90b3deb2edc3133ce4bdba337e", 0xbef91bd77d89b870L );
     ( "RLC tank: AC current drive",
       22, "a41512b6b12408c83fe2b69b665f9902", 0xbf70ee47dffa929dL );
     ( "gmin stepping: DC-floating node",
       4, "f1d633b1106b2ae6f623ce8ee06d3e44", 0xbf3c950122db2d1eL );
     ( "source stepping: 10 V past the Newton budget",
       3, "2e71d3df8c67259aeb64dad14bfe07fa", 0xbf794e93d5cb568aL );
-    ( "Dc.sweep: NMOS inverter transfer curve",
-      66, "36c52a629433c700381d5bb2047bc5d6", 0xbd95fd7fe1796495L );
   ]
 
 let digest values =

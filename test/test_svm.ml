@@ -5,7 +5,6 @@ module Kernel = Stc_svm.Kernel
 module Smo = Stc_svm.Smo
 module Svc = Stc_svm.Svc
 module Svr = Stc_svm.Svr
-module Scale = Stc_svm.Scale
 module Row_cache = Stc_svm.Row_cache
 module Rng = Stc_numerics.Rng
 
@@ -222,30 +221,6 @@ let svr_tests =
          | _ -> Alcotest.fail "expected Invalid_argument"));
   ]
 
-let scale_tests =
-  [
-    Alcotest.test_case "minmax maps to [0,1]" `Quick (fun () ->
-        let x = [| [| 0.0; 10.0 |]; [| 5.0; 20.0 |]; [| 10.0; 30.0 |] |] in
-        let s = Scale.fit_minmax x in
-        Alcotest.(check (array (float 1e-12))) "first row" [| 0.0; 0.0 |]
-          (Scale.apply s x.(0));
-        Alcotest.(check (array (float 1e-12))) "last row" [| 1.0; 1.0 |]
-          (Scale.apply s x.(2));
-        Alcotest.(check (array (float 1e-12))) "mid row" [| 0.5; 0.5 |]
-          (Scale.apply s x.(1)));
-    Alcotest.test_case "constant feature maps to midpoint" `Quick (fun () ->
-        let x = [| [| 7.0 |]; [| 7.0 |] |] in
-        let s = Scale.fit_minmax x in
-        Alcotest.(check (array (float 1e-12))) "mid" [| 0.5 |] (Scale.apply s x.(0)));
-    Alcotest.test_case "standard scaling zero mean unit sd" `Quick (fun () ->
-        let x = [| [| 1.0 |]; [| 2.0 |]; [| 3.0 |]; [| 4.0 |] |] in
-        let s = Scale.fit_standard x in
-        let scaled = Scale.apply_all s x in
-        let col = Array.map (fun r -> r.(0)) scaled in
-        check_close 1e-9 "mean" 0.0 (Stc_numerics.Stats.mean col);
-        check_close 1e-9 "sd" 1.0 (Stc_numerics.Stats.stddev col));
-  ]
-
 let cache_tests =
   [
     Alcotest.test_case "caches and evicts" `Quick (fun () ->
@@ -411,7 +386,6 @@ let suites =
     ("svm.smo", smo_tests);
     ("svm.svc", svc_tests);
     ("svm.svr", svr_tests);
-    ("svm.scale", scale_tests);
     ("svm.row_cache", cache_tests);
     ("svm.smo_optimality", smo_optimality_tests);
     ("svm.gamma", gamma_tests);

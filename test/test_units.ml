@@ -135,49 +135,27 @@ let calibration_tests =
     qtest
       (QCheck.Test.make ~name:"fit maps measured nominal onto target"
          ~count:200
-         QCheck.(triple bool (float_range 0.5 1000.0) (float_range 0.5 1000.0))
-         (fun (scale, measured, target) ->
-           let mode = if scale then Calibration.Scale else Calibration.Shift in
-           let c =
-             Calibration.fit mode ~measured_nominal:measured
-               ~target_nominal:target
-           in
+         QCheck.(pair (float_range 0.5 1000.0) (float_range 0.5 1000.0))
+         (fun (measured, target) ->
+           let c = Calibration.fit ~measured_nominal:measured ~target_nominal:target in
            Float.abs (Calibration.apply c measured -. target)
            <= 1e-9 *. Float.max 1.0 (Float.abs target)));
     qtest
       (QCheck.Test.make ~name:"apply preserves order (monotone affine)"
          ~count:200
-         QCheck.(triple bool (pair (float_range (-100.0) 100.0)
-                                (float_range (-100.0) 100.0))
+         QCheck.(pair (pair (float_range (-100.0) 100.0) (float_range (-100.0) 100.0))
                    (float_range 0.5 50.0))
-         (fun (scale, (a, b), nominal) ->
-           let mode = if scale then Calibration.Scale else Calibration.Shift in
-           let c =
-             Calibration.fit mode ~measured_nominal:nominal ~target_nominal:7.0
-           in
+         (fun ((a, b), nominal) ->
+           let c = Calibration.fit ~measured_nominal:nominal ~target_nominal:7.0 in
            compare a b = compare (Calibration.apply c a) (Calibration.apply c b)));
-    Alcotest.test_case "identity is the identity" `Quick (fun () ->
-        List.iter
-          (fun v ->
-            Alcotest.(check (float 0.0)) "id" v
-              (Calibration.apply Calibration.identity v))
-          [ -3.5; 0.0; 0.125; 1e9 ]);
     Alcotest.test_case "apply_all checks lengths" `Quick (fun () ->
         match
-          Calibration.apply_all [| Calibration.identity |] [| 1.0; 2.0 |]
+          Calibration.apply_all
+            [| Calibration.fit ~measured_nominal:1.0 ~target_nominal:1.0 |]
+            [| 1.0; 2.0 |]
         with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
-    Alcotest.test_case "describe names the mode" `Quick (fun () ->
-        let scale =
-          Calibration.fit Calibration.Scale ~measured_nominal:2.0
-            ~target_nominal:4.0
-        in
-        Alcotest.(check bool) "non-empty" true
-          (String.length (Calibration.describe scale) > 0);
-        Alcotest.(check bool) "distinct from identity" true
-          (Calibration.describe scale
-           <> Calibration.describe Calibration.identity));
   ]
 
 (* --------------------------- Adaptive_guard ----------------------- *)
