@@ -766,21 +766,9 @@ let run_server host listen flows flush_rows flush_deadline max_pending
     die_option "--write-timeout must be a number (got %g)" write_timeout;
   if listen < 0 || listen > 65535 then
     die_option "--listen must be in [0, 65535] (got %d)" listen;
-  let ipv4 =
-    match Unix.inet_addr_of_string host with
-    | addr -> Unix.domain_of_sockaddr (Unix.ADDR_INET (addr, 0)) = Unix.PF_INET
-    | exception Failure _ -> false
-  in
-  if not ipv4 then die_option "--host must be an IPv4 address (got %S)" host;
   let registry =
     Net_registry.create ~floor_config:{ Floor.batch_size = batch; domains } ()
   in
-  List.iter
-    (fun (name, path) ->
-      match Net_registry.load registry ~name ~path with
-      | Ok _ -> Printf.printf "flow %s <- %s\n%!" name path
-      | Error e -> die_data "%s" e)
-    flows;
   let config =
     {
       Net_server.default_config with
@@ -796,7 +784,21 @@ let run_server host listen flows flush_rows flush_deadline max_pending
       escalate = not queue_guard;
     }
   in
-  let server = Net_server.create ~config registry in
+  (* created before any flow loads, so that a bad --host exits 1 first:
+     [create] checks the host, the one field left that the checks above
+     do not cover *)
+  let server =
+    match Net_server.create ~config registry with
+    | server -> server
+    | exception Invalid_argument _ ->
+      die_option "--host must be an IPv4 address (got %S)" host
+  in
+  List.iter
+    (fun (name, path) ->
+      match Net_registry.load registry ~name ~path with
+      | Ok _ -> Printf.printf "flow %s <- %s\n%!" name path
+      | Error e -> die_data "%s" e)
+    flows;
   (* signal handlers only latch atomics; the real work — reload I/O,
      thread joins — happens on the main thread via wait's on_tick *)
   let stop_requested = Atomic.make false in

@@ -6,14 +6,15 @@ type solver = {
   g : Stc_numerics.Mat.t;
   c : Stc_numerics.Mat.t;
   b : Complex.t array;
+  bufs : Cmat.buffers;  (* every point's elimination works here *)
 }
 
 let prepare sys ~op =
   let g, c, b = Mna.ac_matrices sys ~op in
-  { g; c; b }
+  { g; c; b; bufs = Cmat.buffers (Array.length b) }
 
 let solve s ~freq =
-  let x = Cmat.solve s.g s.c ~omega:(2.0 *. Float.pi *. freq) s.b in
+  let x = Cmat.solve s.bufs s.g s.c ~omega:(2.0 *. Float.pi *. freq) s.b in
   Stc_obs.Registry.Counter.incr m_points;
   x
 

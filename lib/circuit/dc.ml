@@ -39,43 +39,42 @@ let count_iterations ws =
 
 let no_companions _ _ = ()
 
-(* One damped Newton solve at fixed gmin and source scale. Returns the
-   solution or None if it fails to converge (or hits a singular matrix). *)
-let newton ?(companions = no_companions) opts sys ws ~time ~gmin ~source_scale
-    ~inductors ~x0 =
-  let x = Vec.copy x0 in
-  let x_new = ws.x_new in
-  let rec iterate k =
-    if k >= opts.max_iter then None
-    else begin
-      ws.iterations <- ws.iterations + 1;
-      Mna.stamp sys ~g:ws.g ~b:ws.b ~x ~mos:ws.mos ~time ~gmin ~source_scale ~inductors;
-      companions ws.g ws.b;
-      match Lu.factor_in_place ws.g ws.perm ws.cols with
-      | exception Lu.Singular _ -> None
-      | (_ : float) ->
-        Lu.solve_into ws.g ws.perm ws.b x_new;
-        (* clamp the update to keep the square-law model in range; a NaN
-           step is caught by the finiteness check below, whatever
-           [delta] then holds *)
-        let delta = ref 0.0 in
-        for i = 0 to Vec.dim x - 1 do
-          let d = Float.abs (x_new.(i) -. x.(i)) in
-          if d > !delta then delta := d
-        done;
-        let scale = if !delta > opts.max_step then opts.max_step /. !delta else 1.0 in
-        let finite = ref true in
-        for i = 0 to Vec.dim x - 1 do
-          let xi = x.(i) +. (scale *. (x_new.(i) -. x.(i))) in
-          x.(i) <- xi;
-          if not (Float.is_finite xi) then finite := false
-        done;
-        if not !finite then None
-        else if !delta *. scale < opts.tol then Some x
-        else iterate (k + 1)
-    end
-  in
-  iterate 0
+(* One damped Newton solve at fixed gmin and source scale, in place on
+   [x], from iteration [k]. Returns whether it converged. A top-level
+   function, so that no closure is allocated per solve. *)
+let rec iterate ~companions opts sys ws ~time ~gmin ~source_scale x k =
+  if k >= opts.max_iter then false
+  else begin
+    ws.iterations <- ws.iterations + 1;
+    Mna.stamp sys ~g:ws.g ~b:ws.b ~x ~mos:ws.mos ~time ~gmin ~source_scale;
+    companions ws.g ws.b;
+    match Lu.factor_in_place ws.g ws.perm ws.cols with
+    | exception Lu.Singular _ -> false
+    | (_ : int) ->
+      let x_new = ws.x_new in
+      Lu.solve_into ws.g ws.perm ws.b x_new;
+      (* clamp the update to keep the square-law model in range; a NaN
+         step is caught by the finiteness check below, whatever
+         [delta] then holds *)
+      let delta = ref 0.0 in
+      for i = 0 to Vec.dim x - 1 do
+        let d = Float.abs (x_new.(i) -. x.(i)) in
+        if d > !delta then delta := d
+      done;
+      let scale = if !delta > opts.max_step then opts.max_step /. !delta else 1.0 in
+      let finite = ref true in
+      for i = 0 to Vec.dim x - 1 do
+        let xi = x.(i) +. (scale *. (x_new.(i) -. x.(i))) in
+        x.(i) <- xi;
+        if not (Float.is_finite xi) then finite := false
+      done;
+      if not !finite then false
+      else if !delta *. scale < opts.tol then true
+      else iterate ~companions opts sys ws ~time ~gmin ~source_scale x (k + 1)
+  end
+
+let newton ~companions opts sys ws ~time ~gmin ~source_scale x =
+  iterate ~companions opts sys ws ~time ~gmin ~source_scale x 0
 
 let gmin_ladder = [ 1e-3; 1e-4; 1e-6; 1e-8; 1e-10; 1e-12 ]
 
@@ -83,10 +82,12 @@ let source_ladder = [ 0.1; 0.25; 0.5; 0.75; 0.9; 1.0 ]
 
 let solve_at ?(options = default_options) ?x0 ~time sys =
   let n = Mna.size sys in
-  let x0 = match x0 with Some x -> x | None -> Vec.create n 0.0 in
   let ws = workspace sys in
-  let newton ~gmin ~source_scale ~x0 =
-    newton options sys ws ~time ~gmin ~source_scale ~inductors:Mna.Short ~x0
+  (* a fresh copy of the start for each attempt that begins from it;
+     each attempt's Newton solves then iterate on it in place *)
+  let start () = match x0 with Some x -> Vec.copy x | None -> Vec.create n 0.0 in
+  let newton ~gmin ~source_scale x =
+    newton ~companions:no_companions options sys ws ~time ~gmin ~source_scale x
   in
   (* which fallbacks this solve took, counted once when it ends *)
   let gmin_stepping = ref false and source_stepping = ref false in
@@ -97,35 +98,24 @@ let solve_at ?(options = default_options) ?x0 ~time sys =
     if !source_stepping then Stc_obs.Registry.Counter.incr m_source_stepping
   in
   Fun.protect ~finally:count @@ fun () ->
-  match newton ~gmin:options.gmin ~source_scale:1.0 ~x0 with
-  | Some x -> x
-  | None ->
+  let x = start () in
+  if newton ~gmin:options.gmin ~source_scale:1.0 x then x
+  else begin
     (* gmin stepping: solve with a heavy leak and tighten progressively *)
     gmin_stepping := true;
-    let via_gmin =
-      List.fold_left
-        (fun acc gmin ->
-          match acc with
-          | None -> None
-          | Some x -> newton ~gmin ~source_scale:1.0 ~x0:x)
-        (Some x0) gmin_ladder
-    in
-    (match via_gmin with
-     | Some x -> x
-     | None ->
-       (* source stepping from a dead circuit *)
-       source_stepping := true;
-       let via_src =
-         List.fold_left
-           (fun acc scale ->
-             match acc with
-             | None -> None
-             | Some x -> newton ~gmin:options.gmin ~source_scale:scale ~x0:x)
-           (Some (Vec.create n 0.0))
-           source_ladder
-       in
-       (match via_src with
-        | Some x -> x
-        | None -> raise (No_convergence "DC operating point did not converge")))
+    let x = start () in
+    if List.for_all (fun gmin -> newton ~gmin ~source_scale:1.0 x) gmin_ladder then x
+    else begin
+      (* source stepping from a dead circuit *)
+      source_stepping := true;
+      let x = Vec.create n 0.0 in
+      if
+        List.for_all
+          (fun scale -> newton ~gmin:options.gmin ~source_scale:scale x)
+          source_ladder
+      then x
+      else raise (No_convergence "DC operating point did not converge")
+    end
+  end
 
 let solve ?options ?x0 sys = solve_at ?options ?x0 ~time:0.0 sys

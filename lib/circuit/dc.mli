@@ -27,29 +27,36 @@ val count_iterations : workspace -> unit
     {!solve_at} does so itself. *)
 
 val newton :
-  ?companions:(Stc_numerics.Mat.t -> Stc_numerics.Vec.t -> unit) ->
+  companions:(Stc_numerics.Mat.t -> Stc_numerics.Vec.t -> unit) ->
   options ->
   Mna.t ->
   workspace ->
   time:float ->
   gmin:float ->
   source_scale:float ->
-  inductors:Mna.inductor_treatment ->
-  x0:Stc_numerics.Vec.t ->
-  Stc_numerics.Vec.t option
-(** One damped Newton solve from [x0] at fixed [gmin] and source scale:
-    each iteration stamps the system with {!Mna.stamp}, lets
-    [companions] add to the stamped matrix and right-hand side (the
-    transient engine's capacitor companions; nothing by default),
-    factors in place and clamps the update to [max_step]. The workspace
-    tallies each iteration for {!count_iterations}. Returns a fresh
-    solution, or [None] on a singular matrix, a non-finite iterate or
-    [max_iter] iterations without convergence. *)
+  Stc_numerics.Vec.t ->
+  bool
+(** [newton opts sys ws ~time ~gmin ~source_scale x] runs one damped
+    Newton solve at fixed [gmin] and source scale, in place: it starts
+    from [x] and overwrites it with each iterate. Each iteration stamps
+    the system with {!Mna.stamp}, lets [companions] add to the stamped
+    matrix and right-hand side (the transient engine's capacitor and
+    inductor companions), factors in place and clamps the update to
+    [max_step]. The workspace tallies each
+    iteration for {!count_iterations}. Returns [true] once the update
+    is below [tol], with the solution in [x]; [false] on a singular
+    matrix, a non-finite iterate or [max_iter] iterations without
+    convergence, leaving the last iterate in [x]. A caller that needs
+    its start again keeps a copy. Allocates nothing beyond what
+    {!Mna.stamp} allocates: the value of a pulse source on an edge, which
+    {!Wave.value} returns boxed. *)
 
 val solve : ?options:options -> ?x0:Stc_numerics.Vec.t -> Mna.t ->
   Stc_numerics.Vec.t
 (** Operating point at [time = 0]. Tries plain Newton from [x0] (zeros
-    by default), then gmin stepping, then source stepping. When it
+    by default), then gmin stepping from [x0] again, then source
+    stepping from zeros; each attempt iterates in place on its own copy
+    of its start, so [x0] is never modified. When it
     ends, it adds its iterations to [stc_newton_iterations_total], one
     to [stc_dc_solves_total], and one to [stc_dc_gmin_stepping_total]
     and to [stc_dc_source_stepping_total] if it took that fallback,

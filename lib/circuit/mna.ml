@@ -3,15 +3,19 @@ module Mat = Stc_numerics.Mat
 
 type cap = { cp : int; cn : int; value : float; pp : int; nn : int; pn : int; np : int }
 
+type inductor = { br : int; brbr : int; l : float }
+
 (* One element's resistive stamp, compiled: every entry it adds to the
    row-major G is a flat offset, -1 where its row or column is ground,
    and every rhs entry and voltage it reads an unknown index, -1 for
    ground. The offset names say which entry: [pq] is (p, q), [brp] is
    (br, p). Capacitors have none: their transient companions and AC
-   susceptances come from [caps] and [ac_c]. *)
+   susceptances come from [caps] and [ac_c]. An inductor stamps only
+   its 0 V branch, its DC short; its transient companion comes from
+   [inductors] and its AC term from [ac_c]. *)
 type stamp =
   | Conductance of { pp : int; qq : int; pq : int; qp : int; g : float }
-  | Inductor of { pbr : int; qbr : int; brp : int; brq : int; br : int; brbr : int; l : float }
+  | Inductor of { pbr : int; qbr : int; brp : int; brq : int }
   | Vsource of { pbr : int; qbr : int; brp : int; brq : int; br : int; wave : Wave.t }
   | Isource of { p : int; n : int; wave : Wave.t }
   | Mosfet of {
@@ -31,6 +35,7 @@ type t = {
   size : int;
   program : stamp array;       (* resistive stamps, in element order *)
   caps : cap array;            (* transient capacitances *)
+  inductors : inductor array;  (* transient inductor branches *)
   ac_c : Mat.t;                (* AC capacitance/inductance matrix *)
   ac_b : Complex.t array;      (* AC source magnitudes *)
 }
@@ -51,12 +56,9 @@ let compile_stamp ~node ~branch ~size e =
     let p = node p and q = node n in
     Some (Conductance { pp = at p p; qq = at q q; pq = at p q; qp = at q p; g = 1.0 /. r })
   | Netlist.Capacitor _ -> None
-  | Netlist.Inductor { name; p; n; l } ->
+  | Netlist.Inductor { name; p; n; _ } ->
     let p = node p and q = node n and br = branch name in
-    Some
-      (Inductor
-         { pbr = at p br; qbr = at q br; brp = at br p; brq = at br q; br;
-           brbr = at br br; l })
+    Some (Inductor { pbr = at p br; qbr = at q br; brp = at br p; brq = at br q })
   | Netlist.Vsource { name; p; n; wave; _ } ->
     let p = node p and q = node n and br = branch name in
     Some (Vsource { pbr = at p br; qbr = at q br; brp = at br p; brq = at br q; br; wave })
@@ -92,6 +94,18 @@ let compile_caps ~node ~size elements =
         ())
     elements;
   Array.of_list (List.rev !out)
+
+let compile_inductors ~branch ~size elements =
+  Array.of_list
+    (List.filter_map
+       (function
+         | Netlist.Inductor { name; l; _ } ->
+           let br = branch name in
+           Some { br; brbr = offset ~size br br; l }
+         | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Vsource _ | Netlist.Isource _
+         | Netlist.Mosfet _ ->
+           None)
+       elements)
 
 (* The reactive half of the small-signal system, which does not depend
    on the operating point: C (capacitances, and -L on inductor branch
@@ -159,6 +173,7 @@ let build netlist =
     size;
     program = Array.of_list (List.filter_map (compile_stamp ~node ~branch ~size) elements);
     caps = compile_caps ~node ~size elements;
+    inductors = compile_inductors ~branch ~size elements;
     ac_c;
     ac_b;
   }
@@ -185,9 +200,7 @@ let branch_current t x name =
 
 let capacitances t = Array.copy t.caps
 
-type inductor_treatment =
-  | Short
-  | Companion of { h : float; prev : Vec.t }
+let inductors t = Array.copy t.inductors
 
 (* Accumulate [v] into the row-major [g] at flat offset [o], skipping a
    ground row or column (-1). *)
@@ -203,7 +216,7 @@ let[@inline] stamp_branch g pbr qbr brp brq =
   gadd g brp 1.0;
   gadd g brq (-1.0)
 
-let stamp t ~g ~b ~x ~mos ~time ~gmin ~source_scale ~inductors =
+let stamp t ~g ~b ~x ~mos ~time ~gmin ~source_scale =
   let n = t.size in
   if g.Mat.rows <> n || g.Mat.cols <> n || Array.length b <> n || Array.length x <> n
   then invalid_arg "Mna.stamp: dimension mismatch";
@@ -217,14 +230,7 @@ let stamp t ~g ~b ~x ~mos ~time ~gmin ~source_scale ~inductors =
       gadd g qq value;
       gadd g pq (-.value);
       gadd g qp (-.value)
-    | Inductor { pbr; qbr; brp; brq; br; brbr; l } ->
-      stamp_branch g pbr qbr brp brq;
-      (match inductors with
-       | Short -> ()
-       | Companion { h; prev } ->
-         (* backward Euler: v = (L/h) (i - i_prev) *)
-         gadd g brbr (-.(l /. h));
-         badd b br (-.(l /. h *. prev.(br))))
+    | Inductor { pbr; qbr; brp; brq } -> stamp_branch g pbr qbr brp brq
     | Vsource { pbr; qbr; brp; brq; br; wave } ->
       stamp_branch g pbr qbr brp brq;
       badd b br (source_scale *. Wave.value wave time)
@@ -265,5 +271,5 @@ let ac_matrices t ~op =
      inductors are shorted there and get their -L term in C *)
   let g = Mat.create n n 0.0 in
   stamp t ~g ~b:(Vec.create n 0.0) ~x:op ~mos:(Mosfet.op ()) ~time:0.0 ~gmin:1e-12
-    ~source_scale:0.0 ~inductors:Short;
+    ~source_scale:0.0;
   (g, Mat.copy t.ac_c, Array.copy t.ac_b)

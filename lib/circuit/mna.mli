@@ -56,12 +56,18 @@ val capacitances : t -> cap array
     (constant in the level-1 model), in the order the transient
     companions are stamped. A fresh array on each call. *)
 
-type inductor_treatment =
-  | Short  (** DC: inductors are 0 V branches *)
-  | Companion of { h : float; prev : Stc_numerics.Vec.t }
-      (** transient backward-Euler companion over a step of [h]; the
-          previous branch currents are read from the previous time
-          point's solution [prev] *)
+type inductor = {
+  br : int;    (** the branch-current unknown *)
+  brbr : int;  (** flat offset of (br, br) in the row-major G *)
+  l : float;
+}
+(** An inductor's branch, for its transient companion: {!stamp} makes
+    it a 0 V branch (its DC short), and the transient engine adds the
+    backward-Euler terms at [brbr] and at row [br] of the right-hand
+    side. No other stamp touches either entry. *)
+
+val inductors : t -> inductor array
+(** All inductors, in element order. A fresh array on each call. *)
 
 val stamp :
   t ->
@@ -72,17 +78,17 @@ val stamp :
   time:float ->
   gmin:float ->
   source_scale:float ->
-  inductors:inductor_treatment ->
   unit
 (** Overwrites the caller's [g] ([size × size]) and [b] with the
     resistive (non-capacitive) part of the linearised MNA system around
     candidate solution [x]: conductances, linearised MOSFET companion
     models, independent sources evaluated at [time] and scaled by
     [source_scale] (for source-stepping homotopy), and a [gmin] leak
-    from every node to ground. Each MOSFET is linearised in the caller's
-    scratch [mos], so the MOSFETs allocate nothing. Stamps
-    accumulate in element order, so the result is the same bit for bit
-    on every call. Raises [Invalid_argument] on a dimension mismatch. *)
+    from every node to ground. Inductors are 0 V branches. Each
+    MOSFET is linearised in the caller's scratch [mos], so the MOSFETs
+    allocate nothing. Stamps accumulate in element order, so the result
+    is the same bit for bit on every call. Raises [Invalid_argument] on
+    a dimension mismatch. *)
 
 val ac_matrices :
   t -> op:Stc_numerics.Vec.t ->

@@ -2,8 +2,9 @@
 
     Capacitors are integrated with the trapezoidal rule (accurate
     ringing / settling behaviour); inductor branches use the
-    backward-Euler companion of {!Mna.stamp}. The step size is chosen
-    by a local-truncation-error controller:
+    backward-Euler companion, added to {!Mna.stamp}'s 0 V branch of each
+    {!Mna.inductors} entry. The step size is chosen by a
+    local-truncation-error controller:
 
     - after each converged step, every node voltage's LTE is estimated
       as [h³·|DD₃|/2], where [DD₃] is the third divided difference over
@@ -50,11 +51,24 @@
     one population's overshoot by 2.5e-4, and [5e-4] another's by
     5.4e-4. With the quadratic start a step's Newton solve takes 1.07
     iterations, where the linear start at [1e-9] took 2.28
-    (EXPERIMENTS.md, "Simulator fast path, round 4"). *)
+    (EXPERIMENTS.md, "Simulator fast path, round 4").
+
+    A step allocates nothing but the boxed time it passes to its Newton
+    solve, 2 minor words an attempt, and a pulse source's boxed value
+    on an edge (EXPERIMENTS.md, "Simulator fast path, round 5"). The last three points accepted since the breakpoint
+    and the candidate live in four fixed slots; each step's Newton solve
+    ({!Dc.newton}) iterates in place in the candidate's slot, from the
+    prediction written there; and each accepted point is appended to
+    flat arrays of times and state rows that double when full, trimmed
+    into the {!result} when the run ends. *)
 
 type result = {
   times : float array;  (** strictly increasing, from 0 to [tstop] *)
-  states : Stc_numerics.Vec.t array;  (** one solution vector per time *)
+  states : Stc_numerics.Mat.t;
+      (** one row per time and one column per unknown, every unknown
+          kept: row [i] is the solution at [times.(i)], so
+          [states.data.((i * states.cols) + j)] is unknown [j] at that
+          time *)
 }
 
 exception No_convergence of float
@@ -73,4 +87,4 @@ val run : Mna.t -> tstop:float -> dt:float -> result
     Raises [Invalid_argument] unless [tstop] and [dt] are positive. *)
 
 val node_waveform : Mna.t -> result -> Netlist.node -> (float * float) array
-(** (time, voltage) samples for one node. *)
+(** (time, voltage) samples for one node, 0 for ground. *)

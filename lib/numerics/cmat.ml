@@ -16,22 +16,37 @@ let[@inline] div_into re im k xr xi yr yi =
     im.(k) <- ((r *. xi) -. xr) /. d
   end
 
+type buffers = {
+  n : int;
+  re : float array;  (* n × n row-major, the eliminated matrix *)
+  im : float array;
+  br : float array;  (* the right-hand side *)
+  bi : float array;
+  xr : float array;  (* the solution *)
+  xi : float array;
+}
+
+let buffers n =
+  if n < 0 then invalid_arg "Cmat.buffers: negative size";
+  let v () = Array.make n 0.0 and m () = Array.make (n * n) 0.0 in
+  { n; re = m (); im = m (); br = v (); bi = v (); xr = v (); xi = v () }
+
 (* Gaussian elimination with partial pivoting by modulus on split real
    and imaginary parts. Every step is the Complex.t arithmetic of a
    boxed elimination (Complex.sub, Complex.mul, Complex.div, and
    Complex.norm = Float.hypot) with the operations in the same order, so
    the solution is the same bit for bit; only the boxes are gone. *)
-let solve g c ~omega b =
+let solve bufs g c ~omega b =
   let n = g.Mat.rows in
   if g.Mat.cols <> n then invalid_arg "Cmat.solve: matrix not square";
   if c.Mat.rows <> n || c.Mat.cols <> n then invalid_arg "Cmat.solve: dimension mismatch";
   if Array.length b <> n then invalid_arg "Cmat.solve: rhs dimension mismatch";
-  let re = Array.copy g.Mat.data in
-  let im = Array.make (n * n) 0.0 in
+  if bufs.n <> n then invalid_arg "Cmat.solve: buffers of another size";
+  let { re; im; br; bi; xr; xi; _ } = bufs in
+  Array.blit g.Mat.data 0 re 0 (n * n);
   for k = 0 to (n * n) - 1 do
     im.(k) <- omega *. c.Mat.data.(k)
   done;
-  let br = Array.make n 0.0 and bi = Array.make n 0.0 in
   for i = 0 to n - 1 do
     br.(i) <- b.(i).Complex.re;
     bi.(i) <- b.(i).Complex.im
@@ -40,10 +55,14 @@ let solve g c ~omega b =
     let rk = k * n in
     let pivot = ref k and best = ref (Float.hypot re.(rk + k) im.(rk + k)) in
     for i = k + 1 to n - 1 do
-      let v = Float.hypot re.((i * n) + k) im.((i * n) + k) in
-      if v > !best then begin
-        pivot := i;
-        best := v
+      let ar = re.((i * n) + k) and ai = im.((i * n) + k) in
+      (* an exact zero's modulus, 0, never beats the best so far *)
+      if ar <> 0.0 || ai <> 0.0 then begin
+        let v = Float.hypot ar ai in
+        if v > !best then begin
+          pivot := i;
+          best := v
+        end
       end
     done;
     if !best < 1e-300 then raise (Singular k);
@@ -82,7 +101,8 @@ let solve g c ~omega b =
       end
     done
   done;
-  let xr = Array.make n 0.0 and xi = Array.make n 0.0 in
+  (* back substitution reads only the entries of [xr] and [xi] it has
+     written *)
   for i = n - 1 downto 0 do
     let ri = i * n in
     let ar = ref br.(i) and ai = ref bi.(i) in
@@ -94,4 +114,8 @@ let solve g c ~omega b =
     done;
     div_into xr xi i !ar !ai re.(ri + i) im.(ri + i)
   done;
-  Array.init n (fun i -> { Complex.re = xr.(i); im = xi.(i) })
+  let x = Array.make n Complex.zero in
+  for i = 0 to n - 1 do
+    x.(i) <- { Complex.re = xr.(i); im = xi.(i) }
+  done;
+  x

@@ -5,13 +5,23 @@
 exception Singular of int
 (** Raised when pivot column [i] has no usable pivot. *)
 
+type buffers
+(** The split real and imaginary storage one elimination of an
+    [n × n] system works in: the matrix, the right-hand side and the
+    solution. A caller that solves one system at many frequencies
+    allocates them once. One elimination at a time may use them. *)
+
+val buffers : int -> buffers
+(** [buffers n] for systems of [n] unknowns. *)
+
 val solve :
-  Mat.t -> Mat.t -> omega:float -> Complex.t array -> Complex.t array
-(** [solve g c ~omega b] solves [(g + jωc) x = b] by Gaussian
-    elimination with partial pivoting by modulus, on split real and
-    imaginary float arrays. Each step uses the operations of
-    [Complex.sub], [Complex.mul], [Complex.div] and [Complex.norm], in
-    the order a [Complex.t] elimination would, so [x] is the same bit
-    for bit as that elimination's. Raises [Singular] on a numerically
-    singular system and [Invalid_argument] on a dimension mismatch.
-    The inputs are not modified. *)
+  buffers -> Mat.t -> Mat.t -> omega:float -> Complex.t array -> Complex.t array
+(** [solve bufs g c ~omega b] solves [(g + jωc) x = b] by Gaussian
+    elimination with partial pivoting by modulus, in [bufs]. Each step
+    uses the operations of [Complex.sub], [Complex.mul], [Complex.div]
+    and [Complex.norm], in the order a [Complex.t] elimination would,
+    so [x] is the same bit for bit as that elimination's; the pivot
+    search skips exact zeros, whose modulus never beats the best so
+    far. Allocates only the returned phasors. Raises [Singular] on a
+    numerically singular system and [Invalid_argument] on a dimension
+    mismatch, [bufs] included. [g], [c] and [b] are not modified. *)

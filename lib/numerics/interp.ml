@@ -39,9 +39,14 @@ let crossings points ~level ~direction =
   List.rev !out
 
 let crossing points ~level ~direction =
-  match crossings points ~level ~direction with
-  | [] -> None
-  | x :: _ -> Some x
+  let rec from i =
+    if i > Array.length points - 2 then None
+    else
+      match segment_crossing points.(i) points.(i + 1) ~level ~direction with
+      | Some _ as x -> x
+      | None -> from (i + 1)
+  in
+  from 0
 
 let linspace lo hi n =
   if n < 2 then invalid_arg "Interp.linspace: need at least 2 points";

@@ -3,7 +3,7 @@ exception Singular of int
 type t = {
   lu : Mat.t;          (* packed L (unit diagonal, below) and U (on/above) *)
   perm : int array;    (* row permutation *)
-  sign : float;        (* permutation parity, for det *)
+  sign : int;          (* permutation parity, for det *)
 }
 
 (* Unchecked loads and stores of the packed matrix, for the loops below
@@ -33,7 +33,7 @@ let factor_in_place a perm cols =
   for i = 0 to n - 1 do
     Array.unsafe_set perm i i
   done;
-  let sign = ref 1.0 in
+  let sign = ref 1 in
   for k = 0 to n - 1 do
     let rk = k * n in
     (* pivot search in column k, keeping the best modulus so far *)
@@ -57,7 +57,7 @@ let factor_in_place a perm cols =
       let t = Array.unsafe_get perm k in
       Array.unsafe_set perm k (Array.unsafe_get perm p);
       Array.unsafe_set perm p t;
-      sign := -. !sign
+      sign := - !sign
     end;
     let pk = get d (rk + k) in
     let nc = ref 0 in
@@ -129,7 +129,7 @@ let solve f b =
 
 let det f =
   let n, _ = Mat.dims f.lu in
-  let d = ref f.sign in
+  let d = ref (float_of_int f.sign) in
   for i = 0 to n - 1 do
     d := !d *. Mat.get f.lu i i
   done;

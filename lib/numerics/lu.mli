@@ -5,21 +5,21 @@ exception Singular of int
 (** Raised when a pivot column [i] has no usable pivot (matrix is
     numerically singular). *)
 
-val factor_in_place : Mat.t -> int array -> int array -> float
+val factor_in_place : Mat.t -> int array -> int array -> int
 (** [factor_in_place a perm cols] computes PA = LU on caller-owned
     storage: [a] is overwritten with the packed factors (L strictly
     below the diagonal, its unit diagonal implied; U on and above) and
     [perm] with the row permutation, row [i] of PA being row [perm.(i)]
     of [a]. [cols], of length at least [n], is a buffer for the columns
     each pivot row updates; its contents are irrelevant before and
-    after. Returns the permutation's sign. Exact zeros of a pivot row
+    after. Returns the permutation's sign, 1 or -1. Exact zeros of a pivot row
     are skipped and an exactly-zero entry below a finite pivot gets its
     signed-zero multiplier without a division; the factors are the same
     bit for bit as those of a plain elimination with the same pivoting,
     on any matrix that holds no [-0.0]. Raises [Singular] if [a] is
     singular (leaving [a] partly eliminated), [Invalid_argument] if [a]
     is not square or [perm] or [cols] has the wrong length. Allocates
-    nothing beyond the returned float. *)
+    nothing. *)
 
 val solve_into : Mat.t -> int array -> Vec.t -> Vec.t -> unit
 (** [solve_into lu perm b x] writes the solution of [A x = b] into

@@ -337,7 +337,8 @@ let tran_tests =
                ])
         in
         let result = Tran.run sys ~tstop:(5.0 *. tau) ~dt:(tau /. 200.0) in
-        let last = result.Tran.states.(Array.length result.Tran.states - 1) in
+        let s = result.Tran.states in
+        let last = Array.sub s.Stc_numerics.Mat.data ((s.rows - 1) * s.cols) s.cols in
         check_close 2e-3 "asymptote V/R" 0.1 (Mna.branch_current sys last "l1"));
     Alcotest.test_case "lc trapezoidal preserves oscillation" `Quick (fun () ->
         (* series RLC with tiny R: energy should persist over one period *)
@@ -403,6 +404,20 @@ let tran_tests =
           (check_time_grid ~merge:1e-5 "RC, square wave with coinciding edges"
              (rc (Netlist.vwave "vin" "in" "0" square)) ~tstop:3.0 ~dt:0.1
             : Mna.t * Tran.result));
+    Alcotest.test_case "a transient step allocates fewer than 10 minor words" `Quick
+      (fun () ->
+        (* the nominal small-step bench; the first run warms up what is
+           done once per process *)
+        let sys = Mna.build (Opamp.netlist Opamp.nominal (Opamp.Unity_small_step 0.1)) in
+        let run () = Tran.run sys ~tstop:4e-6 ~dt:(4e-6 /. 1200.0) in
+        ignore (run () : Tran.result);
+        let w0 = Gc.minor_words () in
+        let result = run () in
+        let words = Gc.minor_words () -. w0 in
+        let accepted = float_of_int (Array.length result.Tran.times - 1) in
+        if words >= 10.0 *. accepted then
+          Alcotest.failf "%.0f minor words over %.0f accepted points, %.1f a point" words
+            accepted (words /. accepted));
     Alcotest.test_case "step controller: fewer points, growing in the settled tail" `Quick
       (fun () ->
         (* a 1 V step through a ramp of [tr] at [t0] into an RC; the exact
