@@ -6,7 +6,7 @@
 # replay the same stream.
 QA_SEED ?= 2005
 
-.PHONY: all build check test bench bench-diff golden examples qa suites serve-smoke ci clean
+.PHONY: all build check test bench bench-diff equiv-diff golden examples qa suites serve-smoke ci clean
 
 all: build
 
@@ -20,8 +20,8 @@ test:
 	dune runtest
 
 # The paper harness: Tables 1-3, Figures 3/5/6, Sec. 5.2, the ablations
-# and extensions, the learner zoo, enrichment and the overload table, as
-# text on stdout. Timing is stcbench's job (BENCHMARK.json).
+# and extensions, the learner zoo and enrichment, as text on stdout.
+# Timing, serving included, is stcbench's job (BENCHMARK.json).
 bench:
 	dune exec bench/main.exe
 
@@ -35,6 +35,20 @@ bench-diff:
 	@if [ -z "$(OLD)" ] || [ -z "$(NEW)" ]; then \
 	  echo "usage: make bench-diff OLD=FILE NEW=FILE" >&2; exit 2; fi
 	@dune exec tools/bench_diff.exe -- $(OLD) $(NEW)
+
+# The equivalence gate of a change that moves simulator numerics.
+# `dune exec tools/equiv.exe -- record > FILE` prints a record: every
+# spec of four 200-draw op-amp populations, stc opamp's greedy steps and
+# stc mems's eliminations on seeds 2005-2008, and each flow's
+# fingerprint, counts and verdict digest. This compares two records
+# line by line: identical, moved (a spec value or flow bytes; the
+# largest relative move per spec is reported) or changed (a decision,
+# a verdict or a count). Exits 1 if any line changed. See
+# tools/equiv.ml.
+equiv-diff:
+	@if [ -z "$(OLD)" ] || [ -z "$(NEW)" ]; then \
+	  echo "usage: make equiv-diff OLD=FILE NEW=FILE" >&2; exit 2; fi
+	@dune exec tools/equiv.exe -- diff $(OLD) $(NEW)
 
 # The paper-golden regression tier at near-paper populations (7-16 s on
 # a 2-vCPU host); the smoke tier runs in the default `dune runtest`.

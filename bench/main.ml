@@ -1,13 +1,13 @@
 (* Reproduction harness: regenerates, as text, every table and figure
    of the paper's evaluation section (Sec. 5), the ablations and
-   extensions, the learner zoo, boundary-biased enrichment and the
-   serving overload table. It is not a performance benchmark: stcbench
-   (BENCHMARK.json, stcbench/README.md) is the one timing harness.
+   extensions, the learner zoo and boundary-biased enrichment. It is
+   not a performance benchmark: stcbench (BENCHMARK.json,
+   stcbench/README.md) is the one timing harness, serving included.
 
    Scale: by default the op-amp populations are reduced to 1200+400
    instances; run with STC_FULL=1 in the environment for the paper's
    5000+1000. All seeds are fixed, so the output is deterministic
-   apart from wall times and the overload table. *)
+   apart from wall times. *)
 
 module Experiment = Stc.Experiment
 module Device_data = Stc.Device_data
@@ -20,7 +20,6 @@ module Order = Stc.Order
 module Report = Stc.Report
 module Grid_compact = Stc.Grid_compact
 module Rng = Stc_numerics.Rng
-module Obs = Stc_obs.Registry
 
 let full_scale =
   match Sys.getenv_opt "STC_FULL" with
@@ -746,121 +745,6 @@ let boundary_enrichment () =
     width raw_yield_e wyield_e yield_u
 
 (* ------------------------------------------------------------------ *)
-(* Overload: a well-behaved client's throughput and tail latency while
-   a connection flood hammers the same server, with the admission cap
-   doing its job (flood shed at accept) vs. an open door (every flood
-   connection admitted and competing for the engine).                  *)
-(* ------------------------------------------------------------------ *)
-
-let overload_batches = if full_scale then 48 else 16
-let overload_batch = 128
-let overload_flood = 16
-
-let net_overload () =
-  section "Overload: well-behaved client under a connection flood";
-  (* the Table 3 "Both" flow, on the first MEMS test rows *)
-  let flow =
-    match Lazy.force table3_counts with
-    | [ _; _; (_, _, flow) ] -> flow
-    | _ -> assert false
-  in
-  let _, test = Lazy.force mems_data in
-  let chunk = Array.sub (Device_data.values test) 0 overload_batch in
-  let shed_total () =
-    Obs.Counter.get (Obs.counter "stc_net_shed_total")
-  in
-  let run ~max_connections =
-    let registry = Stc_net.Registry.create () in
-    (match Stc_net.Registry.add registry ~name:"dut" flow with
-     | Ok _ -> ()
-     | Error e -> failwith e);
-    let config =
-      { Stc_net.Server.default_config with Stc_net.Server.max_connections }
-    in
-    let shed0 = shed_total () in
-    let result =
-      Stc_net.Server.with_server ~config registry (fun server ->
-          let port = Stc_net.Server.port server in
-          (* admit the measured client before the flood arrives *)
-          let c = Stc_net.Client.connect ~port () in
-          Fun.protect
-            ~finally:(fun () -> Stc_net.Client.quit c)
-            (fun () ->
-              let stop = Atomic.make false in
-              let flood =
-                Array.init overload_flood (fun _ ->
-                    Thread.create
-                      (fun () ->
-                        try
-                          let fc = Stc_net.Client.connect ~port () in
-                          Fun.protect
-                            ~finally:(fun () -> Stc_net.Client.close fc)
-                            (fun () ->
-                              let rec spin () =
-                                if not (Atomic.get stop) then
-                                  match
-                                    Stc_net.Client.bin_batch fc ~flow:"dut"
-                                      chunk
-                                  with
-                                  | Ok _ -> spin ()
-                                  | Error _ -> () (* shed: ERR busy *)
-                              in
-                              spin ())
-                        with _ -> ())
-                      ())
-              in
-              Fun.protect
-                ~finally:(fun () ->
-                  Atomic.set stop true;
-                  Array.iter Thread.join flood)
-                (fun () ->
-                  (* let the flood actually arrive before measuring *)
-                  Thread.delay 0.05;
-                  let lat = Array.make overload_batches 0.0 in
-                  let t0 = Unix.gettimeofday () in
-                  for i = 0 to overload_batches - 1 do
-                    let s = Unix.gettimeofday () in
-                    (match Stc_net.Client.bin_batch c ~flow:"dut" chunk with
-                     | Ok _ -> ()
-                     | Error e -> failwith ("measured client: " ^ e));
-                    lat.(i) <- Unix.gettimeofday () -. s
-                  done;
-                  let total = Unix.gettimeofday () -. t0 in
-                  Array.sort compare lat;
-                  let pct p =
-                    let n = Array.length lat in
-                    lat.(Stdlib.min (n - 1)
-                           (int_of_float (ceil (p *. float_of_int n)) - 1))
-                  in
-                  (total, pct 0.50, pct 0.99))))
-    in
-    Stc_net.Registry.shutdown registry;
-    let shed = shed_total () - shed0 in
-    (result, shed)
-  in
-  let (t_shed, p50_shed, p99_shed), shed_n = run ~max_connections:4 in
-  let (t_open, p50_open, p99_open), open_n = run ~max_connections:256 in
-  let rows_done = overload_batches * overload_batch in
-  let rate t =
-    if t <= 0.0 then "-"
-    else Printf.sprintf "%.0f rows/s" (float_of_int rows_done /. t)
-  in
-  let ms t = Printf.sprintf "%.1f ms" (1000.0 *. t) in
-  print_string
-    (Report.table
-       ~header:[ "admission"; "shed"; "rate"; "p50"; "p99" ]
-       [
-         [ Printf.sprintf "cap 4 (%d flooders shed)" overload_flood;
-           string_of_int shed_n; rate t_shed; ms p50_shed; ms p99_shed ];
-         [ Printf.sprintf "cap 256 (%d flooders admitted)" overload_flood;
-           string_of_int open_n; rate t_open; ms p50_open; ms p99_open ];
-       ]);
-  Printf.printf
-    "flood amplification without shedding: p99 %.1fx, throughput %.2fx\n"
-    (if p99_shed > 0.0 then p99_open /. p99_shed else 0.0)
-    (if t_open > 0.0 then t_shed /. t_open else 0.0)
-
-(* ------------------------------------------------------------------ *)
 
 
 let () =
@@ -884,5 +768,4 @@ let () =
   learner_zoo ();
   ablation_regression ();
   boundary_enrichment ();
-  net_overload ();
   Printf.printf "\ndone.\n"

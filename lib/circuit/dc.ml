@@ -19,25 +19,90 @@ let m_gmin_stepping = Stc_obs.Registry.counter "stc_dc_gmin_stepping_total"
 let m_source_stepping = Stc_obs.Registry.counter "stc_dc_source_stepping_total"
 
 type workspace = {
-  g : Mat.t;          (* stamped, then factored in place *)
+  g : Mat.t;          (* the stamped system, every unknown *)
   b : Vec.t;
+  pins : Mna.pin array;
+  v : Vec.t;          (* each pinned node's value *)
+  free : int array;
+  a : Mat.t;          (* the free block, factored in place *)
+  r : Vec.t;          (* its right-hand side *)
   perm : int array;
   cols : int array;   (* the LU's column list *)
-  x_new : Vec.t;      (* the linear step's solution *)
+  y : Vec.t;          (* the free unknowns' solution *)
+  x_new : Vec.t;      (* the linear step's solution, every unknown *)
   mos : Mosfet.op;    (* each MOSFET's operating point, while stamping *)
   mutable iterations : int;  (* Newton iterations not yet counted *)
 }
 
 let workspace sys =
-  let n = Mna.size sys in
-  { g = Mat.create n n 0.0; b = Vec.create n 0.0; perm = Array.make n 0;
-    cols = Array.make n 0; x_new = Vec.create n 0.0; mos = Mosfet.op (); iterations = 0 }
+  let n = Mna.size sys and pins = Mna.grounded_sources sys and free = Mna.free sys in
+  let nf = Array.length free in
+  { g = Mat.create n n 0.0; b = Vec.create n 0.0; pins; v = Vec.create (Array.length pins) 0.0;
+    free; a = Mat.create nf nf 0.0; r = Vec.create nf 0.0; perm = Array.make nf 0;
+    cols = Array.make nf 0; y = Vec.create nf 0.0; x_new = Vec.create n 0.0;
+    mos = Mosfet.op (); iterations = 0 }
 
 let count_iterations ws =
   Stc_obs.Registry.Counter.add m_iterations ws.iterations;
   ws.iterations <- 0
 
 let no_companions _ _ = ()
+
+(* The two helpers below load and store unchecked: the workspace's
+   arrays are sized from its system when it is made, and every index
+   Mna lists is below that system's size. *)
+
+(* Gathers the free block of the stamped system into [a] and its
+   right-hand side into [r], each pinned node's column moved to the
+   right-hand side at the value its source's branch row fixes (that
+   row's only entry is ±1, so the division is exact). *)
+let condense ws =
+  let n = ws.g.Mat.rows and g = ws.g.Mat.data and b = ws.b in
+  let a = ws.a.Mat.data and pins = ws.pins and v = ws.v and free = ws.free in
+  let nf = Array.length free and np = Array.length pins in
+  for k = 0 to np - 1 do
+    let { Mna.node; branch } = Array.unsafe_get pins k in
+    Array.unsafe_set v k (Array.unsafe_get b branch /. Array.unsafe_get g ((branch * n) + node))
+  done;
+  for i = 0 to nf - 1 do
+    let fi = Array.unsafe_get free i in
+    let row = fi * n in
+    for j = 0 to nf - 1 do
+      Array.unsafe_set a ((i * nf) + j) (Array.unsafe_get g (row + Array.unsafe_get free j))
+    done;
+    let acc = ref (Array.unsafe_get b fi) in
+    for k = 0 to np - 1 do
+      let gk = Array.unsafe_get g (row + (Array.unsafe_get pins k).Mna.node) in
+      if gk <> 0.0 then acc := !acc -. (gk *. Array.unsafe_get v k)
+    done;
+    Array.unsafe_set ws.r i !acc
+  done
+
+(* Scatters the free solution [y] into [x] and sets each pinned node to
+   its value. Then it recovers each pinned source's branch current from
+   its node's KCL row of the stamped system, the only row with an entry
+   (±1) in that source's branch column. *)
+let expand ws x =
+  let n = ws.g.Mat.rows and g = ws.g.Mat.data and b = ws.b in
+  let pins = ws.pins and free = ws.free and y = ws.y in
+  for i = 0 to Array.length free - 1 do
+    Array.unsafe_set x (Array.unsafe_get free i) (Array.unsafe_get y i)
+  done;
+  for k = 0 to Array.length pins - 1 do
+    let { Mna.node; branch } = Array.unsafe_get pins k in
+    Array.unsafe_set x node (Array.unsafe_get ws.v k);
+    Array.unsafe_set x branch 0.0
+  done;
+  for k = 0 to Array.length pins - 1 do
+    let { Mna.node; branch } = Array.unsafe_get pins k in
+    let row = node * n in
+    let acc = ref (Array.unsafe_get b node) in
+    for j = 0 to n - 1 do
+      let gj = Array.unsafe_get g (row + j) in
+      if gj <> 0.0 then acc := !acc -. (gj *. Array.unsafe_get x j)
+    done;
+    Array.unsafe_set x branch (!acc /. Array.unsafe_get g (row + branch))
+  done
 
 (* One damped Newton solve at fixed gmin and source scale, in place on
    [x], from iteration [k]. Returns whether it converged. A top-level
@@ -48,11 +113,13 @@ let rec iterate ~companions opts sys ws ~time ~gmin ~source_scale x k =
     ws.iterations <- ws.iterations + 1;
     Mna.stamp sys ~g:ws.g ~b:ws.b ~x ~mos:ws.mos ~time ~gmin ~source_scale;
     companions ws.g ws.b;
-    match Lu.factor_in_place ws.g ws.perm ws.cols with
+    condense ws;
+    match Lu.factor_in_place ws.a ws.perm ws.cols with
     | exception Lu.Singular _ -> false
     | (_ : int) ->
       let x_new = ws.x_new in
-      Lu.solve_into ws.g ws.perm ws.b x_new;
+      Lu.solve_into ws.a ws.perm ws.r ws.y;
+      expand ws x_new;
       (* clamp the update to keep the square-law model in range; a NaN
          step is caught by the finiteness check below, whatever
          [delta] then holds *)

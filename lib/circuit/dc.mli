@@ -14,9 +14,11 @@ exception No_convergence of string
 
 type workspace
 (** The storage one analysis call reuses across all of its Newton
-    iterations: the system matrix (stamped, then factored in place),
-    its right-hand side, the LU row permutation and the linear step's
-    solution. It belongs to the call, never to the shared {!Mna.t}. *)
+    iterations: the stamped system and its right-hand side, the block
+    of the {!Mna.free} unknowns gathered from it (factored in place)
+    with its own right-hand side, the LU row permutation and the linear
+    step's solution. It belongs to the call, never to the shared
+    {!Mna.t}. *)
 
 val workspace : Mna.t -> workspace
 
@@ -39,9 +41,15 @@ val newton :
 (** [newton opts sys ws ~time ~gmin ~source_scale x] runs one damped
     Newton solve at fixed [gmin] and source scale, in place: it starts
     from [x] and overwrites it with each iterate. Each iteration stamps
-    the system with {!Mna.stamp}, lets [companions] add to the stamped
-    matrix and right-hand side (the transient engine's capacitor and
-    inductor companions), factors in place and clamps the update to
+    the system with {!Mna.stamp} and lets [companions] add to the
+    stamped matrix and right-hand side (the transient engine's
+    capacitor and inductor companions). It then factors only the
+    {!Mna.free} unknowns: each node a {!Mna.grounded_sources} entry
+    pins takes the value its source's branch row fixes (the source's
+    value at [time], times [source_scale]), that node's column moves to
+    the right-hand side, and after the solve the source's branch
+    current is recovered from the node's KCL row. The linear step so
+    holds every unknown, and the update to it is clamped to
     [max_step]. The workspace tallies each
     iteration for {!count_iterations}. Returns [true] once the update
     is below [tol], with the solution in [x]; [false] on a singular

@@ -5,6 +5,8 @@ type cap = { cp : int; cn : int; value : float; pp : int; nn : int; pn : int; np
 
 type inductor = { br : int; brbr : int; l : float }
 
+type pin = { node : int; branch : int }
+
 (* One element's resistive stamp, compiled: every entry it adds to the
    row-major G is a flat offset, -1 where its row or column is ground,
    and every rhs entry and voltage it reads an unknown index, -1 for
@@ -34,7 +36,9 @@ type t = {
   n_nodes : int;
   size : int;
   program : stamp array;       (* resistive stamps, in element order *)
-  caps : cap array;            (* transient capacitances *)
+  pins : pin array;            (* grounded sources, in element order *)
+  free : int array;            (* the unknowns no pin fixes, ascending *)
+  caps : cap array;            (* merged capacitances *)
   inductors : inductor array;  (* transient inductor branches *)
   ac_c : Mat.t;                (* AC capacitance/inductance matrix *)
   ac_b : Complex.t array;      (* AC source magnitudes *)
@@ -70,30 +74,96 @@ let compile_stamp ~node ~branch ~size e =
          { d; g; s; dg = at d g; ds = at d s; sg = at s g; ss = at s s; dd = at d d;
            sd = at s d; model; beta = Mosfet.beta model ~w ~l })
 
-(* Explicit capacitors plus MOSFET cgs/cgd/cdb. A MOSFET lists its three
-   in the order cdb, cgd, cgs, which the transient stamps keep. *)
+(* Explicit capacitors plus MOSFET cgs/cgd/cdb, merged: capacitances
+   between the same two unknowns, in either orientation, are summed in
+   element order into the first one's entry, which keeps its place and
+   orientation, and a capacitance from an unknown to itself (the
+   gate-drain capacitance of a diode-connected MOSFET) is dropped. A
+   MOSFET lists its three in the order cdb, cgd, cgs. The merge runs in
+   flat arrays, so that a build allocates little beyond the result. *)
 let compile_caps ~node ~size elements =
-  let at = offset ~size in
-  let cap cp cn value =
-    { cp; cn; value; pp = at cp cp; nn = at cn cn; pn = at cp cn; np = at cn cp }
+  let listed =
+    List.fold_left
+      (fun k e ->
+        match e with
+        | Netlist.Capacitor _ -> k + 1
+        | Netlist.Mosfet _ -> k + 3
+        | Netlist.Resistor _ | Netlist.Inductor _ | Netlist.Vsource _ | Netlist.Isource _ -> k)
+      0 elements
   in
-  let out = ref [] in
+  let cps = Array.make listed 0 and cns = Array.make listed 0 in
+  let values = Array.make listed 0.0 and count = ref 0 in
+  let add cp cn value =
+    if cp <> cn then begin
+      let k = ref 0 in
+      while
+        !k < !count
+        && not ((cps.(!k) = cp && cns.(!k) = cn) || (cps.(!k) = cn && cns.(!k) = cp))
+      do
+        incr k
+      done;
+      if !k < !count then values.(!k) <- values.(!k) +. value
+      else begin
+        cps.(!k) <- cp;
+        cns.(!k) <- cn;
+        values.(!k) <- value;
+        incr count
+      end
+    end
+  in
   List.iter
     (fun e ->
       match e with
-      | Netlist.Capacitor { p; n; c; _ } ->
-        out := cap (node p) (node n) c :: !out
+      | Netlist.Capacitor { p; n; c; _ } -> add (node p) (node n) c
       | Netlist.Mosfet { d; g; s; model; w; l; _ } ->
         let id = node d and ig = node g and is = node s in
-        out :=
-          cap ig is (Mosfet.cgs model ~w ~l)
-          :: cap ig id (Mosfet.cgd model ~w ~l)
-          :: cap id (-1) (Mosfet.cdb model ~w ~l)
-          :: !out
+        add id (-1) (Mosfet.cdb model ~w ~l);
+        add ig id (Mosfet.cgd model ~w ~l);
+        add ig is (Mosfet.cgs model ~w ~l)
       | Netlist.Resistor _ | Netlist.Inductor _ | Netlist.Vsource _ | Netlist.Isource _ ->
         ())
     elements;
-  Array.of_list (List.rev !out)
+  let at = offset ~size in
+  Array.init !count (fun k ->
+      let cp = cps.(k) and cn = cns.(k) in
+      { cp; cn; value = values.(k); pp = at cp cp; nn = at cn cn; pn = at cp cn; np = at cn cp })
+
+(* Each voltage source with one terminal at ground and the other at a
+   node no earlier source pins. A second grounded source on a pinned
+   node stays an ordinary branch, whose free row and column are then
+   empty: the system is singular, as it is with both branches kept. *)
+let compile_pins ~node ~branch elements =
+  let pinned =
+    List.fold_left
+      (fun pinned e ->
+        match e with
+        | Netlist.Vsource { name; p; n; _ } ->
+          let ip = node p and iq = node n in
+          let pin = if iq < 0 then ip else if ip < 0 then iq else -1 in
+          if pin < 0 || List.exists (fun q -> q.node = pin) pinned then pinned
+          else { node = pin; branch = branch name } :: pinned
+        | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Inductor _ | Netlist.Isource _
+        | Netlist.Mosfet _ ->
+          pinned)
+      [] elements
+  in
+  Array.of_list (List.rev pinned)
+
+let free_unknowns ~size pins =
+  let fixed = Array.make size false in
+  Array.iter
+    (fun { node; branch } ->
+      fixed.(node) <- true;
+      fixed.(branch) <- true)
+    pins;
+  let free = Array.make (size - (2 * Array.length pins)) 0 and k = ref 0 in
+  for i = 0 to size - 1 do
+    if not fixed.(i) then begin
+      free.(!k) <- i;
+      incr k
+    end
+  done;
+  free
 
 let compile_inductors ~branch ~size elements =
   Array.of_list
@@ -108,22 +178,22 @@ let compile_inductors ~branch ~size elements =
        elements)
 
 (* The reactive half of the small-signal system, which does not depend
-   on the operating point: C (capacitances, and -L on inductor branch
-   rows) and the AC source vector. *)
-let compile_ac ~node ~branch ~size elements =
+   on the operating point: C (the merged capacitances, and -L on
+   inductor branch rows) and the AC source vector. *)
+let compile_ac ~node ~branch ~size ~caps elements =
   let c = Mat.create size size 0.0 in
   let cadd i j v = if i >= 0 && j >= 0 then Mat.add_to c i j v in
-  let stamp_c2 p n cv =
-    cadd p p cv;
-    cadd n n cv;
-    cadd p n (-.cv);
-    cadd n p (-.cv)
-  in
+  Array.iter
+    (fun { cp; cn; value; _ } ->
+      cadd cp cp value;
+      cadd cn cn value;
+      cadd cp cn (-.value);
+      cadd cn cp (-.value))
+    caps;
   let b = Array.make size Complex.zero in
   List.iter
     (fun e ->
       match e with
-      | Netlist.Capacitor { p; n; c = cv; _ } -> stamp_c2 (node p) (node n) cv
       | Netlist.Inductor { name; l; _ } ->
         let br = branch name in
         cadd br br (-.l)
@@ -135,12 +205,7 @@ let compile_ac ~node ~branch ~size elements =
           if ip >= 0 then b.(ip) <- Complex.sub b.(ip) { Complex.re = ac; im = 0.0 };
           if inn >= 0 then b.(inn) <- Complex.add b.(inn) { Complex.re = ac; im = 0.0 }
         end
-      | Netlist.Mosfet { d; g; s; model; w; l; _ } ->
-        let id = node d and ig = node g and is = node s in
-        stamp_c2 ig is (Mosfet.cgs model ~w ~l);
-        stamp_c2 ig id (Mosfet.cgd model ~w ~l);
-        cadd id id (Mosfet.cdb model ~w ~l)
-      | Netlist.Resistor _ -> ())
+      | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Mosfet _ -> ())
     elements;
   (c, b)
 
@@ -164,7 +229,9 @@ let build netlist =
   let size = !next in
   let node name = if Netlist.is_ground name then -1 else Hashtbl.find node_of_name name in
   let branch name = Hashtbl.find branch_of_name name in
-  let ac_c, ac_b = compile_ac ~node ~branch ~size elements in
+  let caps = compile_caps ~node ~size elements in
+  let pins = compile_pins ~node ~branch elements in
+  let ac_c, ac_b = compile_ac ~node ~branch ~size ~caps elements in
   {
     netlist;
     node_of_name;
@@ -172,13 +239,17 @@ let build netlist =
     n_nodes;
     size;
     program = Array.of_list (List.filter_map (compile_stamp ~node ~branch ~size) elements);
-    caps = compile_caps ~node ~size elements;
+    pins;
+    free = free_unknowns ~size pins;
+    caps;
     inductors = compile_inductors ~branch ~size elements;
     ac_c;
     ac_b;
   }
 
 let size t = t.size
+
+let node_count t = t.n_nodes
 
 let netlist t = t.netlist
 
@@ -197,6 +268,10 @@ let branch_current t x name =
   match Hashtbl.find_opt t.branch_of_name name with
   | Some i -> x.(i)
   | None -> raise Not_found
+
+let grounded_sources t = Array.copy t.pins
+
+let free t = Array.copy t.free
 
 let capacitances t = Array.copy t.caps
 

@@ -8,7 +8,16 @@
     - A branch current is the current flowing from the element's [p]
       terminal through the element to its [n] terminal; for a supply
       [Vsource p:"vdd" n:"0"] the current *delivered* to the circuit is
-      the negative of the branch current. *)
+      the negative of the branch current.
+
+    A voltage source from a node to ground pins that node: the node's
+    voltage is the source's value (at the analysis time, times the
+    source scale), so no solve has to find it. {!Dc.newton} (and with
+    it {!Tran.run}) and {!Ac.solve} factor only the {!free} unknowns,
+    with the pinned nodes' columns moved to the right-hand side, and
+    recover each such source's branch current from its node's KCL row
+    afterwards. Their solution vectors still hold every unknown, in the
+    numbering above. *)
 
 type t
 (** A netlist compiled once: unknowns numbered, and every element turned
@@ -26,6 +35,10 @@ val build : Netlist.t -> t
 val size : t -> int
 (** Total number of unknowns. *)
 
+val node_count : t -> int
+(** Number of node-voltage unknowns: they are unknowns [0] to
+    [node_count - 1], and the branch currents follow them. *)
+
 val netlist : t -> Netlist.t
 
 val node_index : t -> Netlist.node -> int
@@ -37,6 +50,26 @@ val node_voltage : t -> Stc_numerics.Vec.t -> Netlist.node -> float
 
 val branch_current : t -> Stc_numerics.Vec.t -> string -> float
 (** Branch current of a voltage-defined element, by element name. *)
+
+type pin = {
+  node : int;    (** the pinned node's voltage unknown *)
+  branch : int;  (** the source's branch-current unknown *)
+}
+(** A voltage source with one terminal at ground and the other at
+    [node]. Its branch row reads [±x.(node) = value], so the node's
+    voltage is the source's value, negated when the source's [p]
+    terminal is the grounded one. *)
+
+val grounded_sources : t -> pin array
+(** Every voltage source from a node to ground, in element order,
+    except one whose node an earlier such source already pins: that
+    one stays an ordinary branch, and the system is singular, as it is
+    when both are kept. A fresh array on each call. *)
+
+val free : t -> int array
+(** The unknowns no {!grounded_sources} entry fixes, ascending: every
+    unknown but the pinned nodes and their sources' branches. A fresh
+    array on each call. *)
 
 type cap = {
   cp : int;
@@ -52,9 +85,13 @@ type cap = {
     companion adds to, -1 where a row or column is ground. *)
 
 val capacitances : t -> cap array
-(** All capacitances: explicit capacitors plus MOSFET cgs/cgd/cdb
-    (constant in the level-1 model), in the order the transient
-    companions are stamped. A fresh array on each call. *)
+(** All capacitances, merged: explicit capacitors plus MOSFET
+    cgs/cgd/cdb (constant in the level-1 model), with the capacitances
+    between the same two unknowns (in either orientation) summed in
+    element order into one entry and a capacitance from an unknown to
+    itself dropped, in the order the transient companions are stamped.
+    The AC capacitance matrix of {!ac_matrices} is stamped from the
+    same list. A fresh array on each call. *)
 
 type inductor = {
   br : int;    (** the branch-current unknown *)

@@ -231,7 +231,7 @@ let run sys ~tstop ~dt =
   let stamp = stamp_companions cs in
   let ws = Dc.workspace sys in
   let nopts = { Dc.default_options with tol = newton_tol } in
-  let n_nodes = List.length (Netlist.nodes (Mna.netlist sys)) in
+  let n_nodes = Mna.node_count sys in
   let s =
     { ts = Array.make 4 0.0; xs = Array.init 4 (fun _ -> Vec.create size 0.0);
       order = [| 0; 1; 2; 3 |]; history = 0 }

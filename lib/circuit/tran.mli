@@ -1,10 +1,13 @@
 (** Transient analysis with Newton iteration per time point.
 
     Capacitors are integrated with the trapezoidal rule (accurate
-    ringing / settling behaviour); inductor branches use the
-    backward-Euler companion, added to {!Mna.stamp}'s 0 V branch of each
-    {!Mna.inductors} entry. The step size is chosen by a
-    local-truncation-error controller:
+    ringing / settling behaviour), one companion per
+    {!Mna.capacitances} entry, so capacitances between the same two
+    unknowns share one; inductor branches use the backward-Euler
+    companion, added to {!Mna.stamp}'s 0 V branch of each
+    {!Mna.inductors} entry. Each step's Newton solve ({!Dc.newton})
+    factors only the unknowns that grounded sources do not pin. The
+    step size is chosen by a local-truncation-error controller:
 
     - after each converged step, every node voltage's LTE is estimated
       as [h³·|DD₃|/2], where [DD₃] is the third divided difference over

@@ -16,6 +16,11 @@ val opamp_device : unit -> Stc_process.Montecarlo.device
     process, which simulates the nominal device, and [simulate] is then
     safe to call from several domains at once. *)
 
+val opamp_params_of_draw : float array -> Stc_circuit.Opamp.params
+(** The sizing one draw of {!opamp_device}'s parameters gives: the W and
+    L of M1, M3, M5, M6, M7 and M8, then Cc and CL, in the draw's order,
+    the rest nominal. *)
+
 val opamp_examination_order : int array
 (** Device-functionality examination order (the paper's strategy): the
     specs most entangled with others first. *)

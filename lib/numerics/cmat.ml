@@ -20,36 +20,32 @@ type buffers = {
   n : int;
   re : float array;  (* n × n row-major, the eliminated matrix *)
   im : float array;
-  br : float array;  (* the right-hand side *)
-  bi : float array;
-  xr : float array;  (* the solution *)
-  xi : float array;
 }
 
 let buffers n =
   if n < 0 then invalid_arg "Cmat.buffers: negative size";
-  let v () = Array.make n 0.0 and m () = Array.make (n * n) 0.0 in
-  { n; re = m (); im = m (); br = v (); bi = v (); xr = v (); xi = v () }
+  { n; re = Array.make (n * n) 0.0; im = Array.make (n * n) 0.0 }
 
 (* Gaussian elimination with partial pivoting by modulus on split real
    and imaginary parts. Every step is the Complex.t arithmetic of a
    boxed elimination (Complex.sub, Complex.mul, Complex.div, and
    Complex.norm = Float.hypot) with the operations in the same order, so
-   the solution is the same bit for bit; only the boxes are gone. *)
-let solve bufs g c ~omega b =
+   the solution is the same bit for bit; only the boxes are gone. The
+   right-hand side is eliminated in [br] and [bi], and back
+   substitution, from the last row up, replaces each entry with its
+   solution: a row reads only the entries below it, which already hold
+   theirs. *)
+let solve bufs g c ~omega br bi =
   let n = g.Mat.rows in
   if g.Mat.cols <> n then invalid_arg "Cmat.solve: matrix not square";
   if c.Mat.rows <> n || c.Mat.cols <> n then invalid_arg "Cmat.solve: dimension mismatch";
-  if Array.length b <> n then invalid_arg "Cmat.solve: rhs dimension mismatch";
+  if Array.length br <> n || Array.length bi <> n then
+    invalid_arg "Cmat.solve: rhs dimension mismatch";
   if bufs.n <> n then invalid_arg "Cmat.solve: buffers of another size";
-  let { re; im; br; bi; xr; xi; _ } = bufs in
+  let { re; im; _ } = bufs in
   Array.blit g.Mat.data 0 re 0 (n * n);
   for k = 0 to (n * n) - 1 do
     im.(k) <- omega *. c.Mat.data.(k)
-  done;
-  for i = 0 to n - 1 do
-    br.(i) <- b.(i).Complex.re;
-    bi.(i) <- b.(i).Complex.im
   done;
   for k = 0 to n - 1 do
     let rk = k * n in
@@ -101,21 +97,14 @@ let solve bufs g c ~omega b =
       end
     done
   done;
-  (* back substitution reads only the entries of [xr] and [xi] it has
-     written *)
   for i = n - 1 downto 0 do
     let ri = i * n in
     let ar = ref br.(i) and ai = ref bi.(i) in
     for j = i + 1 to n - 1 do
       let mr = re.(ri + j) and mi = im.(ri + j) in
-      let yr = xr.(j) and yi = xi.(j) in
+      let yr = br.(j) and yi = bi.(j) in
       ar := !ar -. ((mr *. yr) -. (mi *. yi));
       ai := !ai -. ((mr *. yi) +. (mi *. yr))
     done;
-    div_into xr xi i !ar !ai re.(ri + i) im.(ri + i)
-  done;
-  let x = Array.make n Complex.zero in
-  for i = 0 to n - 1 do
-    x.(i) <- { Complex.re = xr.(i); im = xi.(i) }
-  done;
-  x
+    div_into br bi i !ar !ai re.(ri + i) im.(ri + i)
+  done

@@ -91,7 +91,8 @@ let solve_into lu perm b x =
   if Array.length b <> n || Array.length x <> n || Array.length perm <> n
      || lu.Mat.cols <> n || Array.length d <> n * n
   then invalid_arg "Lu.solve: dimension mismatch";
-  if x == b then invalid_arg "Lu.solve_into: solution must not alias the rhs";
+  (* every empty array is the same one, and no entry of it aliases *)
+  if x == b && n > 0 then invalid_arg "Lu.solve_into: solution must not alias the rhs";
   (* the checks above keep every unchecked index below in bounds *)
   (* apply permutation *)
   for i = 0 to n - 1 do

@@ -99,6 +99,50 @@ let mosfet_tests =
         Alcotest.(check bool) "monotone in W" true (c2 > c1));
   ]
 
+(* ------------------------------ MNA ------------------------------- *)
+
+(* Every capacitance a netlist lists, as (unknown, unknown, value): its
+   capacitors and each MOSFET's cdb (to ground), cgd and cgs. *)
+let listed_capacitances sys netlist =
+  let node = Mna.node_index sys in
+  List.concat_map
+    (function
+      | Netlist.Capacitor { p; n; c; _ } -> [ (node p, node n, c) ]
+      | Netlist.Mosfet { d; g; s; model; w; l; _ } ->
+        [ (node d, -1, Mosfet.cdb model ~w ~l); (node g, node d, Mosfet.cgd model ~w ~l);
+          (node g, node s, Mosfet.cgs model ~w ~l) ]
+      | Netlist.Resistor _ | Netlist.Inductor _ | Netlist.Vsource _ | Netlist.Isource _ -> [])
+    netlist.Netlist.elements
+
+let mna_tests =
+  List.map
+    (fun (name, bench) ->
+      Alcotest.test_case (name ^ " bench: 16 merged capacitances") `Quick (fun () ->
+          let netlist = Opamp.netlist Opamp.nominal bench in
+          let sys = Mna.build netlist in
+          let listed = listed_capacitances sys netlist and caps = Mna.capacitances sys in
+          (* two self-loops (the gate-drain capacitances of the
+             diode-connected M3 and M8) and eight repeated pairs *)
+          Alcotest.(check int) "listed" 26 (List.length listed);
+          Alcotest.(check int) "compiled" 16 (Array.length caps);
+          let pair a b = (Int.min a b, Int.max a b) in
+          Array.iteri
+            (fun k { Mna.cp; cn; value; _ } ->
+              if cp = cn then Alcotest.failf "capacitance %d is a self-loop on %d" k cp;
+              Array.iteri
+                (fun k' (c : Mna.cap) ->
+                  if k' > k && pair c.cp c.cn = pair cp cn then
+                    Alcotest.failf "capacitances %d and %d both join %d and %d" k k' cp cn)
+                caps;
+              let total =
+                List.fold_left
+                  (fun acc (p, n, v) -> if pair p n = pair cp cn then acc +. v else acc)
+                  0.0 listed
+              in
+              check_close (1e-15 *. total) (Printf.sprintf "total on (%d, %d)" cp cn) total value)
+            caps))
+    [ ("small-step", Opamp.Unity_small_step 0.1); ("large-step", Opamp.Unity_large_step 4.0) ]
+
 (* --------------------------- DC analysis -------------------------- *)
 
 let resistor_divider () =
@@ -558,6 +602,7 @@ let suites =
   [
     ("circuit.wave", wave_tests);
     ("circuit.mosfet", mosfet_tests);
+    ("circuit.mna", mna_tests);
     ("circuit.dc", dc_tests);
     ("circuit.ac", ac_tests);
     ("circuit.tran", tran_tests);

@@ -91,7 +91,7 @@ let mems_case ~label ~n_train ~n_test ~max_error ~min_saving =
    The training data are simulated, so any change to the simulated
    op-amp specs or to the Monte-Carlo instance streams moves the pin
    too. *)
-let flow2_fingerprint = "ed7e98e1c8335746"
+let flow2_fingerprint = "39d9dda02e92ab62"
 
 let flow2_pin =
   Alcotest.test_case "golden: stc-flow-2 op-amp flow bytes pinned" `Quick

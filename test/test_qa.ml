@@ -106,7 +106,10 @@ let split_solve_matches_boxed (n, gc, omega, b) =
   match
     ( solve (fun () -> boxed_solve n a b),
       solve (fun () ->
-          Stc_numerics.Cmat.solve (Stc_numerics.Cmat.buffers n) (mat fst) (mat snd) ~omega b) )
+          let xr = Array.map (fun z -> z.Complex.re) b
+          and xi = Array.map (fun z -> z.Complex.im) b in
+          Stc_numerics.Cmat.solve (Stc_numerics.Cmat.buffers n) (mat fst) (mat snd) ~omega xr xi;
+          Array.init n (fun i -> { Complex.re = xr.(i); im = xi.(i) })) )
   with
   | Ok x, Ok y ->
     Array.iteri
@@ -250,6 +253,184 @@ let lu_matches_reference (n, a, b) =
   | Ok _, Error k -> QCheck.Test.fail_reportf "singular at %d, the reference is not" k
   | Error k, Ok _ -> QCheck.Test.fail_reportf "the reference is singular at %d, this is not" k
   | Error k, Error k' -> QCheck.Test.fail_reportf "singular at %d, the reference at %d" k' k
+
+(* A linear netlist on 2-6 nodes. Every node hangs from ground or an
+   earlier node by a resistor, so the resistive network alone fixes
+   every voltage; resistors, capacitors and current sources are added
+   between random points, and voltage sources (from a node to ground,
+   in either orientation, or floating) and inductors wherever they do
+   not close a loop of voltage-defined elements with ground, so the
+   system is not singular. The first element is a grounded source.
+   A quarter of the netlists then add a second grounded source on the
+   first pinned node: that loop makes the system singular, which the
+   third component says. *)
+type linear_element =
+  | Res of int * int * float
+  | Cap of int * int * float
+  | Ind of int * int * float
+  | Vsrc of int * int * float * float
+  | Isrc of int * int * float * float
+
+let linear_netlist =
+  QCheck.Gen.(
+    let* k = int_range 2 6 in
+    let vertex = int_range 0 k (* [k] is ground *) and node = int_range 0 (k - 1) in
+    let decades lo hi = map (fun e -> 10.0 ** e) (float_range lo hi) in
+    let volts = float_range (-5.0) 5.0 and amps = float_range (-1e-3) 1e-3 in
+    let ac = frequency [ (1, return 0.0); (1, float_range (-1.0) 1.0) ] in
+    let grounded =
+      map3
+        (fun p flip (dc, mag) -> if flip then Vsrc (k, p, dc, mag) else Vsrc (p, k, dc, mag))
+        node bool (pair volts ac)
+    in
+    let element =
+      frequency
+        [
+          (3, map3 (fun a b r -> Res (a, b, r)) vertex vertex (decades 0.0 4.0));
+          (2, map3 (fun a b c -> Cap (a, b, c)) vertex vertex (decades (-12.0) (-9.0)));
+          (2, map3 (fun a b l -> Ind (a, b, l)) vertex vertex (decades (-6.0) (-3.0)));
+          (3, grounded);
+          (2, map3 (fun a b (dc, mag) -> Vsrc (a, b, dc, mag)) node node (pair volts ac));
+          (2, map3 (fun a b (dc, mag) -> Isrc (a, b, dc, mag)) vertex vertex (pair amps ac));
+        ]
+    in
+    let* tree =
+      flatten_l
+        (List.init k (fun i ->
+             map2 (fun j r -> Res (i, (if j = i then k else j), r)) (int_range 0 i)
+               (decades 0.0 4.0)))
+    in
+    let* first = grounded in
+    let* extra = list_size (int_range 0 8) element in
+    let* double = frequency [ (3, return false); (1, return true) ] in
+    let* dup = pair volts ac in
+    (* voltage sources and inductors join their ends; one that would
+       join two points already joined is left out *)
+    let root = Array.init (k + 1) Fun.id in
+    let rec find i = if root.(i) = i then i else find root.(i) in
+    let joins a b =
+      let ra = find a and rb = find b in
+      ra <> rb
+      && begin
+        root.(ra) <- rb;
+        true
+      end
+    in
+    let keep = function
+      | Res (a, b, _) | Cap (a, b, _) | Isrc (a, b, _, _) -> a <> b
+      | Ind (a, b, _) | Vsrc (a, b, _, _) -> joins a b
+    in
+    let elements = List.filter keep ((first :: tree) @ extra) in
+    let elements =
+      match first with
+      | Vsrc (a, b, _, _) when double ->
+        let pinned = if a = k then b else a in
+        elements @ [ Vsrc (pinned, k, fst dup, snd dup) ]
+      | _ -> elements
+    in
+    let name i = if i = k then "0" else Printf.sprintf "n%d" i in
+    let* log_f = list_repeat 3 (float_range 0.0 6.0) in
+    return
+      ( Stc_circuit.Netlist.of_elements
+          (List.mapi
+             (fun i e ->
+               let id = string_of_int i in
+               match e with
+               | Res (a, b, r) -> Stc_circuit.Netlist.r ("r" ^ id) (name a) (name b) r
+               | Cap (a, b, c) -> Stc_circuit.Netlist.c ("c" ^ id) (name a) (name b) c
+               | Ind (a, b, l) -> Stc_circuit.Netlist.l ("l" ^ id) (name a) (name b) l
+               | Vsrc (a, b, dc, mag) ->
+                 Stc_circuit.Netlist.vac ("v" ^ id) (name a) (name b) ~dc ~mag
+               | Isrc (a, b, dc, mag) ->
+                 Stc_circuit.Netlist.Isource
+                   { name = "i" ^ id; p = name a; n = name b;
+                     wave = Stc_circuit.Wave.Dc dc; ac = mag })
+             elements),
+        List.map (fun e -> 10.0 ** e) log_f,
+        double ))
+
+let print_linear (netlist, freqs, _) =
+  let module N = Stc_circuit.Netlist in
+  let wave = function Stc_circuit.Wave.Dc v -> Printf.sprintf "%h" v | _ -> "?" in
+  String.concat "; "
+    (List.map
+       (function
+         | N.Resistor { name; p; n; r } -> Printf.sprintf "%s %s %s %h" name p n r
+         | N.Capacitor { name; p; n; c } -> Printf.sprintf "%s %s %s %h" name p n c
+         | N.Inductor { name; p; n; l } -> Printf.sprintf "%s %s %s %h" name p n l
+         | N.Vsource { name; p; n; wave = w; ac } | N.Isource { name; p; n; wave = w; ac } ->
+           Printf.sprintf "%s %s %s dc %s ac %h" name p n (wave w) ac
+         | N.Mosfet { name; _ } -> name)
+       netlist.N.elements)
+  ^ Printf.sprintf " at %s Hz" (String.concat ", " (List.map (Printf.sprintf "%h") freqs))
+
+(* The full MNA system, every unknown kept, as the solves worked before
+   grounded sources pinned their nodes: the DC operating point by one
+   stamp at Dc's default gmin and one LU solve (the netlist is linear),
+   and each AC point by Cmat.solve on Mna.ac_matrices. *)
+let reference_dc sys =
+  let module Lu = Stc_numerics.Lu in
+  let n = Stc_circuit.Mna.size sys in
+  let g = Stc_numerics.Mat.create n n 0.0 and b = Array.make n 0.0 in
+  Stc_circuit.Mna.stamp sys ~g ~b ~x:(Array.make n 0.0) ~mos:(Stc_circuit.Mosfet.op ())
+    ~time:0.0 ~gmin:Stc_circuit.Dc.default_options.gmin ~source_scale:1.0;
+  let perm = Array.make n 0 and x = Array.make n 0.0 in
+  ignore (Lu.factor_in_place g perm (Array.make n 0) : int);
+  Lu.solve_into g perm b x;
+  x
+
+let reference_ac sys ~op ~freq =
+  let g, c, b = Stc_circuit.Mna.ac_matrices sys ~op in
+  let n = Array.length b in
+  let xr = Array.map (fun z -> z.Complex.re) b and xi = Array.map (fun z -> z.Complex.im) b in
+  Stc_numerics.Cmat.solve (Stc_numerics.Cmat.buffers n) g c ~omega:(2.0 *. Float.pi *. freq) xr
+    xi;
+  Array.init n (fun i -> { Complex.re = xr.(i); im = xi.(i) })
+
+(* [got] agrees with [want] within 1e-12 of [want]'s largest unknown:
+   a branch current that only gmin carries is a difference of much
+   larger terms in the full system's elimination, so an unknown's own
+   magnitude is not its error's scale *)
+let agree ~what want got =
+  let scale = Array.fold_left (fun m w -> Float.max m (Complex.norm w)) 0.0 want in
+  Array.iteri
+    (fun i w ->
+      if Complex.norm (Complex.sub got.(i) w) > 1e-12 *. scale then
+        QCheck.Test.fail_reportf "%s: unknown %d is %h%+hj, the full system's %h%+hj" what i
+          got.(i).Complex.re got.(i).Complex.im w.Complex.re w.Complex.im)
+    want
+
+(* The condensed solves refuse a system exactly when the full one is
+   singular; otherwise they agree. The full system's complex
+   elimination leaves rounding residue where the duplicated branch rows
+   of a singular netlist should cancel, so it need not find that system
+   singular at every frequency, and a singular netlist only has to be
+   refused. *)
+let condensed_matches_full (netlist, freqs, singular) =
+  let module Mna = Stc_circuit.Mna in
+  let sys = Mna.build netlist in
+  let real x = Array.map (fun re -> { Complex.re; im = 0.0 }) x in
+  let solve f = match f () with x -> Ok x | exception e -> Error (Printexc.to_string e) in
+  let judge what want got =
+    match (want, got) with
+    | _, Error _ when singular -> ()
+    | _, Ok _ when singular -> QCheck.Test.fail_reportf "%s: a singular system solved" what
+    | Ok want, Ok got -> agree ~what want got
+    | Error _, Error _ -> ()
+    | Ok _, Error e -> QCheck.Test.fail_reportf "%s refused (%s), the full system is not" what e
+    | Error e, Ok _ ->
+      QCheck.Test.fail_reportf "%s: the full system is singular (%s), this is not" what e
+  in
+  let dc = solve (fun () -> reference_dc sys) in
+  judge "DC" (Result.map real dc) (Result.map real (solve (fun () -> Stc_circuit.Dc.solve sys)));
+  let op = match dc with Ok x -> x | Error _ -> Array.make (Mna.size sys) 0.0 in
+  List.iter
+    (fun freq ->
+      judge (Printf.sprintf "AC at %g Hz" freq)
+        (solve (fun () -> reference_ac sys ~op ~freq))
+        (solve (fun () -> Stc_circuit.Ac.solve_one sys ~op ~freq)))
+    freqs;
+  true
 
 (* The decision fold Svr.predict and Svc.decision ran over boxed
    support vectors before those moved into one Flat matrix, kept as the
@@ -416,6 +597,11 @@ let property_tests =
     qtest
       (QCheck.Test.make ~name:"pattern-skipping LU matches the reference elimination bitwise"
          ~count:300 ~long_factor:10 (QCheck.make real_system) lu_matches_reference);
+    qtest
+      (QCheck.Test.make ~name:"condensed DC and AC solves match the full MNA system"
+         ~count:300 ~long_factor:10
+         (QCheck.make ~print:print_linear linear_netlist)
+         condensed_matches_full);
   ]
 
 (* ----------------------- flow_io error paths ---------------------- *)

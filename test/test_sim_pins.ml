@@ -5,13 +5,15 @@
    and a deliberate re-pin with before/after numbers in EXPERIMENTS.md.
 
    The op-amp pins are full Table 1 spec vectors of four instances,
-   and a digest of all 11 specs of a 200-draw population. The
-   seven DC/AC specs are pinned bit for bit to the values captured
-   before the netlist was compiled. The four transient specs are pinned
-   bit for bit under the LTE-controlled timestep, the quadratic Newton
-   predictor and the transient Newton tolerance, and must also stay
-   within a stated relative tolerance of the values the fixed 1200-step
-   grid gave, which are kept here as the reference.
+   and a digest of all 11 specs of a 200-draw population. Every value
+   is pinned bit for bit as the solves give it with each grounded
+   source's node pinned and parallel capacitances merged
+   (EXPERIMENTS.md, "Simulator fast path, round 6", lists the values
+   before and after). The four transient specs are pinned under the
+   LTE-controlled timestep, the quadratic Newton predictor and the
+   transient Newton tolerance, and must also stay within a stated
+   relative tolerance of the values the fixed 1200-step grid gave,
+   which are kept here as the reference.
 
    The small netlists cover what the op-amp benches never reach: the
    inductor companion inside a transient, AC current drive, and the
@@ -69,46 +71,36 @@ let opamp_draws =
     |];
   |]
 
-let params_of_draw v =
-  {
-    Opamp.nominal with
-    Opamp.w1 = v.(0); l1 = v.(1);
-    w3 = v.(2); l3 = v.(3);
-    w5 = v.(4); l5 = v.(5);
-    w6 = v.(6); l6 = v.(7);
-    w7 = v.(8); l7 = v.(9);
-    w8 = v.(10); l8 = v.(11);
-    cc = v.(12);
-    cl = v.(13);
-  }
+let params_of_draw = Stc.Experiment.opamp_params_of_draw
 
 (* Uncalibrated Measure_opamp.to_array of each draw, the transient
-   specs as the fixed 1200-step grid measured them. *)
+   specs as the fixed 1200-step grid of the full MNA system measured
+   them. *)
 let opamp_specs =
   [|
     [|
-      0x40d5880afd44eb42L; 0x405b2f72e03eda17L; 0x4001712de62015d0L;
+      0x40d5880afd44bf9cL; 0x405b2f72e03f5600L; 0x4001712de620156bL;
       0x3fe2d8be72bed8d6L; 0x4014a5c47f958bacL; 0x3f96baf36c357e2cL;
-      0x407928e9acfda96cL; 0x405c63d34d054486L; 0x3fe1ef6ebcb68cf6L;
-      0x3fe0387b1e3419c7L; 0x4036216145c18b75L
+      0x407928e9acfda96cL; 0x405c63d34d054317L; 0x3fe1ef6ebcb5792bL;
+      0x3fe0387b1e3c78bcL; 0x4036216145c18c3cL
     |];
     [|
-      0x40d7610732f0b851L; 0x40571d19c0030934L; 0x4000288d6113956eL;
+      0x40d7610732f0dccdL; 0x40571d19c002ca54L; 0x4000288d611394feL;
       0x3fdfd2f20e254cd8L; 0x40187479017cea20L; 0x3f92f52628df29ceL;
-      0x407bcf3e403ceb44L; 0x40603e6c461eff7fL; 0x3fd3058a6dcbbf41L;
-      0x3fe431e43b24db05L; 0x40394b4c0324b87dL
+      0x407bcf3e403ceb44L; 0x40603e6c461eff1bL; 0x3fd3058a6dca2dbfL;
+      0x3fe431e43b27b5d7L; 0x40394b4c0324b8dfL
     |];
     [|
-      0x40d74a7601fc9f38L; 0x4058ef9e33bce454L; 0x400127bda5baac19L;
+      0x40d74a7601fc7418L; 0x4058ef9e33bd4e0dL; 0x400127bda5baac2dL;
       0x3fe243515ce0ce64L; 0x40154ea3f558cddfL; 0x3f99eef9c47d1966L;
-      0x407a2cadcfd3b741L; 0x405be2a66fddcf83L; 0x3fde0b80abe96665L;
-      0x3fe19bbcdb52ed8aL; 0x403847da216fa978L
+      0x407a2cadcfd3b741L; 0x405be2a66fddcfc8L; 0x3fde0b80abeb02b9L;
+      0x3fe19bbcdb5608a3L; 0x403847da216fa85eL
     |];
     [|
-      0x40dd97cf048a32ffL; 0x40534454cc3054f5L; 0x400140bb5cc90c99L;
+      0x40dd97cf048a01d9L; 0x40534454cc30a1f8L; 0x400140bb5cc90cc1L;
       0x3fe0114ae84c4a0cL; 0x401837fd0b0124bbL; 0x3f8c5bde7d064607L;
-      0x4079b8d00973e9eeL; 0x405afb8c1708adbfL; 0x3fe37d736a2cd95dL;
-      0x3fdf584b62b926ceL; 0x403e632dfcd3c157L
+      0x4079b8d00973e9eeL; 0x405afb8c1708af4dL; 0x3fe37d736a2c12dbL;
+      0x3fdf584b62b3ee8dL; 0x403e632dfcd3c290L
     |];
   |]
 
@@ -122,10 +114,10 @@ let tran_specs = [| (3, 1e-5); (4, 1e-5); (5, 5e-3); (6, 5e-3) |]
    at Tran's step tolerance. *)
 let opamp_tran_specs =
   [|
-    [| 0x3fe2d8bd31e16863L; 0x4014a5c803cf9046L; 0x3f96b9223582c0c2L; 0x40792487b534f7faL |];
-    [| 0x3fdfd2f012323ddbL; 0x4018747973a0a534L; 0x3f92f403b7f8d9efL; 0x407bcb31084e8e3aL |];
-    [| 0x3fe2434e67fbababL; 0x40154ea5b9a678acL; 0x3f99ebed903033b9L; 0x407a28df5e6ec5baL |];
-    [| 0x3fe0114aecf0e560L; 0x401837fe5f114008L; 0x3f8c597f85ae956eL; 0x4079b4be1e0c227cL |];
+    [| 0x3fe2d8bd31e181c7L; 0x4014a5c803cf66f1L; 0x3f96b922357e776aL; 0x40792487b5350f2dL |];
+    [| 0x3fdfd2f0123240a4L; 0x4018747973a0a1ccL; 0x3f92f403b7fe796bL; 0x407bcb31084f80caL |];
+    [| 0x3fe2434e67fbb0eeL; 0x40154ea5b9a67695L; 0x3f99ebed90376331L; 0x407a28df5e6ef761L |];
+    [| 0x3fe0114aecf0e3dcL; 0x401837fe5f11470bL; 0x3f8c597f85b37746L; 0x4079b4be1e0c87e5L |];
   |]
 
 let opamp_tests =
@@ -153,9 +145,9 @@ let opamp_tests =
    0-199, attempt 0), each draw's sizing measured uncalibrated, as the
    (value count, MD5, last value's bits) of [digest]. Four instances
    pin the spec vectors exactly; these 2,200 values are the wider gate a
-   change to the simulator must keep, or re-pin through its own
-   equivalence gate. *)
-let population_pin = (2200, "be586d8adebbfa13f51b20341029f31b", 0x403ed95c76c32c1dL)
+   change to the simulator must keep, or re-pin through the equivalence
+   gate (tools/equiv.ml, `make equiv-diff`). *)
+let population_pin = (2200, "97be205e42cf163d6e50f2d10adb2410", 0x403ed95c76c329feL)
 
 (* ------------------------ small netlists ------------------------- *)
 
@@ -251,13 +243,13 @@ let cases =
 let pins =
   [
     ( "inductor companion: RLC step, trapezoidal",
-      31170, "bfd05112624a29ee8eff843b4377b56a", 0x3f7723e29bd2ca60L );
+      31266, "a96821679be9292716e11782e59af5df", 0x3f7723d68a631191L );
     ( "inductor companion: RL step",
-      6295, "08fc3ef1a2fccf67559c99f2819d7eac", 0x3f7753c8a5df7a68L );
+      6295, "7bf6d68e4f92c19e0abe60d1f8bb5008", 0x3f7753c8a5df7a68L );
     ( "RLC tank: AC current drive",
       22, "a41512b6b12408c83fe2b69b665f9902", 0xbf70ee47dffa929dL );
     ( "gmin stepping: DC-floating node",
-      4, "f1d633b1106b2ae6f623ce8ee06d3e44", 0xbf3c950122db2d1eL );
+      4, "9630436e58336364d7fccccb9a4ee79b", 0xbf3c950122db2d1cL );
     ( "source stepping: 10 V past the Newton budget",
       3, "2e71d3df8c67259aeb64dad14bfe07fa", 0xbf794e93d5cb568aL );
   ]
@@ -300,7 +292,9 @@ let population_test =
 (* ------------------------- allocation ---------------------------- *)
 
 (* The minor-heap words one nominal instance may allocate, 1.25 times
-   the 34,568 it allocates. Stamps, LU factorisations and Newton
+   the 34,568 it allocated when the budget was set; it allocates 33,017
+   since each Newton solve works on the unpinned unknowns and a
+   transient reads its node count from Mna. Stamps, LU factorisations and Newton
    iterations allocate nothing, a transient step only the boxed time of
    its Newton solve, and an AC point only its returned phasors; most of
    what is left is building the six benches, their DC solves and the
