@@ -38,8 +38,10 @@ bench-diff:
 
 # The equivalence gate of a change that moves simulator numerics.
 # `dune exec tools/equiv.exe -- record > FILE` prints a record: every
-# spec of four 200-draw op-amp populations, stc opamp's greedy steps and
-# stc mems's eliminations on seeds 2005-2008, and each flow's
+# spec of four 200-draw op-amp populations and of four 200-draw MEMS
+# populations (15 specs each, room, -40 C and 80 C, measured
+# uncalibrated), stc opamp's greedy steps and stc mems's eliminations
+# on seeds 2005-2008, and each flow's
 # fingerprint, counts and verdict digest. This compares two records
 # line by line: identical, moved (a spec value or flow bytes; the
 # largest relative move per spec is reported) or changed (a decision,
@@ -77,6 +79,8 @@ qa:
 # enrichment and Monte-Carlo determinism at any domain count
 # (process.enrich, process.parallel), the learner zoo and its promotion gate (learner.*), the simulator's
 # spec-vector pins and one-instance allocation budget (circuit.pins),
+# the MEMS measurement's bits against the full-scan complex reference,
+# its population digest and its allocation budget (mems.pins),
 # the paper-golden smoke tier, the QA oracles (among them the
 # split-array complex solve against the boxed one) and fault checks
 # (qa.properties, qa.faults, qa.pool, and
@@ -88,7 +92,7 @@ qa:
 # one of these is no longer registered in test_main.ml, so CI cannot
 # pass by silently dropping it.
 # Comma-separated.
-REQUIRED_SUITES = svm_equiv.shrink,process.enrich,process.parallel,learner.mlp,learner.mi,learner.io,learner.flow2,learner.gate,circuit.pins,golden: smoke,qa.properties,qa.faults,qa.pool,net faults,resilience: kill/resume,net server
+REQUIRED_SUITES = svm_equiv.shrink,process.enrich,process.parallel,learner.mlp,learner.mi,learner.io,learner.flow2,learner.gate,circuit.pins,mems.pins,golden: smoke,qa.properties,qa.faults,qa.pool,net faults,resilience: kill/resume,net server
 
 suites:
 	@mkdir -p _build

@@ -72,6 +72,17 @@ val mems_device : unit -> Stc_process.Montecarlo.device
     (16 parameters). Calibrated like {!opamp_device}: the factors are
     resolved when the device is built. *)
 
+val mems_geometry_of_draw : float array -> Stc_mems.Geometry.t
+(** The geometry one draw of {!mems_device}'s parameters gives: each
+    spring's length, width and skew from its ideal angle, then the
+    plate length and width, the finger gap and overlap and the film
+    thickness (the springs' thickness too), in the draw's order. *)
+
+val mems_measure : Stc_mems.Geometry.t -> float array
+(** The 15 raw specs of a geometry in {!mems_specs}' order, measured
+    by {!Stc_mems.Measure_mems.tri_temperature}, uncalibrated. Raises
+    [Stc_mems.Measure_mems.Measurement_failed] as that does. *)
+
 val generate_mems :
   seed:int -> n_train:int -> n_test:int -> unit -> Device_data.t * Device_data.t
 (** As {!generate_opamp}, on the MEMS device and specs. *)

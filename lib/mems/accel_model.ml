@@ -50,46 +50,47 @@ let quality_estimate t = sqrt (t.kxx *. t.m) /. t.b
 
 type axis = X_axis | Y_axis
 
-(* Solve the 2x2 complex system (K - w²M + jwB) X = F directly. *)
-let displacement t ~axis ~freq ~accel =
+(* What [solve] returns of the phasor x-displacement x. One float, so
+   that the inlined solve stays unboxed: returning the pair would
+   allocate it. *)
+type part = Re | Im | Norm
+
+(* Solves the 2x2 complex system (K - w²M + jwB) X = F for x in floats:
+   x = (a22·f1 - a12·f2) / det with det = a11·a22 - a12·a12. Each
+   product, difference and quotient is spelled out as Complex.mul,
+   Complex.sub and Complex.div compute it, zero parts included and in
+   the same order, and [Norm] is Float.hypot, which is Complex.norm; so
+   x has the bits of the boxed solve. *)
+let[@inline] solve t ~axis ~freq ~accel part =
   let w = 2.0 *. Float.pi *. freq in
-  let diag k = { Complex.re = k -. (w *. w *. t.m); im = w *. t.b } in
-  let a11 = diag t.kxx and a22 = diag t.kyy in
-  let a12 = { Complex.re = t.kxy; im = 0.0 } in
+  (* a11 = (d11, wb), a22 = (d22, wb), a12 = (kxy, 0) *)
+  let wwm = w *. w *. t.m and wb = w *. t.b in
+  let d11 = t.kxx -. wwm and d22 = t.kyy -. wwm in
   let f = t.m *. accel in
-  let f1, f2 =
-    match axis with
-    | X_axis -> ({ Complex.re = f; im = 0.0 }, Complex.zero)
-    | Y_axis -> (Complex.zero, { Complex.re = f; im = 0.0 })
+  (* f1 = (f1r, 0), f2 = (f2r, 0) *)
+  let f1r, f2r = match axis with X_axis -> (f, 0.0) | Y_axis -> (0.0, f) in
+  let det_re = ((d11 *. d22) -. (wb *. wb)) -. ((t.kxy *. t.kxy) -. (0.0 *. 0.0)) in
+  let det_im = ((d11 *. wb) +. (wb *. d22)) -. ((t.kxy *. 0.0) +. (0.0 *. t.kxy)) in
+  let num_re = ((d22 *. f1r) -. (wb *. 0.0)) -. ((t.kxy *. f2r) -. (0.0 *. 0.0)) in
+  let num_im = ((d22 *. 0.0) +. (wb *. f1r)) -. ((t.kxy *. 0.0) +. (0.0 *. f2r)) in
+  let re, im =
+    if Float.abs det_re >= Float.abs det_im then begin
+      let r = det_im /. det_re in
+      let d = det_re +. (r *. det_im) in
+      ((num_re +. (r *. num_im)) /. d, (num_im -. (r *. num_re)) /. d)
+    end
+    else begin
+      let r = det_re /. det_im in
+      let d = det_im +. (r *. det_re) in
+      (((r *. num_re) +. num_im) /. d, ((r *. num_im) -. num_re) /. d)
+    end
   in
-  let det = Complex.sub (Complex.mul a11 a22) (Complex.mul a12 a12) in
-  (* x = (a22 f1 - a12 f2) / det *)
-  Complex.div (Complex.sub (Complex.mul a22 f1) (Complex.mul a12 f2)) det
+  match part with Re -> re | Im -> im | Norm -> Float.hypot re im
+
+let displacement t ~axis ~freq ~accel =
+  { Complex.re = solve t ~axis ~freq ~accel Re; im = solve t ~axis ~freq ~accel Im }
 
 let readout_mv_per_v t ~x = 1000.0 *. 2.0 *. x /. t.gap
 
-(* state vector [x; y; vx; vy] *)
-let step_response t ~axis ~accel ~tstop ~dt =
-  let fx, fy =
-    match axis with
-    | X_axis -> (t.m *. accel, 0.0)
-    | Y_axis -> (0.0, t.m *. accel)
-  in
-  let derivative _ s =
-    let x = s.(0) and y = s.(1) and vx = s.(2) and vy = s.(3) in
-    [|
-      vx;
-      vy;
-      (fx -. (t.b *. vx) -. (t.kxx *. x) -. (t.kxy *. y)) /. t.m;
-      (fy -. (t.b *. vy) -. (t.kxy *. x) -. (t.kyy *. y)) /. t.m;
-    |]
-  in
-  let trajectory =
-    Stc_numerics.Ode.integrate derivative ~t0:0.0 ~t1:tstop ~dt
-      ~y0:[| 0.0; 0.0; 0.0; 0.0 |]
-  in
-  Array.map (fun (time, s) -> (time, s.(0))) trajectory
-
 let response_mv_per_v t ~axis ~freq =
-  let x = displacement t ~axis ~freq ~accel:Material.gravity in
-  readout_mv_per_v t ~x:(Complex.norm x)
+  readout_mv_per_v t ~x:(solve t ~axis ~freq ~accel:Material.gravity Norm)

@@ -82,16 +82,37 @@ let brent ?(tol = 1e-12) ?(max_iter = 200) f a b =
    with Exit -> ());
   !result
 
+(* The grid is the scan's: x_0 = lo and x_i = lo + h·i, so its last
+   point is computed, not [hi]. When f lo and f x_steps have strict and
+   opposite signs, the cell is found by halving: [a] keeps f lo's
+   strict sign and [b] does not, so the two ends of the last cell have
+   opposite signs, and when f changes sign once on the grid that cell
+   is the first one the scan would stop at. Otherwise the grid is
+   scanned from [lo]. *)
 let find_bracket f ~lo ~hi ~steps =
   if steps <= 0 then invalid_arg "Roots.find_bracket: steps must be positive";
   let h = (hi -. lo) /. float_of_int steps in
-  let rec scan i prev_x prev_f =
-    if i > steps then None
-    else begin
-      let x = lo +. (h *. float_of_int i) in
-      let fx = f x in
-      if opposite_signs prev_f fx then Some (prev_x, x)
-      else scan (i + 1) x fx
-    end
-  in
-  scan 1 lo (f lo)
+  let x i = if i = 0 then lo else lo +. (h *. float_of_int i) in
+  let f_lo = f lo and f_last = f (x steps) in
+  if (f_lo < 0.0 && f_last > 0.0) || (f_lo > 0.0 && f_last < 0.0) then begin
+    let rec halve a b =
+      if b - a = 1 then Some (x a, x b)
+      else begin
+        let m = (a + b) / 2 in
+        if opposite_signs f_lo (f (x m)) then halve a m else halve m b
+      end
+    in
+    halve 0 steps
+  end
+  else begin
+    let rec scan i prev_x prev_f =
+      if i > steps then None
+      else begin
+        let xi = x i in
+        let fx = if i = steps then f_last else f xi in
+        if opposite_signs prev_f fx then Some (prev_x, xi)
+        else scan (i + 1) xi fx
+      end
+    in
+    scan 1 lo f_lo
+  end

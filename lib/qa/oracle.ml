@@ -203,13 +203,19 @@ let flat_kernel_agrees kernels rows =
       | Error _ as e -> e
       | Ok () ->
         let pairwise = ref (Ok ()) in
+        let row = Array.make n 0.0 in
         (try
            for i = 0 to n - 1 do
+             Kernel.fill_row k fx i row;
              for j = 0 to n - 1 do
                let boxed = Kernel.eval k rows.(i) rows.(j) in
                let flat = Kernel.eval_rows k fx i j in
                if bits boxed <> bits flat then begin
                  pairwise := mismatch "eval_rows" k i j boxed flat;
+                 raise Exit
+               end;
+               if bits boxed <> bits row.(j) then begin
+                 pairwise := mismatch "fill_row" k i j boxed row.(j);
                  raise Exit
                end;
                let vec = Kernel.eval_row_vec k fx i rows.(j) in

@@ -50,7 +50,8 @@ val flat_kernel_agrees :
   Stc_svm.Kernel.t list -> float array array -> (unit, string) result
 (** Differential oracle for the flat-storage kernel path: for every
     kernel and every (i, j) row pair, [Kernel.eval_rows] (and
-    [eval_row_vec]) over contiguous {!Stc_svm.Flat} storage must equal
+    [eval_row_vec], and entry j of [fill_row]'s row i, which RBF fills
+    through [Flat.rbf_row]) over contiguous {!Stc_svm.Flat} storage must equal
     the boxed [Kernel.eval] bit-for-bit (IEEE bit pattern, no
     tolerance). This is the contract that lets the SMO hot path use
     flat storage without perturbing a single trained model. *)

@@ -115,3 +115,22 @@ let rbf_decision t ~gamma ~coef ~b v =
     acc := !acc +. (Array.unsafe_get coef i *. exp (-.gamma *. !s))
   done;
   !acc
+
+(* One kernel row in one loop, for the same reason as [rbf_decision]:
+   an entry computed through [Kernel.eval_rows] pays a call into this
+   module and two boxed floats. The distance loop is [dist2]'s. *)
+let rbf_row t ~gamma i out =
+  check t i;
+  if Array.length out < t.n then invalid_arg "Flat.rbf_row: out too short";
+  let d = t.dim in
+  let data = t.data in
+  let bi = i * d in
+  for j = 0 to t.n - 1 do
+    let bj = j * d in
+    let acc = ref 0.0 in
+    for k = 0 to d - 1 do
+      let dk = Array.unsafe_get data (bi + k) -. Array.unsafe_get data (bj + k) in
+      acc := !acc +. (dk *. dk)
+    done;
+    Array.unsafe_set out j (exp (-.gamma *. !acc))
+  done

@@ -49,3 +49,11 @@ val rbf_decision :
     is bit-identical to folding {!Kernel.eval} over the boxed rows.
     Raises [Invalid_argument] when [t] has rows and [v]'s length is not
     [dim t], or when [coef] is shorter than [n_rows t]. *)
+
+val rbf_row : t -> gamma:float -> int -> float array -> unit
+(** [rbf_row t ~gamma i out] writes exp(−γ·‖rowᵢ − rowⱼ‖²) into
+    [out.(j)] for every row [j], in one loop. Each squared distance is
+    summed as {!dist2} sums it, so every entry is bit-identical to
+    [Kernel.eval_rows (Kernel.rbf gamma) t i j]. Raises
+    [Invalid_argument] when [i] is not a row or [out] is shorter than
+    [n_rows t]. *)

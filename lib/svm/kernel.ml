@@ -26,6 +26,14 @@ let eval_rows k rows i j =
   | Rbf { gamma } -> exp (-.gamma *. Flat.dist2 rows i j)
   | Sigmoid { gamma; coef0 } -> tanh ((gamma *. Flat.dot rows i j) +. coef0)
 
+let fill_row k rows i out =
+  match k with
+  | Rbf { gamma } -> Flat.rbf_row rows ~gamma i out
+  | Linear | Polynomial _ | Sigmoid _ ->
+    for j = 0 to Flat.n_rows rows - 1 do
+      out.(j) <- eval_rows k rows i j
+    done
+
 let eval_row_vec k rows i v =
   match k with
   | Linear -> Flat.dot_vec rows i v

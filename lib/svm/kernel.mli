@@ -19,6 +19,12 @@ val eval_rows : t -> Flat.t -> int -> int -> float
     flat primitives accumulate in the same order as [Vec.dot]/
     [Vec.dist2]). This is the SMO hot-path entry point. *)
 
+val fill_row : t -> Flat.t -> int -> float array -> unit
+(** [fill_row k rows i out] writes [eval_rows k rows i j] into [out.(j)]
+    for every row [j], the same bits. RBF runs as one loop
+    ({!Flat.rbf_row}); the other kernels call {!eval_rows} per entry.
+    [out] must hold at least [Flat.n_rows rows] entries. *)
+
 val eval_row_vec : t -> Flat.t -> int -> float array -> float
 (** [eval_row_vec k rows i v] computes K(rowsᵢ, v), bit-identical to
     [eval rows.(i) v]. *)

@@ -33,11 +33,17 @@ let train ?(c = 1.0) ?kernel ?(eps = 1e-3) ~x ~y () =
   in
   let yf = Array.map float_of_int y in
   let fx = Flat.of_rows x in
-  let q i t = yf.(i) *. yf.(t) *. Kernel.eval_rows kernel fx i t in
+  (* Q_it = y_i y_t K(i, t) *)
   let cache =
     Row_cache.create ~row_bytes:(8 * l) (fun i ->
         Obs.Counter.add m_kernel_evals l;
-        Array.init l (fun t -> q i t))
+        let row = Array.create_float l in
+        Kernel.fill_row kernel fx i row;
+        let yi = yf.(i) in
+        for t = 0 to l - 1 do
+          row.(t) <- yi *. yf.(t) *. row.(t)
+        done;
+        row)
   in
   Obs.Counter.add m_kernel_evals l (* the diagonal below *);
   let problem =

@@ -38,7 +38,9 @@ let train ?(c = 1.0) ?(epsilon = 0.1) ?kernel ?(eps = 1e-3) ~x ~y () =
   let kernel_row bs =
     if Array.length krows.(bs) = 0 then begin
       Obs.Counter.add m_kernel_evals l;
-      krows.(bs) <- Array.init l (fun t -> Kernel.eval_rows kernel fx bs t)
+      let row = Array.create_float l in
+      Kernel.fill_row kernel fx bs row;
+      krows.(bs) <- row
     end;
     krows.(bs)
   in

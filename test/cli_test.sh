@@ -4,7 +4,9 @@
 #
 #   sh test/cli_test.sh _build/default/bin/stc_cli.exe
 #
-# It checks that two `stc opamp --save-flow --save-test` runs write the
+# It checks that `stc mems --seed 2005`, the paper's headline Table 3
+# and Sec. 5.2 run (about 0.1 s), prints the six lines kept below byte
+# for byte, that two `stc opamp --save-flow --save-test` runs write the
 # same bytes, that `stc serve` bins every saved device, that a journal
 # cut after some of its steps resumes to the same flow, and the exit
 # codes of a deleted command (124), of out-of-range options and a
@@ -33,6 +35,19 @@ expect_exit() {
 }
 
 small="--train 80 --test 40"
+
+# the headline command prints no timing, so its whole stdout is pinned
+"$stc" mems --seed 2005 > mems.out
+cat > mems.expected <<'EOF'
+generating 1200 MEMS instances (seed 2005)...
+train yield 85.8%, test yield 82.8%
+eliminate -40C  escape 0.00%  loss 0.00%  guard 3.25%
+eliminate 80C   escape 0.00%  loss 0.00%  guard 10.25%
+eliminate both  escape 0.00%  loss 0.00%  guard 10.25%
+cost: full $1092 -> compacted $482 (saving 55.9%)
+EOF
+cmp -s mems.expected mems.out \
+  || fail "stc mems --seed 2005 printed other lines than the six kept here"
 
 # two runs, one of them journalled, save the same flow and devices
 "$stc" opamp $small --save-flow a.stc --save-test a.csv > /dev/null

@@ -1,3 +1,10 @@
+(* Fixed-step RK4, the integrator behind the MEMS transient cases in
+   test_mems.ml, which check the frequency-domain model against the
+   time domain. Only the tests integrate ODEs. *)
+
+module Vec = Stc_numerics.Vec
+
+(* [f t y] returns dy/dt. *)
 type derivative = float -> Vec.t -> Vec.t
 
 let rk4_step f t y h =
@@ -14,7 +21,9 @@ let check ~t0 ~t1 ~dt =
   if dt <= 0.0 then invalid_arg "Ode.integrate: dt must be positive";
   if t1 < t0 then invalid_arg "Ode.integrate: t1 < t0"
 
-let integrate f ~t0 ~t1 ~dt ~y0 =
+(* RK4 from [t0] to [t1], the last step shortened to land on [t1]; the
+   trajectory, initial point included. *)
+let integrate (f : derivative) ~t0 ~t1 ~dt ~y0 =
   check ~t0 ~t1 ~dt;
   let steps = int_of_float (Float.ceil ((t1 -. t0) /. dt)) in
   let out = Array.make (steps + 1) (t0, y0) in
@@ -27,7 +36,8 @@ let integrate f ~t0 ~t1 ~dt ~y0 =
   done;
   out
 
-let integrate_final f ~t0 ~t1 ~dt ~y0 =
+(* As [integrate], keeping only the final state. *)
+let integrate_final (f : derivative) ~t0 ~t1 ~dt ~y0 =
   check ~t0 ~t1 ~dt;
   let t = ref t0 and y = ref y0 in
   while !t < t1 -. 1e-15 do

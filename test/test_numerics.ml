@@ -6,7 +6,6 @@ module Lu = Stc_numerics.Lu
 module Cmat = Stc_numerics.Cmat
 module Rng = Stc_numerics.Rng
 module Stats = Stc_numerics.Stats
-module Ode = Stc_numerics.Ode
 module Roots = Stc_numerics.Roots
 module Interp = Stc_numerics.Interp
 

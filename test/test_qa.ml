@@ -494,6 +494,106 @@ let flat_decision_matches_boxed (kernels, sv, coef, b, probes) =
         probes)
     kernels
 
+(* Opposite signs, a zero counting as either. *)
+let opposite fa fb = (fa <= 0.0 && fb >= 0.0) || (fa >= 0.0 && fb <= 0.0)
+
+(* The linear scan Roots.find_bracket ran before it learned to halve,
+   kept as the reference: the first cell of the grid x_0 = lo,
+   x_i = lo + h·i whose ends have opposite signs. *)
+let scan_bracket f ~lo ~hi ~steps =
+  let h = (hi -. lo) /. float_of_int steps in
+  let rec scan i prev_x prev_f =
+    if i > steps then None
+    else begin
+      let x = lo +. (h *. float_of_int i) in
+      let fx = f x in
+      if opposite prev_f fx then Some (prev_x, x) else scan (i + 1) x fx
+    end
+  in
+  scan 1 lo (f lo)
+
+(* A function whose sign find_bracket looks for: s·(x − r) and
+   s·(x − r)³ change sign once, at r; sin(ωx + φ) + c may change it
+   many times on a grid. *)
+type bracket_fn =
+  | Line of float * float
+  | Cubic of float * float
+  | Wave of float * float * float
+
+let bracket_eval = function
+  | Line (s, r) -> fun x -> s *. (x -. r)
+  | Cubic (s, r) ->
+    fun x ->
+      let t = x -. r in
+      s *. t *. t *. t
+  | Wave (omega, phase, c) -> fun x -> sin ((omega *. x) +. phase) +. c
+
+(* Grids of 1-400 cells over ranges of either direction; a quarter of
+   the roots sit exactly on a grid point, and some lie outside the
+   range, so both ends share a sign. *)
+let bracket_case =
+  QCheck.Gen.(
+    let* a = float_range (-10.0) 10.0 in
+    let* width = float_range 1e-3 20.0 in
+    let* flip = bool in
+    let lo, hi = if flip then (a +. width, a) else (a, a +. width) in
+    let* steps = frequency [ (1, int_range 1 4); (4, int_range 5 400) ] in
+    let h = (hi -. lo) /. float_of_int steps in
+    let grid k = if k = 0 then lo else lo +. (h *. float_of_int k) in
+    let* root =
+      frequency
+        [ (3, float_range (a -. 2.0) (a +. width +. 2.0)); (1, map grid (int_range 0 steps)) ]
+    in
+    let* s = oneofl [ 1.0; -1.0 ] in
+    let* omega = float_range 0.1 50.0 in
+    let* phase = float_range 0.0 6.3 in
+    let* c = float_range (-1.2) 1.2 in
+    let* fn = oneofl [ Line (s, root); Cubic (s, root); Wave (omega, phase, c) ] in
+    return (fn, lo, hi, steps))
+
+let print_bracket_case (fn, lo, hi, steps) =
+  let what =
+    match fn with
+    | Line (s, r) -> Printf.sprintf "%g·(x − %h)" s r
+    | Cubic (s, r) -> Printf.sprintf "%g·(x − %h)³" s r
+    | Wave (o, p, c) -> Printf.sprintf "sin(%h·x + %h) + %h" o p c
+  in
+  Printf.sprintf "%s on [%h, %h] in %d cells" what lo hi steps
+
+(* Where f changes sign once, or its ends do not have strict opposite
+   signs, find_bracket returns the scan's cell; otherwise a cell of
+   the grid whose ends have opposite signs. *)
+let bracket_matches_scan (fn, lo, hi, steps) =
+  let f = bracket_eval fn in
+  let got = Stc_numerics.Roots.find_bracket f ~lo ~hi ~steps in
+  let want = scan_bracket f ~lo ~hi ~steps in
+  let h = (hi -. lo) /. float_of_int steps in
+  let grid k = if k = 0 then lo else lo +. (h *. float_of_int k) in
+  let bits = Int64.bits_of_float in
+  let same_cell (a, b) (c, d) = bits a = bits c && bits b = bits d in
+  let show = function
+    | None -> "none"
+    | Some (a, b) -> Printf.sprintf "[%h, %h]" a b
+  in
+  let f_lo = f lo and f_last = f (grid steps) in
+  let halved = (f_lo < 0.0 && f_last > 0.0) || (f_lo > 0.0 && f_last < 0.0) in
+  match fn with
+  | Line _ | Cubic _ ->
+    Option.equal same_cell got want
+    || QCheck.Test.fail_reportf "monotone: find_bracket %s, scan %s" (show got) (show want)
+  | _ when not halved ->
+    Option.equal same_cell got want
+    || QCheck.Test.fail_reportf "ends of one sign: find_bracket %s, scan %s" (show got)
+         (show want)
+  | _ -> (
+    match got with
+    | None -> QCheck.Test.fail_report "opposite ends, but no cell"
+    | Some (a, b) ->
+      (List.exists (fun k -> same_cell (a, b) (grid k, grid (k + 1))) (List.init steps Fun.id)
+      || QCheck.Test.fail_reportf "%s is not a cell of the grid" (show got))
+      && (opposite (f a) (f b)
+         || QCheck.Test.fail_reportf "f is %h and %h at the ends of %s" (f a) (f b) (show got)))
+
 let property_tests =
   [
     qtest
@@ -597,6 +697,11 @@ let property_tests =
     qtest
       (QCheck.Test.make ~name:"pattern-skipping LU matches the reference elimination bitwise"
          ~count:300 ~long_factor:10 (QCheck.make real_system) lu_matches_reference);
+    qtest
+      (QCheck.Test.make ~name:"find_bracket halves to the linear scan's cell" ~count:500
+         ~long_factor:10
+         (QCheck.make ~print:print_bracket_case bracket_case)
+         bracket_matches_scan);
     qtest
       (QCheck.Test.make ~name:"condensed DC and AC solves match the full MNA system"
          ~count:300 ~long_factor:10

@@ -12,6 +12,12 @@
      measured uncalibrated by Measure_opamp, in %.17g (KIND "spec"),
      and one MD5 of each population's spec bits ("pop/SEED/digest",
      KIND "bytes");
+   - "mems-pop/SEED/DRAW/SPEC": the 15 specs (room, -40 C, 80 C) of the
+     first 200 MEMS draws of seeds 2005-2008 (streams 0-199, attempt 0),
+     each draw's geometry measured uncalibrated by
+     Experiment.mems_measure, in %.17g (KIND "spec"), and one MD5
+     of each population's spec bits ("mems-pop/SEED/digest", KIND
+     "bytes");
    - "opamp/SEED/...": `stc opamp`'s greedy loop at 800 + 400 on seeds
      2005-2008: per step the spec, the decision and e_p in %.17g, per
      flow its Flow_io.fingerprint (KIND "bytes"), its escape, loss and
@@ -39,6 +45,7 @@ module Device_data = Stc.Device_data
 module Experiment = Stc.Experiment
 module Metrics = Stc.Metrics
 module Measure_opamp = Stc_circuit.Measure_opamp
+module Measure_mems = Stc_mems.Measure_mems
 
 (* ---------------------------- record ----------------------------- *)
 
@@ -48,27 +55,43 @@ let key_name name = String.map (fun c -> if c = ' ' then '-' else c) name
 
 let line kind key value = Printf.printf "%s %s %s\n" kind key value
 
-let population seed =
-  let params = (Experiment.opamp_device ()).Stc_process.Montecarlo.params in
-  let bits = Buffer.create (200 * 11 * 17) in
+(* The spec lines of draws 0-199 of [seed] under [prefix], and their
+   digest. [measure] maps a draw to its raw spec values; a draw it
+   fails on is a "failed" fact. *)
+let population ~prefix ~params ~specs ~measure seed =
+  let bits = Buffer.create (200 * Array.length specs * 17) in
   for index = 0 to 199 do
     let rng = Stc_process.Montecarlo.instance_rng ~seed ~index ~attempt:0 in
     let draw = Stc_process.Variation.sample_all rng params in
-    let key spec = Printf.sprintf "pop/%d/%03d/%s" seed index spec in
-    match Measure_opamp.measure (Experiment.opamp_params_of_draw draw) with
+    let key spec = Printf.sprintf "%s/%d/%03d/%s" prefix seed index spec in
+    match measure draw with
     | values ->
       Array.iteri
         (fun j v ->
-          line "spec" (key (key_name Experiment.opamp_specs.(j).Stc.Spec.name))
-            (Printf.sprintf "%.17g" v);
+          line "spec" (key (key_name specs.(j).Stc.Spec.name)) (Printf.sprintf "%.17g" v);
           Buffer.add_string bits (Printf.sprintf "%016Lx," (Int64.bits_of_float v)))
-        (Measure_opamp.to_array values)
-    | exception Measure_opamp.Measurement_failed msg ->
+        values
+    | exception (Measure_opamp.Measurement_failed msg | Measure_mems.Measurement_failed msg)
+      ->
       line "fact" (key "failed") msg;
       Buffer.add_string bits "failed,"
   done;
-  line "bytes" (Printf.sprintf "pop/%d/digest" seed)
+  line "bytes" (Printf.sprintf "%s/%d/digest" prefix seed)
     (Digest.to_hex (Digest.string (Buffer.contents bits)))
+
+let opamp_population seed =
+  population ~prefix:"pop"
+    ~params:(Experiment.opamp_device ()).Stc_process.Montecarlo.params
+    ~specs:Experiment.opamp_specs ~measure:(fun draw ->
+      Measure_opamp.to_array (Measure_opamp.measure (Experiment.opamp_params_of_draw draw)))
+    seed
+
+let mems_population seed =
+  population ~prefix:"mems-pop"
+    ~params:(Experiment.mems_device ()).Stc_process.Montecarlo.params
+    ~specs:Experiment.mems_specs ~measure:(fun draw ->
+      Experiment.mems_measure (Experiment.mems_geometry_of_draw draw))
+    seed
 
 let verdict_char = function
   | Stc.Guard_band.Good -> 'G'
@@ -123,7 +146,8 @@ let mems seed ~n_train ~n_test =
     ]
 
 let record () =
-  List.iter population seeds;
+  List.iter opamp_population seeds;
+  List.iter mems_population seeds;
   List.iter opamp seeds;
   List.iter
     (fun seed ->
