@@ -28,7 +28,8 @@ module Floor = Stc_floor.Floor
 
 open Cmdliner
 
-(* Data errors — a corrupt flow file, a bad CSV, an unusable journal —
+(* Data errors — a corrupt flow file, a bad CSV, an unusable journal,
+   a population whose draws fail to simulate past the failure cap —
    are the operator's problem, not a crash: one clean line on stderr,
    exit code 2. An option out of range gets the same line with exit
    code 1, before any simulation runs; cmdliner uses 124+ for usage
@@ -47,6 +48,7 @@ let guard_data_errors f =
   try f () with
   | Sys_error e -> die_data "%s" e
   | Failure e -> die_data "%s" e
+  | Stc_process.Montecarlo.Too_many_failures e -> die_data "too many failed simulations: %s" e
 
 (* ------------------------------ options --------------------------- *)
 
@@ -453,6 +455,7 @@ let run_mems seed n_train n_test tolerance guard learner grid_resolution =
   check_population ~n_train ~n_test;
   check_tolerance tolerance;
   check_guard Experiment.mems_specs guard;
+  guard_data_errors @@ fun () ->
   Printf.printf "generating %d MEMS instances (seed %d)...\n%!"
     (n_train + n_test) seed;
   let train, test = Experiment.generate_mems ~seed ~n_train ~n_test () in
@@ -512,6 +515,7 @@ let run_sweep seed n_test sizes =
   List.iter (check_at_least "--sizes" 1) sizes;
   check_at_least "--test" 1 n_test;
   let n_train = List.fold_left Stdlib.max 1 sizes in
+  guard_data_errors @@ fun () ->
   Printf.printf "generating %d op-amp instances (seed %d)...\n%!"
     (n_train + n_test) seed;
   let train, test = Experiment.generate_opamp ~seed ~n_train ~n_test () in

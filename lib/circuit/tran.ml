@@ -221,7 +221,7 @@ let append b s k =
    boxes nothing. *)
 type clock = { mutable h : float }
 
-let run sys ~tstop ~dt =
+let run ?until sys ~tstop ~dt =
   if tstop <= 0.0 then invalid_arg "Tran.run: tstop must be positive";
   if dt <= 0.0 then invalid_arg "Tran.run: dt must be positive";
   let h_start = dt /. 4.0 and h_max = 64.0 *. dt and h_min = 1e-4 *. dt in
@@ -250,8 +250,8 @@ let run sys ~tstop ~dt =
     Dc.count_iterations ws
   in
   let advance () =
-    let clock = { h = h_start } and next = ref 0 in
-    while !next < Array.length stops do
+    let clock = { h = h_start } and next = ref 0 and stopped = ref false in
+    while !next < Array.length stops && not !stopped do
       let stop = stops.(!next) in
       let last = s.order.(0) and cand = s.order.(3) in
       let t = s.ts.(last) in
@@ -286,6 +286,8 @@ let run sys ~tstop ~dt =
           accept cs s.xs.(cand);
           rotate s;
           append buf s cand;
+          (* read only after the point is kept: it never steers a step *)
+          (match until with Some until -> stopped := until target s.xs.(cand) | None -> ());
           if target = stop then begin
             s.history <- 0;
             clock.h <- h_start;

@@ -66,7 +66,9 @@
     into the {!result} when the run ends. *)
 
 type result = {
-  times : float array;  (** strictly increasing, from 0 to [tstop] *)
+  times : float array;
+      (** strictly increasing, from 0 to [tstop], or to the point that
+          met [until] *)
   states : Stc_numerics.Mat.t;
       (** one row per time and one column per unknown, every unknown
           kept: row [i] is the solution at [times.(i)], so
@@ -77,16 +79,29 @@ type result = {
 exception No_convergence of float
 (** Carries the simulation time at which Newton failed. *)
 
-val run : Mna.t -> tstop:float -> dt:float -> result
+val run :
+  ?until:(float -> Stc_numerics.Vec.t -> bool) -> Mna.t -> tstop:float -> dt:float -> result
 (** Runs from a DC operating point at t=0 to [tstop]. [dt] sets the
     scale of the step: each run and each breakpoint restarts at [dt/4],
     no step exceeds [64·dt], and Newton failure gives up below
     [1e-4·dt]. Every source breakpoint in [(0, tstop)] is a sample
-    (breakpoints closer than [1e-4·dt] are merged), and the last time
-    is exactly [tstop]. Adds the run's accepted and rejected step
-    counts to [stc_tran_steps_total] and [stc_tran_rejected_steps_total]
-    and its Newton iterations to [stc_newton_iterations_total], once,
-    when it ends.
+    (breakpoints closer than [1e-4·dt] are merged). Without [until],
+    the last time is exactly [tstop].
+
+    [until t x], when given, is called after each accepted step (not
+    on the operating point at t=0) with the step's time and state, one
+    value per unknown as in a row of [states]; [x] is overwritten by
+    later steps, so it must not be kept. The run ends at the first
+    step for which it returns [true], and that point is the result's
+    last. It is read only after the point is kept and never steers the
+    step, so a stopped run's times and states are, bit for bit, the
+    prefix of the full run's up to that point. Passing it boxes the
+    time of each accepted step (2 minor words).
+
+    Adds the accepted and rejected steps the run actually took to
+    [stc_tran_steps_total] and [stc_tran_rejected_steps_total] and its
+    Newton iterations to [stc_newton_iterations_total], once, when it
+    ends.
     Raises [Invalid_argument] unless [tstop] and [dt] are positive. *)
 
 val node_waveform : Mna.t -> result -> Netlist.node -> (float * float) array

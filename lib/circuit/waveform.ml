@@ -15,9 +15,12 @@ let final w =
   require_nonempty "final" w;
   snd w.(Array.length w - 1)
 
-let rise_time w =
+(* the level a step measure reads the step against *)
+let settled level w = match level with Some v -> v | None -> final w
+
+let rise_time ?final w =
   require_nonempty "rise_time" w;
-  let v0 = initial w and v1 = final w in
+  let v0 = initial w and v1 = settled final w in
   let step = v1 -. v0 in
   if step = 0.0 then None
   else begin
@@ -77,9 +80,9 @@ let settling_time ?(band = 0.01) w =
       else Some (t0 +. ((t1 -. t0) *. (target -. va) /. (vb -. va)))
   end
 
-let slew_rate w =
+let slew_rate ?final w =
   require_nonempty "slew_rate" w;
-  let v0 = initial w and v1 = final w in
+  let v0 = initial w and v1 = settled final w in
   let step = v1 -. v0 in
   if step = 0.0 then None
   else begin

@@ -218,8 +218,8 @@ let generate ?(config = default_config) ?domains ~seed ~pilot
   if Atomic.get failures > max_failures then
     raise
       (Montecarlo.Too_many_failures
-         (Printf.sprintf "%s: %d failed draws for %d enriched instances"
-            device.device_name (Atomic.get failures) n_enriched));
+         (Printf.sprintf "%s: %d failed draws for %d enriched instances, over the cap of %d"
+            device.device_name (Atomic.get failures) n_enriched max_failures));
   (* Normalise: raw weights are 1/a; the density actually sampled is
      p(x)·a(x)/Z with Z = E_p[a], estimated by accepted/proposals. Both
      counts are per-instance deterministic, so Z — and therefore every

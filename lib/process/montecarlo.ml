@@ -22,11 +22,11 @@ let check_spec_count device values =
 
 let max_failures_for ratio n = Stdlib.max 10 (int_of_float (ratio *. float_of_int n))
 
-let too_many_failures device ~failed ~n =
+let too_many_failures device ~failed ~n ~cap =
   raise
     (Too_many_failures
-       (Printf.sprintf "%s: %d failed draws for %d requested instances"
-          device.device_name failed n))
+       (Printf.sprintf "%s: %d failed draws for %d requested instances, over the cap of %d"
+          device.device_name failed n cap))
 
 (* The private stream of draw [attempt] of instance [index] under
    [seed]. The triple is hashed one component at a time through the
@@ -79,7 +79,7 @@ let generate_parallel ?(max_failure_ratio = 0.5) ?domains ?draw ~seed device
   in
   Pool.with_pool ~domains (fun pool -> Pool.run pool ~n simulate_instance);
   if Atomic.get failures > max_failures then
-    too_many_failures device ~failed:(Atomic.get failures) ~n;
+    too_many_failures device ~failed:(Atomic.get failures) ~n ~cap:max_failures;
   { inputs; specs; weights = uniform_weights n; discarded = Atomic.get failures }
 
 (* [discarded] is population-level simulation-yield accounting; a slice

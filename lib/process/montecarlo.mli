@@ -24,6 +24,8 @@ type dataset = {
 }
 
 exception Too_many_failures of string
+(** Its message names the device, its failed draws, the instances asked
+    for and the cap they went over. *)
 
 val instance_rng : seed:int -> index:int -> attempt:int -> Stc_numerics.Rng.t
 (** The private stream of draw [attempt] of instance [index] under

@@ -511,6 +511,67 @@ let tran_tests =
         if not (tail > 2.0 *. early && tail > 2.0 *. dt) then
           Alcotest.failf "tail step %g not above twice the post-edge step %g and dt %g" tail
             early dt);
+    Alcotest.test_case "until: a stopped run is the full run's prefix, bit for bit" `Quick
+      (fun () ->
+        let steps = Stc_obs.Registry.counter "stc_tran_steps_total" in
+        (* [node] at or above [level] stops the run *)
+        let check name netlist ~tstop ~dt ~node ~level =
+          let sys = Mna.build netlist in
+          let idx = Mna.node_index sys node in
+          let reached x = x.(idx) >= level in
+          let full = Tran.run sys ~tstop ~dt in
+          let n = Array.length full.Tran.times in
+          Alcotest.(check string) (name ^ ": the full run ends at tstop")
+            (Printf.sprintf "%h" tstop) (Printf.sprintf "%h" full.Tran.times.(n - 1));
+          let { Stc_numerics.Mat.cols; data; _ } = full.Tran.states in
+          (* the first accepted point, after the operating point, that
+             meets the condition *)
+          let rec first i =
+            if i = n then Alcotest.failf "%s: the full run never reaches %g" name level
+            else if reached (Array.sub data (i * cols) cols) then i
+            else first (i + 1)
+          in
+          let k = first 1 in
+          if k = n - 1 then Alcotest.failf "%s: the condition holds only at tstop" name;
+          let last_seen = ref Float.nan in
+          let before = Stc_obs.Registry.Counter.get steps in
+          let stopped =
+            Tran.run sys ~tstop ~dt ~until:(fun t x ->
+                last_seen := t;
+                reached x)
+          in
+          let bits a = Array.map Int64.bits_of_float a in
+          Alcotest.(check (array int64)) (name ^ ": times")
+            (bits (Array.sub full.Tran.times 0 (k + 1))) (bits stopped.Tran.times);
+          Alcotest.(check (array int64)) (name ^ ": states")
+            (bits (Array.sub data 0 ((k + 1) * cols)))
+            (bits stopped.Tran.states.Stc_numerics.Mat.data);
+          Alcotest.(check int64) (name ^ ": until saw the last point's time")
+            (Int64.bits_of_float full.Tran.times.(k)) (Int64.bits_of_float !last_seen);
+          Alcotest.(check int) (name ^ ": accepted steps counted") k
+            (Stc_obs.Registry.Counter.get steps - before)
+        in
+        let tau = 1e-3 in
+        let edge =
+          Wave.Pulse
+            { v1 = 0.0; v2 = 1.0; delay = 0.5 *. tau; rise = tau /. 50.0; fall = tau /. 50.0;
+              width = 1.0; period = 0.0 }
+        in
+        check "pulsed RC"
+          (Netlist.of_elements
+             [
+               Netlist.vwave "vin" "in" "0" edge;
+               Netlist.r "r1" "in" "out" 1000.0;
+               Netlist.c "c1" "out" "0" 1e-6;
+             ])
+          ~tstop:(6.0 *. tau) ~dt:(tau /. 100.0) ~node:"out" ~level:0.5;
+        (* a pinned draw's large-step bench, stopped 90 % of the way
+           from the pulse's low level (vcm - 2 V) to its high one *)
+        let p = Test_sim_pins.params_of_draw Test_sim_pins.opamp_draws.(0) in
+        check "large-step bench"
+          (Opamp.netlist p (Opamp.Unity_large_step 4.0))
+          ~tstop:18e-6 ~dt:(18e-6 /. 1200.0) ~node:"out"
+          ~level:(p.Opamp.vcm +. 1.6));
   ]
 
 (* ------------------------- Waveform measures ---------------------- *)
@@ -552,6 +613,28 @@ let waveform_tests =
         let w = [| (0.0, 1.0); (1.0, 1.0) |] in
         Alcotest.(check bool) "no rise" true (Waveform.rise_time w = None);
         check_close 0.0 "overshoot 0" 0.0 (Waveform.overshoot w));
+    Alcotest.test_case "final: cut at the 90 % sample, read as the whole" `Quick (fun () ->
+        (* a first-order step whose last sample is short of its level 1 *)
+        let w = Array.init 2001 (fun i ->
+            let t = float_of_int i /. 100.0 in
+            (t, 1.0 -. exp (-.t)))
+        in
+        let cut =
+          match Array.find_index (fun (_, v) -> v >= 0.9) w with
+          | Some k -> Array.sub w 0 (k + 1)
+          | None -> Alcotest.fail "never reaches 90 %"
+        in
+        let bits = Option.map Int64.bits_of_float in
+        Alcotest.(check (option int64)) "rise time"
+          (bits (Waveform.rise_time ~final:1.0 w)) (bits (Waveform.rise_time ~final:1.0 cut));
+        Alcotest.(check (option int64)) "slew rate"
+          (bits (Waveform.slew_rate ~final:1.0 w)) (bits (Waveform.slew_rate ~final:1.0 cut));
+        (match Waveform.rise_time ~final:1.0 cut with
+         | Some rt -> check_close 1e-3 "ln 9" (log 9.0) rt
+         | None -> Alcotest.fail "no rise time");
+        (* without [final] the cut reads against its own last sample *)
+        Alcotest.(check bool) "default is the last sample" true
+          (Waveform.rise_time cut <> Waveform.rise_time ~final:1.0 cut));
   ]
 
 (* ------------------------------ Opamp ----------------------------- *)
