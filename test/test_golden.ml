@@ -81,17 +81,25 @@ let mems_case ~label ~n_train ~n_test ~max_error ~min_saving =
       check_le "yield loss %" max_error (Metrics.loss_pct counts);
       check_ge "cost saving %" min_saving cost.Cost.saving_pct)
 
-(* --------------------- stc-flow-2 byte pin ------------------------ *)
+(* --------------------------- flow byte pins ----------------------- *)
 
-(* The first multi-model-family container: an op-amp flow trained with
-   the MLP learner must keep producing these exact bytes. The pin
-   covers the whole chain — MLP training determinism, the stc-mlp-1
-   body, Model_text embedding, and the stc-flow-2 container — so any
-   accidental format or arithmetic drift fails here by fingerprint.
-   The training data are simulated, so any change to the simulated
-   op-amp specs or to the Monte-Carlo instance streams moves the pin
-   too. *)
-let flow2_fingerprint = "e51f2a4a811111ba"
+(* One op-amp flow per learner family must keep producing these exact
+   bytes. Each pin covers the whole chain — training determinism (SMO
+   for the ε-SVR and C-SVC, split RNG streams for the MLP), the model
+   body (stc-svr-1, stc-svc-1, stc-mlp-1), Model_text embedding and
+   the container (stc-flow-1 for the SVMs, stc-flow-2 for the MLP) — so
+   any accidental format or arithmetic drift fails here by fingerprint.
+   The SVM pins equal `stc flow info` on the flows `stc opamp --seed 701
+   --train 80 --test 40 --learner svr|svc --save-flow` writes, and each
+   holds trained models, not constants. The training data are
+   simulated, so any change to the simulated op-amp specs or to the
+   Monte-Carlo instance streams moves every pin too. *)
+let flow_pins =
+  [
+    (Stc.Learner.default_mlp, "stc-flow-2", "e51f2a4a811111ba");
+    (Stc.Learner.default_svr, "stc-flow-1", "7505f3e76bff41f2");
+    (Compaction.C_svc { c = 10.0; gamma = None }, "stc-flow-1", "80f95e17edab3b07");
+  ]
 
 let flow2_pin =
   Alcotest.test_case "golden: stc-flow-2 op-amp flow bytes pinned" `Quick
@@ -99,30 +107,44 @@ let flow2_pin =
       let train, test =
         Experiment.generate_opamp ~seed:701 ~n_train:80 ~n_test:40 ()
       in
-      let config =
-        {
-          Experiment.opamp_config with
-          Compaction.learner = Stc.Learner.default_mlp;
-        }
-      in
-      let result =
-        Compaction.greedy
-          ~order:(Order.Given Experiment.opamp_examination_order)
-          config ~train ~test
-      in
-      let text =
-        match Stc_floor.Flow_io.to_string result.Compaction.flow with
-        | Ok s -> s
-        | Error e -> Alcotest.failf "flow does not serialise: %s" e
-      in
-      let header = String.sub text 0 (String.index text '\n') in
-      Alcotest.(check string) "container version" "stc-flow-2" header;
-      let fp =
-        match Stc_floor.Flow_io.fingerprint result.Compaction.flow with
-        | Ok fp -> fp
-        | Error e -> Alcotest.failf "flow does not fingerprint: %s" e
-      in
-      Alcotest.(check string) "flow fingerprint" flow2_fingerprint fp)
+      List.iter
+        (fun (learner, version, fingerprint) ->
+          let name = Stc.Learner.name learner in
+          let config = { Experiment.opamp_config with Compaction.learner } in
+          let result =
+            Compaction.greedy
+              ~order:(Order.Given Experiment.opamp_examination_order)
+              config ~train ~test
+          in
+          let flow = result.Compaction.flow in
+          let text =
+            match Stc_floor.Flow_io.to_string flow with
+            | Ok s -> s
+            | Error e -> Alcotest.failf "%s flow does not serialise: %s" name e
+          in
+          let header = String.sub text 0 (String.index text '\n') in
+          Alcotest.(check string) (name ^ " container version") version header;
+          let trained =
+            match flow.Compaction.band with
+            | None -> false
+            | Some band ->
+              List.for_all
+                (fun m ->
+                  match m with
+                  | Stc.Guard_band.Constant _ | Stc.Guard_band.Opaque _ -> false
+                  | Stc.Guard_band.Svr _ | Stc.Guard_band.Svc _
+                  | Stc.Guard_band.Mlp _ ->
+                    true)
+                [ Stc.Guard_band.tight_model band; Stc.Guard_band.loose_model band ]
+          in
+          Alcotest.(check bool) (name ^ " band holds trained models") true trained;
+          let fp =
+            match Stc_floor.Flow_io.fingerprint flow with
+            | Ok fp -> fp
+            | Error e -> Alcotest.failf "%s flow does not fingerprint: %s" name e
+          in
+          Alcotest.(check string) (name ^ " flow fingerprint") fingerprint fp)
+        flow_pins)
 
 (* ------------------------------ tiers ----------------------------- *)
 

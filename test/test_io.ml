@@ -47,13 +47,16 @@ let svr_tests =
              x);
         Alcotest.(check bool) "non-trivial model" true (Svr.n_support m > 0));
     Alcotest.test_case "svr header validated" `Quick (fun () ->
-        (match Model_io.svr_of_string "stc-svc-1\nkernel linear\nbias 0\nnsv 0\n" with
-         | Error _ -> ()
+        (match Model_io.svr_of_string "stc-svc-1\nkernel rbf 0.5\nbias 0\nnsv 0\n" with
+         | Error e ->
+           Alcotest.(check string) "tag mismatch"
+             "expected \"stc-svr-1\" header, got \"stc-svc-1\"" e
          | Ok _ -> Alcotest.fail "expected tag mismatch"));
     Alcotest.test_case "sv count validated" `Quick (fun () ->
-        let bogus = "stc-svr-1\nkernel linear\nbias 0\nnsv 2\n1.0 0.5\n" in
+        let bogus = "stc-svr-1\nkernel rbf 0.5\nbias 0\nnsv 2\n1.0 0.5\n" in
         (match Model_io.svr_of_string bogus with
-         | Error _ -> ()
+         | Error e ->
+           Alcotest.(check string) "count mismatch" "support-vector count mismatch" e
          | Ok _ -> Alcotest.fail "expected count mismatch"));
   ]
 
