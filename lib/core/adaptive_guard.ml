@@ -1,6 +1,5 @@
 module Svr = Stc_svm.Svr
 module Svc = Stc_svm.Svc
-module Kernel = Stc_svm.Kernel
 module Stats = Stc_numerics.Stats
 
 type config = {
@@ -22,9 +21,6 @@ type t = {
   margin : float;
 }
 
-let resolve_gamma gamma features =
-  match gamma with Some g -> g | None -> Kernel.median_gamma features
-
 (* a real-valued decision function for either learner *)
 let train_decision learner features labels =
   let all_same = Array.for_all (fun l -> l = labels.(0)) labels in
@@ -35,14 +31,10 @@ let train_decision learner features labels =
   else begin
     match learner with
     | Compaction.Epsilon_svr { c; epsilon; gamma } ->
-      let kernel = Kernel.rbf (resolve_gamma gamma features) in
       let y = Array.map float_of_int labels in
-      let model = Svr.train ~c ~epsilon ~kernel ~x:features ~y () in
-      fun v -> Svr.predict model v
+      Stc_svm.Model.decision (Svr.train ~c ~epsilon ?gamma ~x:features ~y ())
     | Compaction.C_svc { c; gamma } ->
-      let kernel = Kernel.rbf (resolve_gamma gamma features) in
-      let model = Svc.train ~c ~kernel ~x:features ~y:labels () in
-      fun v -> Svc.decision model v
+      Stc_svm.Model.decision (Svc.train ~c ?gamma ~x:features ~y:labels ())
     | Compaction.Mlp mlp_config ->
       let y = Array.map float_of_int labels in
       let model = Stc_learn.Mlp.train ~config:mlp_config ~x:features ~y () in

@@ -11,7 +11,6 @@ let m_rejected = Obs.counter "stc_compaction_rejected_total"
 let m_replayed = Obs.counter "stc_compaction_replayed_total"
 let h_train = Obs.histogram "stc_compaction_train_s"
 let h_validate = Obs.histogram "stc_compaction_validate_s"
-let g_last_error = Obs.gauge "stc_compaction_last_error"
 
 type learner = Learner.spec =
   | Epsilon_svr of { c : float; epsilon : float; gamma : float option }
@@ -322,7 +321,6 @@ let greedy ?(order = Order.By_failure_count) ?journal ?(replay = [||]) config
               let accepted = error <= config.tolerance in
               Obs.Counter.incr m_candidates;
               Obs.Counter.incr (if accepted then m_accepted else m_rejected);
-              Obs.Gauge.set g_last_error error;
               (* zero-length marker so the decision is visible in the
                  trace itself, nested under this candidate's span *)
               Trace.with_span

@@ -6,8 +6,8 @@ type classifier = float array -> int
    behind it, so a flow can be serialised and shipped to the floor. *)
 type model =
   | Constant of int
-  | Svr of Stc_svm.Svr.model
-  | Svc of Stc_svm.Svc.model
+  | Svr of Stc_svm.Model.t
+  | Svc of Stc_svm.Model.t
   | Mlp of Stc_learn.Mlp.model
   | Opaque of classifier
 
@@ -23,14 +23,13 @@ let constant c =
 let predict m =
   match m with
   | Constant c -> fun _ -> c
-  | Svr svr -> Stc_svm.Svr.classify svr
-  | Svc svc -> Stc_svm.Svc.predict svc
+  | Svr m | Svc m -> Stc_svm.Model.classify m
   | Mlp mlp -> Stc_learn.Mlp.classify mlp
   | Opaque f -> f
 
 let input_width = function
-  | Svr m when Stc_svm.Svr.n_support m > 0 -> Some (Stc_svm.Svr.dim m)
-  | Svc m when Stc_svm.Svc.n_support m > 0 -> Some (Stc_svm.Svc.dim m)
+  | (Svr m | Svc m) when Stc_svm.Flat.n_rows m.Stc_svm.Model.sv > 0 ->
+    Some (Stc_svm.Flat.dim m.Stc_svm.Model.sv)
   | Mlp m -> Some (Stc_learn.Mlp.dim m)
   | Svr _ | Svc _ | Constant _ | Opaque _ -> None
 

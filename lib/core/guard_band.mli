@@ -16,8 +16,10 @@ type classifier = float array -> int
     an adaptive-guard margin rule) and cannot be serialised. *)
 type model =
   | Constant of int           (** degenerate one-class training data *)
-  | Svr of Stc_svm.Svr.model  (** the paper's ε-SVM, classified by sign *)
-  | Svc of Stc_svm.Svc.model
+  | Svr of Stc_svm.Model.t  (** the paper's ε-SVM, classified by sign *)
+  | Svc of Stc_svm.Model.t
+      (** a C-SVC; both SVM constructors hold the one model type, and
+          name the family that saves it ([model svr|svc]) *)
   | Mlp of Stc_learn.Mlp.model
       (** one-hidden-layer perceptron ({!Stc_learn.Mlp}), classified by
           sign; serialises only in [stc-flow-2] containers *)

@@ -1,6 +1,5 @@
 module Svr = Stc_svm.Svr
 module Svc = Stc_svm.Svc
-module Kernel = Stc_svm.Kernel
 module Mlp = Stc_learn.Mlp
 
 type spec =
@@ -16,9 +15,6 @@ let name = function
 let default_svr = Epsilon_svr { c = 10.0; epsilon = 0.1; gamma = None }
 let default_mlp = Mlp Stc_learn.Mlp.default_config
 
-let resolve_gamma gamma features =
-  match gamma with Some g -> g | None -> Kernel.median_gamma features
-
 let train spec ~features ~labels =
   let n = Array.length labels in
   assert (n > 0);
@@ -30,12 +26,10 @@ let train spec ~features ~labels =
   else begin
     match spec with
     | Epsilon_svr { c; epsilon; gamma } ->
-      let kernel = Kernel.rbf (resolve_gamma gamma features) in
       let y = Array.map float_of_int labels in
-      Guard_band.Svr (Svr.train ~c ~epsilon ~kernel ~x:features ~y ())
+      Guard_band.Svr (Svr.train ~c ~epsilon ?gamma ~x:features ~y ())
     | C_svc { c; gamma } ->
-      let kernel = Kernel.rbf (resolve_gamma gamma features) in
-      Guard_band.Svc (Svc.train ~c ~kernel ~x:features ~y:labels ())
+      Guard_band.Svc (Svc.train ~c ?gamma ~x:features ~y:labels ())
     | Mlp config ->
       (* same ±1-target convention as the SVR path; the MLP classifies
          by the sign of its regression output *)

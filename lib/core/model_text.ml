@@ -1,4 +1,4 @@
-module Model_io = Stc_svm.Model_io
+module Model = Stc_svm.Model
 
 open Textio
 
@@ -20,11 +20,11 @@ let body_tag = function
 let to_text (m : Guard_band.model) =
   match m with
   | Guard_band.Constant c -> Ok (Printf.sprintf "model constant %d\n" c)
-  | Guard_band.Svr svr ->
-    let body = Model_io.svr_to_string svr in
+  | Guard_band.Svr m ->
+    let body = Model.to_string ~tag:(body_tag "svr") m in
     Ok (Printf.sprintf "model svr %d\n%s" (count_lines body) body)
-  | Guard_band.Svc svc ->
-    let body = Model_io.svc_to_string svc in
+  | Guard_band.Svc m ->
+    let body = Model.to_string ~tag:(body_tag "svc") m in
     Ok (Printf.sprintf "model svc %d\n%s" (count_lines body) body)
   | Guard_band.Mlp mlp ->
     let body = Stc_learn.Mlp.to_string mlp in
@@ -73,17 +73,14 @@ let parse ?(families = all_families) cur =
         else
           let* rest = take_lines cur (nlines - 1) in
           let body = String.concat "\n" (first :: rest) ^ "\n" in
+          let svm wrap =
+            match Model.of_string ~tag:expected body with
+            | Ok m -> Ok (wrap m)
+            | Error e -> fail cur (Printf.sprintf "embedded %s: %s" family e)
+          in
           (match family with
-           | "svr" -> begin
-               match Model_io.svr_of_string body with
-               | Ok m -> Ok (Guard_band.Svr m)
-               | Error e -> fail cur ("embedded svr: " ^ e)
-             end
-           | "svc" -> begin
-               match Model_io.svc_of_string body with
-               | Ok m -> Ok (Guard_band.Svc m)
-               | Error e -> fail cur ("embedded svc: " ^ e)
-             end
+           | "svr" -> svm (fun m -> Guard_band.Svr m)
+           | "svc" -> svm (fun m -> Guard_band.Svc m)
            | _ -> begin
                match Stc_learn.Mlp.of_string body with
                | Ok m -> Ok (Guard_band.Mlp m)

@@ -4,7 +4,7 @@
 
     A model embeds as one ["model <family> ..."] header line followed,
     for SVR/SVC/MLP, by the family's own body verbatim
-    ({!Stc_svm.Model_io} or {!Stc_learn.Mlp}) with its line count in
+    ({!Stc_svm.Model} or {!Stc_learn.Mlp}) with its line count in
     the header — so a container can skip or extract the body without
     understanding it. The body's first line is the family's own tag
     (e.g. [stc-svr-1]); {!parse} checks it against the header family

@@ -1,5 +1,5 @@
 module Svr = Stc_svm.Svr
-module Kernel = Stc_svm.Kernel
+module Model = Stc_svm.Model
 
 type config = {
   c : float;
@@ -13,7 +13,7 @@ type t = {
   specs : Spec.t array;
   kept_indices : int array;
   dropped_indices : int array;
-  models : Svr.model array;  (* one per dropped spec, normalised targets *)
+  models : Model.t array;  (* one per dropped spec, normalised targets *)
 }
 
 let train ?(config = default_config) data ~dropped =
@@ -22,12 +22,6 @@ let train ?(config = default_config) data ~dropped =
   let specs = Device_data.specs data in
   let kept_indices = Device_data.kept data ~dropped in
   let features = Device_data.features data ~keep:kept_indices in
-  let kernel =
-    Kernel.rbf
-      (match config.gamma with
-       | Some g -> g
-       | None -> Kernel.median_gamma features)
-  in
   let models =
     Array.map
       (fun j ->
@@ -37,7 +31,8 @@ let train ?(config = default_config) data ~dropped =
             (fun row -> Spec.normalize spec row.(j))
             (Device_data.values data)
         in
-        Svr.train ~c:config.c ~epsilon:config.epsilon ~kernel ~x:features ~y ())
+        Svr.train ~c:config.c ~epsilon:config.epsilon ?gamma:config.gamma
+          ~x:features ~y ())
       dropped
   in
   { specs; kept_indices; dropped_indices = Array.copy dropped; models }
@@ -45,7 +40,7 @@ let train ?(config = default_config) data ~dropped =
 let predict_values t features =
   Array.mapi
     (fun i j ->
-      let normalised = Svr.predict t.models.(i) features in
+      let normalised = Model.decision t.models.(i) features in
       Spec.denormalize t.specs.(j) normalised)
     t.dropped_indices
 

@@ -1,6 +1,6 @@
 (** Serialisation of a full compacted flow — specs and ranges, kept and
     dropped indices, the guard-band model pair, guard fraction — in a
-    versioned extension of {!Stc_svm.Model_io}'s flat text format, so a
+    versioned extension of {!Stc_svm.Model}'s flat text format, so a
     flow trained once can be shipped to the production floor and served
     by {!Floor}.
 

@@ -1,9 +1,10 @@
 module Spec = Stc.Spec
 module Compaction = Stc.Compaction
 module Guard_band = Stc.Guard_band
-module Kernel = Stc_svm.Kernel
 module Svr = Stc_svm.Svr
 module Svc = Stc_svm.Svc
+module Flat = Stc_svm.Flat
+module Svm = Stc_svm.Model
 module Mlp = Stc_learn.Mlp
 module G = QCheck.Gen
 
@@ -124,29 +125,12 @@ let enrich_device =
 
 (* ----------------------------- models ----------------------------- *)
 
-let kernel =
-  let gamma = G.float_range 0.05 4.0 in
-  G.frequency
-    [
-      (2, G.return Kernel.Linear);
-      (4, G.map (fun gamma -> Kernel.Rbf { gamma }) gamma);
-      ( 1,
-        let* gamma = gamma in
-        let* coef0 = G.float_range (-1.0) 1.0 in
-        let* degree = G.int_range 2 3 in
-        G.return (Kernel.Polynomial { gamma; coef0; degree }) );
-      ( 1,
-        let* gamma = gamma in
-        let* coef0 = G.float_range (-1.0) 1.0 in
-        G.return (Kernel.Sigmoid { gamma; coef0 }) );
-    ]
-
 (* Feature vectors are normalised kept-spec values, mostly in [-1, 2]
    (in-range devices land in [0, 1]); support vectors live there too. *)
 let sv_coord = G.float_range (-1.0) 2.0
 
-let raw_parts ~dim =
-  let* kernel = kernel in
+let svm ~dim =
+  let* gamma = G.float_range 0.05 4.0 in
   let* nsv = G.int_range 1 6 in
   let* sv = G.array_size (G.return nsv) (G.array_size (G.return dim) sv_coord) in
   let* coef =
@@ -156,15 +140,7 @@ let raw_parts ~dim =
        G.return (if sign then mag else -.mag))
   in
   let* b = G.float_range (-1.5) 1.5 in
-  G.return (kernel, sv, coef, b)
-
-let svr ~dim =
-  let* kernel, sv, coef, b = raw_parts ~dim in
-  G.return (Svr.of_raw { Svr.raw_kernel = kernel; raw_sv = sv; raw_coef = coef; raw_b = b })
-
-let svc ~dim =
-  let* kernel, sv, coef, b = raw_parts ~dim in
-  G.return (Svc.of_raw { Svc.raw_kernel = kernel; raw_sv = sv; raw_coef = coef; raw_b = b })
+  G.return { Svm.gamma; sv = Flat.of_rows sv; coef; b }
 
 (* Two separated blobs with ~10 % label noise, so the SMO solver sees a
    realistic soft-margin problem. The first two points are clean, one
@@ -187,14 +163,14 @@ let trained_svc ~dim ~n =
   let* c = G.float_range 0.5 10.0 in
   let* x, y = two_class_points ~dim ~n in
   let* gamma = G.float_range 0.2 2.0 in
-  G.return (c, Svc.train ~c ~kernel:(Kernel.rbf gamma) ~x ~y ())
+  G.return (c, Svc.train ~c ~gamma ~x ~y ())
 
 let trained_svr ~dim ~n =
   let* c = G.float_range 0.5 10.0 in
   let* x, y = two_class_points ~dim ~n in
   let* gamma = G.float_range 0.2 2.0 in
   let yf = Array.map float_of_int y in
-  G.return (c, Svr.train ~c ~epsilon:0.1 ~kernel:(Kernel.rbf gamma) ~x ~y:yf ())
+  G.return (c, Svr.train ~c ~epsilon:0.1 ~gamma ~x ~y:yf ())
 
 (* Synthesised raw weights rather than a training run: cheaper, and
    covers weight patterns no SGD trajectory would reach. *)
@@ -214,8 +190,8 @@ let model ~dim =
   G.frequency
     [
       (1, G.map (fun pos -> Guard_band.constant (if pos then 1 else -1)) G.bool);
-      (3, G.map (fun m -> Guard_band.Svr m) (svr ~dim));
-      (3, G.map (fun m -> Guard_band.Svc m) (svc ~dim));
+      (3, G.map (fun m -> Guard_band.Svr m) (svm ~dim));
+      (3, G.map (fun m -> Guard_band.Svc m) (svm ~dim));
       (2, G.map (fun m -> Guard_band.Mlp m) (mlp ~dim));
     ]
 
@@ -306,37 +282,25 @@ let print_rows rows =
 
 (* Shrink a band model towards Constant 1, via ever fewer support
    vectors: mismatch reports stay small enough to read. *)
+let shrink_svm (m : Svm.t) wrap yield =
+  yield (Guard_band.Constant 1);
+  let half = Flat.n_rows m.Svm.sv / 2 in
+  if half > 0 then
+    yield
+      (wrap
+         {
+           m with
+           Svm.sv = Flat.of_rows (Array.init half (Flat.row m.Svm.sv));
+           coef = Array.sub m.Svm.coef 0 half;
+         })
+
 let shrink_model m yield =
   match m with
   | Guard_band.Constant 1 -> ()
   | Guard_band.Constant _ -> yield (Guard_band.Constant 1)
   | Guard_band.Opaque _ -> ()
-  | Guard_band.Svr m ->
-    yield (Guard_band.Constant 1);
-    let r = Svr.to_raw m in
-    let nsv = Array.length r.Svr.raw_sv in
-    if nsv > 1 then
-      yield
-        (Guard_band.Svr
-           (Svr.of_raw
-              {
-                r with
-                Svr.raw_sv = Array.sub r.Svr.raw_sv 0 (nsv / 2);
-                raw_coef = Array.sub r.Svr.raw_coef 0 (nsv / 2);
-              }))
-  | Guard_band.Svc m ->
-    yield (Guard_band.Constant 1);
-    let r = Svc.to_raw m in
-    let nsv = Array.length r.Svc.raw_sv in
-    if nsv > 1 then
-      yield
-        (Guard_band.Svc
-           (Svc.of_raw
-              {
-                r with
-                Svc.raw_sv = Array.sub r.Svc.raw_sv 0 (nsv / 2);
-                raw_coef = Array.sub r.Svc.raw_coef 0 (nsv / 2);
-              }))
+  | Guard_band.Svr m -> shrink_svm m (fun m -> Guard_band.Svr m) yield
+  | Guard_band.Svc m -> shrink_svm m (fun m -> Guard_band.Svc m) yield
   | Guard_band.Mlp m ->
     yield (Guard_band.Constant 1);
     let r = Mlp.to_raw m in

@@ -50,24 +50,19 @@ val enrich_device :
 
 (* ----------------------------- models ----------------------------- *)
 
-val kernel : Stc_svm.Kernel.t QCheck.Gen.t
-(** Any of the four kernel families, with finite positive [gamma]. *)
+val svm : dim:int -> Stc_svm.Model.t QCheck.Gen.t
+(** A structurally valid model (γ in [0.05, 4], 1–6 support vectors),
+    built field by field, cheap enough to generate by the thousand.
+    Use {!trained_svr} or {!trained_svc} when solver output is
+    required. *)
 
-val svr : dim:int -> Stc_svm.Svr.model QCheck.Gen.t
-(** A structurally valid model built through {!Stc_svm.Svr.of_raw}
-    (1–6 support vectors), cheap enough to generate by the thousand.
-    Use {!trained_svr} when solver output is required. *)
+val trained_svr : dim:int -> n:int -> (float * Stc_svm.Model.t) QCheck.Gen.t
+(** Actually runs the ε-SVR's SMO solve on a generated two-class dataset
+    of [n] points; returns the box constraint [c] used, for
+    dual-feasibility checks ({!Oracle.dual_feasible}). *)
 
-val svc : dim:int -> Stc_svm.Svc.model QCheck.Gen.t
-
-val trained_svr : dim:int -> n:int ->
-  (float * Stc_svm.Svr.model) QCheck.Gen.t
-(** Actually runs the SMO solver on a generated two-class dataset of
-    [n] points; returns the box constraint [c] used, for dual-feasibility
-    checks ({!Oracle.svr_dual_feasible}). *)
-
-val trained_svc : dim:int -> n:int ->
-  (float * Stc_svm.Svc.model) QCheck.Gen.t
+val trained_svc : dim:int -> n:int -> (float * Stc_svm.Model.t) QCheck.Gen.t
+(** The same for the C-SVC. *)
 
 val mlp : dim:int -> Stc_learn.Mlp.model QCheck.Gen.t
 (** Structurally valid raw weights (1–4 hidden units) through

@@ -2,9 +2,8 @@ module Spec = Stc.Spec
 module Compaction = Stc.Compaction
 module Guard_band = Stc.Guard_band
 module Kernel = Stc_svm.Kernel
-module Svr = Stc_svm.Svr
-module Svc = Stc_svm.Svc
-module Model_io = Stc_svm.Model_io
+module Flat = Stc_svm.Flat
+module Svm = Stc_svm.Model
 module Floor = Stc_floor.Floor
 module Flow_io = Stc_floor.Flow_io
 module Device_csv = Stc_floor.Device_csv
@@ -156,13 +155,6 @@ let floor_matches ?retest ~batch_sizes ~domain_counts flow rows =
 
 (* --------------------- reference SVM decision --------------------- *)
 
-let dot_ref x y =
-  let acc = ref 0.0 in
-  for i = 0 to Array.length x - 1 do
-    acc := !acc +. (x.(i) *. y.(i))
-  done;
-  !acc
-
 let sqdist_ref x y =
   let acc = ref 0.0 in
   for i = 0 to Array.length x - 1 do
@@ -171,78 +163,42 @@ let sqdist_ref x y =
   done;
   !acc
 
-let kernel_ref k x y =
-  match k with
-  | Kernel.Linear -> dot_ref x y
-  | Kernel.Rbf { gamma } -> exp (-.gamma *. sqdist_ref x y)
-  | Kernel.Polynomial { gamma; coef0; degree } ->
-    let base = (gamma *. dot_ref x y) +. coef0 in
-    let acc = ref 1.0 in
-    for _ = 1 to degree do
-      acc := !acc *. base
-    done;
-    !acc
-  | Kernel.Sigmoid { gamma; coef0 } -> tanh ((gamma *. dot_ref x y) +. coef0)
+let kernel_ref gamma x y = exp (-.gamma *. sqdist_ref x y)
 
 (* Differential oracle for the flat-storage kernel path: every kernel
-   value computed over contiguous [Flat] storage must be bit-for-bit
-   the value the boxed [Kernel.eval] path computes — compared on the
-   IEEE bit pattern, not with a tolerance. *)
-let flat_kernel_agrees kernels rows =
+   row [Flat.rbf_row] computes over contiguous storage must hold, bit
+   for bit, the values the boxed [Kernel.rbf] computes — compared on
+   the IEEE bit pattern, not with a tolerance. *)
+let flat_kernel_agrees gammas rows =
   let bits = Int64.bits_of_float in
-  let fx = Stc_svm.Flat.of_rows rows in
+  let fx = Flat.of_rows rows in
   let n = Array.length rows in
-  let mismatch what k i j boxed flat =
-    errorf "flat kernel %s: %s rows (%d,%d): boxed %.17g flat %.17g" what
-      (Format.asprintf "%a" Kernel.pp k)
-      i j boxed flat
-  in
-  List.fold_left
-    (fun acc k ->
-      match acc with
-      | Error _ as e -> e
-      | Ok () ->
-        let pairwise = ref (Ok ()) in
-        let row = Array.make n 0.0 in
-        (try
-           for i = 0 to n - 1 do
-             Kernel.fill_row k fx i row;
-             for j = 0 to n - 1 do
-               let boxed = Kernel.eval k rows.(i) rows.(j) in
-               let flat = Kernel.eval_rows k fx i j in
-               if bits boxed <> bits flat then begin
-                 pairwise := mismatch "eval_rows" k i j boxed flat;
-                 raise Exit
-               end;
-               if bits boxed <> bits row.(j) then begin
-                 pairwise := mismatch "fill_row" k i j boxed row.(j);
-                 raise Exit
-               end;
-               let vec = Kernel.eval_row_vec k fx i rows.(j) in
-               if bits boxed <> bits vec then begin
-                 pairwise := mismatch "eval_row_vec" k i j boxed vec;
-                 raise Exit
-               end
-             done
-           done
-         with Exit -> ());
-        !pairwise)
-    (Ok ()) kernels
+  let row = Array.make n 0.0 in
+  let mismatch = ref None in
+  List.iter
+    (fun gamma ->
+      for i = 0 to n - 1 do
+        Flat.rbf_row fx ~gamma i row;
+        for j = 0 to n - 1 do
+          let boxed = Kernel.rbf gamma rows.(i) rows.(j) in
+          if !mismatch = None && bits boxed <> bits row.(j) then
+            mismatch := Some (gamma, i, j, boxed, row.(j))
+        done
+      done)
+    gammas;
+  match !mismatch with
+  | None -> Ok ()
+  | Some (gamma, i, j, boxed, flat) ->
+    errorf "flat rbf(gamma=%g) rows (%d,%d): boxed %.17g flat %.17g" gamma i j
+      boxed flat
 
-let raw_decision ~kernel ~sv ~coef ~b x =
-  let acc = ref b in
-  Array.iteri (fun i s -> acc := !acc +. (coef.(i) *. kernel_ref kernel s x)) sv;
+let decision_ref (m : Svm.t) x =
+  let acc = ref m.Svm.b in
+  for i = 0 to Flat.n_rows m.Svm.sv - 1 do
+    let sv = Flat.row m.Svm.sv i in
+    acc := !acc +. (m.Svm.coef.(i) *. kernel_ref m.Svm.gamma sv x)
+  done;
   !acc
-
-let svc_decision_ref m x =
-  let r = Svc.to_raw m in
-  raw_decision ~kernel:r.Svc.raw_kernel ~sv:r.Svc.raw_sv ~coef:r.Svc.raw_coef
-    ~b:r.Svc.raw_b x
-
-let svr_predict_ref m x =
-  let r = Svr.to_raw m in
-  raw_decision ~kernel:r.Svr.raw_kernel ~sv:r.Svr.raw_sv ~coef:r.Svr.raw_coef
-    ~b:r.Svr.raw_b x
 
 let agree ~what ~tol ~fast ~ref_ ~fast_sign ~ref_sign =
   let scale = 1.0 +. Float.abs fast +. Float.abs ref_ in
@@ -253,19 +209,14 @@ let agree ~what ~tol ~fast ~ref_ ~fast_sign ~ref_sign =
       fast_sign ref_sign ref_
   else Ok ()
 
-let svc_agrees ?(tol = 1e-9) m x =
-  let ref_ = svc_decision_ref m x in
-  agree ~what:"svc" ~tol ~fast:(Svc.decision m x) ~ref_
-    ~fast_sign:(Svc.predict m x)
+let agrees ?(tol = 1e-9) m x =
+  let ref_ = decision_ref m x in
+  agree ~what:"svm" ~tol ~fast:(Svm.decision m x) ~ref_
+    ~fast_sign:(Svm.classify m x)
     ~ref_sign:(if ref_ >= 0.0 then 1 else -1)
 
-let svr_agrees ?(tol = 1e-9) m x =
-  let ref_ = svr_predict_ref m x in
-  agree ~what:"svr" ~tol ~fast:(Svr.predict m x) ~ref_
-    ~fast_sign:(Svr.classify m x)
-    ~ref_sign:(if ref_ >= 0.0 then 1 else -1)
-
-let dual_feasible ~what ~c coef =
+let dual_feasible ~c (m : Svm.t) =
+  let coef = m.Svm.coef in
   let slack = 1e-6 *. (1.0 +. c) in
   let bad =
     Array.to_seq coef
@@ -275,19 +226,13 @@ let dual_feasible ~what ~c coef =
   in
   match bad with
   | (i, a) :: _ ->
-    errorf "%s support vector %d: |coef| = %.17g exceeds C = %g" what i
-      (Float.abs a) c
+    errorf "support vector %d: |coef| = %.17g exceeds C = %g" i (Float.abs a) c
   | [] ->
     let sum = Array.fold_left ( +. ) 0.0 coef in
     let scale = Array.fold_left (fun s a -> s +. Float.abs a) 1.0 coef in
     if Float.abs sum > 1e-6 *. scale then
-      errorf "%s equality constraint violated: sum coef = %.17g" what sum
+      errorf "equality constraint violated: sum coef = %.17g" sum
     else Ok ()
-
-let svc_dual_feasible ~c m = dual_feasible ~what:"svc" ~c (Svc.dual_coefs m)
-
-let svr_dual_feasible ~c m =
-  dual_feasible ~what:"svr" ~c (Svr.to_raw m).Svr.raw_coef
 
 (* -------------------------- round trips --------------------------- *)
 
@@ -326,7 +271,7 @@ let flow_verdicts_survive flow rows =
          rows;
        !mismatch)
 
-let model_roundtrips ~what ~to_string ~of_string m =
+let text_roundtrips ~what ~to_string ~of_string m =
   let text = to_string m in
   match of_string text with
   | Error e -> errorf "printed %s model does not parse: %s" what e
@@ -335,13 +280,9 @@ let model_roundtrips ~what ~to_string ~of_string m =
     if String.equal text text' then Ok ()
     else errorf "%s print ∘ parse not canonical:\n%s\nvs\n%s" what text text'
 
-let svr_roundtrips m =
-  model_roundtrips ~what:"svr" ~to_string:Model_io.svr_to_string
-    ~of_string:Model_io.svr_of_string m
-
-let svc_roundtrips m =
-  model_roundtrips ~what:"svc" ~to_string:Model_io.svc_to_string
-    ~of_string:Model_io.svc_of_string m
+let model_roundtrips ~tag m =
+  text_roundtrips ~what:tag ~to_string:(Svm.to_string ~tag)
+    ~of_string:(Svm.of_string ~tag) m
 
 let csv_roundtrips ~specs ~rows =
   let path = Filename.temp_file "stc_qa" ".csv" in
@@ -407,7 +348,7 @@ let mlp_agrees ?(tol = 1e-9) m x =
     ~ref_sign:(if ref_ >= 0.0 then 1 else -1)
 
 let mlp_roundtrips m =
-  model_roundtrips ~what:"mlp" ~to_string:Mlp.to_string
+  text_roundtrips ~what:"mlp" ~to_string:Mlp.to_string
     ~of_string:Mlp.of_string m
 
 (* Reference MI: one full scan of the data per (bin, label) cell —

@@ -5,11 +5,11 @@
     - a naive reference binner — sequential, unbatched, closure-based —
       that {!Stc_floor.Floor} must match bit-for-bit under any batch
       size and domain count;
-    - brute-force SVM decision functions recomputed from the raw model
-      data with an independent kernel evaluation, checked against
-      {!Stc_svm.Svc}/{!Stc_svm.Svr}, plus dual-feasibility checks on
-      what the SMO solver produced;
-    - round-trip laws for {!Stc_floor.Flow_io}, {!Stc_svm.Model_io} and
+    - brute-force SVM decision functions recomputed from the model's
+      fields with an independent kernel evaluation, checked against
+      {!Stc_svm.Model.decision}, plus dual-feasibility checks on what
+      the SMO solver produced;
+    - round-trip laws for {!Stc_floor.Flow_io}, {!Stc_svm.Model} and
       {!Stc_floor.Device_csv}: parse ∘ print = id and
       print ∘ parse = canonicalise.
 
@@ -46,44 +46,33 @@ val floor_matches :
 
 (* --------------------- reference SVM decision --------------------- *)
 
-val flat_kernel_agrees :
-  Stc_svm.Kernel.t list -> float array array -> (unit, string) result
-(** Differential oracle for the flat-storage kernel path: for every
-    kernel and every (i, j) row pair, [Kernel.eval_rows] (and
-    [eval_row_vec], and entry j of [fill_row]'s row i, which RBF fills
-    through [Flat.rbf_row]) over contiguous {!Stc_svm.Flat} storage must equal
-    the boxed [Kernel.eval] bit-for-bit (IEEE bit pattern, no
+val flat_kernel_agrees : float list -> float array array -> (unit, string) result
+(** Differential oracle for the flat-storage kernel path: for every γ
+    and every (i, j) row pair, entry j of the row [Flat.rbf_row]
+    computes for row i over contiguous {!Stc_svm.Flat} storage must
+    equal the boxed [Kernel.rbf] bit-for-bit (IEEE bit pattern, no
     tolerance). This is the contract that lets the SMO hot path use
     flat storage without perturbing a single trained model. *)
 
-val kernel_ref : Stc_svm.Kernel.t -> float array -> float array -> float
-(** Independent kernel evaluation (index loops, no shared helpers). *)
+val kernel_ref : float -> float array -> float array -> float
+(** [kernel_ref gamma x y]: an independent RBF kernel evaluation
+    (index loops, no shared helpers). *)
 
-val svc_decision_ref : Stc_svm.Svc.model -> float array -> float
-(** b + Σ coefᵢ·K(svᵢ, x) recomputed from {!Stc_svm.Svc.to_raw}. *)
+val decision_ref : Stc_svm.Model.t -> float array -> float
+(** b + Σ coefᵢ·K(svᵢ, x), recomputed from the model's fields with
+    {!kernel_ref}. *)
 
-val svr_predict_ref : Stc_svm.Svr.model -> float array -> float
+val agrees :
+  ?tol:float -> Stc_svm.Model.t -> float array -> (unit, string) result
+(** {!Stc_svm.Model.decision} and {!decision_ref} agree within [tol]
+    (default 1e-9, scaled by magnitude), and the ±1 classifications
+    agree whenever the decision is not within [tol] of zero. *)
 
-val svc_agrees :
-  ?tol:float -> Stc_svm.Svc.model -> float array -> (unit, string) result
-(** Decision values agree within [tol] (default 1e-9, scaled by
-    magnitude) and the ±1 classifications agree whenever the decision
-    is not within [tol] of zero. *)
-
-val svr_agrees :
-  ?tol:float -> Stc_svm.Svr.model -> float array -> (unit, string) result
-
-val svc_dual_feasible :
-  c:float -> Stc_svm.Svc.model -> (unit, string) result
-(** The trained dual coefficients satisfy the box constraint
-    |yᵢαᵢ| ≤ C and the equality constraint Σ yᵢαᵢ = 0 — what any
-    correct SMO fixed point must satisfy, independent of the
-    working-set strategy. *)
-
-val svr_dual_feasible :
-  c:float -> Stc_svm.Svr.model -> (unit, string) result
-(** Each net coefficient [alpha_i - alpha_i'] lies in [[-C, C]] and
-    they sum to zero. *)
+val dual_feasible : c:float -> Stc_svm.Model.t -> (unit, string) result
+(** The trained dual coefficients — yᵢαᵢ for a C-SVC, αᵢ − αᵢ* for an
+    ε-SVR — satisfy the box constraint |coefᵢ| ≤ C and the equality
+    constraint Σ coefᵢ = 0: what any correct SMO fixed point must
+    satisfy, independent of the working-set strategy. *)
 
 (* -------------------------- round trips --------------------------- *)
 
@@ -95,8 +84,9 @@ val flow_verdicts_survive :
   Stc.Compaction.flow -> float array array -> (unit, string) result
 (** The reloaded flow reproduces every row's verdict bit-for-bit. *)
 
-val svr_roundtrips : Stc_svm.Svr.model -> (unit, string) result
-val svc_roundtrips : Stc_svm.Svc.model -> (unit, string) result
+val model_roundtrips : tag:string -> Stc_svm.Model.t -> (unit, string) result
+(** The model text's canonicality law under [tag]: print → parse →
+    print is byte-identical. *)
 
 val csv_roundtrips :
   specs:Stc.Spec.t array -> rows:float array array -> (unit, string) result

@@ -3,10 +3,10 @@
    One unboxed [float array] of length [n * dim] replaces the boxed
    [float array array]: no per-row indirection, rows adjacent in
    memory, and the inner loops below use [Array.unsafe_get] after a
-   single up-front row-index check. Accumulation order is exactly that
-   of [Stc_numerics.Vec.dot]/[Vec.dist2] (left to right over
-   coordinates, a single running sum) so results are bit-identical to
-   the boxed path. *)
+   single up-front row-index check. Each squared distance sums exactly
+   as [Stc_numerics.Vec.dist2] does (left to right over coordinates, a
+   single running sum), so results are bit-identical to the boxed
+   [Kernel.rbf]. *)
 
 type t = { data : float array; n : int; dim : int }
 
@@ -30,77 +30,18 @@ let dim t = t.dim
 let check t i =
   if i < 0 || i >= t.n then invalid_arg (Printf.sprintf "Flat: row %d" i)
 
-let get t i j =
-  check t i;
-  if j < 0 || j >= t.dim then invalid_arg (Printf.sprintf "Flat: col %d" j);
-  t.data.((i * t.dim) + j)
-
 let row t i =
   check t i;
   Array.sub t.data (i * t.dim) t.dim
 
-let dot t i j =
-  check t i;
-  check t j;
-  let d = t.dim in
-  let data = t.data in
-  let bi = i * d and bj = j * d in
-  let acc = ref 0.0 in
-  for k = 0 to d - 1 do
-    acc :=
-      !acc +. (Array.unsafe_get data (bi + k) *. Array.unsafe_get data (bj + k))
-  done;
-  !acc
-
-let dist2 t i j =
-  check t i;
-  check t j;
-  let d = t.dim in
-  let data = t.data in
-  let bi = i * d and bj = j * d in
-  let acc = ref 0.0 in
-  for k = 0 to d - 1 do
-    let dk = Array.unsafe_get data (bi + k) -. Array.unsafe_get data (bj + k) in
-    acc := !acc +. (dk *. dk)
-  done;
-  !acc
-
-let check_vec t v =
-  if Array.length v <> t.dim then
-    invalid_arg
-      (Printf.sprintf "Flat: vector length %d <> dim %d" (Array.length v) t.dim)
-
-let dot_vec t i v =
-  check t i;
-  check_vec t v;
-  let d = t.dim in
-  let data = t.data in
-  let bi = i * d in
-  let acc = ref 0.0 in
-  for k = 0 to d - 1 do
-    acc := !acc +. (Array.unsafe_get data (bi + k) *. Array.unsafe_get v k)
-  done;
-  !acc
-
-let dist2_vec t i v =
-  check t i;
-  check_vec t v;
-  let d = t.dim in
-  let data = t.data in
-  let bi = i * d in
-  let acc = ref 0.0 in
-  for k = 0 to d - 1 do
-    let dk = Array.unsafe_get data (bi + k) -. Array.unsafe_get v k in
-    acc := !acc +. (dk *. dk)
-  done;
-  !acc
-
 (* The distance and the weighted sum share one function: ocamlopt
-   without flambda does not inline across modules, so calling
-   [dist2_vec] once per support vector pays a call and a boxed float
-   per term. *)
+   without flambda does not inline across modules, so a distance
+   computed by a separate function once per support vector pays a call
+   and a boxed float per term. *)
 let rbf_decision t ~gamma ~coef ~b v =
-  if t.n > 0 then check_vec t v;
+  if t.n > 0 && Array.length v <> t.dim then
+    invalid_arg
+      (Printf.sprintf "Flat: vector length %d <> dim %d" (Array.length v) t.dim);
   if Array.length coef < t.n then invalid_arg "Flat.rbf_decision: coef too short";
   let d = t.dim in
   let data = t.data in
@@ -116,9 +57,7 @@ let rbf_decision t ~gamma ~coef ~b v =
   done;
   !acc
 
-(* One kernel row in one loop, for the same reason as [rbf_decision]:
-   an entry computed through [Kernel.eval_rows] pays a call into this
-   module and two boxed floats. The distance loop is [dist2]'s. *)
+(* One kernel row in one loop, for the same reason as [rbf_decision]. *)
 let rbf_row t ~gamma i out =
   check t i;
   if Array.length out < t.n then invalid_arg "Flat.rbf_row: out too short";

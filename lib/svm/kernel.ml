@@ -1,56 +1,6 @@
 module Vec = Stc_numerics.Vec
 
-type t =
-  | Linear
-  | Polynomial of { gamma : float; coef0 : float; degree : int }
-  | Rbf of { gamma : float }
-  | Sigmoid of { gamma : float; coef0 : float }
-
-let rbf gamma = Rbf { gamma }
-
-let linear = Linear
-
-let eval k x y =
-  match k with
-  | Linear -> Vec.dot x y
-  | Polynomial { gamma; coef0; degree } ->
-    ((gamma *. Vec.dot x y) +. coef0) ** float_of_int degree
-  | Rbf { gamma } -> exp (-.gamma *. Vec.dist2 x y)
-  | Sigmoid { gamma; coef0 } -> tanh ((gamma *. Vec.dot x y) +. coef0)
-
-let eval_rows k rows i j =
-  match k with
-  | Linear -> Flat.dot rows i j
-  | Polynomial { gamma; coef0; degree } ->
-    ((gamma *. Flat.dot rows i j) +. coef0) ** float_of_int degree
-  | Rbf { gamma } -> exp (-.gamma *. Flat.dist2 rows i j)
-  | Sigmoid { gamma; coef0 } -> tanh ((gamma *. Flat.dot rows i j) +. coef0)
-
-let fill_row k rows i out =
-  match k with
-  | Rbf { gamma } -> Flat.rbf_row rows ~gamma i out
-  | Linear | Polynomial _ | Sigmoid _ ->
-    for j = 0 to Flat.n_rows rows - 1 do
-      out.(j) <- eval_rows k rows i j
-    done
-
-let eval_row_vec k rows i v =
-  match k with
-  | Linear -> Flat.dot_vec rows i v
-  | Polynomial { gamma; coef0; degree } ->
-    ((gamma *. Flat.dot_vec rows i v) +. coef0) ** float_of_int degree
-  | Rbf { gamma } -> exp (-.gamma *. Flat.dist2_vec rows i v)
-  | Sigmoid { gamma; coef0 } -> tanh ((gamma *. Flat.dot_vec rows i v) +. coef0)
-
-let decision k sv ~coef ~b x =
-  match k with
-  | Rbf { gamma } -> Flat.rbf_decision sv ~gamma ~coef ~b x
-  | Linear | Polynomial _ | Sigmoid _ ->
-    let acc = ref b in
-    for i = 0 to Flat.n_rows sv - 1 do
-      acc := !acc +. (coef.(i) *. eval_row_vec k sv i x)
-    done;
-    !acc
+let rbf gamma x y = exp (-.gamma *. Vec.dist2 x y)
 
 let default_gamma ~dim =
   if dim <= 0 then invalid_arg "Kernel.default_gamma: dim must be positive";
@@ -90,11 +40,3 @@ let median_gamma x =
       if median <= 0.0 then default_gamma ~dim:(Stdlib.max 1 dim)
       else 1.0 /. median
   end
-
-let pp fmt = function
-  | Linear -> Format.fprintf fmt "linear"
-  | Polynomial { gamma; coef0; degree } ->
-    Format.fprintf fmt "poly(gamma=%g, coef0=%g, degree=%d)" gamma coef0 degree
-  | Rbf { gamma } -> Format.fprintf fmt "rbf(gamma=%g)" gamma
-  | Sigmoid { gamma; coef0 } ->
-    Format.fprintf fmt "sigmoid(gamma=%g, coef0=%g)" gamma coef0

@@ -1,5 +1,7 @@
 (** FIFO cache for kernel-matrix rows: SMO touches rows repeatedly, and
-    recomputing a row costs O(l·d). *)
+    recomputing a row costs O(l·d). Each lookup counts as a hit or a
+    miss in the [stc_svm_cache_hits_total] / [stc_svm_cache_misses_total]
+    registry counters. *)
 
 type t
 
@@ -9,6 +11,3 @@ val create : row_bytes:int -> ?budget_bytes:int -> (int -> float array) -> t
     least 16 rows). *)
 
 val get : t -> int -> float array
-
-val hits : t -> int
-val misses : t -> int

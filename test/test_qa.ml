@@ -432,19 +432,18 @@ let condensed_matches_full (netlist, freqs, singular) =
     freqs;
   true
 
-(* The decision fold Svr.predict and Svc.decision ran over boxed
-   support vectors before those moved into one Flat matrix, kept as the
-   reference the fused decision function must match bit for bit. *)
-let boxed_decision kernel sv coef b x =
+(* The decision fold the SVM models ran over boxed support vectors
+   before those moved into one Flat matrix, kept as the reference the
+   fused decision function must match bit for bit. *)
+let boxed_decision gamma sv coef b x =
   let acc = ref b in
   Array.iteri
-    (fun i s -> acc := !acc +. (coef.(i) *. Stc_svm.Kernel.eval kernel s x))
+    (fun i s -> acc := !acc +. (coef.(i) *. Stc_svm.Kernel.rbf gamma s x))
     sv;
   !acc
 
-(* Models of width 1-12 under each of the four kernels, a fifth of them
-   with no support vector; one probe is a support vector, so one
-   distance is exactly zero. *)
+(* Models of width 1-12, a fifth of them with no support vector; one
+   probe is a support vector, so one distance is exactly zero. *)
 let decision_case =
   QCheck.Gen.(
     let* dim = int_range 1 12 in
@@ -456,43 +455,19 @@ let decision_case =
     let* probes = array_size (int_range 1 4) (array_size (return dim) coord) in
     let probes = if nsv > 0 then Array.append probes [| sv.(0) |] else probes in
     let* gamma = float_range 0.05 4.0 in
-    let* coef0 = float_range (-1.0) 1.0 in
-    let* degree = int_range 2 3 in
-    return
-      ( Stc_svm.Kernel.
-          [
-            linear;
-            rbf gamma;
-            Polynomial { gamma; coef0; degree };
-            Sigmoid { gamma; coef0 };
-          ],
-        sv,
-        coef,
-        b,
-        probes ))
+    return (gamma, sv, coef, b, probes))
 
-let flat_decision_matches_boxed (kernels, sv, coef, b, probes) =
-  let module Svr = Stc_svm.Svr in
-  let module Svc = Stc_svm.Svc in
-  List.for_all
-    (fun kernel ->
-      let svr =
-        Svr.of_raw { Svr.raw_kernel = kernel; raw_sv = sv; raw_coef = coef; raw_b = b }
-      and svc =
-        Svc.of_raw { Svc.raw_kernel = kernel; raw_sv = sv; raw_coef = coef; raw_b = b }
-      in
-      Array.for_all
-        (fun x ->
-          let want = boxed_decision kernel sv coef b x in
-          let same what got =
-            Int64.bits_of_float got = Int64.bits_of_float want
-            || QCheck.Test.fail_reportf "%a, %d support vectors: %s %h, boxed fold %h"
-                 Stc_svm.Kernel.pp kernel (Array.length sv) what got want
-          in
-          same "Svr.predict" (Svr.predict svr x)
-          && same "Svc.decision" (Svc.decision svc x))
-        probes)
-    kernels
+let flat_decision_matches_boxed (gamma, sv, coef, b, probes) =
+  let m = { Stc_svm.Model.gamma; sv = Stc_svm.Flat.of_rows sv; coef; b } in
+  Array.for_all
+    (fun x ->
+      let want = boxed_decision gamma sv coef b x in
+      let got = Stc_svm.Model.decision m x in
+      Int64.bits_of_float got = Int64.bits_of_float want
+      || QCheck.Test.fail_reportf
+           "rbf(gamma=%g), %d support vectors: Model.decision %h, boxed fold %h"
+           gamma (Array.length sv) got want)
+    probes
 
 (* Opposite signs, a zero counting as either. *)
 let opposite fa fb = (fa <= 0.0 && fb >= 0.0) || (fa >= 0.0 && fb <= 0.0)
@@ -629,13 +604,13 @@ let property_tests =
                 Array.init dim (fun _ ->
                     -1.5 +. (4.0 *. Random.State.float st 1.0))
               in
-              (Gen.svr ~dim st, Gen.svc ~dim st, probe)))
+              (Gen.svm ~dim st, Gen.svm ~dim st, probe)))
          (fun (svr, svc, probe) ->
            prop
-             (let* () = Oracle.svr_agrees svr probe in
-              let* () = Oracle.svc_agrees svc probe in
-              let* () = Oracle.svr_roundtrips svr in
-              Oracle.svc_roundtrips svc)));
+             (let* () = Oracle.agrees svr probe in
+              let* () = Oracle.agrees svc probe in
+              let* () = Oracle.model_roundtrips ~tag:"stc-svr-1" svr in
+              Oracle.model_roundtrips ~tag:"stc-svc-1" svc)));
     qtest
       (QCheck.Test.make ~name:"trained svm duals feasible, decisions agree"
          ~count:20
@@ -649,10 +624,10 @@ let property_tests =
                probe)))
          (fun ((c_svc, svc), (c_svr, svr), probe) ->
            prop
-             (let* () = Oracle.svc_dual_feasible ~c:c_svc svc in
-              let* () = Oracle.svr_dual_feasible ~c:c_svr svr in
-              let* () = Oracle.svc_agrees svc probe in
-              Oracle.svr_agrees svr probe)));
+             (let* () = Oracle.dual_feasible ~c:c_svc svc in
+              let* () = Oracle.dual_feasible ~c:c_svr svr in
+              let* () = Oracle.agrees svc probe in
+              Oracle.agrees svr probe)));
     qtest
       (QCheck.Test.make ~name:"flat kernel rows match boxed eval bitwise"
          ~count:100
@@ -664,19 +639,9 @@ let property_tests =
                 array_size (return n)
                   (array_size (return dim) (float_range (-3.0) 3.0))
               in
-              let* gamma = float_range 0.05 2.0 in
-              let* coef0 = float_range (-1.0) 1.0 in
-              let* degree = int_range 2 4 in
-              return
-                ( Stc_svm.Kernel.
-                    [
-                      linear;
-                      rbf gamma;
-                      Polynomial { gamma; coef0; degree };
-                      Sigmoid { gamma; coef0 };
-                    ],
-                  rows )))
-         (fun (kernels, rows) -> prop (Oracle.flat_kernel_agrees kernels rows)));
+              let* gammas = list_size (return 2) (float_range 0.05 4.0) in
+              return (gammas, rows)))
+         (fun (gammas, rows) -> prop (Oracle.flat_kernel_agrees gammas rows)));
     qtest
       (QCheck.Test.make ~name:"flat svm decision matches boxed fold bitwise"
          ~count:200 ~long_factor:10 (QCheck.make decision_case)
@@ -717,7 +682,7 @@ let base_flow_text =
   ^ "spec gain V 1 0 2\n" ^ "kept 1 0\n" ^ "dropped 0\n" ^ "band none\n"
 
 (* The same flow with a one-SVR band, whose body floats are read by
-   Stc_svm.Model_io rather than by Flow_io itself. *)
+   Stc_svm.Model rather than by Flow_io itself. *)
 let svr_flow_text =
   String.concat "\n"
     [

@@ -1,10 +1,12 @@
-(* Tests for the SVM substrate: kernels, the SMO solver, SVC, SVR,
-   scaling, the kernel-row cache, gamma heuristics and flat storage. *)
+(* Tests for the SVM substrate: the RBF kernel, the SMO solver, SVC,
+   SVR, the kernel-row cache, gamma heuristics and flat storage. *)
 
 module Kernel = Stc_svm.Kernel
 module Smo = Stc_svm.Smo
 module Svc = Stc_svm.Svc
 module Svr = Stc_svm.Svr
+module Model = Stc_svm.Model
+module Flat = Stc_svm.Flat
 module Row_cache = Stc_svm.Row_cache
 module Rng = Stc_numerics.Rng
 
@@ -18,35 +20,30 @@ let vec_pair =
 
 let kernel_tests =
   [
-    Alcotest.test_case "linear kernel is dot product" `Quick (fun () ->
-        check_close 1e-12 "dot" 11.0
-          (Kernel.eval Kernel.linear [| 1.; 2. |] [| 3.; 4. |]));
     Alcotest.test_case "rbf at zero distance is 1" `Quick (fun () ->
         check_close 1e-12 "k(x,x)" 1.0
-          (Kernel.eval (Kernel.rbf 0.5) [| 1.; 2. |] [| 1.; 2. |]));
+          (Kernel.rbf 0.5 [| 1.; 2. |] [| 1.; 2. |]));
     Alcotest.test_case "default gamma" `Quick (fun () ->
         check_close 1e-12 "1/dim" 0.25 (Kernel.default_gamma ~dim:4));
     qtest
       (QCheck.Test.make ~name:"kernels are symmetric" ~count:200 vec_pair
          (fun (x, y) ->
            List.for_all
-             (fun k ->
-               let a = Kernel.eval k x y and b = Kernel.eval k y x in
+             (fun gamma ->
+               let a = Kernel.rbf gamma x y and b = Kernel.rbf gamma y x in
                Float.abs (a -. b) <= 1e-9 *. (1.0 +. Float.abs a))
-             [ Kernel.linear; Kernel.rbf 0.3;
-               Kernel.Polynomial { gamma = 0.5; coef0 = 1.0; degree = 3 };
-               Kernel.Sigmoid { gamma = 0.1; coef0 = 0.0 } ]));
+             [ 0.05; 0.3; 1.0; 4.0 ]));
     qtest
       (QCheck.Test.make ~name:"rbf bounded by (0,1]" ~count:200 vec_pair
          (fun (x, y) ->
-           let v = Kernel.eval (Kernel.rbf 0.7) x y in
+           let v = Kernel.rbf 0.7 x y in
            v > 0.0 && v <= 1.0));
     qtest
       (QCheck.Test.make ~name:"rbf 2x2 gram is PSD" ~count:200 vec_pair
          (fun (x, y) ->
            let k = Kernel.rbf 0.4 in
-           let kxx = Kernel.eval k x x and kyy = Kernel.eval k y y in
-           let kxy = Kernel.eval k x y in
+           let kxx = k x x and kyy = k y y in
+           let kxy = k x y in
            (* PSD for 2 points: det >= 0 and trace >= 0 *)
            (kxx *. kyy) -. (kxy *. kxy) >= -1e-9));
   ]
@@ -82,13 +79,13 @@ let smo_tests =
         let x = Array.init n (fun _ -> [| Rng.uniform rng (-1.) 1.; Rng.uniform rng (-1.) 1. |]) in
         let y = Array.init n (fun i -> if x.(i).(0) +. x.(i).(1) > 0.0 then 1.0 else -1.0) in
         let k = Kernel.rbf 1.0 in
-        let q_row i = Array.init n (fun j -> y.(i) *. y.(j) *. Kernel.eval k x.(i) x.(j)) in
+        let q_row i = Array.init n (fun j -> y.(i) *. y.(j) *. k x.(i) x.(j)) in
         let c = 2.5 in
         let problem =
           {
             Smo.size = n;
             q_row;
-            q_diag = Array.init n (fun i -> Kernel.eval k x.(i) x.(i));
+            q_diag = Array.init n (fun i -> k x.(i) x.(i));
             p = Array.make n (-1.0);
             y;
             c;
@@ -108,12 +105,12 @@ let smo_tests =
         let x = [| [| 0.0 |]; [| 1.0 |]; [| 2.0 |]; [| 3.0 |] |] in
         let y = [| -1.0; -1.0; 1.0; 1.0 |] in
         let k = Kernel.rbf 0.5 in
-        let q_row i = Array.init 4 (fun j -> y.(i) *. y.(j) *. Kernel.eval k x.(i) x.(j)) in
+        let q_row i = Array.init 4 (fun j -> y.(i) *. y.(j) *. k x.(i) x.(j)) in
         let problem =
           {
             Smo.size = 4;
             q_row;
-            q_diag = Array.init 4 (fun i -> Kernel.eval k x.(i) x.(i));
+            q_diag = Array.init 4 (fun i -> k x.(i) x.(i));
             p = Array.make 4 (-1.0);
             y;
             c = 10.0;
@@ -135,19 +132,19 @@ let svc_tests =
         in
         let data = make 200 in
         let x = Array.map fst data and y = Array.map snd data in
-        let m = Svc.train ~c:1.0 ~kernel:Kernel.linear ~x ~y () in
+        let m = Svc.train ~c:1.0 ~x ~y () in
         let correct =
           Array.fold_left
-            (fun acc (xi, yi) -> if Svc.predict m xi = yi then acc + 1 else acc)
+            (fun acc (xi, yi) -> if Model.classify m xi = yi then acc + 1 else acc)
             0 data
         in
         Alcotest.(check bool) "90%+ train accuracy" true (correct > 180));
     Alcotest.test_case "xor needs rbf" `Quick (fun () ->
         let x = [| [| 0.; 0. |]; [| 0.; 1. |]; [| 1.; 0. |]; [| 1.; 1. |] |] in
         let y = [| -1; 1; 1; -1 |] in
-        let m = Svc.train ~c:100.0 ~kernel:(Kernel.rbf 2.0) ~x ~y () in
+        let m = Svc.train ~c:100.0 ~gamma:2.0 ~x ~y () in
         Array.iteri
-          (fun i xi -> Alcotest.(check int) "xor" y.(i) (Svc.predict m xi))
+          (fun i xi -> Alcotest.(check int) "xor" y.(i) (Model.classify m xi))
           x);
     Alcotest.test_case "decision sign consistent with predict" `Quick (fun () ->
         let x = [| [| 0. |]; [| 1. |]; [| 2. |]; [| 3. |] |] in
@@ -155,7 +152,7 @@ let svc_tests =
         let m = Svc.train ~x ~y () in
         Array.iter
           (fun xi ->
-            let d = Svc.decision m xi and p = Svc.predict m xi in
+            let d = Model.decision m xi and p = Model.classify m xi in
             Alcotest.(check bool) "sign" true ((d >= 0.0) = (p = 1)))
           x);
     Alcotest.test_case "rejects bad labels" `Quick (fun () ->
@@ -172,8 +169,9 @@ let svc_tests =
         let x = Array.init n (fun _ -> [| Rng.uniform rng (-1.) 1. |]) in
         let y = Array.map (fun xi -> if xi.(0) > 0.0 then 1 else -1) x in
         let m = Svc.train ~c:1.0 ~x ~y () in
-        Alcotest.(check bool) "nsv <= n" true (Svc.n_support m <= n);
-        Alcotest.(check bool) "margin points only" true (Svc.n_support m < n));
+        let nsv = Flat.n_rows m.Model.sv in
+        Alcotest.(check bool) "nsv <= n" true (nsv <= n);
+        Alcotest.(check bool) "margin points only" true (nsv < n));
   ]
 
 let svr_tests =
@@ -181,31 +179,31 @@ let svr_tests =
     Alcotest.test_case "fits a line within epsilon" `Quick (fun () ->
         let x = Array.init 30 (fun i -> [| float_of_int i /. 10.0 |]) in
         let y = Array.map (fun xi -> (2.0 *. xi.(0)) -. 1.0) x in
-        let m = Svr.train ~c:100.0 ~epsilon:0.05 ~kernel:Kernel.linear ~x ~y () in
+        let m = Svr.train ~c:100.0 ~epsilon:0.05 ~x ~y () in
         Array.iteri
           (fun i xi ->
             Alcotest.(check bool) "within tube" true
-              (Float.abs (Svr.predict m xi -. y.(i)) <= 0.06))
+              (Float.abs (Model.decision m xi -. y.(i)) <= 0.06))
           x);
     Alcotest.test_case "fits sin with rbf" `Quick (fun () ->
         let x = Array.init 60 (fun i -> [| float_of_int i /. 60.0 *. 6.28 |]) in
         let y = Array.map (fun xi -> sin xi.(0)) x in
-        let m = Svr.train ~c:100.0 ~epsilon:0.02 ~kernel:(Kernel.rbf 1.0) ~x ~y () in
+        let m = Svr.train ~c:100.0 ~epsilon:0.02 ~gamma:1.0 ~x ~y () in
         let max_err =
           Array.fold_left
-            (fun acc xi -> Float.max acc (Float.abs (Svr.predict m xi -. sin xi.(0))))
+            (fun acc xi -> Float.max acc (Float.abs (Model.decision m xi -. sin xi.(0))))
             0.0 x
         in
         Alcotest.(check bool) "max err < 0.05" true (max_err < 0.05));
     Alcotest.test_case "classifies by sign on +-1 targets" `Quick (fun () ->
         let x = Array.init 40 (fun i -> [| float_of_int i |]) in
         let y = Array.map (fun xi -> if xi.(0) >= 20.0 then 1.0 else -1.0) x in
-        let m = Svr.train ~c:10.0 ~epsilon:0.1 ~kernel:(Kernel.rbf 0.01) ~x ~y () in
+        let m = Svr.train ~c:10.0 ~epsilon:0.1 ~gamma:0.01 ~x ~y () in
         let errs =
           Array.fold_left
             (fun acc xi ->
               let truth = if xi.(0) >= 20.0 then 1 else -1 in
-              if Svr.classify m xi <> truth then acc + 1 else acc)
+              if Model.classify m xi <> truth then acc + 1 else acc)
             0 x
         in
         Alcotest.(check bool) "at most 2 boundary errors" true (errs <= 2));
@@ -214,7 +212,7 @@ let svr_tests =
         let y = Array.make 10 3.0 in
         let m = Svr.train ~c:10.0 ~epsilon:0.1 ~x ~y () in
         Alcotest.(check bool) "predicts ~3" true
-          (Float.abs (Svr.predict m [| 4.5 |] -. 3.0) <= 0.15));
+          (Float.abs (Model.decision m [| 4.5 |] -. 3.0) <= 0.15));
     Alcotest.test_case "rejects negative epsilon" `Quick (fun () ->
         (match Svr.train ~epsilon:(-1.0) ~x:[| [| 0. |] |] ~y:[| 0.0 |] () with
          | exception Invalid_argument _ -> ()
@@ -224,6 +222,8 @@ let svr_tests =
 let cache_tests =
   [
     Alcotest.test_case "caches and evicts" `Quick (fun () ->
+        let hits = Stc_obs.Registry.counter "stc_svm_cache_hits_total" in
+        let before = Stc_obs.Registry.Counter.get hits in
         let calls = ref 0 in
         let cache =
           Row_cache.create ~row_bytes:8 ~budget_bytes:(8 * 16)
@@ -234,7 +234,7 @@ let cache_tests =
         (* 16-row capacity; touch 3 rows twice: 3 misses, 3 hits *)
         List.iter (fun i -> ignore (Row_cache.get cache i)) [ 0; 1; 2; 0; 1; 2 ];
         Alcotest.(check int) "computed once each" 3 !calls;
-        Alcotest.(check int) "hits" 3 (Row_cache.hits cache));
+        Alcotest.(check int) "hits" 3 (Stc_obs.Registry.Counter.get hits - before));
     Alcotest.test_case "eviction keeps working" `Quick (fun () ->
         let cache =
           Row_cache.create ~row_bytes:8 ~budget_bytes:(8 * 16)
@@ -256,13 +256,13 @@ let smo_optimality_tests =
         let x = Array.init n (fun _ -> [| Rng.uniform rng (-1.) 1.; Rng.uniform rng (-1.) 1. |]) in
         let y = Array.init n (fun i -> if x.(i).(0) > 0.0 then 1.0 else -1.0) in
         let k = Kernel.rbf 1.0 in
-        let q i j = y.(i) *. y.(j) *. Kernel.eval k x.(i) x.(j) in
+        let q i j = y.(i) *. y.(j) *. k x.(i) x.(j) in
         let c = 5.0 in
         let problem =
           {
             Smo.size = n;
             q_row = (fun i -> Array.init n (fun j -> q i j));
-            q_diag = Array.init n (fun i -> Kernel.eval k x.(i) x.(i));
+            q_diag = Array.init n (fun i -> k x.(i) x.(i));
             p = Array.make n (-1.0);
             y;
             c;
@@ -304,8 +304,6 @@ let smo_optimality_tests =
               (objective alpha >= solver_obj -. 1e-6)
         done);
   ]
-
-module Flat = Stc_svm.Flat
 
 (* Table-driven pins for the gamma heuristics: the flat-storage refactor
    must not shift them. [median_gamma] samples pairs deterministically
@@ -363,11 +361,16 @@ let flat_tests =
         Alcotest.(check int) "n" 3 (Flat.n_rows fx);
         Alcotest.(check int) "dim" 2 (Flat.dim fx);
         Alcotest.(check (array (float 0.0))) "row 1" rows.(1) (Flat.row fx 1);
-        check_close 0.0 "get" 6.0 (Flat.get fx 2 1);
-        check_close 0.0 "dot 0·1" 11.0 (Flat.dot fx 0 1);
-        check_close 0.0 "dot 1·2" 39.0 (Flat.dot fx 1 2);
-        check_close 0.0 "dist2" 8.0 (Flat.dist2 fx 0 1);
-        check_close 0.0 "dot_vec" 11.0 (Flat.dot_vec fx 0 [| 3.0; 4.0 |]));
+        (* squared distances from row 0: 0, 8 and 32, so γ = 1/8 gives
+           exponents that are exact in binary *)
+        let out = Array.make 3 nan in
+        Flat.rbf_row fx ~gamma:0.125 0 out;
+        Alcotest.(check (array (float 0.0))) "rbf row 0"
+          [| 1.0; exp (-1.0); exp (-4.0) |] out;
+        check_close 0.0 "rbf decision"
+          (0.5 +. 1.0 +. (2.0 *. exp (-1.0)) +. (-1.0 *. exp (-4.0)))
+          (Flat.rbf_decision fx ~gamma:0.125 ~coef:[| 1.0; 2.0; -1.0 |] ~b:0.5
+             [| 1.0; 2.0 |]));
     Alcotest.test_case "flat rejects ragged and bad indices" `Quick (fun () ->
         Alcotest.check_raises "ragged"
           (Invalid_argument "Flat.of_rows: ragged row 1 (1 <> 2)") (fun () ->
@@ -377,7 +380,9 @@ let flat_tests =
           (Invalid_argument "Flat: row 1") (fun () -> ignore (Flat.row fx 1));
         Alcotest.check_raises "vec mismatch"
           (Invalid_argument "Flat: vector length 2 <> dim 1") (fun () ->
-            ignore (Flat.dot_vec fx 0 [| 1.0; 2.0 |])));
+            ignore
+              (Flat.rbf_decision fx ~gamma:1.0 ~coef:[| 1.0 |] ~b:0.0
+                 [| 1.0; 2.0 |])));
   ]
 
 let suites =

@@ -123,7 +123,7 @@ let noisy_svc seed =
   let kernel = Kernel.rbf (Rng.uniform rng 0.5 5.0) in
   let q =
     Array.init n (fun i ->
-        Array.init n (fun j -> y.(i) *. y.(j) *. Kernel.eval kernel x.(i) x.(j)))
+        Array.init n (fun j -> y.(i) *. y.(j) *. kernel x.(i) x.(j)))
   in
   let problem =
     {
@@ -157,7 +157,7 @@ let noisy_svr seed =
     Array.init n (fun s ->
         Array.init n (fun u ->
             y.(s) *. y.(u)
-            *. Kernel.eval kernel [| x.(base s) |] [| x.(base u) |]))
+            *. kernel [| x.(base s) |] [| x.(base u) |]))
   in
   let problem =
     {
@@ -281,11 +281,11 @@ let shrink_tests =
         in
         let c = 10.0 in
         let before = Obs.Counter.get c_reconstructs in
-        let m = Svr.train ~c ~kernel:(Kernel.rbf 1.0) ~x ~y () in
+        let m = Svr.train ~c ~gamma:1.0 ~x ~y () in
         let rebuilds = Obs.Counter.get c_reconstructs - before in
         if rebuilds < 1 then
           Alcotest.fail "stc_smo_reconstructs_total did not move: nothing shrank";
-        match Stc_qa.Oracle.svr_dual_feasible ~c m with
+        match Stc_qa.Oracle.dual_feasible ~c m with
         | Ok () -> ()
         | Error e -> Alcotest.failf "model infeasible: %s" e);
   ]
