@@ -273,9 +273,10 @@ let greedy_with_journal ~journal ~resume ~order config ~train ~test =
         end
     end
 
-(* Range checks for the population, tolerance and guard options, run
-   before any simulation. An empty test set would judge every candidate
-   at zero prediction error, and a NaN tolerance would reject every one
+(* Range checks for the population, grid, tolerance and guard options,
+   run before any simulation. An empty test set would judge every
+   candidate at zero prediction error, a grid needs at least one cell
+   per axis, and a NaN tolerance would reject every one
    (an error is never <= nan). A guard fraction must lie in [0, 1) — the
    range a saved flow may carry — and must leave every spec range of the
    device non-empty once the tight guard-band model narrows it. *)
@@ -285,6 +286,8 @@ let check_at_least option min n =
 let check_population ~n_train ~n_test =
   check_at_least "--train" 1 n_train;
   check_at_least "--test" 1 n_test
+
+let check_grid = Option.iter (check_at_least "--grid" 1)
 
 let check_tolerance t =
   if not (t >= 0.0 && t < 1.0) then
@@ -389,6 +392,7 @@ let save_test_arg =
 let run_opamp seed n_train n_test tolerance guard order learner grid_resolution
     enrich pilot save_flow save_test journal resume metrics trace =
   check_population ~n_train ~n_test;
+  check_grid grid_resolution;
   check_tolerance tolerance;
   check_guard Experiment.opamp_specs guard;
   guard_data_errors @@ fun () ->
@@ -453,6 +457,7 @@ let opamp_cmd =
 
 let run_mems seed n_train n_test tolerance guard learner grid_resolution =
   check_population ~n_train ~n_test;
+  check_grid grid_resolution;
   check_tolerance tolerance;
   check_guard Experiment.mems_specs guard;
   guard_data_errors @@ fun () ->
@@ -915,8 +920,7 @@ let flow_cmd =
 
 let () =
   let exits =
-    Cmd.Exit.info 0 ~doc:"on success."
-    :: Cmd.Exit.info 1
+    Cmd.Exit.info 1
          ~doc:"on a genuine failure: an option out of range, a server \
                that could not run."
     :: Cmd.Exit.info 2

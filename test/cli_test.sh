@@ -91,9 +91,15 @@ grep -qx "resuming cut.stcj: replaying 3 journaled steps" c.out \
 cmp -s a.stc c.stc || fail "the resumed run wrote a different flow"
 
 expect_exit 124 train $small --save-flow t.stc
+# the exit-status section lists each status once
+"$stc" --help=plain > help.out
+[ "$(grep -c '^ *0 *on success\.$' help.out)" -eq 1 ] \
+  || fail "stc --help=plain does not list exit status 0 exactly once"
 expect_exit 1 opamp --test 0
 expect_exit 1 opamp --tolerance nan
+expect_exit 1 opamp --grid 0
 expect_exit 1 mems --test 0
+expect_exit 1 mems --grid 0
 expect_exit 1 sweep --test 0
 # `stc server` checks its address before it loads a flow (a missing
 # flow file would exit 2), and a bind failure is one line and exit 1;
