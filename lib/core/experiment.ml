@@ -133,24 +133,21 @@ let spec_limits specs =
    an independent stream family while staying reproducible per seed. *)
 let test_seed_offset = 0x2545F491
 
-let generate_enriched ?config ?domains device specs ~seed ~pilot ~n_train
-    ~n_test =
+let generate_enriched device specs ~seed ~pilot ~n_train ~n_test =
   let limits = spec_limits specs in
   let train_mc, stats =
-    Stc_process.Enrich.generate ?config ?domains ~seed ~pilot device ~limits
-      ~n:n_train
+    Stc_process.Enrich.generate ~seed ~pilot device ~limits ~n:n_train
   in
   let test_mc =
-    Montecarlo.generate_parallel ?domains ~seed:(seed + test_seed_offset)
-      device ~n:n_test
+    Montecarlo.generate_parallel ~seed:(seed + test_seed_offset) device
+      ~n:n_test
   in
   ( Device_data.of_montecarlo ~specs train_mc,
     Device_data.of_montecarlo ~specs test_mc,
     stats )
 
-let generate_opamp_enriched ?config ?domains ~seed ~pilot ~n_train ~n_test () =
-  generate_enriched ?config ?domains (opamp_device ()) opamp_specs ~seed ~pilot
-    ~n_train ~n_test
+let generate_opamp_enriched ~seed ~pilot ~n_train ~n_test () =
+  generate_enriched (opamp_device ()) opamp_specs ~seed ~pilot ~n_train ~n_test
 
 (* ------------------------------------------------------------------ *)
 (* MEMS accelerometer                                                  *)

@@ -39,8 +39,6 @@ val spec_limits : Spec.t array -> (float * float) array
     {!Stc_process.Enrich.generate} expects. *)
 
 val generate_opamp_enriched :
-  ?config:Stc_process.Enrich.config ->
-  ?domains:int ->
   seed:int ->
   pilot:int ->
   n_train:int ->

@@ -20,14 +20,13 @@ let m_enriched = Obs.counter "stc_enrich_enriched_total"
 let m_proposals = Obs.counter "stc_enrich_proposals_total"
 let g_boundary = Obs.gauge "stc_enrich_boundary_hit_rate"
 
-type config = {
-  boundary_width : float;
-  floor_probability : float;
-  max_failure_ratio : float;
-}
-
-let default_config =
-  { boundary_width = 1.0; floor_probability = 0.05; max_failure_ratio = 0.5 }
+(* τ, the half-width of the target boundary band in pilot-sigma units;
+   the least acceptance probability, which keeps every weight below
+   Z / floor_probability and every region reachable; and the failed-draw
+   budget of the enriched phase, as in [Montecarlo.generate_parallel]. *)
+let boundary_width = 1.0
+let floor_probability = 0.05
+let max_failure_ratio = 0.5
 
 type stats = {
   pilot : int;
@@ -120,10 +119,10 @@ let predicted_margin surrogate ~limits params =
    around the predicted boundary, floored so that no region of the
    process space is ever starved (which keeps weights bounded by
    Z / floor_probability). *)
-let acceptance config margin =
-  let t = margin /. config.boundary_width in
+let acceptance margin =
+  let t = margin /. boundary_width in
   let bump = exp (-0.5 *. t *. t) in
-  config.floor_probability +. ((1.0 -. config.floor_probability) *. bump)
+  floor_probability +. ((1.0 -. floor_probability) *. bump)
 
 let boundary_fraction ~limits ~sigmas ~width (d : Montecarlo.dataset) =
   let n = Array.length d.specs in
@@ -140,21 +139,17 @@ let boundary_fraction ~limits ~sigmas ~width (d : Montecarlo.dataset) =
 
 (* --- generation ---------------------------------------------------- *)
 
-let generate ?(config = default_config) ?domains ~seed ~pilot
+let generate ?domains ~seed ~pilot
     (device : Montecarlo.device) ~limits ~n =
   if pilot <= 0 then invalid_arg "Enrich.generate: pilot must be positive";
   if pilot >= n then invalid_arg "Enrich.generate: pilot must be < n";
   if Array.length limits <> device.spec_count then
     invalid_arg "Enrich.generate: limits length must match spec_count";
-  if config.boundary_width <= 0.0 then
-    invalid_arg "Enrich.generate: boundary_width must be positive";
-  if config.floor_probability <= 0.0 || config.floor_probability > 1.0 then
-    invalid_arg "Enrich.generate: floor_probability outside (0,1]";
   let domains = Montecarlo.resolve_domains domains in
   (* Phase 1: uniform pilot on instance streams 0 .. pilot-1. *)
   let pilot_data =
-    Montecarlo.generate_parallel ~max_failure_ratio:config.max_failure_ratio
-      ~domains ~seed device ~n:pilot
+    Montecarlo.generate_parallel ~max_failure_ratio ~domains ~seed device
+      ~n:pilot
   in
   let surrogate = fit_surrogate pilot_data in
   (* Phase 2: boundary-biased rejection sampling on streams
@@ -168,7 +163,7 @@ let generate ?(config = default_config) ?domains ~seed ~pilot
   Array.blit pilot_data.specs 0 specs 0 pilot;
   let max_failures =
     Stdlib.max 10
-      (int_of_float (config.max_failure_ratio *. float_of_int n_enriched))
+      (int_of_float (max_failure_ratio *. float_of_int n_enriched))
   in
   let failures = Atomic.make 0 in
   let proposals = Atomic.make 0 in
@@ -195,7 +190,7 @@ let generate ?(config = default_config) ?domains ~seed ~pilot
         end
         | Some s -> begin
           Atomic.incr proposals;
-          let a = acceptance config (predicted_margin s ~limits params) in
+          let a = acceptance (predicted_margin s ~limits params) in
           let u = Stc_numerics.Rng.float rng in
           if u >= a then attempt_loop (attempt + 1)
           else begin
@@ -244,8 +239,7 @@ let generate ?(config = default_config) ?domains ~seed ~pilot
   let boundary_hit_rate =
     match surrogate with
     | Some s ->
-      boundary_fraction ~limits ~sigmas:s.sigmas ~width:config.boundary_width
-        dataset
+      boundary_fraction ~limits ~sigmas:s.sigmas ~width:boundary_width dataset
     | None -> 0.0
   in
   Obs.Counter.add m_pilot pilot;

@@ -10,21 +10,15 @@
 
     Enriched instance [i] consumes only the private streams
     [Montecarlo.instance_rng ~seed ~index:i ~attempt], so the dataset
-    is bit-identical at any domain count. *)
+    is bit-identical at any domain count.
 
-type config = {
-  boundary_width : float;
-      (** τ: half-width of the target boundary band, in pilot-sigma
-          units (default 1.0) *)
-  floor_probability : float;
-      (** minimum acceptance probability, keeping weights bounded and
-          every region reachable (default 0.05) *)
-  max_failure_ratio : float;
-      (** failed-simulation budget for the enriched phase, as in
-          {!Montecarlo.generate_parallel} (default 0.5) *)
-}
-
-val default_config : config
+    The sampler's settings are constants: the target boundary band is
+    one pilot sigma wide on each side of the predicted boundary (τ =
+    1), every proposal is accepted with probability at least 0.05,
+    which keeps weights bounded and every region reachable, and the
+    enriched phase gives up after more failed draws than half its
+    instance count (at least 10), as {!Montecarlo.generate_parallel}
+    does by default. *)
 
 type stats = {
   pilot : int;             (** uniform pilot instances *)
@@ -34,14 +28,13 @@ type stats = {
   acceptance_rate : float; (** Ẑ = accepted / proposals *)
   boundary_hit_rate : float;
       (** fraction of all kept instances whose true normalised margin
-          lies within [boundary_width] of the boundary *)
+          lies within τ of the boundary *)
   surrogate_ok : bool;
       (** false when the pilot fit was singular or non-finite and the
           enriched phase degraded to uniform sampling *)
 }
 
 val generate :
-  ?config:config ->
   ?domains:int ->
   seed:int ->
   pilot:int ->
